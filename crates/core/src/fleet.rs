@@ -19,8 +19,9 @@
 //! 1. **Routing** ([`FleetDriver::route`]): a single sequential pass over
 //!    the shared trace in submit order. For every arrival the router
 //!    builds per-site [`SiteSignals`] — the site's forecast-window mean
-//!    carbon intensity and price (read straight off the pre-built
-//!    [`GridPath`]s via [`GridPath::window_mean_ci`]) plus a router-side
+//!    carbon intensity and price (read off the pre-built [`GridPath`]s
+//!    via [`GridPath::window_mean_ci`] once per arrival hour, since they
+//!    depend on nothing else) plus a router-side
 //!    *queue-pressure estimate* (routed-but-undrained GPU-hours per site,
 //!    drained at full-machine rate between arrivals) — and asks the
 //!    [`RoutePolicy`] to pick a feasible site. Routing is hierarchical
@@ -134,7 +135,10 @@
 //! line inside the standard versioned, checksummed, plan-fingerprinted
 //! v1 [`crate::campaign::ShardArtifact`]; the cell's full
 //! [`FleetRunOutput::to_text`] report is pinned bit-for-bit by an FNV-1a
-//! digest carried on the line. A supervised fleet sweep's artifact
+//! digest carried on the line. The digest is streamed over the exact
+//! `to_text` bytes as [`FleetRunOutput::write_report`] writes them
+//! ([`FleetRunOutput::report_digest`]), so no cell materializes its report
+//! text. A supervised fleet sweep's artifact
 //! directory is the campaign layout with the fleet manifest name:
 //!
 //! ```text
@@ -174,9 +178,10 @@
 use greener_climate::WeatherPath;
 use greener_grid::mix::GridPath;
 use std::collections::HashMap;
+use std::fmt;
 
 use greener_simkit::par;
-use greener_simkit::rng::{fnv1a, RngHub};
+use greener_simkit::rng::{Fnv1a, RngHub};
 use greener_simkit::sweep::gridn_indices;
 use greener_simkit::time::SimTime;
 use greener_simkit::units::Energy;
@@ -347,9 +352,9 @@ impl FleetScenario {
     }
 
     /// Validate the fleet's structural invariants: at least one site,
-    /// whitespace-free unique names, and every site sharing the base's
-    /// start date and horizon (sites replay the same simulated window the
-    /// shared trace spans).
+    /// whitespace-free unique names, a horizon of at least one hour, and
+    /// every site sharing the base's start date and horizon (sites replay
+    /// the same simulated window the shared trace spans).
     pub fn validate(&self) -> Result<(), String> {
         if self.name.is_empty() || self.name.contains(char::is_whitespace) {
             return Err(format!(
@@ -359,6 +364,13 @@ impl FleetScenario {
         }
         if self.sites.is_empty() {
             return Err("a fleet needs at least one site".into());
+        }
+        if self.base.horizon_hours == 0 {
+            return Err(format!(
+                "fleet `{}` spans 0 h (every site replays the base horizon, so it needs at \
+                 least one hour)",
+                self.name
+            ));
         }
         let mut seen = std::collections::HashSet::new();
         for site in &self.sites {
@@ -688,16 +700,25 @@ impl RouteRecord {
     /// floats as bit-exact hex (the campaign artifact idiom), so two
     /// routing runs compare byte-for-byte.
     pub fn to_line(&self) -> String {
-        format!(
-            "route {} {} {} {} {} {} {} {}",
+        let mut line = String::new();
+        self.write_line(&mut line)
+            .expect("writing to a String cannot fail");
+        line
+    }
+
+    /// Write the [`RouteRecord::to_line`] form (no trailing newline).
+    fn write_line<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        write!(
+            out,
+            "route {} {} {} {} {} {:016x} {:016x} {:016x}",
             self.index,
             self.job.0,
             self.site,
             self.submit.0,
             self.gpus,
-            fbits(self.work_gpu_hours),
-            fbits(self.queue_pressure_hours),
-            fbits(self.forecast_ci_kg_mwh),
+            self.work_gpu_hours.to_bits(),
+            self.queue_pressure_hours.to_bits(),
+            self.forecast_ci_kg_mwh.to_bits(),
         )
     }
 }
@@ -735,44 +756,67 @@ pub struct FleetRunOutput {
 }
 
 impl FleetRunOutput {
-    /// Render the byte-stable fleet report: a header, one line per site,
-    /// every routing record, and the totals line. Deterministic at any
-    /// thread count and worldgen schedule (perf tooling compares the
-    /// bytes across `RAYON_NUM_THREADS` values).
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "fleet {} routing={} sites={} routed={}\n",
+    /// Write the byte-stable fleet report: a header, one line per site,
+    /// every routing record, and the totals line, floats as `to_bits`
+    /// hex. Deterministic at any thread count and worldgen schedule (perf
+    /// tooling compares the bytes across `RAYON_NUM_THREADS` values).
+    /// [`FleetRunOutput::to_text`] collects it into a `String` and
+    /// [`FleetRunOutput::report_digest`] hashes it as it is written.
+    pub fn write_report<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        writeln!(
+            out,
+            "fleet {} routing={} sites={} routed={}",
             self.fleet_name,
             self.routing.label(),
             self.sites.len(),
             self.routes.len(),
-        ));
+        )?;
         for (i, site) in self.sites.iter().enumerate() {
-            out.push_str(&format!(
-                "site {} {} routed={} completed={} energy_kwh={} carbon_kg={} cost_usd={}\n",
+            writeln!(
+                out,
+                "site {} {} routed={} completed={} energy_kwh={:016x} carbon_kg={:016x} \
+                 cost_usd={:016x}",
                 i,
                 site.scenario_name,
                 site.jobs.submitted,
                 site.jobs.completed,
-                fbits(site.aggregates.energy_kwh),
-                fbits(site.aggregates.carbon_kg),
-                fbits(site.aggregates.cost_usd),
-            ));
+                site.aggregates.energy_kwh.to_bits(),
+                site.aggregates.carbon_kg.to_bits(),
+                site.aggregates.cost_usd.to_bits(),
+            )?;
         }
         for r in &self.routes {
-            out.push_str(&r.to_line());
-            out.push('\n');
+            r.write_line(out)?;
+            out.write_char('\n')?;
         }
-        out.push_str(&format!(
-            "total completed={} energy_kwh={} carbon_kg={} cost_usd={} truncated_jobs={}\n",
+        writeln!(
+            out,
+            "total completed={} energy_kwh={:016x} carbon_kg={:016x} cost_usd={:016x} \
+             truncated_jobs={}",
             self.jobs.completed,
-            fbits(self.totals.energy_kwh),
-            fbits(self.totals.carbon_kg),
-            fbits(self.totals.cost_usd),
+            self.totals.energy_kwh.to_bits(),
+            self.totals.carbon_kg.to_bits(),
+            self.totals.cost_usd.to_bits(),
             self.truncated_jobs,
-        ));
-        out
+        )
+    }
+
+    /// The [`FleetRunOutput::write_report`] report as a `String`.
+    pub fn to_text(&self) -> String {
+        let mut text = String::new();
+        self.write_report(&mut text)
+            .expect("writing to a String cannot fail");
+        text
+    }
+
+    /// FNV-1a digest of the exact [`FleetRunOutput::to_text`] bytes,
+    /// streamed through [`Fnv1a`] as the report is written: nothing is
+    /// materialized.
+    pub fn report_digest(&self) -> u64 {
+        let mut hasher = Fnv1a::new();
+        self.write_report(&mut hasher)
+            .expect("writing to a hasher cannot fail");
+        hasher.finish()
     }
 }
 
@@ -817,33 +861,46 @@ impl FleetDriver {
         // full-machine rate between consecutive arrivals.
         let mut backlog = vec![0.0f64; n];
         let mut last = SimTime::ZERO;
-        let mut signals = Vec::with_capacity(n);
+        // Forecast signals depend only on the arrival hour, so they are
+        // recomputed when the hour changes; queue pressure moves per job.
+        let mut signals: Vec<SiteSignals> = caps
+            .iter()
+            .enumerate()
+            .map(|(site, &gpu_cap)| SiteSignals {
+                site,
+                gpu_cap,
+                queue_pressure_hours: 0.0,
+                forecast_ci_kg_mwh: f64::NAN,
+                forecast_price_usd_mwh: f64::NAN,
+            })
+            .collect();
+        let mut signal_hour = None;
+        let mut feasible = Vec::with_capacity(n);
         let mut records = Vec::with_capacity(world.trace.len());
         for (index, job) in world.trace.iter().enumerate() {
             let dt = (job.submit - last).hours_f64();
             last = job.submit;
-            for (b, &cap) in backlog.iter_mut().zip(&caps) {
-                *b = (*b - dt * cap as f64).max(0.0);
+            for (s, b) in signals.iter_mut().zip(&mut backlog) {
+                *b = (*b - dt * s.gpu_cap as f64).max(0.0);
+                s.queue_pressure_hours = site_pressure(*b, s.gpu_cap);
             }
             let h = (job.submit.hours_f64() as usize).min(horizon.saturating_sub(1));
-            signals.clear();
-            for (i, sw) in world.sites.iter().enumerate() {
-                signals.push(SiteSignals {
-                    site: i,
-                    gpu_cap: caps[i],
-                    queue_pressure_hours: site_pressure(backlog[i], caps[i]),
-                    forecast_ci_kg_mwh: sw.grid.window_mean_ci(h, ROUTE_FORECAST_HOURS),
-                    forecast_price_usd_mwh: sw.grid.window_mean_price(h, ROUTE_FORECAST_HOURS),
-                });
+            if signal_hour != Some(h) {
+                signal_hour = Some(h);
+                for (s, sw) in signals.iter_mut().zip(&world.sites) {
+                    s.forecast_ci_kg_mwh = sw.grid.window_mean_ci(h, ROUTE_FORECAST_HOURS);
+                    s.forecast_price_usd_mwh = sw.grid.window_mean_price(h, ROUTE_FORECAST_HOURS);
+                }
             }
-            let mut feasible: Vec<usize> = (0..n).filter(|&i| caps[i] >= job.gpus).collect();
+            feasible.clear();
+            feasible.extend((0..n).filter(|&i| caps[i] >= job.gpus));
             if feasible.is_empty() {
                 // No site fits the gang whole: offer every *powered* site
                 // and clamp the gang to the pick (recorded — see
                 // `FleetRunOutput::truncated_jobs`). Zero-cap sites stay
                 // excluded even here, so `site_pressure`'s saturated
                 // (infinite) estimate never reaches a policy's score.
-                feasible = (0..n).filter(|&i| caps[i] > 0).collect();
+                feasible.extend((0..n).filter(|&i| caps[i] > 0));
             }
             let site = policy.route(job, &signals, &feasible);
             assert!(
@@ -1034,7 +1091,10 @@ pub struct FleetPlan {
 /// [`FleetRunOutput::to_text`] report. The full report (per-site lines
 /// and the routing record stream) is too large to ship one-per-line
 /// through artifacts, but its digest pins it bit-for-bit: two merged
-/// fleet-campaign reports agree iff every cell's full report agreed.
+/// fleet-campaign reports agree iff every cell's full report agreed. The
+/// digest is streamed over the report as it is written
+/// ([`FleetRunOutput::report_digest`]), so the report text itself is
+/// never materialized.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetCellResult {
     /// The cell's plan index (merge position).
@@ -1049,8 +1109,9 @@ pub struct FleetCellResult {
     /// ([`FleetRunOutput::truncated_jobs`] — non-zero means the replayed
     /// workload diverged from the shared trace).
     pub truncated_jobs: usize,
-    /// FNV-1a digest of the cell's full [`FleetRunOutput::to_text`]
-    /// report.
+    /// FNV-1a digest of the exact bytes of the cell's full
+    /// [`FleetRunOutput::to_text`] report, streamed by
+    /// [`FleetRunOutput::report_digest`] without building the text.
     pub report_digest: u64,
     /// Fleet-level aggregate rollup.
     pub totals: RunAggregates,
@@ -1060,7 +1121,9 @@ pub struct FleetCellResult {
 
 impl FleetCellResult {
     /// Condense one fleet run into the artifact record for plan position
-    /// `index`.
+    /// `index`. The report digest is streamed
+    /// ([`FleetRunOutput::report_digest`]): the per-cell report, one line
+    /// per routed job, is hashed as it is written and never materialized.
     pub fn from_output(
         index: usize,
         id: impl Into<String>,
@@ -1072,7 +1135,7 @@ impl FleetCellResult {
             routing: out.routing,
             routed_jobs: out.routes.len(),
             truncated_jobs: out.truncated_jobs,
-            report_digest: fnv1a(out.to_text().as_bytes()),
+            report_digest: out.report_digest(),
             totals: out.totals,
             jobs: out.jobs.clone(),
         }
@@ -1460,6 +1523,7 @@ impl FleetManifest {
 mod tests {
     use super::*;
     use crate::equivalence::{self, assert_runners_equivalent, quick_matrix};
+    use greener_simkit::rng::fnv1a;
 
     /// The fleet equivalence axis: a 1-site fleet under static routing is
     /// the identity wrapper — it must reproduce the single-site
@@ -1592,27 +1656,101 @@ mod tests {
 
     #[test]
     fn fleet_report_bytes_invariant_across_threads_and_schedules() {
-        let fleet = quick_fleet(7, 11, 3).with_routing(RoutingPolicyKind::CostBased);
+        let fleet = quick_fleet(7, 11, 3);
         let prior = std::env::var("RAYON_NUM_THREADS").ok();
-        let mut texts = Vec::new();
+        // Per routing: (text, digest) for every thread count × schedule.
+        let mut reports = vec![Vec::new(); RoutingPolicyKind::COMPARISON_SET.len()];
         for threads in ["1", "4"] {
             std::env::set_var("RAYON_NUM_THREADS", threads);
             for worldgen in [WorldGen::Sequential, WorldGen::Parallel] {
                 let f = fleet.clone().with_worldgen(worldgen);
                 let world = FleetWorld::build(&f);
-                texts.push(FleetDriver::run_observed(&f, &world, Observe::aggregates()).to_text());
+                for (k, &routing) in RoutingPolicyKind::COMPARISON_SET.iter().enumerate() {
+                    let out = FleetDriver::run_observed(
+                        &f.clone().with_routing(routing),
+                        &world,
+                        Observe::aggregates(),
+                    );
+                    reports[k].push((out.to_text(), out.report_digest()));
+                }
             }
         }
         match prior {
             Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
             None => std::env::remove_var("RAYON_NUM_THREADS"),
         }
-        for t in &texts[1..] {
+        for (routing, runs) in RoutingPolicyKind::COMPARISON_SET.iter().zip(&reports) {
+            for r in &runs[1..] {
+                assert_eq!(
+                    r,
+                    &runs[0],
+                    "{} fleet report must be byte-identical across thread counts and schedules",
+                    routing.label()
+                );
+            }
+        }
+    }
+
+    /// Report digests of `quick_fleet(7, 11, 3)` under every routing, in
+    /// `COMPARISON_SET` order: any drift in the report bytes, the route
+    /// pass or the replay shows here.
+    const GOLDEN_FLEET_DIGESTS: [u64; 4] = [
+        0xf337_ac7a_11ae_a114,
+        0x68cd_d5b5_0f37_6bda,
+        0xc145_25d9_6035_fac7,
+        0x7368_4e83_171f_aa9b,
+    ];
+
+    #[test]
+    fn golden_fleet_report_digests() {
+        let fleet = quick_fleet(7, 11, 3);
+        let world = FleetWorld::build(&fleet);
+        // Several arrivals share an hour, so the route pass reuses its
+        // hourly forecast signals across jobs.
+        let mut per_hour = HashMap::new();
+        for job in &world.trace {
+            *per_hour.entry(job.submit.hours_f64() as usize).or_insert(0) += 1;
+        }
+        assert!(
+            per_hour.values().any(|&n| n > 1),
+            "no hour has two arrivals"
+        );
+        for (&routing, &golden) in RoutingPolicyKind::COMPARISON_SET
+            .iter()
+            .zip(&GOLDEN_FLEET_DIGESTS)
+        {
+            let out = FleetDriver::run_observed(
+                &fleet.clone().with_routing(routing),
+                &world,
+                Observe::aggregates(),
+            );
+            let digest = out.report_digest();
+            assert_eq!(digest, golden, "{}: digest {digest:#018x}", routing.label());
             assert_eq!(
-                t, &texts[0],
-                "fleet report must be byte-identical across thread counts and schedules"
+                digest,
+                fnv1a(out.to_text().as_bytes()),
+                "{}",
+                routing.label()
             );
         }
+    }
+
+    #[test]
+    fn golden_route_line() {
+        let r = RouteRecord {
+            index: 3,
+            job: JobId(17),
+            site: 2,
+            submit: SimTime(5400),
+            gpus: 8,
+            work_gpu_hours: f64::NAN,
+            queue_pressure_hours: -0.0,
+            forecast_ci_kg_mwh: f64::INFINITY,
+        };
+        assert_eq!(
+            r.to_line(),
+            "route 3 17 2 5400 8 7ff8000000000000 8000000000000000 7ff0000000000000"
+        );
     }
 
     #[test]
@@ -1647,9 +1785,19 @@ mod tests {
         f.sites[1].name = "site-0".into();
         assert!(f.validate().unwrap_err().contains("duplicate site name"));
 
-        let mut f = FleetScenario::spread(base, 2);
+        let mut f = FleetScenario::spread(base.clone(), 2);
         f.sites[1].scenario.horizon_hours += 24;
         assert!(f.validate().unwrap_err().contains("spans"));
+
+        // A zero-hour fleet has no hour for per-site replay to index.
+        let mut f = FleetScenario::spread(base, 2);
+        f.base.horizon_hours = 0;
+        for site in &mut f.sites {
+            site.scenario.horizon_hours = 0;
+        }
+        let e = f.validate().unwrap_err();
+        assert!(e.contains(&format!("fleet `{}`", f.name)), "{e}");
+        assert!(e.contains("0 h"), "{e}");
     }
 
     #[test]

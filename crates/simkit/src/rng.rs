@@ -8,6 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::fmt;
 
 /// SplitMix64 step — a tiny, high-quality 64-bit mixer used to derive
 /// per-stream seeds. (Same constants as the reference implementation.)
@@ -24,12 +25,54 @@ pub fn splitmix64(mut z: u64) -> u64 {
 /// world-input keys in `greener-core`'s campaign layer) elsewhere.
 #[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
+    let mut hasher = Fnv1a::new();
+    hasher.write_bytes(bytes);
+    hasher.finish()
+}
+
+/// Streaming [`fnv1a`]: bytes fed in any chunking digest exactly as
+/// `fnv1a` over their concatenation. It implements [`fmt::Write`], so a
+/// formatted report can be digested as it is written, never materialized
+/// as one `String`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a {
+    hash: u64,
+}
+
+impl Fnv1a {
+    /// A hasher over the empty string (the FNV-1a offset basis).
+    pub const fn new() -> Fnv1a {
+        Fnv1a {
+            hash: 0xcbf2_9ce4_8422_2325,
+        }
     }
-    hash
+
+    /// Fold `bytes` into the digest.
+    #[inline]
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.hash ^= b as u64;
+            self.hash = self.hash.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    /// The digest of every byte written so far.
+    pub fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a::new()
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write_bytes(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// A hub deriving independent, reproducible RNG streams from one root seed.
@@ -177,6 +220,33 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        // Published FNV-1a 64-bit test vectors: stream seeding depends on
+        // these exact values.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn streaming_fnv1a_is_chunking_invariant() {
+        use std::fmt::Write;
+        let text = "route 3 17 2 5400 8 7ff8000000000000\nfleet \u{e9}\n";
+        for split in 0..=text.len() {
+            if !text.is_char_boundary(split) {
+                continue;
+            }
+            let mut h = Fnv1a::new();
+            h.write_str(&text[..split]).unwrap();
+            h.write_bytes(&text.as_bytes()[split..]);
+            assert_eq!(h.finish(), fnv1a(text.as_bytes()), "split at {split}");
+        }
+        let mut h = Fnv1a::default();
+        write!(h, "{} {:016x}", 42, 1.5f64.to_bits()).unwrap();
+        assert_eq!(h.finish(), fnv1a(b"42 3ff8000000000000"));
     }
 
     #[test]
