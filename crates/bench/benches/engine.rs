@@ -136,15 +136,6 @@ fn bench_world(c: &mut Criterion) {
         let s = greener_bench::scenarios::dispatch_heavy_90d(greener_bench::seeds::WORLD);
         b.iter(|| black_box(SimDriver::run(&s)))
     });
-    // The same saturated queue with the backfill reject memo disabled
-    // (`BackfillPath::Reference`): the delta to `dispatch_heavy_90d`
-    // isolates what skipping proven-reject rescans buys when consecutive
-    // dispatches face an unchanged queue head.
-    g.bench_function("replay_heavy_90d_reference_backfill", |b| {
-        let s = greener_bench::scenarios::dispatch_heavy_90d(greener_bench::seeds::WORLD)
-            .with_backfill(greener_core::scenario::BackfillPath::Reference);
-        b.iter(|| black_box(SimDriver::run(&s)))
-    });
     // Bursty arrivals: deep queues that flood in spikes and drain against
     // completions — the worst case for backfill's candidate search.
     g.bench_function("dispatch_burst_7d", |b| {

@@ -52,9 +52,9 @@
 //! remainder. The apply/unattributed interiors are further split into
 //! overlapping sub-phases (`event_pop`, `apply_alloc`, `apply_slab`,
 //! `apply_completions`, `apply_probes`, `apply_schedule`, `tick_settle`,
-//! emitted as `*_ns`), and the fast-path counters
-//! (`fast_apply_events`, `backfill_cache_hits`, `backfill_visits_saved`)
-//! prove the SoA apply slab and the backfill reject memo actually engage.
+//! emitted as `*_ns`), and the fast-path counters (`fast_dispatches`,
+//! `fast_apply_events`) prove the lone-arrival path and the SoA apply slab
+//! actually engage.
 //! Profiled replays pay for the clock reads, so the split is
 //! for *attribution*; the directly-timed lanes above stay the numbers of
 //! record. This is the "profile before picking" instrument behind

@@ -36,10 +36,9 @@
 //!   with the phases;
 //! * one field per [`greener_core::profile::ProfileCounter`] — loop
 //!   counts (events, decisions, dispatch calls, backfill visits, …) plus
-//!   the fast-path proof counters `fast_apply_events` (SoA apply slab
-//!   touches: one per start + one per finish), `backfill_cache_hits` and
-//!   `backfill_visits_saved` (reject-memo engagement; see
-//!   `greener_sched::waitq` for the invalidation rules).
+//!   the fast-path proof counters `fast_dispatches` (arrivals resolved on
+//!   the lone-arrival fast path) and `fast_apply_events` (SoA apply slab
+//!   touches: one per start + one per finish).
 
 /// The `perfjson` command line: a strict flag parser.
 ///

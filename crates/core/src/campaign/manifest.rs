@@ -150,7 +150,15 @@ impl Knob {
         match self {
             Knob::Policy => parse_policy(raw, line).map(AxisValue::Policy),
             Knob::HorizonDays | Knob::Nodes => match raw.parse::<u64>() {
-                Ok(n) if n > 0 => Ok(AxisValue::Count(n)),
+                Ok(n) if self.count_fits(n) => Ok(AxisValue::Count(n)),
+                Ok(n) if n > 0 => err(
+                    line,
+                    format!(
+                        "`{}` = {n} is out of range (at most {})",
+                        self.name(),
+                        self.max_count()
+                    ),
+                ),
                 _ => err(
                     line,
                     format!("`{}` needs a positive integer, got `{raw}`", self.name()),
@@ -192,20 +200,37 @@ impl Knob {
         }
     }
 
-    /// Check that `value`'s variant is one this knob produces (guards the
-    /// programmatic construction path, which skips [`Knob::parse_value`]).
+    /// Largest value a count knob can apply without truncation: `nodes`
+    /// is stored as `u32`, and `horizon_days` becomes `days * 24` hours in
+    /// a `usize`.
+    fn max_count(&self) -> u64 {
+        match self {
+            Knob::Nodes => u64::from(u32::MAX),
+            _ => u64::try_from(usize::MAX / 24).unwrap_or(u64::MAX),
+        }
+    }
+
+    /// Whether `n` is a value this count knob can apply: positive and at
+    /// most [`Knob::max_count`].
+    fn count_fits(&self, n: u64) -> bool {
+        (1..=self.max_count()).contains(&n)
+    }
+
+    /// Check that `value`'s variant is one this knob produces, and that a
+    /// count is in range (guards the programmatic construction path,
+    /// which skips [`Knob::parse_value`]).
     fn accepts(&self, value: &AxisValue) -> bool {
-        matches!(
-            (self, value),
+        match (self, value) {
+            (Knob::HorizonDays | Knob::Nodes, AxisValue::Count(n)) => self.count_fits(*n),
             (Knob::Policy, AxisValue::Policy(_))
-                | (Knob::HorizonDays | Knob::Nodes, AxisValue::Count(_))
-                | (
-                    Knob::ArrivalRate | Knob::SurgeMult | Knob::QsMult | Knob::SloWaitHours,
-                    AxisValue::Real(_)
-                )
-                | (Knob::Forecast, AxisValue::Forecast(_))
-                | (Knob::Deadline, AxisValue::Deadline(_))
-        )
+            | (
+                Knob::ArrivalRate | Knob::SurgeMult | Knob::QsMult | Knob::SloWaitHours,
+                AxisValue::Real(_),
+            )
+            | (Knob::Forecast, AxisValue::Forecast(_))
+            | (Knob::Deadline, AxisValue::Deadline(_)) => true,
+            _ => false,
+        }
     }
 
     /// Apply one axis value to a scenario. `base` is the unmodified
@@ -214,13 +239,16 @@ impl Knob {
         match (self, value) {
             (Knob::Policy, AxisValue::Policy(p)) => scenario.policy = *p,
             (Knob::HorizonDays, AxisValue::Count(d)) => {
+                // Range-checked: `d * 24` fits `usize`.
                 scenario.horizon_hours = *d as usize * 24;
             }
             (Knob::ArrivalRate, AxisValue::Real(r)) => {
                 scenario.trace.demand.base_rate_per_hour = *r;
             }
             (Knob::SurgeMult, AxisValue::Real(m)) => scenario.trace.demand.surge_mult = *m,
-            (Knob::Nodes, AxisValue::Count(n)) => scenario.cluster.nodes = *n as u32,
+            (Knob::Nodes, AxisValue::Count(n)) => {
+                scenario.cluster.nodes = u32::try_from(*n).expect("`nodes` range-checked")
+            }
             (Knob::QsMult, AxisValue::Real(m)) => {
                 // Matches `Eq1Problem::evaluate`'s historical rounding so
                 // the migrated grid search stays bit-identical.
@@ -315,9 +343,9 @@ impl CampaignManifest {
     /// Builder-style: append one axis (outermost first).
     ///
     /// # Panics
-    /// If any value's variant does not belong to `knob`, or the axis is
-    /// empty — programmatic manifests fail fast like text ones fail
-    /// [`CampaignManifest::parse`].
+    /// If any value's variant does not belong to `knob`, a count is out
+    /// of the knob's range, or the axis is empty — programmatic manifests
+    /// fail fast like text ones fail [`CampaignManifest::parse`].
     #[must_use]
     pub fn with_axis(mut self, knob: Knob, values: Vec<AxisValue>) -> CampaignManifest {
         assert!(!values.is_empty(), "axis `{}` has no values", knob.name());
@@ -462,10 +490,14 @@ pub(crate) fn parse_base(raw: &str, line: usize) -> Result<Scenario, ManifestErr
     };
     match preset.split_once(':') {
         Some(("quick", days)) => match days.trim().parse::<usize>() {
-            Ok(d) if d > 0 => Ok(Scenario::quick(d, seed)),
+            // The horizon is `d * 24` hours, which must fit `usize`.
+            Ok(d) if d > 0 && d <= usize::MAX / 24 => Ok(Scenario::quick(d, seed)),
             _ => err(
                 line,
-                format!("`quick:<days>` needs a positive day count, got `{days}`"),
+                format!(
+                    "`quick:<days>` needs a positive day count of at most {}, got `{days}`",
+                    usize::MAX / 24
+                ),
             ),
         },
         None if preset == "small_2y" => Ok(Scenario::two_year_small(seed)),
@@ -564,6 +596,12 @@ axis horizon_days = 4, 5
 
     #[test]
     fn errors_carry_line_numbers() {
+        // One day past the largest horizon whose hour count fits `usize`.
+        let horizon_overflow = format!(
+            "name = d\nbase = quick:3\naxis horizon_days = {}\n",
+            usize::MAX / 24 + 1
+        );
+        let base_overflow = format!("name = d\nbase = quick:{}\n", usize::MAX / 24 + 1);
         let cases: &[(&str, usize, &str)] = &[
             (
                 "name = d\nbase = quick:3\naxis poliyc = fcfs\n",
@@ -601,6 +639,20 @@ axis horizon_days = 4, 5
                 3,
                 "positive integer",
             ),
+            // `nodes` is stored as `u32`: 2^32 used to wrap to 0 nodes and
+            // 2^32 + 1 to one node, under an id that named the raw value.
+            (
+                "name = d\nbase = quick:3\naxis nodes = 4294967296\n",
+                3,
+                "`nodes` = 4294967296 is out of range",
+            ),
+            (
+                "name = d\nbase = quick:3\naxis nodes = 1, 4294967297\n",
+                3,
+                "out of range",
+            ),
+            (&horizon_overflow, 3, "`horizon_days`"),
+            (&base_overflow, 2, "positive day count"),
             ("name = two words\nbase = quick:3\n", 1, "single token"),
             ("base = quick:3\n", 0, "missing `name`"),
             ("name = d\n", 0, "missing `base`"),

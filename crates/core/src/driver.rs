@@ -79,13 +79,6 @@
 //!   the year-scale scenarios, and every built-in policy's lone decision
 //!   is provably the reference decision (pinned by golden + property
 //!   tests over the full per-job record stream).
-//! * **Backfill reject memo** — on [`BackfillPath::Cached`] (the default)
-//!   the driver enables the policy-side reject memo
-//!   ([`greener_sched::SchedPolicy::set_reject_cache`]): an all-reject
-//!   backfill scan is memoized against its exact inputs, and consecutive
-//!   dispatches against an unchanged saturated queue resume past every
-//!   proven reject instead of rescanning ([`BackfillPath::Reference`]
-//!   rescans from scratch; both are pinned bit-identical).
 //! * **Memoized hourly cooling** — the tick handler evaluates the cooling
 //!   plant once per hour ([`greener_hpc::CoolingCache`]); COP, water use
 //!   and the saturation flag read that single [`CoolingPoint`] instead of
@@ -129,9 +122,7 @@ use crate::profile::{
     NoProfiler, ProfileCounter, ProfilePhase, ProfileSubPhase, ReplayProfile, ReplayProfiler,
     WallProfiler,
 };
-use crate::scenario::{
-    ApplyPath, BackfillPath, DispatchPath, ForecastMode, Scenario, SchedulerCore, WorldGen,
-};
+use crate::scenario::{ApplyPath, DispatchPath, ForecastMode, Scenario, SchedulerCore, WorldGen};
 
 /// One completed job's accounting record (feeds Eq. 2's per-user `e_i`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -713,16 +704,26 @@ impl SimDriver {
         Self::run_with_world(scenario, &world)
     }
 
-    /// Replay a pre-built world through the scenario's policy. The world
-    /// must have been built for this scenario (same seed, horizon and
-    /// cluster); benchmarks use this to time replay separately from world
+    /// Replay a pre-built world through the scenario's policy, recording
+    /// everything [`RunResult`] holds: [`SimDriver::run_observed`] with
+    /// telemetry, ledger and job records on. The world must have been
+    /// built for this scenario (same seed, horizon and cluster);
+    /// benchmarks use this to time replay separately from world
     /// generation, and experiments can share one world across paired
     /// policy variants.
     pub fn run_with_world(scenario: &Scenario, world: &World) -> RunResult {
-        Self::check_world(scenario, world);
-        match scenario.scheduler {
-            SchedulerCore::Calendar => Self::full::<CalendarQueue<Event>>(scenario, world),
-            SchedulerCore::Heap => Self::full::<EventQueue<Event>>(scenario, world),
+        let observe = Observe::aggregates()
+            .with_telemetry()
+            .with_ledger()
+            .with_job_records();
+        let out = Self::run_observed(scenario, world, observe);
+        RunResult {
+            scenario_name: out.scenario_name,
+            telemetry: out.telemetry.expect("telemetry observed"),
+            ledger: out.ledger.expect("ledger observed"),
+            jobs: out.jobs,
+            job_records: out.job_records.expect("job records observed"),
+            battery_cycles: out.battery_cycles,
         }
     }
 
@@ -734,18 +735,9 @@ impl SimDriver {
     /// ([`Observe::aggregates`]) monomorphizes to a replay loop with no
     /// per-frame vector growth and no job-record retention. Probes are
     /// decision-invisible, so every spec observes bit-identical numbers
-    /// (the golden determinism test and a property test pin this against
-    /// [`SimDriver::run`]).
+    /// (the golden determinism test and a property test pin this).
     pub fn run_observed(scenario: &Scenario, world: &World, observe: Observe) -> RunOutput {
-        Self::check_world(scenario, world);
-        match scenario.scheduler {
-            SchedulerCore::Calendar => {
-                Self::observed::<CalendarQueue<Event>, _>(scenario, world, observe, NoProfiler).0
-            }
-            SchedulerCore::Heap => {
-                Self::observed::<EventQueue<Event>, _>(scenario, world, observe, NoProfiler).0
-            }
-        }
+        Self::observed_on_core(scenario, world, observe, NoProfiler).0
     }
 
     /// Replay a pre-built world with wall-clock self-profiling: like
@@ -765,68 +757,46 @@ impl SimDriver {
         world: &World,
         observe: Observe,
     ) -> (RunOutput, ReplayProfile) {
-        Self::check_world(scenario, world);
-        let (out, prof) = match scenario.scheduler {
-            SchedulerCore::Calendar => Self::observed::<CalendarQueue<Event>, _>(
-                scenario,
-                world,
-                observe,
-                WallProfiler::new(),
-            ),
-            SchedulerCore::Heap => Self::observed::<EventQueue<Event>, _>(
-                scenario,
-                world,
-                observe,
-                WallProfiler::new(),
-            ),
-        };
+        let (out, prof) = Self::observed_on_core(scenario, world, observe, WallProfiler::new());
         (out, prof.finish())
     }
 
-    /// Debug-check that `world` was generated for `scenario`.
+    /// Check that `world` was generated for `scenario`. Three integer
+    /// comparisons once per run, so release builds check too: replaying a
+    /// mismatched world would silently report numbers for the wrong one.
     fn check_world(scenario: &Scenario, world: &World) {
-        debug_assert_eq!(
+        assert_eq!(
             world.seed, scenario.seed,
             "world was built from a different seed than the scenario replays"
         );
-        debug_assert_eq!(
+        assert_eq!(
             world.weather.hours(),
             scenario.horizon_hours,
             "world horizon does not match the scenario"
         );
-        debug_assert_eq!(
+        assert_eq!(
             world.gpu_cap,
             scenario.cluster.total_gpus(),
             "world trace was gang-capped for a different cluster size"
         );
-        let _ = world;
     }
 
-    /// The default full probe set, assembled into the classic
-    /// [`RunResult`].
-    fn full<Q: EventScheduler<Event>>(scenario: &Scenario, world: &World) -> RunResult {
-        let calendar = Calendar::new(scenario.start);
-        let probes = (
-            TelemetryProbe::with_capacity(calendar, scenario.horizon_hours),
-            (
-                LedgerProbe::new(),
-                JobsProbe::with_records(world.trace.len()),
-            ),
-        );
-        let outcome = Self::replay::<Q, _, _>(scenario, world, probes, NoProfiler);
-        let (telemetry, (ledger, jobs_probe)) = outcome.probes;
-        let (jobs, records) = jobs_probe.finish(
-            outcome.submitted,
-            outcome.unfinished,
-            scenario.slo_wait_hours,
-        );
-        RunResult {
-            scenario_name: scenario.name.clone(),
-            telemetry: telemetry.into_log(),
-            ledger: ledger.into_ledger(),
-            jobs,
-            job_records: records.expect("full probe set retains records"),
-            battery_cycles: outcome.battery_cycles,
+    /// The one place the scenario's [`SchedulerCore`] picks the event
+    /// queue: every public replay entry point comes through here.
+    fn observed_on_core<P: ReplayProfiler>(
+        scenario: &Scenario,
+        world: &World,
+        observe: Observe,
+        prof: P,
+    ) -> (RunOutput, P) {
+        Self::check_world(scenario, world);
+        match scenario.scheduler {
+            SchedulerCore::Calendar => {
+                Self::observed::<CalendarQueue<Event>, _>(scenario, world, observe, prof)
+            }
+            SchedulerCore::Heap => {
+                Self::observed::<EventQueue<Event>, _>(scenario, world, observe, prof)
+            }
         }
     }
 
@@ -950,14 +920,12 @@ impl SimDriver {
         } else {
             running.resize_with(trace.len(), || None);
         }
-        let mut policy = scenario.policy.build();
-        policy.set_reject_cache(scenario.backfill == BackfillPath::Cached);
         let mut engine = Engine {
             scenario,
             grid,
             weather,
             hours,
-            policy,
+            policy: scenario.policy.build(),
             cluster,
             queue,
             waiting: WaitQueue::new(),
@@ -1109,13 +1077,6 @@ impl SimDriver {
             ProfileCounter::BackfillVisits,
             engine.policy.backfill_visits(),
         );
-        let cache = engine.policy.backfill_cache_stats();
-        engine
-            .prof
-            .bump(ProfileCounter::BackfillCacheHits, cache.hits);
-        engine
-            .prof
-            .bump(ProfileCounter::BackfillVisitsSaved, cache.saved_visits);
 
         // Debug stats: a correct driver never schedules into the past.
         // Debug builds panic inside `schedule` at the offending call site;
@@ -1403,31 +1364,21 @@ mod tests {
                 // against the same golden constants — a 2×2 per axis
                 // without the exponential cross product.
                 let knobs = [
-                    (DispatchPath::Fast, ApplyPath::Fast, BackfillPath::Cached),
-                    (
-                        DispatchPath::Reference,
-                        ApplyPath::Fast,
-                        BackfillPath::Cached,
-                    ),
-                    (
-                        DispatchPath::Fast,
-                        ApplyPath::Reference,
-                        BackfillPath::Cached,
-                    ),
-                    (DispatchPath::Fast, ApplyPath::Fast, BackfillPath::Reference),
+                    (DispatchPath::Fast, ApplyPath::Fast),
+                    (DispatchPath::Reference, ApplyPath::Fast),
+                    (DispatchPath::Fast, ApplyPath::Reference),
                 ];
                 for core in [SchedulerCore::Calendar, SchedulerCore::Heap] {
-                    for (dp, ap, bp) in knobs {
+                    for (dp, ap) in knobs {
                         let s = scenario
                             .clone()
                             .with_worldgen(wg)
                             .with_scheduler(core)
                             .with_dispatch(dp)
-                            .with_apply(ap)
-                            .with_backfill(bp);
+                            .with_apply(ap);
                         let cell = format!(
                             "seed {seed}, policy {:?}, core {core:?}, worldgen {wg:?}, \
-                             dispatch {dp:?}, apply {ap:?}, backfill {bp:?}",
+                             dispatch {dp:?}, apply {ap:?}",
                             policies[pi]
                         );
                         let r = SimDriver::run_with_world(&s, &world);
@@ -1572,60 +1523,6 @@ mod tests {
         }
     }
 
-    /// The backfill reject memo must be decision-invisible: cached and
-    /// reference replays produce identical record streams across the
-    /// golden matrix *plus* a burst-shaped scenario whose saturated queue
-    /// is exactly where the memo engages.
-    #[test]
-    fn cached_backfill_matches_reference_on_golden_matrix() {
-        use crate::equivalence::fingerprint_with_world;
-        let mut matrix = crate::equivalence::quick_matrix();
-        let mut burst = Scenario::quick(7, 37)
-            .with_policy(PolicyKind::EasyBackfill)
-            .named("burst 7d seed 37");
-        burst.trace.demand.base_rate_per_hour = 10.0;
-        matrix.push(burst);
-        for scenario in matrix {
-            let world = World::build(&scenario);
-            let reference = scenario.clone().with_backfill(BackfillPath::Reference);
-            let cached = scenario.clone().with_backfill(BackfillPath::Cached);
-            fingerprint_with_world(&reference, &world).assert_same(
-                &fingerprint_with_world(&cached, &world),
-                &format!("backfill path (Reference vs Cached) [{}]", scenario.name),
-            );
-        }
-    }
-
-    /// On a saturated replay the reject memo actually engages (hits and
-    /// saved visits are non-zero), reduces the total candidate visits
-    /// versus the reference scan, and the reference mode reports zeroed
-    /// cache counters.
-    #[test]
-    fn reject_cache_engages_on_saturated_replay() {
-        let mut s = Scenario::quick(7, 37).with_policy(PolicyKind::EasyBackfill);
-        s.trace.demand.base_rate_per_hour = 10.0;
-        let world = World::build(&s);
-        let (_, cached) = SimDriver::run_profiled(&s, &world, Observe::aggregates());
-        let (_, reference) = SimDriver::run_profiled(
-            &s.clone().with_backfill(BackfillPath::Reference),
-            &world,
-            Observe::aggregates(),
-        );
-        assert!(cached.counter(ProfileCounter::BackfillCacheHits) > 0);
-        assert!(cached.counter(ProfileCounter::BackfillVisitsSaved) > 0);
-        // Visits count yields, and the exact fit iterator only yields
-        // accepts — which the memo never changes (decisions are pinned
-        // identical by the equivalence axis). The memo's win is the skipped
-        // re-examination work, estimated by BackfillVisitsSaved above.
-        assert_eq!(
-            cached.counter(ProfileCounter::BackfillVisits),
-            reference.counter(ProfileCounter::BackfillVisits),
-            "memoized scans yield the same accepts",
-        );
-        assert_eq!(reference.counter(ProfileCounter::BackfillCacheHits), 0);
-        assert_eq!(reference.counter(ProfileCounter::BackfillVisitsSaved), 0);
-    }
-
     /// The full-probe surface and the aggregates-only fast path are the
     /// observation axis of the equivalence harness: `SimDriver::run` (the
     /// reference, records retained) against `run_observed` with records
@@ -1671,6 +1568,15 @@ mod tests {
         assert_eq!(rb.job_records, SimDriver::run(&b).job_records);
         // Paired: same submitted workload, different policies.
         assert_eq!(ra.jobs.submitted, rb.jobs.submitted);
+    }
+
+    /// Replaying a world built for another seed is refused in every build
+    /// profile, not just debug: the world check is a release `assert`.
+    #[test]
+    #[should_panic(expected = "world was built from a different seed")]
+    fn replaying_a_world_from_another_seed_panics() {
+        let world = World::build(&Scenario::quick(3, 1));
+        SimDriver::run_observed(&Scenario::quick(3, 2), &world, Observe::aggregates());
     }
 
     /// A caller-defined probe sees the full point stream: one `Submitted`
@@ -2147,53 +2053,6 @@ mod tests {
                     reference.aggregates.carbon_kg.to_bits()
                 );
                 prop_assert_eq!(fast.jobs.unfinished, reference.jobs.unfinished);
-            }
-
-            /// `BackfillPath::Cached` reproduces the reference full-scan
-            /// record stream on deep saturated queues: random arrival
-            /// rates well past the machine's capacity (the
-            /// `dispatch_burst_7d` shape) over every backfill-scanning
-            /// policy family, including the gated/capped wrappers.
-            #[test]
-            fn cached_backfill_matches_reference_decision_stream(
-                seed in 0u64..1_000,
-                policy_idx in 0usize..4,
-                days in 3usize..7,
-                rate_x10 in 20u64..100,
-            ) {
-                let policies = [
-                    PolicyKind::EasyBackfill,
-                    PolicyKind::StaticCap { cap_w: 160.0 },
-                    PolicyKind::TempAware,
-                    PolicyKind::CarbonAware { green_threshold: 0.06 },
-                ];
-                let mut s = Scenario::quick(days, seed).with_policy(policies[policy_idx]);
-                s.trace.demand.base_rate_per_hour = rate_x10 as f64 / 10.0;
-                let world = World::build(&s);
-                let observe = Observe::aggregates().with_job_records();
-                let cached = SimDriver::run_observed(
-                    &s.clone().with_backfill(BackfillPath::Cached),
-                    &world,
-                    observe,
-                );
-                let reference = SimDriver::run_observed(
-                    &s.with_backfill(BackfillPath::Reference),
-                    &world,
-                    observe,
-                );
-                prop_assert_eq!(
-                    cached.job_records.as_ref().unwrap(),
-                    reference.job_records.as_ref().unwrap()
-                );
-                prop_assert_eq!(
-                    cached.aggregates.energy_kwh.to_bits(),
-                    reference.aggregates.energy_kwh.to_bits()
-                );
-                prop_assert_eq!(
-                    cached.aggregates.carbon_kg.to_bits(),
-                    reference.aggregates.carbon_kg.to_bits()
-                );
-                prop_assert_eq!(cached.jobs.unfinished, reference.jobs.unfinished);
             }
         }
     }

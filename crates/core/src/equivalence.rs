@@ -4,9 +4,8 @@
 //! Every performance knob in this workspace ships with a reference mode
 //! that *is* the semantics — [`SchedulerCore::Heap`] for the event queue,
 //! [`WorldGen::Sequential`] for world generation, the full probe set for
-//! observation, [`DispatchPath::Reference`] for arrival dispatch,
-//! [`ApplyPath::Reference`] for decision-apply job state, and
-//! [`BackfillPath::Reference`] for the backfill reject memo — and the
+//! observation, [`DispatchPath::Reference`] for arrival dispatch and
+//! [`ApplyPath::Reference`] for decision-apply job state — and the
 //! optimized mode must reproduce it exactly. This module is the shared
 //! infrastructure those pins run on, so a future fast path adds one axis
 //! instead of hand-rolling another comparison loop:
@@ -27,9 +26,8 @@
 //!    determinism test pins to captured constants.
 //!
 //! The driver's unit tests route the Heap-vs-Calendar,
-//! Sequential-vs-Parallel, full-vs-aggregates, dispatch, apply and
-//! backfill Fast-vs-Reference axes
-//! through these helpers, the fleet layer pins its degenerate case the
+//! Sequential-vs-Parallel, full-vs-aggregates, and dispatch and apply
+//! Fast-vs-Reference axes through these helpers, the fleet layer pins its degenerate case the
 //! same way (a 1-site [`crate::fleet::FleetScenario`] under static
 //! routing must reproduce the single-site run bit-for-bit — see
 //! [`crate::fleet::fingerprint`]), and `tests/observe.rs` exercises the
@@ -41,7 +39,6 @@
 //! [`WorldGen::Sequential`]: crate::scenario::WorldGen::Sequential
 //! [`DispatchPath::Reference`]: crate::scenario::DispatchPath::Reference
 //! [`ApplyPath::Reference`]: crate::scenario::ApplyPath::Reference
-//! [`BackfillPath::Reference`]: crate::scenario::BackfillPath::Reference
 
 use greener_sched::PolicyKind;
 

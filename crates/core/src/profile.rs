@@ -12,10 +12,13 @@
 //!   un-profiled replay nothing.
 //! * [`WallProfiler`] — used by [`SimDriver::run_profiled`]: `Instant`
 //!   marks around each phase, accumulated into a [`ReplayProfile`].
-//!   Reading the clock twice per phase per event costs real time (~10–20 %
-//!   on a year-scale replay), so profiled numbers are for *attribution*
-//!   (which phase dominates), not for end-to-end deltas — compare totals
-//!   with the un-profiled criterion/perfjson lanes instead.
+//!   Reading the clock around every phase and sub-phase costs real time:
+//!   an aggregates-only replay of the `two_year_small` world (the
+//!   `driver_small_2y` lane) measured 2.7–3.0× its un-profiled time
+//!   (medians of 21 interleaved reps, three runs, on a 2-vCPU Intel Xeon
+//!   VM). So profiled numbers are for *attribution* (which phase
+//!   dominates), not for end-to-end deltas — compare totals with the
+//!   un-profiled criterion/perfjson lanes instead.
 //!
 //! The phases follow the loop's structure: `SignalBuild` (the hourly
 //! forecast refresh feeding [`SchedSignals`]), `PolicyDispatch` (the
@@ -183,18 +186,11 @@ pub enum ProfileCounter {
     /// Job starts/finishes handled by the `ApplyPath::Fast` SoA slab
     /// (0 under `ApplyPath::Reference`).
     FastApplyEvents,
-    /// Backfill scans resumed from the policy's reject memo (from
-    /// `SchedPolicy::backfill_cache_stats`, read once at the end).
-    BackfillCacheHits,
-    /// Estimated candidate visits skipped thanks to the reject memo (a
-    /// lower bound: each hit is credited with the recording scan's visit
-    /// count; also from `SchedPolicy::backfill_cache_stats`).
-    BackfillVisitsSaved,
 }
 
 impl ProfileCounter {
     /// Every counter, in display order.
-    pub const ALL: [ProfileCounter; 11] = [
+    pub const ALL: [ProfileCounter; 9] = [
         ProfileCounter::Events,
         ProfileCounter::Arrivals,
         ProfileCounter::Completions,
@@ -204,8 +200,6 @@ impl ProfileCounter {
         ProfileCounter::Decisions,
         ProfileCounter::BackfillVisits,
         ProfileCounter::FastApplyEvents,
-        ProfileCounter::BackfillCacheHits,
-        ProfileCounter::BackfillVisitsSaved,
     ];
 
     /// Stable snake_case name (used as the JSON key in `BENCH_engine.json`).
@@ -220,8 +214,6 @@ impl ProfileCounter {
             ProfileCounter::Decisions => "decisions",
             ProfileCounter::BackfillVisits => "backfill_visits",
             ProfileCounter::FastApplyEvents => "fast_apply_events",
-            ProfileCounter::BackfillCacheHits => "backfill_cache_hits",
-            ProfileCounter::BackfillVisitsSaved => "backfill_visits_saved",
         }
     }
 
@@ -236,8 +228,6 @@ impl ProfileCounter {
             ProfileCounter::Decisions => 6,
             ProfileCounter::BackfillVisits => 7,
             ProfileCounter::FastApplyEvents => 8,
-            ProfileCounter::BackfillCacheHits => 9,
-            ProfileCounter::BackfillVisitsSaved => 10,
         }
     }
 }
@@ -400,7 +390,7 @@ impl ReplayProfile {
         format!(
             "total {:.2} ms ({:.0} ns/event over {} events): {} + unattributed {:.2} ms; \
              subs {}; arrivals {} (fast {}), dispatch calls {}, decisions {}, \
-             backfill visits {} (cache hits {}, saved ~{}), fast-apply events {}",
+             backfill visits {}, fast-apply events {}",
             ms(self.total),
             self.ns_per_event(),
             self.counter(ProfileCounter::Events),
@@ -420,8 +410,6 @@ impl ReplayProfile {
             self.counter(ProfileCounter::DispatchCalls),
             self.counter(ProfileCounter::Decisions),
             self.counter(ProfileCounter::BackfillVisits),
-            self.counter(ProfileCounter::BackfillCacheHits),
-            self.counter(ProfileCounter::BackfillVisitsSaved),
             self.counter(ProfileCounter::FastApplyEvents),
         )
     }

@@ -117,33 +117,6 @@ pub enum ApplyPath {
     Reference,
 }
 
-/// Whether backfill scans may reuse reject verdicts across dispatches.
-///
-/// On saturated queues most dispatches rescan the same candidates against
-/// the same budgets and reject them all again. `Cached` lets
-/// [`EasyBackfillPolicy`] memoize an all-reject scan keyed by the exact
-/// scan inputs (blocked head, free GPUs, absolute shadow time, spare
-/// budget) plus the queue's clear-epoch, so the next dispatch under the
-/// same key skips straight past every already-proven reject to candidates
-/// that arrived since (see `sched::waitq` module docs for the
-/// invalidation rule and the decision-invisibility argument).
-///
-/// Purely a performance knob with the same bar as every other axis: a
-/// skipped candidate must be a *provable* reject, so the accept sequence —
-/// and therefore the decision stream — is bit-identical. `Reference`
-/// disables the memo and rescans from scratch; golden tests compare the
-/// two (a sixth equivalence axis).
-///
-/// [`EasyBackfillPolicy`]: greener_sched::EasyBackfillPolicy
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BackfillPath {
-    /// Memoize all-reject scans and resume past them — the default.
-    Cached,
-    /// Rescan every candidate on every dispatch — the reference
-    /// implementation golden tests compare against.
-    Reference,
-}
-
 /// How the carbon-aware scheduler obtains its green-share forecast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ForecastMode {
@@ -163,8 +136,9 @@ pub enum ForecastMode {
 /// real serde is wired in. The vendored `serde` stand-in (see
 /// `vendor/README.md`) has no serializer/deserializer at all — its traits
 /// are blanket-implemented markers — so a roundtrip smoke test cannot run
-/// offline; re-enable one alongside the serializer-backed tests listed in
-/// ROADMAP's "Real serde + registry" item when a registry is reachable.
+/// offline. The planned std-only spec text codec (ROADMAP item 3, which
+/// replaces the old "real serde + registry" plan) is where a roundtrip
+/// test belongs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Scenario {
     /// Human-readable scenario name (appears in reports).
@@ -207,9 +181,6 @@ pub struct Scenario {
     /// Running-job state layout in the apply path (performance knob;
     /// decision streams are identical across layouts).
     pub apply: ApplyPath,
-    /// Backfill reject-memo toggle (performance knob; decision streams are
-    /// identical across modes).
-    pub backfill: BackfillPath,
 }
 
 impl Scenario {
@@ -236,7 +207,6 @@ impl Scenario {
             worldgen: WorldGen::Parallel,
             dispatch: DispatchPath::Fast,
             apply: ApplyPath::Fast,
-            backfill: BackfillPath::Cached,
         }
     }
 
@@ -295,9 +265,9 @@ impl Scenario {
     /// start date, horizon, the weather/grid/trace configurations, the
     /// deadline policy (it reshapes the calendar the trace generator
     /// samples) and the cluster's total GPU count (gang sizes are capped
-    /// at it, baked into the trace). Policy/dispatch/apply/backfill/
-    /// observation knobs and the [`WorldGen`] schedule are deliberately
-    /// excluded — they cannot change a world bit (the schedule is pinned
+    /// at it, baked into the trace). Policy/dispatch/apply/observation
+    /// knobs and the [`WorldGen`] schedule are deliberately excluded —
+    /// they cannot change a world bit (the schedule is pinned
     /// bit-identical by the equivalence harness).
     ///
     /// Two scenarios with equal keys build **bit-identical** worlds, so a
@@ -376,13 +346,6 @@ impl Scenario {
         self
     }
 
-    /// Builder-style: replace the backfill reject-memo mode.
-    #[must_use]
-    pub fn with_backfill(mut self, backfill: BackfillPath) -> Scenario {
-        self.backfill = backfill;
-        self
-    }
-
     /// Builder-style: replace the forecast source carbon-aware policies
     /// see.
     #[must_use]
@@ -444,7 +407,6 @@ mod tests {
         assert_eq!(s.policy, PolicyKind::EasyBackfill);
         // Fast paths are the defaults; reference modes are opt-in.
         assert_eq!(s.apply, ApplyPath::Fast);
-        assert_eq!(s.backfill, BackfillPath::Cached);
     }
 
     #[test]
@@ -467,12 +429,10 @@ mod tests {
             .with_horizon_days(5)
             .with_cooling(CoolingModel::default())
             .with_dispatch(DispatchPath::Reference)
-            .with_apply(ApplyPath::Reference)
-            .with_backfill(BackfillPath::Reference);
+            .with_apply(ApplyPath::Reference);
         assert_eq!(s.policy, PolicyKind::Fcfs);
         assert_eq!(s.dispatch, DispatchPath::Reference);
         assert_eq!(s.apply, ApplyPath::Reference);
-        assert_eq!(s.backfill, BackfillPath::Reference);
         assert_eq!(s.seed, 77);
         assert_eq!(s.name, "custom");
         assert!(!matches!(s.strategy, PurchaseStrategy::None));
@@ -504,7 +464,6 @@ mod tests {
             .with_worldgen(WorldGen::Sequential)
             .with_dispatch(DispatchPath::Reference)
             .with_apply(ApplyPath::Reference)
-            .with_backfill(BackfillPath::Reference)
             .named("renamed");
         assert_eq!(base.world_inputs_key(), policy_only.world_inputs_key());
         assert_eq!(base.world_fingerprint(), policy_only.world_fingerprint());

@@ -12,9 +12,7 @@ use greener_hpc::Cluster;
 use greener_simkit::time::SimTime;
 use greener_workload::QueueClass;
 
-use crate::policy::{
-    BackfillCacheStats, Decision, LoneDispatch, QueuedJob, SchedPolicy, SchedSignals,
-};
+use crate::policy::{Decision, LoneDispatch, QueuedJob, SchedPolicy, SchedSignals};
 use crate::waitq::WaitQueue;
 
 /// Carbon-aware gating around a base policy.
@@ -121,18 +119,6 @@ impl SchedPolicy for CarbonAwarePolicy {
 
     fn backfill_visits(&self) -> u64 {
         self.base.backfill_visits()
-    }
-
-    // Forwarded so the driver can reach the scan inside the gate. Note the
-    // memo stays inert under this wrapper anyway: the `visible` scratch
-    // queue clears (and so bumps its epoch) on every dispatch, which
-    // invalidates any recorded memo before it could be consulted.
-    fn set_reject_cache(&mut self, enabled: bool) {
-        self.base.set_reject_cache(enabled);
-    }
-
-    fn backfill_cache_stats(&self) -> BackfillCacheStats {
-        self.base.backfill_cache_stats()
     }
 }
 

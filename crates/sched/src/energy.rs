@@ -8,9 +8,7 @@
 
 use greener_hpc::Cluster;
 
-use crate::policy::{
-    BackfillCacheStats, Decision, LoneDispatch, QueuedJob, SchedPolicy, SchedSignals,
-};
+use crate::policy::{Decision, LoneDispatch, QueuedJob, SchedPolicy, SchedSignals};
 use crate::waitq::WaitQueue;
 
 /// Wrap a base policy and override every decision's cap with a fixed value.
@@ -69,14 +67,6 @@ impl SchedPolicy for PowerCapPolicy {
 
     fn backfill_visits(&self) -> u64 {
         self.base.backfill_visits()
-    }
-
-    fn set_reject_cache(&mut self, enabled: bool) {
-        self.base.set_reject_cache(enabled);
-    }
-
-    fn backfill_cache_stats(&self) -> BackfillCacheStats {
-        self.base.backfill_cache_stats()
     }
 }
 
@@ -154,14 +144,6 @@ impl SchedPolicy for TempAwarePolicy {
 
     fn backfill_visits(&self) -> u64 {
         self.base.backfill_visits()
-    }
-
-    fn set_reject_cache(&mut self, enabled: bool) {
-        self.base.set_reject_cache(enabled);
-    }
-
-    fn backfill_cache_stats(&self) -> BackfillCacheStats {
-        self.base.backfill_cache_stats()
     }
 }
 

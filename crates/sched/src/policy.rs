@@ -153,22 +153,6 @@ pub trait SchedPolicy: Send {
         0
     }
 
-    /// Enable or disable the backfill reject memo (see
-    /// [`BackfillCacheStats`] and `waitq`'s module docs). The default is a
-    /// no-op: only policies with a backfill scan have anything to cache;
-    /// wrappers forward to their base so the driver can reach the scan
-    /// inside gated/capped chains. Disabling drops any existing memo.
-    fn set_reject_cache(&mut self, enabled: bool) {
-        let _ = enabled;
-    }
-
-    /// Reject-memo effectiveness counters (zeros for policies without a
-    /// cache). Same accessor contract as [`SchedPolicy::backfill_visits`]:
-    /// wrappers forward, reads don't mutate.
-    fn backfill_cache_stats(&self) -> BackfillCacheStats {
-        BackfillCacheStats::default()
-    }
-
     /// Convenience wrapper returning a fresh decision vector. Tests and
     /// one-shot callers use this; the driver's hot loop calls
     /// [`SchedPolicy::dispatch`] with a reused buffer instead.
@@ -322,48 +306,6 @@ pub enum BackfillLimit {
     Depth(u32),
 }
 
-/// Reject-memo effectiveness counters (see
-/// [`SchedPolicy::backfill_cache_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BackfillCacheStats {
-    /// Backfill scans resumed from a valid memo.
-    pub hits: u64,
-    /// Estimated fit-index entry examinations skipped thanks to the memo.
-    /// A lower bound, not an exact count: each hit is credited with the
-    /// probes ([`crate::waitq::FitIter::probes`]) the memoized scan
-    /// accumulated — the entries (skipped boundary rejects included) a
-    /// from-scratch rescan would have re-examined at minimum.
-    pub saved_visits: u64,
-}
-
-/// The reject memo: one all-reject backfill scan, keyed by its exact scan
-/// inputs. Valid while the key recurs and the queue's clear-epoch is
-/// unchanged (see `waitq`'s module docs for the invalidation rule and why
-/// resuming past `frontier` is decision-invisible).
-#[derive(Debug, Clone, Copy)]
-struct RejectMemo {
-    /// Queue clear-epoch at record time (positions alias across clears).
-    queue_epoch: u64,
-    /// The blocked head's identity and position.
-    head_id: JobId,
-    head_pos: u32,
-    /// GPUs free after the FCFS prefix (none started — see record site).
-    free: u32,
-    /// The head's reservation, as an *absolute* time: as `now` advances
-    /// under an unchanged key, the shadow window `shadow − now` only
-    /// shrinks, so recorded rejects stay rejects.
-    shadow: SimTime,
-    /// Spare GPUs at the shadow.
-    spare_at_shadow: u32,
-    /// Queue frontier at record time: every candidate at a position below
-    /// this was proven a reject under the key above.
-    frontier: u32,
-    /// Probes (fit-index entry examinations) the memoized scan accumulated
-    /// (for the saved estimate, and carried forward when a resumed scan
-    /// re-records).
-    scan_probes: u64,
-}
-
 /// EASY backfill: FCFS with a reservation for the head job; later jobs may
 /// jump the queue only if they fit now *and* finish before the head job's
 /// reservation (so the head is never delayed).
@@ -374,17 +316,6 @@ struct RejectMemo {
 /// visiting exactly the candidates the classic scan would have evaluated,
 /// in the same order, so exhaustive-mode decisions are unchanged.
 ///
-/// With the reject memo enabled ([`SchedPolicy::set_reject_cache`], wired
-/// to `Scenario.backfill` by the driver), an all-reject exhaustive scan is
-/// additionally memoized against its exact inputs, and the next dispatch
-/// under the same inputs resumes past every already-rejected candidate —
-/// on a saturated queue, consecutive arrivals then cost one candidate
-/// examination instead of a full rescan. The memo is invalidated by any change
-/// to the scan inputs (head, free GPUs, shadow, spare budget — i.e. every
-/// start/completion) or the queue's clear-epoch, and is only consulted
-/// under [`BackfillLimit::Exhaustive`]: a depth-limited scan spends its
-/// budget on *visited* candidates, so skipping rejects would change which
-/// candidates the budget covers.
 #[derive(Debug, Default, Clone)]
 pub struct EasyBackfillPolicy {
     /// Candidate budget per dispatch (see [`BackfillLimit`]).
@@ -392,15 +323,6 @@ pub struct EasyBackfillPolicy {
     /// Backfill candidates examined over this policy's lifetime (for the
     /// driver's profiling mode; see [`SchedPolicy::backfill_visits`]).
     visits: u64,
-    /// Whether the reject memo is consulted/recorded (off by default;
-    /// the driver opts in per `Scenario.backfill`).
-    cache_enabled: bool,
-    /// The current all-reject memo, if any.
-    memo: Option<RejectMemo>,
-    /// Scans resumed from the memo.
-    cache_hits: u64,
-    /// Estimated visits skipped (see [`BackfillCacheStats::saved_visits`]).
-    cache_saved: u64,
 }
 
 impl EasyBackfillPolicy {
@@ -447,7 +369,6 @@ impl SchedPolicy for EasyBackfillPolicy {
         out: &mut Vec<Decision>,
     ) {
         let cap = cluster.spec().gpu.nominal_power_w;
-        let out_start = out.len();
         let mut free = cluster.free_gpus();
         // Start the FCFS prefix that fits; remember the blocked head.
         let mut blocked = None;
@@ -459,11 +380,11 @@ impl SchedPolicy for EasyBackfillPolicy {
                     power_cap_w: cap,
                 });
             } else {
-                blocked = Some((pos, q.job.id, q.job.gpus));
+                blocked = Some((pos, q.job.gpus));
                 break;
             }
         }
-        let Some((head_pos, head_id, head_needs)) = blocked else {
+        let Some((head_pos, head_needs)) = blocked else {
             return; // everything fit
         };
         // Head job blocked: compute its reservation against the (already
@@ -496,33 +417,6 @@ impl SchedPolicy for EasyBackfillPolicy {
         // yield (boundary duration class), never hide an accept.
         let d_max = shadow.0.saturating_sub(signals.now.0);
         let spare_budget = spare_at_shadow.saturating_sub(head_needs);
-        // Reject-memo fast-forward: if the last all-reject scan ran under
-        // these exact inputs (and positions are still from the same
-        // clear-epoch), every candidate below its frontier is a proven
-        // reject — resume strictly after them. Only sound exhaustively: a
-        // depth budget counts *visited* candidates, so skipping rejects
-        // would change which candidates the budget covers.
-        let use_memo = self.cache_enabled && self.limit == BackfillLimit::Exhaustive;
-        let mut scan_after = head_pos;
-        let mut carried_probes = 0u64;
-        if use_memo {
-            match self.memo {
-                Some(m)
-                    if m.queue_epoch == queue.epoch()
-                        && m.head_id == head_id
-                        && m.head_pos == head_pos
-                        && m.free == free
-                        && m.shadow == shadow
-                        && m.spare_at_shadow == spare_at_shadow =>
-                {
-                    scan_after = scan_after.max(m.frontier.saturating_sub(1));
-                    carried_probes = m.scan_probes;
-                    self.cache_hits += 1;
-                    self.cache_saved += m.scan_probes;
-                }
-                _ => self.memo = None,
-            }
-        }
         // Exhaustive scans use the exact fit iterator (yields are accepts;
         // boundary rejects are filtered member-wise inside the index). A
         // depth budget counts *visited* candidates, so the depth-limited
@@ -530,10 +424,10 @@ impl SchedPolicy for EasyBackfillPolicy {
         // change which candidates the budget covers, i.e. the decisions.
         let mut candidates = match self.limit {
             BackfillLimit::Exhaustive => {
-                queue.backfill_candidates(scan_after, free, d_max, spare_budget)
+                queue.backfill_candidates(head_pos, free, d_max, spare_budget)
             }
             BackfillLimit::Depth(_) => {
-                queue.backfill_candidates_visiting(scan_after, free, d_max, spare_budget)
+                queue.backfill_candidates_visiting(head_pos, free, d_max, spare_budget)
             }
         };
         let mut examined = 0u32;
@@ -557,28 +451,6 @@ impl SchedPolicy for EasyBackfillPolicy {
                 });
             }
         }
-        if use_memo {
-            if out.len() == out_start {
-                // Nothing started at all: the scan proved every candidate
-                // below the current frontier a reject under the inputs
-                // above (including the stretch a resumed scan skipped —
-                // carry its probe count forward for the saved estimate).
-                self.memo = Some(RejectMemo {
-                    queue_epoch: queue.epoch(),
-                    head_id,
-                    head_pos,
-                    free,
-                    shadow,
-                    spare_at_shadow,
-                    frontier: queue.frontier(),
-                    scan_probes: carried_probes + candidates.probes(),
-                });
-            } else {
-                // Something started: cluster/queue state changes before
-                // the next dispatch, so the recorded inputs cannot recur.
-                self.memo = None;
-            }
-        }
     }
 
     // A lone fitting arrival is the whole FCFS prefix: it starts, nothing
@@ -596,20 +468,6 @@ impl SchedPolicy for EasyBackfillPolicy {
 
     fn backfill_visits(&self) -> u64 {
         self.visits
-    }
-
-    fn set_reject_cache(&mut self, enabled: bool) {
-        self.cache_enabled = enabled;
-        if !enabled {
-            self.memo = None;
-        }
-    }
-
-    fn backfill_cache_stats(&self) -> BackfillCacheStats {
-        BackfillCacheStats {
-            hits: self.cache_hits,
-            saved_visits: self.cache_saved,
-        }
     }
 }
 
@@ -861,132 +719,8 @@ mod tests {
         assert!(dl.is_empty(), "depth 0 = pure FCFS with a blocked head");
     }
 
-    #[test]
-    fn reject_memo_resumes_past_proven_rejects() {
-        let mut cl = cluster(); // 16 GPUs
-        cl.allocate(JobId(100), 12, 250.0, 1.0).unwrap();
-        let completions = [(SimTime::from_hours(10), 12u32)];
-        // Head wants the whole machine (shadow at t=10h). The 12h 4-GPU
-        // jobs behind it sit in the fit index's boundary duration bucket
-        // (bucket floor 2^15 s ≤ d_max = 10 h < their 12 h), so the exact
-        // iterator *probes* each one and filters it member-wise (zero
-        // yields). The memo records those probes; a resumed scan skips
-        // re-walking them — exactly the work `saved_visits` estimates.
-        let mut queue = wq([
-            qjob(1, 16, 1.0),
-            qjob(2, 4, 12.0),
-            qjob(3, 4, 12.0),
-            qjob(4, 4, 12.0),
-        ]);
-        let mut cached = EasyBackfillPolicy::default();
-        cached.set_reject_cache(true);
-        let mut reference = EasyBackfillPolicy::default();
-        let sig = |now: SimTime| SchedSignals {
-            now,
-            running_completions: &completions,
-            ..SchedSignals::default()
-        };
-        // First dispatch: full scan, all boundary rejects filtered in the
-        // index (zero visits, three probes) → memo recorded.
-        let d0c = cached.dispatch_collect(&queue, &cl, &sig(SimTime::ZERO));
-        let d0r = reference.dispatch_collect(&queue, &cl, &sig(SimTime::ZERO));
-        assert!(d0c.is_empty() && d0r.is_empty());
-        assert_eq!(cached.backfill_cache_stats().hits, 0);
-        assert_eq!(cached.backfill_visits(), 0, "exact mode yields no rejects");
-        // A new (still-rejectable) arrival, time advanced (by little
-        // enough that the boundary bucket stays fit-feasible): the cached
-        // scan resumes past the three proven rejects (crediting their
-        // probes as saved) and probes only the newcomer.
-        queue.push(qjob(5, 4, 12.0));
-        let later = SimTime(600);
-        let d1c = cached.dispatch_collect(&queue, &cl, &sig(later));
-        let d1r = reference.dispatch_collect(&queue, &cl, &sig(later));
-        assert_eq!(d1c, d1r);
-        assert!(d1c.is_empty());
-        assert_eq!(cached.backfill_cache_stats().hits, 1);
-        assert_eq!(
-            cached.backfill_cache_stats().saved_visits,
-            3,
-            "resume skipped the first scan's three probed rejects"
-        );
-        // A backfillable newcomer must still be accepted off a memo
-        // resume, and visit counts (= accepts) must match the uncached
-        // reference exactly.
-        queue.push(qjob(6, 4, 2.0));
-        let d2c = cached.dispatch_collect(&queue, &cl, &sig(later));
-        let d2r = reference.dispatch_collect(&queue, &cl, &sig(later));
-        assert_eq!(d2c, d2r);
-        assert_eq!(d2c.len(), 1);
-        assert_eq!(d2c[0].job_id, JobId(6));
-        assert_eq!(cached.backfill_cache_stats().hits, 2);
-        assert_eq!(cached.backfill_visits(), reference.backfill_visits());
-        assert_eq!(cached.backfill_visits(), 1, "the lone accept");
-    }
-
-    #[test]
-    fn reject_memo_invalidates_when_inputs_change() {
-        let mut cl = cluster(); // 16 GPUs
-        cl.allocate(JobId(100), 12, 250.0, 1.0).unwrap();
-        let completions = [(SimTime::from_hours(10), 12u32)];
-        let signals = SchedSignals {
-            now: SimTime::ZERO,
-            running_completions: &completions,
-            ..SchedSignals::default()
-        };
-        let queue = wq([qjob(1, 16, 1.0), qjob(2, 4, 12.0)]);
-        let mut p = EasyBackfillPolicy::default();
-        p.set_reject_cache(true);
-        assert!(p.dispatch_collect(&queue, &cl, &signals).is_empty());
-        // Free GPUs changed (a completion released them): key mismatch →
-        // full rescan, not a memo resume.
-        cl.release(JobId(100));
-        cl.allocate(JobId(101), 11, 250.0, 1.0).unwrap();
-        let completions = [(SimTime::from_hours(10), 11u32)];
-        let signals = SchedSignals {
-            now: SimTime::ZERO,
-            running_completions: &completions,
-            ..SchedSignals::default()
-        };
-        let d = p.dispatch_collect(&queue, &cl, &signals);
-        assert!(d.is_empty(), "long job still rejected at 5 free GPUs");
-        assert_eq!(p.backfill_cache_stats().hits, 0, "mismatch forced a rescan");
-        // The rescan re-recorded under the *new* key: an identical third
-        // dispatch resumes from it, crediting the rescan's lone probe.
-        let d = p.dispatch_collect(&queue, &cl, &signals);
-        assert!(d.is_empty());
-        assert_eq!(
-            p.backfill_cache_stats(),
-            BackfillCacheStats {
-                hits: 1,
-                saved_visits: 1
-            }
-        );
-    }
-
-    #[test]
-    fn reject_memo_ignored_under_depth_limit() {
-        let mut cl = cluster();
-        cl.allocate(JobId(100), 12, 250.0, 1.0).unwrap();
-        let completions = [(SimTime::from_hours(10), 12u32)];
-        let signals = SchedSignals {
-            now: SimTime::ZERO,
-            running_completions: &completions,
-            ..SchedSignals::default()
-        };
-        let queue = wq([qjob(1, 16, 1.0), qjob(2, 4, 12.0), qjob(3, 4, 12.0)]);
-        let mut p = EasyBackfillPolicy::with_depth(2);
-        p.set_reject_cache(true);
-        let v_before = p.backfill_visits();
-        assert!(p.dispatch_collect(&queue, &cl, &signals).is_empty());
-        assert!(p.dispatch_collect(&queue, &cl, &signals).is_empty());
-        // Depth-limited scans neither record nor consult the memo: both
-        // dispatches paid full (budgeted) visits.
-        assert_eq!(p.backfill_cache_stats(), BackfillCacheStats::default());
-        assert_eq!(p.backfill_visits() - v_before, 4);
-    }
-
-    /// Satellite audit: `backfill_visits` (and the cache stats) are
-    /// read-only views of the *base* scan's counters. Querying a wrapper,
+    /// Satellite audit: `backfill_visits` is a read-only view of the
+    /// *base* scan's counter. Querying a wrapper,
     /// its base, or either twice must all report the same number — no
     /// wrapper may add its own count on top.
     #[test]
@@ -1018,7 +752,6 @@ mod tests {
             expected,
             "querying twice must not double-count"
         );
-        assert_eq!(chain.backfill_cache_stats(), BackfillCacheStats::default());
     }
 
     #[test]
@@ -1205,15 +938,15 @@ mod tests {
                 validate_decisions(&dl, &queue, &cl).unwrap();
             }
 
-            /// Tentpole guarantee: with the reject memo enabled, dispatch
-            /// sequences against an *evolving* queue/cluster (arrivals,
-            /// completions, starts, a monotone clock — the driver's event
-            /// shapes) are decision-for-decision identical to the uncached
-            /// policy. Deep saturated stretches (many arrivals between
-            /// completions) are exactly where the memo engages, so the
-            /// generator skews toward pushes.
+            /// Dispatch sequences against an *evolving* queue/cluster
+            /// (arrivals, completions, starts, a monotone clock — the
+            /// driver's event shapes) match the classic full-queue scan
+            /// decision for decision. Starts remove jobs from the middle
+            /// of the queue, so this also covers the fit index over a
+            /// queue with holes; the generator skews toward pushes so
+            /// saturated stretches grow deep.
             #[test]
-            fn cached_dispatch_sequence_matches_uncached(
+            fn evolving_dispatch_sequence_matches_reference_scan(
                 ops in prop::collection::vec((0u8..8, 1u32..17, 1u64..30), 1..60),
             ) {
                 let mut cl = cluster(); // 16 GPUs
@@ -1223,9 +956,7 @@ mod tests {
                 let mut running: Vec<(SimTime, JobId, u32)> = Vec::new();
                 let mut now = SimTime::ZERO;
                 let mut next_id = 0u64;
-                let mut cached = EasyBackfillPolicy::default();
-                cached.set_reject_cache(true);
-                let mut uncached = EasyBackfillPolicy::default();
+                let mut policy = EasyBackfillPolicy::default();
                 for &(op, gpus, hours) in &ops {
                     match op {
                         // Skew toward arrivals: saturated queues grow deep.
@@ -1252,12 +983,11 @@ mod tests {
                         running_completions: &completions,
                         ..SchedSignals::default()
                     };
-                    let dc = cached.dispatch_collect(&queue, &cl, &signals);
-                    let du = uncached.dispatch_collect(&queue, &cl, &signals);
-                    prop_assert_eq!(&dc, &du);
-                    validate_decisions(&dc, &queue, &cl).unwrap();
+                    let decisions = policy.dispatch_collect(&queue, &cl, &signals);
+                    prop_assert_eq!(&decisions, &reference_easy_backfill(&queue, &cl, &signals));
+                    validate_decisions(&decisions, &queue, &cl).unwrap();
                     // Apply the decisions the way the driver would.
-                    for d in &dc {
+                    for d in &decisions {
                         let q = queue.remove(d.job_id).unwrap();
                         cl.allocate(d.job_id, q.job.gpus, d.power_cap_w, 1.0).unwrap();
                         let finish = now + q.job.nominal_duration();

@@ -38,9 +38,7 @@
 //! this bit-for-bit, while visits collapse from *O(queue depth)* to
 //! *O(accepts)* per exhaustive dispatch (~13 M → ~60 K class-pruned, then
 //! to the accepts alone once the boundary class was filtered member-wise
-//! on the saturated 90-day benchmark). [`FitIter::probes`] counts the
-//! entries the iterator actually examined (including skipped rejects), so
-//! callers can still estimate the work a memoized scan avoided.
+//! on the saturated 90-day benchmark).
 //!
 //! Structure:
 //!
@@ -53,32 +51,6 @@
 //!   increase monotonically); removals binary-search.
 //! * `pos_of` — job id → position, for O(1) removal when the driver applies
 //!   a dispatch decision.
-//!
-//! # Positions as memo keys: the clear-epoch invalidation rule
-//!
-//! Because positions grow monotonically and tombstones are never reused,
-//! a position is a *stable identifier* for one queue entry for the
-//! lifetime of the queue — until [`WaitQueue::clear`], which resets
-//! positions to 0 and would silently alias old memoized positions onto
-//! new entries. The queue therefore carries a **clear-epoch counter**
-//! ([`WaitQueue::epoch`]), bumped exactly on `clear()`: any consumer that
-//! remembers positions across calls (the EASY backfill reject memo in
-//! `policy.rs`) must also remember the epoch and drop its memo when it
-//! changes. The carbon-aware gate's scratch queue clears once per
-//! dispatch, so under that wrapper the epoch changes every call and the
-//! memo never applies — correct, just without benefit.
-//!
-//! This is what makes the reject memo decision-invisible: within one
-//! epoch, an entry's position never changes and removals never move other
-//! entries, so "every live entry at position < `frontier` was a provable
-//! reject under scan inputs *K*" stays a true statement for exactly as
-//! long as *K* recurs — rejects have no side effects, budgets are
-//! compared against the same values, and the simulated clock only moves
-//! forward (which can only shrink the shadow window and turn accepts into
-//! rejects, never the reverse). Skipping those positions therefore yields
-//! exactly the accept sequence of a full rescan. New arrivals always land
-//! at positions ≥ the memoized [`WaitQueue::frontier`] and are always
-//! scanned.
 
 use greener_simkit::fastmap::FastMap;
 use greener_workload::JobId;
@@ -152,9 +124,6 @@ pub struct WaitQueue {
     touched_flag: Vec<bool>,
     /// Job id → slot position of live entries.
     pos_of: FastMap<JobId, u32>,
-    /// Clear-epoch: bumped on every [`WaitQueue::clear`], when positions
-    /// stop being stable identifiers (see the module docs).
-    epoch: u64,
 }
 
 impl WaitQueue {
@@ -244,25 +213,8 @@ impl WaitQueue {
         Some(q)
     }
 
-    /// The clear-epoch counter: positions yielded before the last
-    /// [`WaitQueue::clear`] must not be compared with positions after it
-    /// (see the module docs' invalidation rule).
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// One past the highest position ever allocated in this epoch: every
-    /// current live entry sits at a position < `frontier()`, and every
-    /// future push lands at a position ≥ it.
-    #[inline]
-    pub fn frontier(&self) -> u32 {
-        self.slots.len() as u32
-    }
-
     /// Drop everything (retaining allocated capacity for refills).
     pub fn clear(&mut self) {
-        self.epoch += 1;
         self.slots.clear();
         self.head = 0;
         self.live = 0;
@@ -368,7 +320,6 @@ impl WaitQueue {
             d_max,
             heap,
             exact,
-            probes: 0,
         }
     }
 }
@@ -396,9 +347,6 @@ pub struct FitIter<'a> {
     /// Exact mode: apply the per-member duration test in the boundary
     /// class and skip provable rejects instead of yielding them.
     exact: bool,
-    /// Class-list entries examined so far (yields, class-drop pops and
-    /// exact-mode skipped rejects) — see [`FitIter::probes`].
-    probes: u64,
 }
 
 impl<'a> FitIter<'a> {
@@ -414,7 +362,6 @@ impl<'a> FitIter<'a> {
     /// shrinks, so a provable reject can never become an accept later.
     pub fn next(&mut self, free: u32, spare: u32) -> Option<&'a QueuedJob> {
         while let Some(Reverse((pos, class, cur))) = self.heap.pop() {
-            self.probes += 1;
             let size = class / NB;
             let bucket = class % NB;
             // Budgets only shrink, so a class that no longer qualifies
@@ -443,7 +390,6 @@ impl<'a> FitIter<'a> {
                         self.heap.push(Reverse((list[cur].0, class, cur as u32)));
                         break;
                     }
-                    self.probes += 1;
                 }
                 continue;
             }
@@ -458,16 +404,6 @@ impl<'a> FitIter<'a> {
             );
         }
         None
-    }
-
-    /// Class-list entries this iterator has examined: every candidate
-    /// yielded, every entry popped for a since-disqualified class, and
-    /// every boundary reject skipped in exact mode. The reject memo in
-    /// `policy.rs` records this as the work a repeated identical scan
-    /// would redo — the basis of its `saved_visits` estimate.
-    #[inline]
-    pub fn probes(&self) -> u64 {
-        self.probes
     }
 }
 
@@ -646,8 +582,7 @@ mod tests {
     fn boundary_class_exact_vs_visiting() {
         // d_max falls inside a bucket: job 1 (1.2 h) fits the window, job 2
         // (1.8 h) outlives it with no spare budget — a provable reject.
-        // Exact mode filters it member-wise (but counts the probe);
-        // visiting mode yields it like the classic scan, for depth-budgeted
+        // Exact mode filters it member-wise; visiting mode yields it like the classic scan, for depth-budgeted
         // callers. Position 0 is the blocked head.
         let q: WaitQueue = [qjob(9, 16, 1.0), qjob(1, 2, 1.2), qjob(2, 2, 1.8)]
             .into_iter()
@@ -659,10 +594,6 @@ mod tests {
             seen.push(j.job.id.0);
         }
         assert_eq!(seen, vec![1], "exact mode filters the boundary reject");
-        assert!(
-            it.probes() >= 2,
-            "the skipped reject still counts as examined work"
-        );
         let mut it = q.backfill_candidates_visiting(0, 8, d_max, 0);
         let mut seen = Vec::new();
         while let Some(j) = it.next(8, 0) {
@@ -688,26 +619,6 @@ mod tests {
         assert_eq!(ids(&q), vec![9]);
         // Position 0 is the only entry; `after = 0` excludes it.
         assert!(drain_fit(&q, 0, 8).is_empty());
-    }
-
-    #[test]
-    fn epoch_bumps_on_clear_and_frontier_tracks_positions() {
-        let mut q = WaitQueue::new();
-        assert_eq!(q.epoch(), 0);
-        assert_eq!(q.frontier(), 0);
-        q.push(qjob(1, 2, 1.0));
-        q.push(qjob(2, 2, 1.0));
-        assert_eq!(q.frontier(), 2);
-        // Removal moves neither the frontier nor the epoch: positions stay
-        // stable identifiers within an epoch.
-        q.remove(JobId(1));
-        assert_eq!(q.frontier(), 2);
-        assert_eq!(q.epoch(), 0);
-        q.push(qjob(3, 2, 1.0));
-        assert_eq!(q.frontier(), 3);
-        q.clear();
-        assert_eq!(q.epoch(), 1);
-        assert_eq!(q.frontier(), 0);
     }
 
     #[test]
