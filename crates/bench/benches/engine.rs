@@ -58,16 +58,10 @@ fn bench_world(c: &mut Criterion) {
             ))
         })
     });
-    // World-generation lane: the parallel (default) schedule against the
-    // sequential reference, and weather alone — so the split the perfjson
-    // snapshot reports is also visible under criterion timing.
+    // World-generation lane, beside weather alone above. It runs on the
+    // rayon pool; `RAYON_NUM_THREADS=1` times the sequential schedule.
     g.bench_function("worldgen_2y_parallel", |b| {
         let s = Scenario::two_year_small(greener_bench::seeds::WORLD);
-        b.iter(|| black_box(greener_core::driver::World::build(&s)))
-    });
-    g.bench_function("worldgen_2y_sequential", |b| {
-        let s = Scenario::two_year_small(greener_bench::seeds::WORLD)
-            .with_worldgen(greener_core::scenario::WorldGen::Sequential);
         b.iter(|| black_box(greener_core::driver::World::build(&s)))
     });
     g.bench_function("driver_quick_30d", |b| {
@@ -98,32 +92,16 @@ fn bench_world(c: &mut Criterion) {
             ))
         })
     });
-    // The same aggregates-only replay with the lone-arrival fast path
-    // disabled (`DispatchPath::Reference`): the delta to the lane above is
-    // what the fast path buys on a scenario whose arrivals mostly meet an
-    // empty queue.
-    g.bench_function("replay_small_2y_reference_dispatch", |b| {
-        let s = Scenario::two_year_small(greener_bench::seeds::WORLD)
-            .with_dispatch(greener_core::scenario::DispatchPath::Reference);
+    // The same aggregates-only replay on the reference engine (heap
+    // queue, no lone-arrival fast path, array-of-structs slab): the delta
+    // to the lane above is what the default engine's fast paths buy
+    // together. A single fast path's worth is measured by timing the
+    // parent commit against the change.
+    g.bench_function("replay_small_2y_reference", |b| {
+        let s = Scenario::two_year_small(greener_bench::seeds::WORLD);
         let world = greener_core::driver::World::build(&s);
         b.iter(|| {
-            black_box(SimDriver::run_observed(
-                &s,
-                &world,
-                greener_core::probe::Observe::aggregates(),
-            ))
-        })
-    });
-    // The same aggregates-only replay with the SoA apply slab disabled
-    // (`ApplyPath::Reference`): the delta to `replay_small_2y_aggregates`
-    // isolates what the split hot/cold job-state columns buy on the
-    // start/finish hot loop.
-    g.bench_function("replay_small_2y_reference_apply", |b| {
-        let s = Scenario::two_year_small(greener_bench::seeds::WORLD)
-            .with_apply(greener_core::scenario::ApplyPath::Reference);
-        let world = greener_core::driver::World::build(&s);
-        b.iter(|| {
-            black_box(SimDriver::run_observed(
+            black_box(SimDriver::run_reference(
                 &s,
                 &world,
                 greener_core::probe::Observe::aggregates(),

@@ -37,7 +37,8 @@ impl std::fmt::Display for ManifestError {
 
 impl std::error::Error for ManifestError {}
 
-fn err<T>(line: usize, msg: impl Into<String>) -> Result<T, ManifestError> {
+/// `Err` of a [`ManifestError`] at `line`.
+pub(crate) fn err<T>(line: usize, msg: impl Into<String>) -> Result<T, ManifestError> {
     Err(ManifestError {
         line,
         msg: msg.into(),
@@ -383,28 +384,9 @@ impl CampaignManifest {
         let mut seeds: Option<Vec<u64>> = None;
         let mut axes: Vec<Axis> = Vec::new();
 
-        for (i, raw_line) in text.lines().enumerate() {
-            let line_no = i + 1;
-            let line = match raw_line.split_once('#') {
-                Some((before, _comment)) => before,
-                None => raw_line,
-            }
-            .trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (key, value) = match line.split_once('=') {
-                Some((k, v)) => (k.trim(), v.trim()),
-                None => return err(line_no, format!("expected `key = value`, got `{line}`")),
-            };
-            if value.is_empty() {
-                return err(line_no, format!("`{key}` has no value"));
-            }
+        for_each_entry(text, |line_no, key, value| {
             match key {
                 "name" => {
-                    if name.is_some() {
-                        return err(line_no, "duplicate `name`");
-                    }
                     if value.split_whitespace().count() != 1 {
                         return err(
                             line_no,
@@ -413,18 +395,8 @@ impl CampaignManifest {
                     }
                     name = Some(value.to_string());
                 }
-                "base" => {
-                    if base.is_some() {
-                        return err(line_no, "duplicate `base`");
-                    }
-                    base = Some(parse_base(value, line_no)?);
-                }
-                "seeds" => {
-                    if seeds.is_some() {
-                        return err(line_no, "duplicate `seeds`");
-                    }
-                    seeds = Some(parse_seeds(value, line_no)?);
-                }
+                "base" => base = Some(parse_base(value, line_no)?),
+                "seeds" => seeds = Some(parse_seeds(value, line_no)?),
                 _ => match key.strip_prefix("axis ").map(str::trim) {
                     Some(knob_name) => {
                         let knob = match Knob::by_name(knob_name) {
@@ -439,26 +411,21 @@ impl CampaignManifest {
                                 )
                             }
                         };
+                        // `for_each_entry` compares raw keys, so it misses
+                        // `axis  policy` after `axis policy`.
                         if axes.iter().any(|a| a.knob == knob) {
                             return err(line_no, format!("duplicate axis `{knob_name}`"));
                         }
-                        let mut values = Vec::new();
-                        for v in value.split(',') {
-                            let v = knob.parse_value(v, line_no)?;
-                            if values.contains(&v) {
-                                return err(
-                                    line_no,
-                                    format!("axis `{knob_name}` repeats value `{}`", v.label()),
-                                );
-                            }
-                            values.push(v);
-                        }
+                        let values = parse_axis_values(knob_name, value, line_no, |v| {
+                            knob.parse_value(v, line_no)
+                        })?;
                         axes.push(Axis { knob, values });
                     }
                     None => return err(line_no, format!("unknown key `{key}`")),
                 },
             }
-        }
+            Ok(())
+        })?;
 
         let name = match name {
             Some(n) => n,
@@ -476,6 +443,61 @@ impl CampaignManifest {
             axes,
         })
     }
+}
+
+/// Walk a manifest's `key = value` entries — the line loop both the
+/// campaign and the fleet manifest parsers share. `#` starts a comment,
+/// blank lines are skipped, and keys and values are trimmed. A line
+/// without `=`, an empty value, or a key seen before is an error at its
+/// 1-based line; every other entry goes to `entry(line, key, value)`.
+pub(crate) fn for_each_entry(
+    text: &str,
+    mut entry: impl FnMut(usize, &str, &str) -> Result<(), ManifestError>,
+) -> Result<(), ManifestError> {
+    let mut seen: Vec<&str> = Vec::new();
+    for (i, raw_line) in text.lines().enumerate() {
+        let line_no = i + 1;
+        let line = raw_line
+            .split_once('#')
+            .map_or(raw_line, |(before, _)| before)
+            .trim();
+        if line.is_empty() {
+            continue;
+        }
+        let Some((key, value)) = line.split_once('=') else {
+            return err(line_no, format!("expected `key = value`, got `{line}`"));
+        };
+        let (key, value) = (key.trim(), value.trim());
+        if value.is_empty() {
+            return err(line_no, format!("`{key}` has no value"));
+        }
+        if seen.contains(&key) {
+            return err(line_no, format!("duplicate `{key}`"));
+        }
+        seen.push(key);
+        entry(line_no, key, value)?;
+    }
+    Ok(())
+}
+
+/// Parse an axis's comma-separated values with `parse_one`, rejecting a
+/// repeated value at `line` (its cells would collide on ids).
+pub(crate) fn parse_axis_values<T: PartialEq>(
+    axis: &str,
+    raw: &str,
+    line: usize,
+    parse_one: impl Fn(&str) -> Result<T, ManifestError>,
+) -> Result<Vec<T>, ManifestError> {
+    let mut values = Vec::new();
+    for v in raw.split(',') {
+        let v = v.trim();
+        let parsed = parse_one(v)?;
+        if values.contains(&parsed) {
+            return err(line, format!("axis `{axis}` repeats value `{v}`"));
+        }
+        values.push(parsed);
+    }
+    Ok(values)
 }
 
 /// `quick:<days> | small_2y | baseline_2y | one_year`, optionally with a

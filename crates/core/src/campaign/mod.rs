@@ -106,7 +106,9 @@
 //!
 //! # Manifest format
 //!
-//! Line-oriented; `#` starts a comment; blank lines ignored.
+//! Line-oriented; `#` starts a comment; blank lines ignored. Each key may
+//! appear once and each axis value once per axis; a repeat is an error at
+//! its line. Fleet manifests share this line grammar.
 //!
 //! ```text
 //! name  = <token>                  # required; prefixes every cell id

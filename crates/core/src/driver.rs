@@ -24,31 +24,30 @@
 //! cores. Threading is two-level (see `greener_simkit::sweep`'s docs):
 //! sweeps fan out *across* runs, and *within* a run [`World::build`] forks
 //! the independent world-generation phases (weather channels ∥ sharded
-//! trace synthesis, grid pipelined behind weather) on the scenario's
-//! [`WorldGen`] schedule — bit-identical to the sequential reference. The
-//! replay half stays single-threaded and lean: the event loop is
-//! allocation-free in steady state and algorithmically incremental:
+//! trace synthesis, grid pipelined behind weather) across rayon's pool —
+//! bit-identical at every thread count, so `RAYON_NUM_THREADS=1` is the
+//! sequential reference. The replay half stays single-threaded and lean:
+//! the event loop is allocation-free in steady state and algorithmically
+//! incremental:
 //!
 //! * **Pluggable event-scheduler core** — the loop is generic over
-//!   [`EventScheduler`]; [`SchedulerCore`] on the scenario selects the
-//!   calendar/bucket queue (O(1) pop for the hourly-tick-dominated stream,
-//!   the default) or the reference binary heap. Both pop identical event
-//!   sequences, so the choice never changes results.
+//!   [`EventScheduler`]; the default engine runs the calendar/bucket queue
+//!   (O(1) pop for the hourly-tick-dominated stream), the reference engine
+//!   ([`SimDriver::run_reference`]) the binary heap. Both pop identical
+//!   event sequences, so the choice never changes results.
 //! * **Borrowed scheduler signals** — [`SchedSignals`] borrows the forecast
 //!   and completion slices from engine-owned buffers; building the
 //!   per-dispatch snapshot costs zero heap traffic (it used to `to_vec()`
 //!   the 24-hour forecast on every dispatch).
 //! * **Dense running-job slab, struct-of-arrays** — `JobId`s are assigned
 //!   densely by the trace generator, so running jobs live in id-indexed
-//!   arrays instead of a `HashMap` (no hashing, no rehash growth). On
-//!   [`ApplyPath::Fast`] (the default) the slab is additionally split
-//!   struct-of-arrays: a hot finish-time column the completion path reads
-//!   first, and cold record columns (start, cap, energy) read exactly once
-//!   when the [`JobRecord`] is reconstructed — from the trace row plus the
-//!   cold columns, reloading the very f64 values a `Reference` slab would
-//!   have stored, so the record stream is bit-identical
-//!   ([`ApplyPath::Reference`] keeps the array-of-structs slab as the
-//!   pinned reference).
+//!   arrays instead of a `HashMap` (no hashing, no rehash growth). On the
+//!   default engine the slab is additionally split struct-of-arrays: a hot
+//!   finish-time column the completion path reads first, and cold record
+//!   columns (start, cap, energy) read exactly once when the [`JobRecord`]
+//!   is reconstructed — from the trace row plus the cold columns,
+//!   reloading the very f64 values the reference engine's array-of-structs
+//!   slab stores, so the record stream is bit-identical.
 //! * **Incremental completion profile** — the `(finish, gpus)` list EASY
 //!   backfill reserves against is maintained sorted by binary-search
 //!   insert/remove on allocate/release, instead of being rebuilt and
@@ -71,10 +70,10 @@
 //!   growth and job-record retention entirely. Probes are
 //!   decision-invisible (read-only observers), so every composition
 //!   observes bit-identical numbers.
-//! * **Lone-arrival fast path** — on [`DispatchPath::Fast`] (the default)
-//!   a job arriving to an empty waiting queue with free capacity is
-//!   resolved through [`SchedPolicy::lone_dispatch`]: no queue push, no
-//!   fit-index maintenance, no one-job policy scan, no removal by id.
+//! * **Lone-arrival fast path** — on the default engine a job arriving to
+//!   an empty waiting queue with free capacity is resolved through
+//!   [`SchedPolicy::lone_dispatch`]: no queue push, no fit-index
+//!   maintenance, no one-job policy scan, no removal by id.
 //!   Profiling showed queue depth ≈ 0 is the dominant arrival regime on
 //!   the year-scale scenarios, and every built-in policy's lone decision
 //!   is provably the reference decision (pinned by golden + property
@@ -89,11 +88,11 @@
 //!   loop phases and feeds `perfjson --profile` (see [`crate::profile`]).
 //!
 //! The golden determinism test below pins total energy/carbon/completions
-//! bit-for-bit for fixed seeds across all policy families, across both
-//! event-scheduler cores, across both world-generation schedules, across
-//! both dispatch paths *and* across probe compositions (full set vs
-//! aggregates-only) — every performance knob keeps a bit-identical
-//! reference mode, checked through [`crate::equivalence`].
+//! bit-for-bit for fixed seeds across all policy families, on both the
+//! default and the reference engine *and* across probe compositions (full
+//! set vs aggregates-only); CI repeats it with `RAYON_NUM_THREADS=1`.
+//! Every fast path keeps a bit-identical reference, checked through
+//! [`crate::equivalence`].
 //!
 //! [`CoolingPoint`]: greener_hpc::CoolingPoint
 //! [`SchedPolicy::lone_dispatch`]: greener_sched::SchedPolicy::lone_dispatch
@@ -122,7 +121,7 @@ use crate::profile::{
     NoProfiler, ProfileCounter, ProfilePhase, ProfileSubPhase, ReplayProfile, ReplayProfiler,
     WallProfiler,
 };
-use crate::scenario::{ApplyPath, DispatchPath, ForecastMode, Scenario, SchedulerCore, WorldGen};
+use crate::scenario::{ForecastMode, Scenario};
 
 /// One completed job's accounting record (feeds Eq. 2's per-user `e_i`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -215,7 +214,7 @@ struct Running {
     record: JobRecord,
 }
 
-/// Vacant-slot sentinel for the `ApplyPath::Fast` finish column (far past
+/// Vacant-slot sentinel for the default engine's finish column (far past
 /// any reachable simulation time).
 const VACANT_FINISH: SimTime = SimTime(u64::MAX);
 
@@ -252,25 +251,26 @@ struct Engine<'s, Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> {
     queue: Q,
     /// Fit-indexed waiting queue shared with the policies.
     waiting: WaitQueue,
-    /// Running jobs under `ApplyPath::Reference`: the classic dense
+    /// Running jobs on the reference engine: the classic dense
     /// array-of-structs slab indexed by `JobId` (ids are assigned densely
-    /// by the trace generator). Empty under `ApplyPath::Fast`.
+    /// by the trace generator). Empty on the default engine.
     running: Vec<Option<Running>>,
-    /// `ApplyPath::Fast` hot column: finish time per trace index,
+    /// Default-engine hot column: finish time per trace index,
     /// [`VACANT_FINISH`] when the job is not running. The completion path
-    /// touches only this column to detect staleness. Empty under
-    /// `ApplyPath::Reference`.
+    /// touches only this column to detect staleness. Empty on the
+    /// reference engine.
     finish_at: Vec<SimTime>,
-    /// `ApplyPath::Fast` cold columns: written once at start, read once at
+    /// Default-engine cold columns: written once at start, read once at
     /// completion to reconstruct the [`JobRecord`] together with the trace
     /// row (same stored f64 values → bit-identical records).
     cold_start: Vec<SimTime>,
     cold_cap_w: Vec<f64>,
     cold_energy_j: Vec<f64>,
-    /// The immutable job trace (for `ApplyPath::Fast` record
+    /// The immutable job trace (for default-engine record
     /// reconstruction: trace rows carry every submit-time field).
     trace: &'s [Job],
-    /// `scenario.apply == ApplyPath::Fast`, hoisted.
+    /// Struct-of-arrays slab (default engine) rather than the reference
+    /// array-of-structs slab.
     apply_fast: bool,
     running_count: usize,
     /// `(finish, gpus)` of running jobs, sorted soonest-first. Maintained
@@ -369,7 +369,7 @@ impl<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O,
         self.prof.bump(ProfileCounter::Decisions, applied);
     }
 
-    /// The lone-arrival fast path ([`DispatchPath::Fast`]): resolve a job
+    /// The lone-arrival fast path (default engine only): resolve a job
     /// arriving to an empty waiting queue with free capacity through
     /// [`SchedPolicy::lone_dispatch`], skipping the fit-indexed queue
     /// round-trip (push, full dispatch over a one-job queue, remove by
@@ -383,7 +383,7 @@ impl<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O,
     /// shared start bookkeeping, so a fast start performs the exact f64
     /// operations of a reference start.
     ///
-    /// Caller-checked preconditions: `Fast` mode, `waiting.is_empty()`,
+    /// Caller-checked preconditions: the default engine, `waiting.is_empty()`,
     /// and `job.gpus <= cluster.free_gpus()` — the contract
     /// `lone_dispatch` is specified under.
     fn lone_arrival(&mut self, job: Job, now: SimTime) -> bool {
@@ -527,9 +527,9 @@ impl<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O,
             }
             self.finish_at[idx] = VACANT_FINISH;
             // Reconstruct the record from the trace row plus the cold
-            // columns: the exact f64 values a Reference slab stored at
+            // columns: the exact f64 values the reference slab stores at
             // start, reloaded verbatim, so the record stream is
-            // bit-identical across apply paths.
+            // bit-identical across engines.
             let job = &self.trace[idx];
             debug_assert_eq!(job.id, id, "trace ids are dense submit-order indices");
             let record = JobRecord {
@@ -597,13 +597,14 @@ impl<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O,
 ///
 /// Splitting the world from the replay lets benchmarks time the two halves
 /// separately, lets paired experiments share one world across policy
-/// variants, and gives world generation its own [`WorldGen`] schedule: the
+/// variants, and gives world generation its own fork/join schedule: the
 /// weather channel passes fork against trace-shard synthesis (the two
 /// consume disjoint stream families), with grid generation pipelined behind
 /// weather on the same side of the fork (it reads the weather path, but its
-/// own `grid.*` streams are untouched by the other side). Both schedules
-/// produce bit-identical worlds; the driver's golden determinism test pins
-/// this end to end.
+/// own `grid.*` streams are untouched by the other side). The fork runs on
+/// rayon's pool, and every thread count — one worker is the sequential
+/// reference — builds a bit-identical world; the driver's tests pin this
+/// field by field at 1 and 4 threads.
 pub struct World {
     /// Root seed the world was generated from (checked against the
     /// scenario on replay).
@@ -621,7 +622,7 @@ pub struct World {
 }
 
 impl World {
-    /// Generate the world for a scenario on the schedule it selects.
+    /// Generate the world for a scenario.
     ///
     /// The fork's two sides consume disjoint stream families
     /// (`climate.*`/`grid.*` vs `users.*` and the indexed `trace.*`
@@ -631,9 +632,8 @@ impl World {
     /// fleet layer ([`crate::fleet`]) leans on that: one shared trace from
     /// the base scenario, one environment per site.
     pub fn build(scenario: &Scenario) -> World {
-        let parallel = scenario.worldgen == WorldGen::Parallel;
         let ((weather, grid), trace) = greener_simkit::par::join(
-            parallel,
+            true,
             || Self::environment(scenario),
             || Self::build_trace(scenario),
         );
@@ -654,15 +654,14 @@ impl World {
     pub fn environment(scenario: &Scenario) -> (WeatherPath, GridPath) {
         let hub = greener_simkit::rng::RngHub::new(scenario.seed);
         let calendar = Calendar::new(scenario.start);
-        let parallel = scenario.worldgen == WorldGen::Parallel;
         let weather = WeatherPath::generate_mode(
             &scenario.weather,
             calendar,
             scenario.horizon_hours,
             &hub,
-            parallel,
+            true,
         );
-        let grid = GridPath::generate_mode(&scenario.grid, &weather, &hub, parallel);
+        let grid = GridPath::generate_mode(&scenario.grid, &weather, &hub, true);
         (weather, grid)
     }
 
@@ -673,7 +672,6 @@ impl World {
     pub fn build_trace(scenario: &Scenario) -> Vec<Job> {
         let hub = greener_simkit::rng::RngHub::new(scenario.seed);
         let calendar = Calendar::new(scenario.start);
-        let parallel = scenario.worldgen == WorldGen::Parallel;
         // The trace generator construction samples the user population
         // (stream `users.population`) before generation proper.
         let conferences = scenario.effective_calendar();
@@ -681,7 +679,7 @@ impl World {
         trace_cfg.demand.rolling = scenario.deadline_policy.is_rolling();
         let generator = TraceGenerator::new(trace_cfg, &conferences, calendar, &hub);
         generator
-            .generate_mode(scenario.horizon_hours, &hub, parallel)
+            .generate_mode(scenario.horizon_hours, &hub, true)
             .into_iter()
             .map(|mut j| {
                 // Cap gang sizes at the machine size so every job is
@@ -697,8 +695,7 @@ impl World {
 pub struct SimDriver;
 
 impl SimDriver {
-    /// Run a scenario to completion on the event-scheduler core it selects
-    /// (see [`SchedulerCore`]; results are identical across cores).
+    /// Generate the scenario's world and replay it to completion.
     pub fn run(scenario: &Scenario) -> RunResult {
         let world = World::build(scenario);
         Self::run_with_world(scenario, &world)
@@ -737,7 +734,19 @@ impl SimDriver {
     /// decision-invisible, so every spec observes bit-identical numbers
     /// (the golden determinism test and a property test pin this).
     pub fn run_observed(scenario: &Scenario, world: &World, observe: Observe) -> RunOutput {
-        Self::observed_on_core(scenario, world, observe, NoProfiler).0
+        Self::observed_on_core(scenario, world, observe, NoProfiler, false).0
+    }
+
+    /// Replay a pre-built world on the **reference engine**: the
+    /// binary-heap event queue, every arrival through the waiting queue
+    /// and the full policy dispatch (no lone-arrival fast path), and the
+    /// array-of-structs running-job slab. Its results *are* the
+    /// semantics: the default engine behind [`SimDriver::run_observed`]
+    /// must reproduce them bit for bit, per-job decision records
+    /// included, which [`crate::equivalence::assert_matches_reference`]
+    /// checks. Slower, and meant for tests and benchmarks only.
+    pub fn run_reference(scenario: &Scenario, world: &World, observe: Observe) -> RunOutput {
+        Self::observed_on_core(scenario, world, observe, NoProfiler, true).0
     }
 
     /// Replay a pre-built world with wall-clock self-profiling: like
@@ -757,7 +766,8 @@ impl SimDriver {
         world: &World,
         observe: Observe,
     ) -> (RunOutput, ReplayProfile) {
-        let (out, prof) = Self::observed_on_core(scenario, world, observe, WallProfiler::new());
+        let (out, prof) =
+            Self::observed_on_core(scenario, world, observe, WallProfiler::new(), false);
         (out, prof.finish())
     }
 
@@ -781,22 +791,22 @@ impl SimDriver {
         );
     }
 
-    /// The one place the scenario's [`SchedulerCore`] picks the event
-    /// queue: every public replay entry point comes through here.
+    /// The one place the engine is picked: every public replay entry point
+    /// comes through here. `reference` selects the reference engine's
+    /// binary-heap queue here, and its dispatch and apply paths in
+    /// `SimDriver::replay`.
     fn observed_on_core<P: ReplayProfiler>(
         scenario: &Scenario,
         world: &World,
         observe: Observe,
         prof: P,
+        reference: bool,
     ) -> (RunOutput, P) {
         Self::check_world(scenario, world);
-        match scenario.scheduler {
-            SchedulerCore::Calendar => {
-                Self::observed::<CalendarQueue<Event>, _>(scenario, world, observe, prof)
-            }
-            SchedulerCore::Heap => {
-                Self::observed::<EventQueue<Event>, _>(scenario, world, observe, prof)
-            }
+        if reference {
+            Self::observed::<EventQueue<Event>, _>(scenario, world, observe, prof, true)
+        } else {
+            Self::observed::<CalendarQueue<Event>, _>(scenario, world, observe, prof, false)
         }
     }
 
@@ -806,12 +816,13 @@ impl SimDriver {
         world: &World,
         observe: Observe,
         prof: P,
+        reference: bool,
     ) -> (RunOutput, P) {
         if observe == Observe::aggregates() {
             // The fast path gets its own monomorphization: no `Option`
             // probes, nothing retained per frame or per job.
             let probes = (AggregatesProbe::new(), JobsProbe::stats_only());
-            let outcome = Self::replay::<Q, _, _>(scenario, world, probes, prof);
+            let outcome = Self::replay::<Q, _, _>(scenario, world, probes, prof, reference);
             let (agg, jobs_probe) = outcome.probes;
             let (jobs, _) = jobs_probe.finish(
                 outcome.submitted,
@@ -850,7 +861,7 @@ impl SimDriver {
                 observe.queue_depth.then(QueueDepthProbe::new),
             ),
         );
-        let outcome = Self::replay::<Q, _, _>(scenario, world, probes, prof);
+        let outcome = Self::replay::<Q, _, _>(scenario, world, probes, prof, reference);
         let ((agg, jobs_probe), ((telemetry, ledger), queue_depth)) = outcome.probes;
         let (jobs, records) = jobs_probe.finish(
             outcome.submitted,
@@ -873,12 +884,14 @@ impl SimDriver {
     }
 
     /// The event loop, generic over the scheduler core, the probe set and
-    /// the profiler.
+    /// the profiler. `reference` turns off the lone-arrival fast path and
+    /// keeps running jobs in the array-of-structs slab.
     fn replay<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler>(
         scenario: &Scenario,
         world: &World,
         probes: O,
         prof: P,
+        reference: bool,
     ) -> ReplayOutcome<O, P> {
         let hours = scenario.horizon_hours;
         let World {
@@ -905,8 +918,8 @@ impl SimDriver {
         // At most `total_gpus` jobs run concurrently (every gang is ≥1 GPU),
         // which bounds the completion profile.
         let max_concurrent = cluster.total_gpus() as usize + 1;
-        // Only the slab variant the apply path uses is materialized.
-        let apply_fast = scenario.apply == ApplyPath::Fast;
+        // Only the slab variant the engine uses is materialized.
+        let apply_fast = !reference;
         let mut running = Vec::new();
         let mut finish_at = Vec::new();
         let mut cold_start = Vec::new();
@@ -951,7 +964,7 @@ impl SimDriver {
             hour_cursor: 0,
         };
         engine.refresh_forecast();
-        let fast_dispatch = scenario.dispatch == DispatchPath::Fast;
+        let fast_dispatch = !reference;
 
         // Piecewise-constant IT power integration.
         let mut last_t = SimTime::ZERO;
@@ -977,9 +990,10 @@ impl SimDriver {
                     let job = trace[idx as usize];
                     // Lone-arrival fast path: an arrival to an empty queue
                     // with free capacity resolves without the fit-indexed
-                    // queue round-trip (see `DispatchPath`). Any other
-                    // arrival — and any policy that opts out — takes the
-                    // reference path below.
+                    // queue round-trip (see `Engine::lone_arrival`). Any
+                    // other arrival — any arrival on the reference engine,
+                    // and any policy that opts out — takes the full path
+                    // below.
                     let resolved = fast_dispatch
                         && engine.waiting.is_empty()
                         && job.gpus <= engine.cluster.free_gpus()
@@ -1303,8 +1317,8 @@ mod tests {
 
     /// Golden determinism regression: fixed seeds × the four policy
     /// families must produce *bit-identical* totals across refactors —
-    /// and across both [`SchedulerCore`] implementations, both
-    /// [`WorldGen`] schedules *and* both [`DispatchPath`]s.
+    /// on both the default and the reference engine, and through both the
+    /// full probe set and the aggregates-only composition.
     ///
     /// The original constants were captured from the pre-refactor driver
     /// (HashMap running set, per-dispatch completion rebuild, owned
@@ -1324,13 +1338,13 @@ mod tests {
     /// World generation flows through `ln`/`sin`/`cos`, whose last bit is
     /// platform- and toolchain-dependent, so the f64 bit comparison only
     /// runs on the platform the constants were captured on; completion
-    /// counts and cross-core/cross-schedule equality are asserted
-    /// everywhere. CI additionally repeats this test with
-    /// `RAYON_NUM_THREADS=1`, proving the bits do not depend on thread
-    /// count. To re-capture after an intentional behavior change, run the
-    /// ignored `print_golden_table` test below and replace the table.
+    /// counts and cross-engine equality are asserted everywhere. CI
+    /// additionally repeats this test with `RAYON_NUM_THREADS=1`, proving
+    /// the bits do not depend on thread count. To re-capture after an
+    /// intentional behavior change, run the ignored `print_golden_table`
+    /// test below and replace the table.
     #[test]
-    fn golden_determinism_across_policies_cores_and_worldgen() {
+    fn golden_determinism_across_policies_and_engines() {
         let check_bits = cfg!(all(target_arch = "x86_64", target_os = "linux"));
         let policies = [
             PolicyKind::Fcfs,
@@ -1351,67 +1365,54 @@ mod tests {
             (42, 2, 0x40c8dc184035554d, 0x40acbc4003a4424b, 355),
             (42, 3, 0x40c9546aff58b809, 0x40ad454aca124726, 355),
         ];
+        let full = Observe::everything();
         for (seed, pi, energy_bits, carbon_bits, completed) in golden {
-            let scenario = Scenario::quick(14, seed).with_policy(policies[pi]);
-            for wg in [WorldGen::Parallel, WorldGen::Sequential] {
-                // One world per schedule, shared by every replay-side axis
-                // below (the world is replay-invariant; both schedules
-                // must themselves be bit-identical, which the cross-`wg`
-                // golden comparison pins end to end).
-                let world = World::build(&scenario.clone().with_worldgen(wg));
-                // Replay-side knob tuples: all-default (every fast path
-                // on), then each axis flipped to its reference mode
-                // against the same golden constants — a 2×2 per axis
-                // without the exponential cross product.
-                let knobs = [
-                    (DispatchPath::Fast, ApplyPath::Fast),
-                    (DispatchPath::Reference, ApplyPath::Fast),
-                    (DispatchPath::Fast, ApplyPath::Reference),
-                ];
-                for core in [SchedulerCore::Calendar, SchedulerCore::Heap] {
-                    for (dp, ap) in knobs {
-                        let s = scenario
-                            .clone()
-                            .with_worldgen(wg)
-                            .with_scheduler(core)
-                            .with_dispatch(dp)
-                            .with_apply(ap);
-                        let cell = format!(
-                            "seed {seed}, policy {:?}, core {core:?}, worldgen {wg:?}, \
-                             dispatch {dp:?}, apply {ap:?}",
-                            policies[pi]
-                        );
-                        let r = SimDriver::run_with_world(&s, &world);
-                        // Probe-composition axis: the aggregates-only fast
-                        // path must observe the exact same bits as the full
-                        // probe set (probes are decision-invisible).
-                        let agg = SimDriver::run_observed(&s, &world, Observe::aggregates());
-                        assert_eq!(
-                            agg.aggregates.energy_kwh.to_bits(),
-                            r.telemetry.total_energy_kwh().to_bits(),
-                            "probe composition changed energy: {cell}"
-                        );
-                        assert_eq!(
-                            agg.aggregates.carbon_kg.to_bits(),
-                            r.telemetry.total_carbon_kg().to_bits(),
-                            "probe composition changed carbon: {cell}"
-                        );
-                        assert_eq!(agg.jobs.completed, r.jobs.completed);
-                        if check_bits {
-                            assert_eq!(
-                                r.telemetry.total_energy_kwh().to_bits(),
-                                energy_bits,
-                                "energy drifted: {cell}"
-                            );
-                            assert_eq!(
-                                r.telemetry.total_carbon_kg().to_bits(),
-                                carbon_bits,
-                                "carbon drifted: {cell}"
-                            );
-                        }
-                        assert_eq!(r.jobs.completed, completed, "completions drifted: {cell}");
+            let s = Scenario::quick(14, seed).with_policy(policies[pi]);
+            // One world shared by both engines (the world is
+            // replay-invariant).
+            let world = World::build(&s);
+            for reference in [false, true] {
+                let run = |observe| {
+                    if reference {
+                        SimDriver::run_reference(&s, &world, observe)
+                    } else {
+                        SimDriver::run_observed(&s, &world, observe)
                     }
+                };
+                let cell = format!(
+                    "seed {seed}, policy {:?}, reference engine {reference}",
+                    policies[pi]
+                );
+                let r = run(full);
+                let telemetry = r.telemetry.expect("telemetry observed");
+                // Probe-composition axis: the aggregates-only composition
+                // must observe the exact same bits as the full probe set
+                // (probes are decision-invisible).
+                let agg = run(Observe::aggregates());
+                assert_eq!(
+                    agg.aggregates.energy_kwh.to_bits(),
+                    telemetry.total_energy_kwh().to_bits(),
+                    "probe composition changed energy: {cell}"
+                );
+                assert_eq!(
+                    agg.aggregates.carbon_kg.to_bits(),
+                    telemetry.total_carbon_kg().to_bits(),
+                    "probe composition changed carbon: {cell}"
+                );
+                assert_eq!(agg.jobs.completed, r.jobs.completed);
+                if check_bits {
+                    assert_eq!(
+                        telemetry.total_energy_kwh().to_bits(),
+                        energy_bits,
+                        "energy drifted: {cell}"
+                    );
+                    assert_eq!(
+                        telemetry.total_carbon_kg().to_bits(),
+                        carbon_bits,
+                        "carbon drifted: {cell}"
+                    );
                 }
+                assert_eq!(r.jobs.completed, completed, "completions drifted: {cell}");
             }
         }
     }
@@ -1443,84 +1444,56 @@ mod tests {
         }
     }
 
-    /// Both scheduler cores must agree on *everything*, not just totals:
-    /// the equivalence harness compares energy/carbon bits *and* the full
-    /// per-job record streams across a scenario that exercises backfill
-    /// against a deep queue (plus the golden matrix).
+    /// The default engine must agree with the reference engine on
+    /// *everything*, not just totals: energy/carbon bits *and* the full
+    /// per-job decision stream (same job→start assignments, start times,
+    /// power caps and per-job energy), over the golden matrix — where the
+    /// lone-arrival fast path engages — plus a scenario that exercises
+    /// backfill against a deep queue.
     #[test]
-    fn scheduler_cores_agree_on_full_job_records() {
+    fn reference_engine_matches_default_on_golden_matrix() {
         let mut matrix = crate::equivalence::quick_matrix();
         matrix.push(Scenario::quick(10, 17).named("deep-queue 10d seed 17"));
-        crate::equivalence::assert_equivalent(
-            "scheduler core (Heap reference vs Calendar)",
-            &matrix,
-            |s| s.with_scheduler(SchedulerCore::Heap),
-            |s| s.with_scheduler(SchedulerCore::Calendar),
-        );
+        crate::equivalence::assert_matches_reference("engine", &matrix);
     }
 
-    /// Both world-generation schedules must agree on *everything*: the
-    /// generated world is compared field-by-field and the replay is pinned
-    /// through the equivalence harness (energy/carbon bits + full per-job
-    /// records). Forcing multi-threaded execution via `RAYON_NUM_THREADS`
-    /// is CI's job; on any machine this still pins the fork/join +
-    /// shard-concatenation bookkeeping.
+    /// World generation must not depend on the thread count: the world is
+    /// built with `RAYON_NUM_THREADS` set in-process to 1 (the sequential
+    /// reference schedule) and then 4, compared field by field, and the
+    /// two replays are pinned through the equivalence fingerprint
+    /// (energy/carbon bits + full per-job records). The vendored rayon
+    /// reads the variable per call, and every other test's results are
+    /// thread-count-invariant, so toggling it in-process is safe.
     #[test]
-    fn worldgen_schedules_agree_on_world_and_job_records() {
-        let base = Scenario::quick(16, 23);
-        let wp = World::build(&base.clone().with_worldgen(WorldGen::Parallel));
-        let ws = World::build(&base.clone().with_worldgen(WorldGen::Sequential));
-        assert_eq!(wp.weather.temp_f, ws.weather.temp_f);
-        assert_eq!(wp.weather.wind_ms, ws.weather.wind_ms);
-        assert_eq!(wp.weather.cloud, ws.weather.cloud);
-        assert_eq!(wp.grid.green_share, ws.grid.green_share);
-        assert_eq!(wp.grid.lmp_usd_mwh, ws.grid.lmp_usd_mwh);
-        assert_eq!(wp.trace, ws.trace);
-        crate::equivalence::assert_equivalent(
-            "world generation (Sequential reference vs Parallel)",
-            &[base],
-            |s| s.with_worldgen(WorldGen::Sequential),
-            |s| s.with_worldgen(WorldGen::Parallel),
-        );
-    }
-
-    /// The arrival fast path must reproduce the reference **decision
-    /// stream** across the golden matrix: same job→start assignments,
-    /// same start times, same power caps, same per-job energy — pinned
-    /// through the equivalence harness over one shared world per cell
-    /// (the world is replay-invariant, so any divergence is the dispatch
-    /// path's own).
-    #[test]
-    fn fast_dispatch_matches_reference_decision_stream_on_golden_matrix() {
+    fn worldgen_thread_counts_agree_on_world_and_job_records() {
         use crate::equivalence::fingerprint_with_world;
-        for scenario in crate::equivalence::quick_matrix() {
-            let world = World::build(&scenario);
-            let reference = scenario.clone().with_dispatch(DispatchPath::Reference);
-            let fast = scenario.clone().with_dispatch(DispatchPath::Fast);
-            fingerprint_with_world(&reference, &world).assert_same(
-                &fingerprint_with_world(&fast, &world),
-                &format!("dispatch path (Reference vs Fast) [{}]", scenario.name),
-            );
+        let s = Scenario::quick(16, 23);
+        let prior = std::env::var("RAYON_NUM_THREADS").ok();
+        let worlds: Vec<World> = ["1", "4"]
+            .into_iter()
+            .map(|threads| {
+                std::env::set_var("RAYON_NUM_THREADS", threads);
+                World::build(&s)
+            })
+            .collect();
+        match prior {
+            Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
+            None => std::env::remove_var("RAYON_NUM_THREADS"),
         }
-    }
-
-    /// The struct-of-arrays apply slab must reproduce the reference
-    /// slab's **record stream** — same per-job starts, finishes, caps and
-    /// energies, bit for bit — across the golden matrix (the fast slab
-    /// reconstructs each [`JobRecord`] from the trace row plus its cold
-    /// columns, so this pins that reconstruction end to end).
-    #[test]
-    fn fast_apply_matches_reference_on_golden_matrix() {
-        use crate::equivalence::fingerprint_with_world;
-        for scenario in crate::equivalence::quick_matrix() {
-            let world = World::build(&scenario);
-            let reference = scenario.clone().with_apply(ApplyPath::Reference);
-            let fast = scenario.clone().with_apply(ApplyPath::Fast);
-            fingerprint_with_world(&reference, &world).assert_same(
-                &fingerprint_with_world(&fast, &world),
-                &format!("apply path (Reference vs Fast) [{}]", scenario.name),
-            );
-        }
+        let (one, four) = (&worlds[0], &worlds[1]);
+        assert_eq!(one.weather.temp_f, four.weather.temp_f);
+        assert_eq!(one.weather.wind_ms, four.weather.wind_ms);
+        assert_eq!(one.weather.cloud, four.weather.cloud);
+        assert_eq!(one.weather.events, four.weather.events);
+        assert_eq!(one.grid.green_share, four.grid.green_share);
+        assert_eq!(one.grid.lmp_usd_mwh, four.grid.lmp_usd_mwh);
+        assert_eq!(one.grid.ci_kg_mwh, four.grid.ci_kg_mwh);
+        assert_eq!(one.grid.demand_mw, four.grid.demand_mw);
+        assert_eq!(one.trace, four.trace);
+        fingerprint_with_world(&s, one).assert_same(
+            &fingerprint_with_world(&s, four),
+            "world generation (1 vs 4 threads)",
+        );
     }
 
     /// The full-probe surface and the aggregates-only fast path are the
@@ -1629,6 +1602,7 @@ mod tests {
             &world,
             Audit::default(),
             NoProfiler,
+            false,
         );
         let audit = outcome.probes;
         let reference = SimDriver::run(&s);
@@ -1817,25 +1791,23 @@ mod tests {
             profile.sub(ProfileSubPhase::TickSettle) <= profile.phase(ProfilePhase::TickCooling)
         );
         assert!(profile.sub(ProfileSubPhase::ApplySlab) > std::time::Duration::ZERO);
-        // The Reference path must report no fast dispatches.
-        let (_, ref_profile) = SimDriver::run_profiled(
-            &s.clone().with_dispatch(DispatchPath::Reference),
+        // The reference engine must take no fast path at all: otherwise
+        // every reference-vs-default equivalence test would be vacuous.
+        let (_, ref_prof) = SimDriver::observed_on_core(
+            &s,
             &world,
             Observe::aggregates(),
+            WallProfiler::new(),
+            true,
         );
+        let ref_profile = ref_prof.finish();
         assert_eq!(ref_profile.counter(ProfileCounter::FastDispatches), 0);
+        assert_eq!(ref_profile.counter(ProfileCounter::FastApplyEvents), 0);
         assert!(
             ref_profile.counter(ProfileCounter::DispatchCalls)
                 > profile.counter(ProfileCounter::DispatchCalls),
             "reference routes every arrival through the full dispatch"
         );
-        // The Reference apply slab must report no fast-apply events.
-        let (_, ref_apply) = SimDriver::run_profiled(
-            &s.with_apply(ApplyPath::Reference),
-            &world,
-            Observe::aggregates(),
-        );
-        assert_eq!(ref_apply.counter(ProfileCounter::FastApplyEvents), 0);
     }
 
     #[test]
@@ -1950,19 +1922,19 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(
-                crate::equivalence::proptest_cases(6)
+                crate::equivalence::proptest_cases(12)
             ))]
-            /// `DispatchPath::Fast` reproduces the reference **decision
-            /// stream** — the complete per-job record sequence
+            /// The default engine reproduces the reference engine's
+            /// **decision stream** — the complete per-job record sequence
             /// (assignment order, start times, power caps, per-job
             /// energy), not just aggregate bits — for random scenarios
             /// over every policy family with a lone-dispatch answer,
             /// including the gated/capped wrappers and queue
-            /// segmentation. Both paths replay one shared world, so any
-            /// divergence is the dispatch path's own. CI boosts the case
-            /// count via `PROPTEST_CASES`.
+            /// segmentation. Both engines replay one shared world, so any
+            /// divergence is the engine's own. CI boosts the case count
+            /// via `PROPTEST_CASES`.
             #[test]
-            fn fast_dispatch_matches_reference_decision_stream(
+            fn default_engine_matches_reference_decision_stream(
                 seed in 0u64..1_000,
                 policy_idx in 0usize..8,
                 days in 3usize..9,
@@ -1980,66 +1952,8 @@ mod tests {
                 let s = Scenario::quick(days, seed).with_policy(policies[policy_idx]);
                 let world = World::build(&s);
                 let observe = Observe::aggregates().with_job_records();
-                let fast = SimDriver::run_observed(
-                    &s.clone().with_dispatch(DispatchPath::Fast),
-                    &world,
-                    observe,
-                );
-                let reference = SimDriver::run_observed(
-                    &s.with_dispatch(DispatchPath::Reference),
-                    &world,
-                    observe,
-                );
-                prop_assert_eq!(
-                    fast.job_records.as_ref().unwrap(),
-                    reference.job_records.as_ref().unwrap()
-                );
-                prop_assert_eq!(
-                    fast.aggregates.energy_kwh.to_bits(),
-                    reference.aggregates.energy_kwh.to_bits()
-                );
-                prop_assert_eq!(
-                    fast.aggregates.carbon_kg.to_bits(),
-                    reference.aggregates.carbon_kg.to_bits()
-                );
-                prop_assert_eq!(fast.jobs.unfinished, reference.jobs.unfinished);
-            }
-
-            /// `ApplyPath::Fast` (the struct-of-arrays slab) reproduces
-            /// the reference slab's complete per-job record stream and
-            /// aggregate bits for random scenarios over every policy
-            /// family — the record reconstructed from trace row + cold
-            /// columns must be indistinguishable from the one the
-            /// reference slab stored at start time.
-            #[test]
-            fn fast_apply_matches_reference_decision_stream(
-                seed in 0u64..1_000,
-                policy_idx in 0usize..8,
-                days in 3usize..9,
-            ) {
-                let policies = [
-                    PolicyKind::Fcfs,
-                    PolicyKind::Sjf,
-                    PolicyKind::EasyBackfill,
-                    PolicyKind::EasyBackfillLimited { depth: 2 },
-                    PolicyKind::StaticCap { cap_w: 160.0 },
-                    PolicyKind::TempAware,
-                    PolicyKind::CarbonAware { green_threshold: 0.06 },
-                    PolicyKind::CarbonAndTempAware,
-                ];
-                let s = Scenario::quick(days, seed).with_policy(policies[policy_idx]);
-                let world = World::build(&s);
-                let observe = Observe::aggregates().with_job_records();
-                let fast = SimDriver::run_observed(
-                    &s.clone().with_apply(ApplyPath::Fast),
-                    &world,
-                    observe,
-                );
-                let reference = SimDriver::run_observed(
-                    &s.with_apply(ApplyPath::Reference),
-                    &world,
-                    observe,
-                );
+                let fast = SimDriver::run_observed(&s, &world, observe);
+                let reference = SimDriver::run_reference(&s, &world, observe);
                 prop_assert_eq!(
                     fast.job_records.as_ref().unwrap(),
                     reference.job_records.as_ref().unwrap()

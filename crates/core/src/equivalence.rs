@@ -1,14 +1,15 @@
-//! The equivalence-test harness: pin an optimized engine configuration
-//! against its reference, bit for bit.
+//! The equivalence-test harness: pin the optimized engine against its
+//! reference, bit for bit.
 //!
-//! Every performance knob in this workspace ships with a reference mode
-//! that *is* the semantics — [`SchedulerCore::Heap`] for the event queue,
-//! [`WorldGen::Sequential`] for world generation, the full probe set for
-//! observation, [`DispatchPath::Reference`] for arrival dispatch and
-//! [`ApplyPath::Reference`] for decision-apply job state — and the
-//! optimized mode must reproduce it exactly. This module is the shared
-//! infrastructure those pins run on, so a future fast path adds one axis
-//! instead of hand-rolling another comparison loop:
+//! Every fast path in the replay engine ships with a reference that *is*
+//! the semantics, and the optimized engine must reproduce it exactly. The
+//! references live together in one entry point,
+//! [`SimDriver::run_reference`]: the binary-heap event queue, every
+//! arrival through the full dispatch, and the array-of-structs running-job
+//! slab. World generation's reference is the single-threaded schedule
+//! (`RAYON_NUM_THREADS=1`), and observation's is the full probe set. This
+//! module is the shared infrastructure those pins run on, so a new fast
+//! path rides an existing comparison instead of hand-rolling another loop:
 //!
 //! 1. [`Fingerprint`] condenses a run into what equivalence means here:
 //!    total energy and carbon **bits**, the completion count, and (when
@@ -16,35 +17,30 @@
 //!    cap, finish, energy — i.e. the *decision stream*, not just the
 //!    aggregate outcome. Two configurations that agree on every job record
 //!    made the same scheduling decisions in the same order.
-//! 2. [`assert_equivalent`] runs a scenario matrix through two scenario
-//!    transforms (reference first) and asserts fingerprint equality;
-//!    [`assert_runners_equivalent`] is the generalization for axes that
-//!    change the *entry point* rather than the scenario (full probes vs
-//!    aggregates-only).
+//! 2. [`assert_matches_reference`] replays a scenario matrix on the
+//!    default and the reference engine over one shared world and asserts
+//!    fingerprint equality; [`assert_runners_equivalent`] is the
+//!    generalization for axes that change the *entry point* (full probes
+//!    vs aggregates-only, a 1-site fleet vs [`SimDriver`]).
 //! 3. [`quick_matrix`] is the default matrix: every golden policy family ×
 //!    two seeds on the quick world, the same grid the driver's golden
 //!    determinism test pins to captured constants.
 //!
-//! The driver's unit tests route the Heap-vs-Calendar,
-//! Sequential-vs-Parallel, full-vs-aggregates, and dispatch and apply
-//! Fast-vs-Reference axes through these helpers, the fleet layer pins its degenerate case the
-//! same way (a 1-site [`crate::fleet::FleetScenario`] under static
-//! routing must reproduce the single-site run bit-for-bit — see
+//! The driver's unit tests route the default-vs-reference engine,
+//! world-gen thread-count and full-vs-aggregates axes through these
+//! helpers, the fleet layer pins its degenerate case the same way (a
+//! 1-site [`crate::fleet::FleetScenario`] under static routing must
+//! reproduce the single-site run bit-for-bit — see
 //! [`crate::fleet::fingerprint`]), and `tests/observe.rs` exercises the
 //! harness from outside the crate. Property tests randomize the matrix;
 //! [`proptest_cases`] lets CI boost their case count via `PROPTEST_CASES`
 //! without slowing the default test run.
-//!
-//! [`SchedulerCore::Heap`]: crate::scenario::SchedulerCore::Heap
-//! [`WorldGen::Sequential`]: crate::scenario::WorldGen::Sequential
-//! [`DispatchPath::Reference`]: crate::scenario::DispatchPath::Reference
-//! [`ApplyPath::Reference`]: crate::scenario::ApplyPath::Reference
 
 use greener_sched::PolicyKind;
 
 use crate::campaign::{run_campaign, CellRecord, Plan, ShardBackend};
 use crate::driver::{JobRecord, SimDriver, World};
-use crate::probe::Observe;
+use crate::probe::{Observe, RunOutput};
 use crate::scenario::Scenario;
 
 /// What two equivalent engine configurations must agree on.
@@ -69,6 +65,17 @@ pub struct Fingerprint {
 }
 
 impl Fingerprint {
+    /// The fingerprint of one replay's output (`records` is whatever the
+    /// run retained).
+    fn of(out: RunOutput) -> Fingerprint {
+        Fingerprint {
+            energy_bits: out.aggregates.energy_kwh.to_bits(),
+            carbon_bits: out.aggregates.carbon_kg.to_bits(),
+            completed: out.jobs.completed,
+            records: out.job_records,
+        }
+    }
+
     /// Assert equality against another fingerprint with a labelled,
     /// field-by-field failure message.
     ///
@@ -112,41 +119,43 @@ pub fn fingerprint(scenario: &Scenario) -> Fingerprint {
     fingerprint_with_world(scenario, &world)
 }
 
-/// Fingerprint a replay over a pre-built world (share one world across
-/// the axes of a replay-side knob — the world is policy- and
-/// replay-invariant).
+/// Fingerprint a default-engine replay over a pre-built world (share one
+/// world across replays — the world is policy- and replay-invariant).
 pub fn fingerprint_with_world(scenario: &Scenario, world: &World) -> Fingerprint {
-    let out = SimDriver::run_observed(scenario, world, Observe::aggregates().with_job_records());
-    Fingerprint {
-        energy_bits: out.aggregates.energy_kwh.to_bits(),
-        carbon_bits: out.aggregates.carbon_kg.to_bits(),
-        completed: out.jobs.completed,
-        records: out.job_records,
-    }
+    Fingerprint::of(SimDriver::run_observed(
+        scenario,
+        world,
+        Observe::aggregates().with_job_records(),
+    ))
 }
 
-/// Run every scenario in `matrix` through two engine configurations and
-/// assert bit-identical fingerprints — `reference` maps a scenario onto
-/// the axis's reference mode, `optimized` onto the mode under test.
+/// Fingerprint a reference-engine replay over a pre-built world (see
+/// [`SimDriver::run_reference`]).
+fn reference_fingerprint_with_world(scenario: &Scenario, world: &World) -> Fingerprint {
+    Fingerprint::of(SimDriver::run_reference(
+        scenario,
+        world,
+        Observe::aggregates().with_job_records(),
+    ))
+}
+
+/// Replay every scenario in `matrix` on the reference engine and on the
+/// default engine, over one world per scenario, and assert bit-identical
+/// fingerprints, per-job decision records included.
 ///
 /// # Panics
 /// On the first scenario whose fingerprints differ.
-pub fn assert_equivalent(
-    label: &str,
-    matrix: &[Scenario],
-    reference: impl Fn(Scenario) -> Scenario,
-    optimized: impl Fn(Scenario) -> Scenario,
-) {
-    assert_runners_equivalent(
-        label,
-        matrix,
-        |s| fingerprint(&reference(s.clone())),
-        |s| fingerprint(&optimized(s.clone())),
-    );
+pub fn assert_matches_reference(label: &str, matrix: &[Scenario]) {
+    for scenario in matrix {
+        let world = World::build(scenario);
+        reference_fingerprint_with_world(scenario, &world).assert_same(
+            &fingerprint_with_world(scenario, &world),
+            &format!("{label} (reference vs default) [{}]", scenario.name),
+        );
+    }
 }
 
-/// The generalization of [`assert_equivalent`] for axes that change how a
-/// run is *performed or observed* rather than the scenario itself: each
+/// Pin two ways of performing or observing a run against each other: each
 /// runner turns a scenario into a [`Fingerprint`] however it likes
 /// (different entry point, shared world, different probe set).
 ///
@@ -253,7 +262,6 @@ pub fn proptest_cases(default: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::DispatchPath;
 
     #[test]
     fn fingerprint_is_deterministic_and_discriminating() {
@@ -278,18 +286,13 @@ mod tests {
 
     #[test]
     fn runners_generalization_accepts_shared_worlds() {
-        // One world, two replay-side runners — the shape replay axes use.
+        // A fresh-world runner against a shared-world reference-engine
+        // runner.
         let matrix = [Scenario::quick(6, 13)];
-        assert_runners_equivalent(
-            "shared-world dispatch axis",
-            &matrix,
-            |s| fingerprint(&s.clone().with_dispatch(DispatchPath::Reference)),
-            |s| {
-                let fast = s.clone().with_dispatch(DispatchPath::Fast);
-                let world = World::build(&fast);
-                fingerprint_with_world(&fast, &world)
-            },
-        );
+        assert_runners_equivalent("shared-world engine axis", &matrix, fingerprint, |s| {
+            let world = World::build(s);
+            reference_fingerprint_with_world(s, &world)
+        });
     }
 
     /// The acceptance pin for the campaign layer: for a fixed manifest the

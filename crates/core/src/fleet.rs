@@ -29,7 +29,7 @@
 //!    site's event loop, so its pressure signal is an estimate, not the
 //!    site queue's ground truth. That is deliberate — it keeps stage 1 a
 //!    pure sequential function of `(fleet, world)`, byte-identical at any
-//!    thread count and worldgen schedule.
+//!    thread count.
 //! 2. **Replay**: the shared trace splits into per-site sub-traces
 //!    (submit order preserved, ids renumbered densely per site — the
 //!    engine's fast apply path indexes per-job state by id; the
@@ -77,7 +77,7 @@
 //! own scenario, via the existing parallel world-gen: every generator
 //! draws from named RNG streams ([`World::build_trace`] /
 //! [`World::environment`] consume disjoint families), so fleet world
-//! generation is bit-identical across schedules and thread counts.
+//! generation is bit-identical at every thread count.
 //! Programmatically-derived fleets ([`FleetScenario::spread`]) give site
 //! `i > 0` the indexed seed `RngHub::seed_for_indexed("fleet.site", i)`;
 //! site 0 keeps the base seed, which is what makes the 1-site fleet
@@ -188,12 +188,14 @@ use greener_simkit::units::Energy;
 use greener_workload::{Job, JobId};
 
 use crate::campaign::exec::{fbits, parse_fbits, parse_usize};
-use crate::campaign::manifest::{parse_base, parse_seeds, ManifestError};
+use crate::campaign::manifest::{
+    err, for_each_entry, parse_axis_values, parse_base, parse_seeds, ManifestError,
+};
 use crate::campaign::{CampaignError, CellRecord, Plan};
 use crate::driver::{JobStats, SimDriver, World};
 use crate::equivalence::Fingerprint;
 use crate::probe::{Observe, RunAggregates, RunOutput};
-use crate::scenario::{Scenario, WorldGen};
+use crate::scenario::Scenario;
 
 /// Forecast window routing signals average over, hours (mirrors the
 /// scheduler-side forecast horizon).
@@ -323,17 +325,6 @@ impl FleetScenario {
         self
     }
 
-    /// Builder-style: set the world-generation schedule on the base and
-    /// every site (the fleet analogue of [`Scenario::with_worldgen`]).
-    #[must_use]
-    pub fn with_worldgen(mut self, worldgen: WorldGen) -> FleetScenario {
-        self.base.worldgen = worldgen;
-        for site in &mut self.sites {
-            site.scenario.worldgen = worldgen;
-        }
-        self
-    }
-
     /// A key over every input that determines the generated
     /// [`FleetWorld`]: the base scenario's
     /// [`Scenario::world_inputs_key`] (the shared trace) concatenated
@@ -442,22 +433,21 @@ pub struct FleetWorld {
 }
 
 impl FleetWorld {
-    /// Generate the fleet world on the base scenario's worldgen schedule:
-    /// the shared trace forks against the per-site environments, and the
-    /// environments fan out one [`par::sharded_map`] slot per site. All
-    /// draws come from named (or site-indexed) RNG streams, so the result
-    /// is bit-identical across schedules and thread counts.
+    /// Generate the fleet world: the shared trace forks against the
+    /// per-site environments, and the environments fan out one
+    /// [`par::sharded_map`] slot per site. All draws come from named (or
+    /// site-indexed) RNG streams, so the result is bit-identical at every
+    /// thread count.
     ///
     /// # Panics
     /// If the fleet fails [`FleetScenario::validate`].
     pub fn build(fleet: &FleetScenario) -> FleetWorld {
         fleet.assert_valid();
-        let parallel = fleet.base.worldgen == WorldGen::Parallel;
         let (trace, sites) = par::join(
-            parallel,
+            true,
             || World::build_trace(&fleet.base),
             || {
-                par::sharded_map(parallel, fleet.sites.len(), |i| {
+                par::sharded_map(true, fleet.sites.len(), |i| {
                     let (weather, grid) = World::environment(&fleet.sites[i].scenario);
                     SiteWorld { weather, grid }
                 })
@@ -758,8 +748,8 @@ pub struct FleetRunOutput {
 impl FleetRunOutput {
     /// Write the byte-stable fleet report: a header, one line per site,
     /// every routing record, and the totals line, floats as `to_bits`
-    /// hex. Deterministic at any thread count and worldgen schedule (perf
-    /// tooling compares the bytes across `RAYON_NUM_THREADS` values).
+    /// hex. Deterministic at any thread count (perf tooling compares the
+    /// bytes across `RAYON_NUM_THREADS` values).
     /// [`FleetRunOutput::to_text`] collects it into a `String` and
     /// [`FleetRunOutput::report_digest`] hashes it as it is written.
     pub fn write_report<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
@@ -951,8 +941,7 @@ impl FleetDriver {
             job.gpus = r.gpus;
             sub.push(job);
         }
-        let parallel = fleet.base.worldgen == WorldGen::Parallel;
-        let sites = par::sharded_map(parallel, n, |i| {
+        let sites = par::sharded_map(true, n, |i| {
             let scenario = &fleet.sites[i].scenario;
             let site_world = World {
                 seed: scenario.seed,
@@ -1359,48 +1348,27 @@ impl FleetManifest {
     }
 
     /// Parse a text manifest (format in the module docs). Reuses the
-    /// campaign grammar for `base` and `seeds`; `sites = N` derives the
-    /// fleet via [`FleetScenario::spread`].
+    /// campaign manifest's line loop (comments, duplicate keys) and its
+    /// grammar for `base` and `seeds`; `sites = N` derives the fleet via
+    /// [`FleetScenario::spread`].
     pub fn parse(text: &str) -> Result<FleetManifest, ManifestError> {
         let mut name: Option<String> = None;
         let mut base: Option<Scenario> = None;
         let mut sites: usize = 1;
         let mut routings: Option<Vec<RoutingPolicyKind>> = None;
         let mut seeds: Option<Vec<u64>> = None;
-        let err = |line: usize, msg: String| Err(ManifestError { line, msg });
-        for (i, raw_line) in text.lines().enumerate() {
-            let line_no = i + 1;
-            let line = match raw_line.split_once('#') {
-                Some((before, _comment)) => before,
-                None => raw_line,
-            }
-            .trim();
-            if line.is_empty() {
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return err(line_no, format!("expected `key = value`, got `{line}`"));
-            };
-            let (key, value) = (key.trim(), value.trim());
+        for_each_entry(text, |line_no, key, value| {
             match key {
                 "name" => {
-                    if name.is_some() {
-                        return err(line_no, "duplicate `name`".into());
-                    }
-                    if value.is_empty() || value.contains(char::is_whitespace) {
+                    if value.contains(char::is_whitespace) {
                         return err(
                             line_no,
-                            format!("plan name `{value}` must be non-empty and whitespace-free"),
+                            format!("plan name `{value}` must be whitespace-free"),
                         );
                     }
                     name = Some(value.to_string());
                 }
-                "base" => {
-                    if base.is_some() {
-                        return err(line_no, "duplicate `base`".into());
-                    }
-                    base = Some(parse_base(value, line_no)?);
-                }
+                "base" => base = Some(parse_base(value, line_no)?),
                 "sites" => match value.parse::<usize>() {
                     Ok(n) if n > 0 => sites = n,
                     _ => {
@@ -1410,38 +1378,21 @@ impl FleetManifest {
                         )
                     }
                 },
-                "seeds" => {
-                    if seeds.is_some() {
-                        return err(line_no, "duplicate `seeds`".into());
-                    }
-                    seeds = Some(parse_seeds(value, line_no)?);
-                }
+                "seeds" => seeds = Some(parse_seeds(value, line_no)?),
                 "axis routing" => {
-                    if routings.is_some() {
-                        return err(line_no, "duplicate `axis routing`".into());
-                    }
-                    let mut parsed = Vec::new();
-                    for label in value.split(',') {
-                        let label = label.trim();
-                        match RoutingPolicyKind::by_label(label) {
-                            Some(k) => parsed.push(k),
-                            None => {
-                                return err(
-                                    line_no,
-                                    format!(
-                                        "unknown routing `{label}` (expected one of: {})",
-                                        RoutingPolicyKind::COMPARISON_SET
-                                            .map(|k| k.label())
-                                            .join(", ")
-                                    ),
-                                )
-                            }
-                        }
-                    }
-                    if parsed.is_empty() {
-                        return err(line_no, "`axis routing` needs at least one value".into());
-                    }
-                    routings = Some(parsed);
+                    let parse_one = |label: &str| match RoutingPolicyKind::by_label(label) {
+                        Some(k) => Ok(k),
+                        None => err(
+                            line_no,
+                            format!(
+                                "unknown routing `{label}` (expected one of: {})",
+                                RoutingPolicyKind::COMPARISON_SET
+                                    .map(|k| k.label())
+                                    .join(", ")
+                            ),
+                        ),
+                    };
+                    routings = Some(parse_axis_values("routing", value, line_no, parse_one)?);
                 }
                 _ if key.starts_with("axis ") => {
                     return err(
@@ -1454,12 +1405,13 @@ impl FleetManifest {
                 }
                 _ => return err(line_no, format!("unknown key `{key}`")),
             }
-        }
+            Ok(())
+        })?;
         let Some(name) = name else {
-            return err(0, "manifest is missing `name`".into());
+            return err(0, "manifest is missing `name`");
         };
         let Some(base) = base else {
-            return err(0, "manifest is missing `base`".into());
+            return err(0, "manifest is missing `base`");
         };
         let seeds = seeds.unwrap_or_else(|| vec![base.seed]);
         let fleet = FleetScenario::spread(base, sites);
@@ -1655,24 +1607,21 @@ mod tests {
     }
 
     #[test]
-    fn fleet_report_bytes_invariant_across_threads_and_schedules() {
+    fn fleet_report_bytes_invariant_across_thread_counts() {
         let fleet = quick_fleet(7, 11, 3);
         let prior = std::env::var("RAYON_NUM_THREADS").ok();
-        // Per routing: (text, digest) for every thread count × schedule.
+        // Per routing: (text, digest) for every thread count.
         let mut reports = vec![Vec::new(); RoutingPolicyKind::COMPARISON_SET.len()];
         for threads in ["1", "4"] {
             std::env::set_var("RAYON_NUM_THREADS", threads);
-            for worldgen in [WorldGen::Sequential, WorldGen::Parallel] {
-                let f = fleet.clone().with_worldgen(worldgen);
-                let world = FleetWorld::build(&f);
-                for (k, &routing) in RoutingPolicyKind::COMPARISON_SET.iter().enumerate() {
-                    let out = FleetDriver::run_observed(
-                        &f.clone().with_routing(routing),
-                        &world,
-                        Observe::aggregates(),
-                    );
-                    reports[k].push((out.to_text(), out.report_digest()));
-                }
+            let world = FleetWorld::build(&fleet);
+            for (k, &routing) in RoutingPolicyKind::COMPARISON_SET.iter().enumerate() {
+                let out = FleetDriver::run_observed(
+                    &fleet.clone().with_routing(routing),
+                    &world,
+                    Observe::aggregates(),
+                );
+                reports[k].push((out.to_text(), out.report_digest()));
             }
         }
         match prior {
@@ -1684,7 +1633,7 @@ mod tests {
                 assert_eq!(
                     r,
                     &runs[0],
-                    "{} fleet report must be byte-identical across thread counts and schedules",
+                    "{} fleet report must be byte-identical across thread counts",
                     routing.label()
                 );
             }
@@ -1885,6 +1834,12 @@ mod tests {
         let e = err("name = p\nbase = quick:2@7\nname = q\n");
         assert_eq!(e.line, 3);
         assert!(e.msg.contains("duplicate `name`"));
+        let e = err("name = p\nbase = quick:2@7\nsites = 2\nsites = 3\n");
+        assert_eq!(e.line, 4);
+        assert!(e.msg.contains("duplicate `sites`"), "{e}");
+        let e = err("name = p\nbase = quick:2@7\naxis routing = static, static\n");
+        assert_eq!(e.line, 3);
+        assert!(e.msg.contains("repeats value `static`"), "{e}");
     }
 
     #[test]
@@ -2028,10 +1983,10 @@ mod tests {
             }
 
             /// Routing determinism: identical fleet + trace + policy produce
-            /// byte-identical routing decision records across thread counts
-            /// and worldgen schedules.
+            /// byte-identical routing decision records across thread
+            /// counts.
             #[test]
-            fn routing_records_thread_and_schedule_invariant(
+            fn routing_records_thread_invariant(
                 days in 3usize..6,
                 seed in 0u64..1_000,
                 sites in 2usize..4,
@@ -2044,15 +1999,12 @@ mod tests {
                 let mut streams = Vec::new();
                 for threads in ["1", "4"] {
                     std::env::set_var("RAYON_NUM_THREADS", threads);
-                    for worldgen in [WorldGen::Sequential, WorldGen::Parallel] {
-                        let f = fleet.clone().with_worldgen(worldgen);
-                        let world = FleetWorld::build(&f);
-                        let lines: Vec<String> = FleetDriver::route(&f, &world)
-                            .iter()
-                            .map(RouteRecord::to_line)
-                            .collect();
-                        streams.push(lines.join("\n"));
-                    }
+                    let world = FleetWorld::build(&fleet);
+                    let lines: Vec<String> = FleetDriver::route(&fleet, &world)
+                        .iter()
+                        .map(RouteRecord::to_line)
+                        .collect();
+                    streams.push(lines.join("\n"));
                 }
                 match prior {
                     Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),

@@ -94,4 +94,4 @@ pub use driver::{JobStats, RunResult, SimDriver};
 pub use fleet::{FleetDriver, FleetManifest, FleetRunOutput, FleetScenario, RoutingPolicyKind};
 pub use probe::{Observe, RunAggregates, RunOutput};
 pub use profile::ReplayProfile;
-pub use scenario::{DispatchPath, ForecastMode, Scenario};
+pub use scenario::{ForecastMode, Scenario};

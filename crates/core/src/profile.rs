@@ -183,8 +183,8 @@ pub enum ProfileCounter {
     /// Backfill candidates examined by the policy (from
     /// `SchedPolicy::backfill_visits`, read once at the end of the run).
     BackfillVisits,
-    /// Job starts/finishes handled by the `ApplyPath::Fast` SoA slab
-    /// (0 under `ApplyPath::Reference`).
+    /// Job starts/finishes handled by the default engine's SoA slab (0 on
+    /// the reference engine, `SimDriver::run_reference`).
     FastApplyEvents,
 }
 

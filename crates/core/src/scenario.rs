@@ -18,105 +18,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::strategy::PurchaseStrategy;
 
-/// Which event-scheduler core drives the simulation's event loop.
-///
-/// Both cores pop the exact same event sequence (`greener-simkit` pins this
-/// with a property test, and the driver's golden determinism test pins the
-/// end-to-end results bit-for-bit), so this is purely a performance knob:
-/// the calendar queue pops the dominant hourly-tick stream in O(1) instead
-/// of O(log pending).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SchedulerCore {
-    /// Calendar/bucket queue ([`greener_simkit::calq::CalendarQueue`]) —
-    /// the default.
-    Calendar,
-    /// Binary heap ([`greener_simkit::des::EventQueue`]) — the reference
-    /// implementation golden tests compare against.
-    Heap,
-}
-
-/// How the run's world (weather, grid, trace) is synthesized.
-///
-/// Both modes produce bit-identical worlds: every generator draws from its
-/// own named RNG streams (trace shards from indexed streams), so the work
-/// can be scheduled across threads without changing a single draw. Like
-/// [`SchedulerCore`], this is purely a performance knob — `Sequential` is
-/// the reference schedule golden tests compare against, `Parallel` is the
-/// default. The driver's golden determinism test pins end-to-end equality
-/// across both modes (and CI repeats it with `RAYON_NUM_THREADS=1`, so
-/// bit-identity provably does not depend on thread count).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WorldGen {
-    /// Fork/join world generation: weather channels ∥ trace shards, grid
-    /// pipelined behind weather — the default.
-    Parallel,
-    /// Run every generator phase in order on the calling thread — the
-    /// reference schedule.
-    Sequential,
-}
-
-/// How arrivals reach the scheduling policy in the driver's replay loop.
-///
-/// Profiling showed the arrival→dispatch path at queue depth ≈ 0 (the
-/// common case on healthy clusters — `driver_small_2y`'s mean hourly depth
-/// is ~0) paying the full fit-indexed machinery for a trivial decision:
-/// push into the [`WaitQueue`], build signals, run the policy over a
-/// one-job queue, remove by id. `Fast` answers that case through
-/// [`SchedPolicy::lone_dispatch`] instead, skipping the queue round-trip
-/// entirely.
-///
-/// Like [`SchedulerCore`] and [`WorldGen`] this is purely a performance
-/// knob: the fast path must reproduce the reference **decision stream**
-/// (same job→start assignments, same start times, same caps — not just the
-/// same aggregate bits). `Reference` is the semantics golden tests compare
-/// against; the driver's golden determinism test runs the full cross
-/// product and a property test pins fast == reference per-job records over
-/// random scenarios and policies. A policy that cannot certify its
-/// lone-arrival behavior opts out (`LoneDispatch::Unsupported`) and is
-/// routed through the reference path even under `Fast`.
-///
-/// [`WaitQueue`]: greener_sched::WaitQueue
-/// [`SchedPolicy::lone_dispatch`]: greener_sched::SchedPolicy::lone_dispatch
-/// [`LoneDispatch::Unsupported`]: greener_sched::LoneDispatch::Unsupported
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DispatchPath {
-    /// Resolve lone arrivals through the policy's fast path — the default.
-    Fast,
-    /// Route every arrival through the waiting queue and the full
-    /// dispatch — the reference implementation golden tests compare
-    /// against.
-    Reference,
-}
-
-/// How the driver keeps per-running-job state while applying decisions.
-///
-/// Profiling (PR 5's `decision_apply` phase plus this PR's sub-phase
-/// split) showed job start/finish bookkeeping paying for an
-/// array-of-structs slab: every start assembles a full job record (id,
-/// user, kind, sizes, times, energy) just to park it next to the finish
-/// time, and every finish drags the whole record back out. `Fast` splits
-/// the slab struct-of-arrays — a hot finish-time array (the only field the
-/// loop reads per event) plus cold parallel arrays for the run-dependent
-/// record fields — and reconstructs the [`JobRecord`] once, at completion,
-/// from the immutable trace plus the cold arrays.
-///
-/// Like [`SchedulerCore`], [`WorldGen`] and [`DispatchPath`] this is
-/// purely a performance knob: the exact same f64 values are computed once
-/// at start and stored/reloaded verbatim, so the reconstructed record is
-/// bit-identical and the decision stream unchanged. `Reference` keeps the
-/// original slab and is what golden tests compare against (a fifth
-/// equivalence axis in `core::equivalence`).
-///
-/// [`JobRecord`]: crate::driver::JobRecord
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ApplyPath {
-    /// Struct-of-arrays running-job state — the default.
-    Fast,
-    /// Array-of-structs slab storing full job records — the reference
-    /// implementation golden tests compare against.
-    Reference,
-}
-
 /// How the carbon-aware scheduler obtains its green-share forecast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ForecastMode {
@@ -169,18 +70,6 @@ pub struct Scenario {
     pub strategy: PurchaseStrategy,
     /// Wait-time threshold counted as an SLO violation, hours.
     pub slo_wait_hours: f64,
-    /// Event-scheduler core for the driver's event loop (performance knob;
-    /// results are identical across cores).
-    pub scheduler: SchedulerCore,
-    /// World-generation schedule (performance knob; results are identical
-    /// across modes).
-    pub worldgen: WorldGen,
-    /// Arrival-dispatch path (performance knob; decision streams are
-    /// identical across paths).
-    pub dispatch: DispatchPath,
-    /// Running-job state layout in the apply path (performance knob;
-    /// decision streams are identical across layouts).
-    pub apply: ApplyPath,
 }
 
 impl Scenario {
@@ -203,10 +92,6 @@ impl Scenario {
             forecast: ForecastMode::Oracle,
             strategy: PurchaseStrategy::None,
             slo_wait_hours: 24.0,
-            scheduler: SchedulerCore::Calendar,
-            worldgen: WorldGen::Parallel,
-            dispatch: DispatchPath::Fast,
-            apply: ApplyPath::Fast,
         }
     }
 
@@ -265,10 +150,11 @@ impl Scenario {
     /// start date, horizon, the weather/grid/trace configurations, the
     /// deadline policy (it reshapes the calendar the trace generator
     /// samples) and the cluster's total GPU count (gang sizes are capped
-    /// at it, baked into the trace). Policy/dispatch/apply/observation
-    /// knobs and the [`WorldGen`] schedule are deliberately excluded —
-    /// they cannot change a world bit (the schedule is pinned
-    /// bit-identical by the equivalence harness).
+    /// at it, baked into the trace). The name, policy, forecast, strategy,
+    /// cooling and SLO fields are deliberately excluded — they cannot
+    /// change a world bit. Neither can the world-gen thread count, which is not a
+    /// scenario field at all (`RAYON_NUM_THREADS`; the equivalence
+    /// harness pins 1 vs N threads bit-identical).
     ///
     /// Two scenarios with equal keys build **bit-identical** worlds, so a
     /// campaign shard may build the world once and replay every matching
@@ -315,34 +201,6 @@ impl Scenario {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Scenario {
         self.seed = seed;
-        self
-    }
-
-    /// Builder-style: replace the event-scheduler core.
-    #[must_use]
-    pub fn with_scheduler(mut self, scheduler: SchedulerCore) -> Scenario {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Builder-style: replace the world-generation schedule.
-    #[must_use]
-    pub fn with_worldgen(mut self, worldgen: WorldGen) -> Scenario {
-        self.worldgen = worldgen;
-        self
-    }
-
-    /// Builder-style: replace the arrival-dispatch path.
-    #[must_use]
-    pub fn with_dispatch(mut self, dispatch: DispatchPath) -> Scenario {
-        self.dispatch = dispatch;
-        self
-    }
-
-    /// Builder-style: replace the running-job state layout.
-    #[must_use]
-    pub fn with_apply(mut self, apply: ApplyPath) -> Scenario {
-        self.apply = apply;
         self
     }
 
@@ -405,8 +263,6 @@ mod tests {
         assert_eq!(s.start, CalDate::new(2020, 1, 1));
         assert_eq!(s.horizon_hours, 731 * 24); // 366 + 365 days
         assert_eq!(s.policy, PolicyKind::EasyBackfill);
-        // Fast paths are the defaults; reference modes are opt-in.
-        assert_eq!(s.apply, ApplyPath::Fast);
     }
 
     #[test]
@@ -427,12 +283,8 @@ mod tests {
             .with_forecast(ForecastMode::Naive)
             .with_deadline_policy(DeadlinePolicy::Rolling)
             .with_horizon_days(5)
-            .with_cooling(CoolingModel::default())
-            .with_dispatch(DispatchPath::Reference)
-            .with_apply(ApplyPath::Reference);
+            .with_cooling(CoolingModel::default());
         assert_eq!(s.policy, PolicyKind::Fcfs);
-        assert_eq!(s.dispatch, DispatchPath::Reference);
-        assert_eq!(s.apply, ApplyPath::Reference);
         assert_eq!(s.seed, 77);
         assert_eq!(s.name, "custom");
         assert!(!matches!(s.strategy, PurchaseStrategy::None));
@@ -460,10 +312,6 @@ mod tests {
             .clone()
             .with_policy(PolicyKind::Fcfs)
             .with_forecast(ForecastMode::Naive)
-            .with_scheduler(SchedulerCore::Heap)
-            .with_worldgen(WorldGen::Sequential)
-            .with_dispatch(DispatchPath::Reference)
-            .with_apply(ApplyPath::Reference)
             .named("renamed");
         assert_eq!(base.world_inputs_key(), policy_only.world_inputs_key());
         assert_eq!(base.world_fingerprint(), policy_only.world_fingerprint());

@@ -177,8 +177,8 @@ mod tests {
     /// The lone-arrival fast path must reproduce the full dispatch for a
     /// one-job queue with free capacity, for **every** policy kind and a
     /// spread of job shapes and environment signals — this is the
-    /// policy-level half of the driver's `DispatchPath::Fast ==
-    /// Reference` guarantee. None of the built-in kinds may fall back to
+    /// policy-level half of the driver's default-engine == reference-engine
+    /// guarantee. None of the built-in kinds may fall back to
     /// `Unsupported` (that would silently disable the fast path).
     #[test]
     fn lone_dispatch_matches_single_job_dispatch_for_every_kind() {

@@ -24,8 +24,7 @@
 //!   cells at once and each cell's inner `par::sharded_map`/`join` calls
 //!   spawn up to `P` short-lived workers each, so the transient thread
 //!   count is O(P²) regardless of cell count. The OS timeshares them; to
-//!   bound the total, cap the pool via `RAYON_NUM_THREADS` or run the
-//!   inner level sequentially (`WorldGen::Sequential` in `greener-core`);
+//!   bound the total, cap the pool via `RAYON_NUM_THREADS`;
 //! * batch entry points (`greener-core`'s ablations / stress suites) go
 //!   through [`run_seeded`], making the outer level's seeding explicit
 //!   even for cells that derive their workload from the scenario's own

@@ -5,6 +5,9 @@
 //! seeds) through the shard runner at two shard counts, merged artifacts
 //! compared byte for byte.
 
+mod common;
+
+use common::perfjson_bin;
 use greener_world::core::campaign::process::{ProcessBackend, SupervisorConfig, WorkerCommand};
 use greener_world::core::campaign::{
     merge_artifacts, partition, run_campaign, CampaignManifest, InProcessBackend, ShardBackend,
@@ -86,38 +89,6 @@ fn campaign_axis_holds_from_downstream() {
             &[1, 3, 8],
         );
     }
-}
-
-/// Locate the `perfjson` binary next to this test binary
-/// (`target/<profile>/deps/campaign-<hash>` → `target/<profile>/perfjson`),
-/// building it on demand if a narrowly-scoped test invocation (e.g.
-/// `cargo test -p greener-world --test campaign`) did not already.
-fn perfjson_bin() -> PathBuf {
-    let mut path = std::env::current_exe().expect("test binary path");
-    path.pop(); // test binary file name
-    if path.ends_with("deps") {
-        path.pop();
-    }
-    path.push(format!("perfjson{}", std::env::consts::EXE_SUFFIX));
-    if !path.exists() {
-        let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
-        let mut build = std::process::Command::new(cargo);
-        build.args(["build", "-p", "greener-bench", "--bin", "perfjson"]);
-        if path
-            .parent()
-            .is_some_and(|p| p.file_name().is_some_and(|n| n == "release"))
-        {
-            build.arg("--release");
-        }
-        let status = build.status().expect("spawn cargo build for perfjson");
-        assert!(status.success(), "building perfjson worker binary failed");
-    }
-    assert!(
-        path.exists(),
-        "perfjson worker binary not found at `{}`",
-        path.display()
-    );
-    path
 }
 
 fn worker_command() -> WorkerCommand {

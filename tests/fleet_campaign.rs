@@ -6,6 +6,9 @@
 //! byte-identity and fault tests here are the CI `fleet-campaign-faults`
 //! smoke in library form.
 
+mod common;
+
+use common::perfjson_bin;
 use greener_world::core::campaign::process::{ProcessBackend, SupervisorConfig, WorkerCommand};
 use greener_world::core::campaign::{
     merge_artifacts, partition, run_campaign, InProcessBackend, ShardBackend,
@@ -107,36 +110,6 @@ fn fleet_campaign_axis_holds_from_downstream() {
         Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
         None => std::env::remove_var("RAYON_NUM_THREADS"),
     }
-}
-
-/// Locate the `perfjson` binary next to this test binary, building it on
-/// demand (same shape as `tests/campaign.rs`).
-fn perfjson_bin() -> PathBuf {
-    let mut path = std::env::current_exe().expect("test binary path");
-    path.pop(); // test binary file name
-    if path.ends_with("deps") {
-        path.pop();
-    }
-    path.push(format!("perfjson{}", std::env::consts::EXE_SUFFIX));
-    if !path.exists() {
-        let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
-        let mut build = std::process::Command::new(cargo);
-        build.args(["build", "-p", "greener-bench", "--bin", "perfjson"]);
-        if path
-            .parent()
-            .is_some_and(|p| p.file_name().is_some_and(|n| n == "release"))
-        {
-            build.arg("--release");
-        }
-        let status = build.status().expect("spawn cargo build for perfjson");
-        assert!(status.success(), "building perfjson worker binary failed");
-    }
-    assert!(
-        path.exists(),
-        "perfjson worker binary not found at `{}`",
-        path.display()
-    );
-    path
 }
 
 /// Workers run in `fleet-campaign-worker` mode — the only fleet-specific

@@ -7,7 +7,7 @@
 use greener_world::core::driver::{SimDriver, World};
 use greener_world::core::equivalence::{self, Fingerprint};
 use greener_world::core::probe::Observe;
-use greener_world::core::scenario::{DispatchPath, Scenario};
+use greener_world::core::scenario::Scenario;
 use greener_world::hpc::CoolingModel;
 use greener_world::simkit::stats;
 
@@ -64,20 +64,17 @@ fn queue_depth_probe_agrees_with_full_telemetry_on_dispatch_burst() {
     assert_eq!(out.jobs.completed, full.jobs.completed);
 }
 
-/// The dispatch-path axis, exercised through the shared equivalence
+/// The default engine against the reference engine
+/// (`SimDriver::run_reference`), exercised through the shared equivalence
 /// harness from outside the crate — on the bursty benchmark scenario
-/// (deep queues, so the fast path must correctly stand aside) *and* the
-/// default quick matrix (empty queues, so it must correctly engage).
+/// (deep queues, so the lone-arrival dispatch fast path must correctly
+/// stand aside) *and* the default quick matrix (empty queues, so it must
+/// correctly engage).
 #[test]
 fn dispatch_axis_equivalent_on_burst_and_quick_matrix() {
     let mut matrix = equivalence::quick_matrix();
     matrix.push(dispatch_burst_7d(greener_bench::seeds::WORLD));
-    equivalence::assert_equivalent(
-        "dispatch path (integration)",
-        &matrix,
-        |s| s.with_dispatch(DispatchPath::Reference),
-        |s| s.with_dispatch(DispatchPath::Fast),
-    );
+    equivalence::assert_matches_reference("engine (integration)", &matrix);
 }
 
 /// The two cooling-saturation surfaces — `RunAggregates` (accumulated
