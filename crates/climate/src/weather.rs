@@ -10,7 +10,7 @@
 //! grid model sees ISO-NE-like seasonality: windy winters/springs, calm
 //! summers, cloudier winters.
 
-use greener_simkit::calendar::Calendar;
+use greener_simkit::calendar::{hour_of_day, CalDate, Calendar, DayTable};
 use greener_simkit::rng::RngHub;
 use greener_simkit::series::HourlySeries;
 use greener_simkit::time::SimTime;
@@ -122,12 +122,26 @@ impl WeatherConfig {
     /// mid-month anchors) plus the diurnal cycle, before noise.
     pub fn deterministic_temp_f(&self, calendar: &Calendar, hour: u64) -> f64 {
         let t = SimTime::from_hours(hour);
-        let base = interp_monthly(&self.temp_normals_f, calendar, t);
-        let amp = interp_monthly(&self.diurnal_amplitude_f, calendar, t);
-        let hod = calendar.hour_of_day(t) as f64;
+        let date = calendar.date_at(t);
+        self.deterministic_temp_f_on(
+            interp_monthly_on(&self.temp_normals_f, date),
+            interp_monthly_on(&self.diurnal_amplitude_f, date),
+            calendar.hour_of_day(t),
+        )
+    }
+
+    /// [`Self::deterministic_temp_f`] on resolved fields: the day's
+    /// interpolated normal and diurnal amplitude, and the hour of day.
+    #[inline]
+    pub fn deterministic_temp_f_on(
+        &self,
+        normal_f: f64,
+        amplitude_f: f64,
+        hour_of_day: u32,
+    ) -> f64 {
         // Warmest around 15:00, coldest around 05:00.
-        let phase = (hod - 15.0) / 24.0 * std::f64::consts::TAU;
-        base + amp * phase.cos() + self.warming_offset_c * 9.0 / 5.0
+        let phase = (hour_of_day as f64 - 15.0) / 24.0 * std::f64::consts::TAU;
+        normal_f + amplitude_f * phase.cos() + self.warming_offset_c * 9.0 / 5.0
     }
 }
 
@@ -179,6 +193,7 @@ impl WeatherPath {
         hub: &RngHub,
         parallel: bool,
     ) -> WeatherPath {
+        let days = DayTable::new(&calendar, hours);
         let ((temp_f, events), wind_ms, cloud) = greener_simkit::par::join3(
             parallel,
             || {
@@ -186,38 +201,43 @@ impl WeatherPath {
                 let events = ExtremeEvent::sample_episodes(config, calendar, hours, &mut event_rng);
                 let mut temp_rng = hub.stream("climate.temp");
                 let temp_noise = Normal::new(0.0, config.temp_sigma_f).expect("temp sigma");
+                let normal = interp_monthly_daily(&config.temp_normals_f, &days);
+                let amplitude = interp_monthly_daily(&config.diurnal_amplitude_f, &days);
                 let mut temp_f = Vec::with_capacity(hours);
                 let mut ta = 0.0f64;
                 for h in 0..hours {
                     ta = config.temp_ar1 * ta + temp_noise.sample(&mut temp_rng);
                     let episodic: f64 = events.iter().map(|e| e.anomaly_f(h as u64)).sum();
-                    temp_f.push(config.deterministic_temp_f(&calendar, h as u64) + ta + episodic);
+                    let det = config.deterministic_temp_f_on(
+                        normal[h / 24],
+                        amplitude[h / 24],
+                        hour_of_day(h),
+                    );
+                    temp_f.push(det + ta + episodic);
                 }
                 (temp_f, events)
             },
             || {
                 let mut wind_rng = hub.stream("climate.wind");
                 let wind_noise = Normal::new(0.0, config.wind_sigma_ms).expect("wind sigma");
+                let normal = interp_monthly_daily(&config.wind_normals_ms, &days);
                 let mut wind_ms = Vec::with_capacity(hours);
                 let mut wa = 0.0f64;
                 for h in 0..hours {
                     wa = config.wind_ar1 * wa + wind_noise.sample(&mut wind_rng);
-                    let t = SimTime::from_hours(h as u64);
-                    let wind_base = interp_monthly(&config.wind_normals_ms, &calendar, t);
-                    wind_ms.push((wind_base + wa).max(0.0));
+                    wind_ms.push((normal[h / 24] + wa).max(0.0));
                 }
                 wind_ms
             },
             || {
                 let mut cloud_rng = hub.stream("climate.cloud");
                 let cloud_noise = Normal::new(0.0, config.cloud_sigma).expect("cloud sigma");
+                let normal = interp_monthly_daily(&config.cloud_normals, &days);
                 let mut cloud = Vec::with_capacity(hours);
                 let mut ca = 0.0f64;
                 for h in 0..hours {
                     ca = config.cloud_ar1 * ca + cloud_noise.sample(&mut cloud_rng);
-                    let t = SimTime::from_hours(h as u64);
-                    let cloud_base = interp_monthly(&config.cloud_normals, &calendar, t);
-                    cloud.push((cloud_base + ca).clamp(0.0, 1.0));
+                    cloud.push((normal[h / 24] + ca).clamp(0.0, 1.0));
                 }
                 cloud
             },
@@ -252,12 +272,23 @@ impl WeatherPath {
     /// capacity.
     pub fn solar_factor(&self, hour: usize) -> f64 {
         let t = SimTime::from_hours(hour as u64);
-        let hod = self.calendar.hour_of_day(t) as f64;
+        self.solar_factor_on(
+            hour,
+            self.calendar.hour_of_day(t),
+            self.calendar.year_fraction(t),
+        )
+    }
+
+    /// [`Self::solar_factor`] at `hour` on resolved fields: its hour of
+    /// day and year fraction.
+    #[inline]
+    pub fn solar_factor_on(&self, hour: usize, hour_of_day: u32, year_fraction: f64) -> f64 {
+        let hod = hour_of_day as f64;
         // Solar elevation proxy: positive between ~6h and ~18h, peaking at
         // noon, with seasonal amplitude (longer/stronger days in summer).
-        let season = self.calendar.year_fraction(t);
         // Day length factor peaks late June (year fraction ~0.48).
-        let seasonal = 0.62 + 0.38 * (std::f64::consts::TAU * (season - 0.23)).sin().max(-1.0);
+        let season_phase = std::f64::consts::TAU * (year_fraction - 0.23);
+        let seasonal = 0.62 + 0.38 * season_phase.sin().max(-1.0);
         let daylight = ((hod - 12.0) / 6.5 * std::f64::consts::FRAC_PI_2).cos();
         if daylight <= 0.0 {
             return 0.0;
@@ -291,7 +322,12 @@ pub fn wind_capacity_factor(wind_ms: f64) -> f64 {
 
 /// Smoothly interpolate a 12-entry mid-month anchor table at time `t`.
 pub fn interp_monthly(table: &[f64; 12], calendar: &Calendar, t: SimTime) -> f64 {
-    let date = calendar.date_at(t);
+    interp_monthly_on(table, calendar.date_at(t))
+}
+
+/// [`interp_monthly`] on a resolved civil date (the value is constant
+/// within a day).
+pub fn interp_monthly_on(table: &[f64; 12], date: CalDate) -> f64 {
     let dim = greener_simkit::calendar::days_in_month(date.year, date.month) as f64;
     // Position within the month in [0,1), measured from mid-month.
     let pos = (date.day as f64 - 0.5) / dim - 0.5;
@@ -303,6 +339,15 @@ pub fn interp_monthly(table: &[f64; 12], calendar: &Calendar, t: SimTime) -> f64
         let prev = (m + 11) % 12;
         table[m] * (1.0 + pos) + table[prev] * (-pos)
     }
+}
+
+/// [`interp_monthly`] resolved once for every day of `days`: index the
+/// result with `hour / 24`.
+pub fn interp_monthly_daily(table: &[f64; 12], days: &DayTable) -> Vec<f64> {
+    days.days()
+        .iter()
+        .map(|d| interp_monthly_on(table, d.date))
+        .collect()
 }
 
 /// Sample a Poisson count with small mean via inversion (used for
@@ -366,6 +411,79 @@ mod tests {
             assert_eq!(seq.wind_ms, par.wind_ms);
             assert_eq!(seq.cloud, par.cloud);
             assert_eq!(seq.events, par.events);
+        }
+    }
+
+    /// The per-hour reference: every channel loop resolving the calendar
+    /// each hour through [`WeatherConfig::deterministic_temp_f`] and
+    /// [`interp_monthly`], sequentially, with no day table.
+    fn reference_path(
+        config: &WeatherConfig,
+        calendar: Calendar,
+        hours: usize,
+        hub: &RngHub,
+    ) -> WeatherPath {
+        let mut event_rng = hub.stream("climate.events");
+        let events = ExtremeEvent::sample_episodes(config, calendar, hours, &mut event_rng);
+        let (mut temp_rng, mut wind_rng, mut cloud_rng) = (
+            hub.stream("climate.temp"),
+            hub.stream("climate.wind"),
+            hub.stream("climate.cloud"),
+        );
+        let temp_noise = Normal::new(0.0, config.temp_sigma_f).unwrap();
+        let wind_noise = Normal::new(0.0, config.wind_sigma_ms).unwrap();
+        let cloud_noise = Normal::new(0.0, config.cloud_sigma).unwrap();
+        let (mut temp_f, mut wind_ms, mut cloud) = (vec![], vec![], vec![]);
+        let (mut ta, mut wa, mut ca) = (0.0f64, 0.0f64, 0.0f64);
+        for h in 0..hours {
+            let t = SimTime::from_hours(h as u64);
+            ta = config.temp_ar1 * ta + temp_noise.sample(&mut temp_rng);
+            let episodic: f64 = events.iter().map(|e| e.anomaly_f(h as u64)).sum();
+            temp_f.push(config.deterministic_temp_f(&calendar, h as u64) + ta + episodic);
+            wa = config.wind_ar1 * wa + wind_noise.sample(&mut wind_rng);
+            wind_ms.push((interp_monthly(&config.wind_normals_ms, &calendar, t) + wa).max(0.0));
+            ca = config.cloud_ar1 * ca + cloud_noise.sample(&mut cloud_rng);
+            cloud.push((interp_monthly(&config.cloud_normals, &calendar, t) + ca).clamp(0.0, 1.0));
+        }
+        WeatherPath {
+            calendar,
+            temp_f,
+            wind_ms,
+            cloud,
+            events,
+        }
+    }
+
+    /// The day-resolved generator equals the per-hour reference bit for
+    /// bit across a leap day and a year end, over a horizon ending
+    /// mid-day; and `solar_factor_on` with day-resolved fields equals the
+    /// per-hour `solar_factor`.
+    #[test]
+    fn day_resolved_generation_equals_per_hour_reference() {
+        let config = WeatherConfig::default().with_warming_c(1.5);
+        for start in [CalDate::new(2020, 2, 28), CalDate::new(2020, 12, 31)] {
+            let cal = Calendar::new(start);
+            let hours = 40 * 24 + 5;
+            let hub = RngHub::new(29);
+            let reference = reference_path(&config, cal, hours, &hub);
+            for parallel in [false, true] {
+                let path = WeatherPath::generate_mode(&config, cal, hours, &hub, parallel);
+                assert_eq!(path.temp_f, reference.temp_f, "{start}");
+                assert_eq!(path.wind_ms, reference.wind_ms, "{start}");
+                assert_eq!(path.cloud, reference.cloud, "{start}");
+                assert_eq!(path.events, reference.events, "{start}");
+            }
+            let days = DayTable::new(&cal, hours);
+            for h in 0..hours {
+                let fraction = days.at_hour(h).year_fraction(hour_of_day(h));
+                assert_eq!(
+                    reference
+                        .solar_factor_on(h, hour_of_day(h), fraction)
+                        .to_bits(),
+                    reference.solar_factor(h).to_bits(),
+                    "{start} hour {h}"
+                );
+            }
         }
     }
 

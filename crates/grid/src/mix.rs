@@ -8,8 +8,9 @@
 //! share: windy springs push solar+wind above 8 % while calm, high-load
 //! summers drop it toward 5 % (Fig. 2/3's x-axis).
 
+use greener_climate::weather::interp_monthly_daily;
 use greener_climate::WeatherPath;
-use greener_simkit::calendar::Calendar;
+use greener_simkit::calendar::{hour_of_day, Calendar, DayTable};
 use greener_simkit::rng::RngHub;
 use greener_simkit::series::HourlySeries;
 use greener_simkit::time::SimTime;
@@ -108,13 +109,19 @@ impl GridConfig {
     /// Hourly regional demand before noise, MW.
     pub fn deterministic_demand_mw(&self, calendar: &Calendar, hour: u64, temp_f: f64) -> f64 {
         let t = SimTime::from_hours(hour);
+        self.deterministic_demand_mw_on(calendar.hour_of_day(t), calendar.is_weekend(t), temp_f)
+    }
+
+    /// [`Self::deterministic_demand_mw`] on resolved fields: the hour of
+    /// day and the weekend flag.
+    #[inline]
+    pub fn deterministic_demand_mw_on(&self, hour_of_day: u32, weekend: bool, temp_f: f64) -> f64 {
         let mut d = self.base_demand_mw;
         d += self.cooling_mw_per_degf * (temp_f - 65.0).max(0.0);
         d += self.heating_mw_per_degf * (50.0 - temp_f).max(0.0);
-        let hod = calendar.hour_of_day(t) as f64;
-        let phase = (hod - 18.0) / 24.0 * std::f64::consts::TAU;
+        let phase = (hour_of_day as f64 - 18.0) / 24.0 * std::f64::consts::TAU;
         d *= 1.0 + self.diurnal_fraction * phase.cos();
-        if calendar.is_weekend(t) {
+        if weekend {
             d *= 1.0 - self.weekend_reduction;
         }
         d
@@ -122,14 +129,24 @@ impl GridConfig {
 
     /// Seasonal hydro availability multiplier (spring melt peak).
     pub fn hydro_seasonal(&self, calendar: &Calendar, hour: u64) -> f64 {
-        let f = calendar.year_fraction(SimTime::from_hours(hour));
+        self.hydro_seasonal_on(calendar.year_fraction(SimTime::from_hours(hour)))
+    }
+
+    /// [`Self::hydro_seasonal`] at a resolved year fraction `f`.
+    #[inline]
+    pub fn hydro_seasonal_on(&self, f: f64) -> f64 {
         // Peaks late April (f ≈ 0.31), trough early autumn.
         1.0 + 0.35 * (std::f64::consts::TAU * (f - 0.06)).sin()
     }
 
     /// Nuclear derate factor (refueling outages in shoulder seasons).
     pub fn nuclear_seasonal(&self, calendar: &Calendar, hour: u64) -> f64 {
-        let f = calendar.year_fraction(SimTime::from_hours(hour));
+        self.nuclear_seasonal_on(calendar.year_fraction(SimTime::from_hours(hour)))
+    }
+
+    /// [`Self::nuclear_seasonal`] at a resolved year fraction `f`.
+    #[inline]
+    pub fn nuclear_seasonal_on(&self, f: f64) -> f64 {
         // Mild derates around April and October refuelings.
         let spring = (-((f - 0.28) / 0.04).powi(2)).exp();
         let fall = (-((f - 0.79) / 0.04).powi(2)).exp();
@@ -229,11 +246,13 @@ impl GridPath {
             .map(|_| noise_rng.gen_range(-1.0..1.0f64))
             .collect();
 
+        let days = DayTable::new(&calendar, hours);
+        let gas_usd_mmbtu = interp_monthly_daily(&config.price.gas_price_usd_mmbtu, &days);
         let shards = hours.div_ceil(GRID_SHARD_HOURS);
         let blocks = greener_simkit::par::sharded_map(parallel, shards, |s| {
             let lo = s * GRID_SHARD_HOURS;
             let hi = (lo + GRID_SHARD_HOURS).min(hours);
-            Self::dispatch_hours(config, weather, &calendar, &noise_u, lo, hi)
+            Self::dispatch_hours(config, weather, &days, &gas_usd_mmbtu, &noise_u, lo, hi)
         });
 
         let mut path = GridPath {
@@ -265,10 +284,13 @@ impl GridPath {
     }
 
     /// Dispatch hours `lo..hi` into a column block (pure; shard-safe).
+    /// `days` covers the horizon and `gas_usd_mmbtu` holds each day's
+    /// interpolated gas price.
     fn dispatch_hours(
         config: &GridConfig,
         weather: &WeatherPath,
-        calendar: &Calendar,
+        days: &DayTable,
+        gas_usd_mmbtu: &[f64],
         noise_u: &[f64],
         lo: usize,
         hi: usize,
@@ -278,14 +300,17 @@ impl GridPath {
         // an iterator chain over one of them would only obscure that.
         #[allow(clippy::needless_range_loop)]
         for h in lo..hi {
+            let day = days.at_hour(h);
+            let hod = hour_of_day(h);
+            let year_fraction = day.year_fraction(hod);
             let temp_f = weather.temp_f[h];
             let noise = 1.0 + config.demand_noise * noise_u[h];
-            let demand = config.deterministic_demand_mw(calendar, h as u64, temp_f) * noise;
+            let demand = config.deterministic_demand_mw_on(hod, day.weekend, temp_f) * noise;
 
             let wind = config.wind_capacity_mw * weather.wind_factor(h);
-            let solar = config.solar_capacity_mw * weather.solar_factor(h);
-            let nuclear = config.nuclear_mw * config.nuclear_seasonal(calendar, h as u64);
-            let hydro = config.hydro_mean_mw * config.hydro_seasonal(calendar, h as u64);
+            let solar = config.solar_capacity_mw * weather.solar_factor_on(h, hod, year_fraction);
+            let nuclear = config.nuclear_mw * config.nuclear_seasonal_on(year_fraction);
+            let hydro = config.hydro_mean_mw * config.hydro_seasonal_on(year_fraction);
             let other = config.other_mw;
 
             // Gas serves the residual; never negative (surplus is exported
@@ -296,7 +321,7 @@ impl GridPath {
 
             let green = (wind + solar) / total;
             let utilization = demand / (config.base_demand_mw * 1.8);
-            let lmp = price::lmp_usd_mwh(&config.price, calendar, h as u64, utilization);
+            let lmp = price::lmp_usd_mwh_on(&config.price, gas_usd_mmbtu[h / 24], utilization);
             let ci = carbon::grid_intensity_kg_mwh(
                 &[
                     (FuelSource::Gas, gas),
@@ -532,6 +557,38 @@ mod tests {
             assert_eq!(seq.lmp_usd_mwh, par.lmp_usd_mwh);
             assert_eq!(seq.ci_kg_mwh, par.ci_kg_mwh);
             assert_eq!(seq.green_share, par.green_share);
+        }
+    }
+
+    /// The day-resolved dispatch equals a per-hour reference built from
+    /// the public per-hour functions (`deterministic_demand_mw`,
+    /// `solar_factor`, `nuclear_seasonal`, `hydro_seasonal`,
+    /// `lmp_usd_mwh`), bit for bit, across a leap day and a year end.
+    #[test]
+    fn day_resolved_dispatch_equals_per_hour_reference() {
+        let config = GridConfig::default();
+        for start in [CalDate::new(2020, 2, 28), CalDate::new(2020, 12, 31)] {
+            let cal = Calendar::new(start);
+            let hub = RngHub::new(41);
+            let weather = WeatherPath::generate(&WeatherConfig::default(), cal, 40 * 24 + 5, &hub);
+            let path = GridPath::generate(&config, &weather, &hub);
+            let mut noise_rng = hub.stream("grid.demand-noise");
+            for h in 0..weather.hours() {
+                let noise = 1.0 + config.demand_noise * noise_rng.gen_range(-1.0..1.0f64);
+                let demand =
+                    config.deterministic_demand_mw(&cal, h as u64, weather.temp_f[h]) * noise;
+                let solar = config.solar_capacity_mw * weather.solar_factor(h);
+                let nuclear = config.nuclear_mw * config.nuclear_seasonal(&cal, h as u64);
+                let hydro = config.hydro_mean_mw * config.hydro_seasonal(&cal, h as u64);
+                let utilization = demand / (config.base_demand_mw * 1.8);
+                let lmp = price::lmp_usd_mwh(&config.price, &cal, h as u64, utilization);
+                let bits = |v: f64| v.to_bits();
+                assert_eq!(bits(path.demand_mw[h]), bits(demand), "{start} hour {h}");
+                assert_eq!(bits(path.solar_mw[h]), bits(solar), "{start} hour {h}");
+                assert_eq!(bits(path.nuclear_mw[h]), bits(nuclear), "{start} hour {h}");
+                assert_eq!(bits(path.hydro_mw[h]), bits(hydro), "{start} hour {h}");
+                assert_eq!(bits(path.lmp_usd_mwh[h]), bits(lmp), "{start} hour {h}");
+            }
         }
     }
 

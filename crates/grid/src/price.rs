@@ -51,9 +51,16 @@ pub fn lmp_usd_mwh(config: &PriceConfig, calendar: &Calendar, hour: u64, utiliza
         calendar,
         SimTime::from_hours(hour),
     );
+    lmp_usd_mwh_on(config, gas, utilization)
+}
+
+/// [`lmp_usd_mwh`] on a resolved gas price (the day's interpolated
+/// `gas_price_usd_mmbtu`, $/MMBtu).
+#[inline]
+pub fn lmp_usd_mwh_on(config: &PriceConfig, gas_usd_mmbtu: f64, utilization: f64) -> f64 {
     let u = utilization.clamp(0.0, 1.5);
     let heat_rate = config.heat_rate_base + config.heat_rate_slope * u * u;
-    (gas * heat_rate + config.adder_usd_mwh) * config.price_mult
+    (gas_usd_mmbtu * heat_rate + config.adder_usd_mwh) * config.price_mult
 }
 
 #[cfg(test)]

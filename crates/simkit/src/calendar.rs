@@ -346,10 +346,81 @@ impl Calendar {
 
     /// Fraction of the year elapsed at time `t` (0.0 = Jan 1, ~1.0 = Dec 31).
     pub fn year_fraction(&self, t: SimTime) -> f64 {
-        let d = self.date_at(t);
-        let doy = d.day_of_year() as f64 + self.hour_of_day(t) as f64 / 24.0;
-        doy / days_in_year(d.year) as f64
+        self.day_at(t).year_fraction(self.hour_of_day(t))
     }
+
+    /// Every calendar field of the civil day containing `t`, resolved.
+    pub fn day_at(&self, t: SimTime) -> Day {
+        let date = self.date_at(t);
+        Day {
+            date,
+            weekend: self.is_weekend(t),
+            day_of_year: date.day_of_year(),
+            days_in_year: days_in_year(date.year),
+        }
+    }
+}
+
+/// One civil day with its calendar fields resolved: what the hourly
+/// world-gen loops need from a [`Calendar`], computed once per day
+/// instead of once per hour or per query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Day {
+    /// The civil date.
+    pub date: CalDate,
+    /// True on Saturday and Sunday ([`Calendar::is_weekend`]).
+    pub weekend: bool,
+    /// Zero-based day of the year ([`CalDate::day_of_year`]).
+    pub day_of_year: u32,
+    /// Days in the date's year ([`days_in_year`]).
+    pub days_in_year: u32,
+}
+
+impl Day {
+    /// Fraction of the year elapsed at `hour_of_day` on this day: the one
+    /// formula behind [`Calendar::year_fraction`].
+    #[inline]
+    pub fn year_fraction(&self, hour_of_day: u32) -> f64 {
+        let doy = self.day_of_year as f64 + hour_of_day as f64 / 24.0;
+        doy / self.days_in_year as f64
+    }
+}
+
+/// The [`Day`]s covering an `hours`-long horizon from a calendar's start,
+/// built once per generator so hourly loops index a day instead of
+/// turning each hour back into a civil date.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DayTable {
+    days: Vec<Day>,
+}
+
+impl DayTable {
+    /// The days covering hours `0..hours` (a partial last day included).
+    pub fn new(calendar: &Calendar, hours: usize) -> DayTable {
+        DayTable {
+            days: (0..hours.div_ceil(24) as u64)
+                .map(|d| calendar.day_at(SimTime::from_days(d)))
+                .collect(),
+        }
+    }
+
+    /// All days in order.
+    pub fn days(&self) -> &[Day] {
+        &self.days
+    }
+
+    /// The day containing simulation hour `hour`.
+    #[inline]
+    pub fn at_hour(&self, hour: usize) -> &Day {
+        &self.days[hour / 24]
+    }
+}
+
+/// Hour of day (0–23) of simulation hour `hour`: [`Calendar::hour_of_day`]
+/// on a whole-hour index.
+#[inline]
+pub fn hour_of_day(hour: usize) -> u32 {
+    (hour % 24) as u32
 }
 
 #[cfg(test)]
@@ -462,6 +533,41 @@ mod tests {
         assert_eq!(YearMonth::new(2020, 12).next(), YearMonth::new(2021, 1));
     }
 
+    /// The per-day table against the per-hour [`Calendar`] queries, hour
+    /// by hour: date, weekend flag, hour of day and the year-fraction
+    /// bits. Also checks that the table has exactly the days the horizon
+    /// touches.
+    fn assert_day_table_agrees(start: CalDate, hours: usize) {
+        let cal = Calendar::new(start);
+        let table = DayTable::new(&cal, hours);
+        assert_eq!(table.days().len(), hours.div_ceil(24), "{start} {hours}h");
+        for h in 0..hours {
+            let t = SimTime::from_hours(h as u64);
+            let day = table.at_hour(h);
+            let hod = hour_of_day(h);
+            assert_eq!(day.date, cal.date_at(t), "{start} hour {h}");
+            assert_eq!(day.weekend, cal.is_weekend(t), "{start} hour {h}");
+            assert_eq!(hod, cal.hour_of_day(t), "{start} hour {h}");
+            assert_eq!(
+                day.year_fraction(hod).to_bits(),
+                cal.year_fraction(t).to_bits(),
+                "{start} hour {h}"
+            );
+        }
+    }
+
+    #[test]
+    fn day_table_agrees_with_calendar_across_leap_and_year_boundaries() {
+        // A leap day, a year end, and 2100-02-28: 2100 is a century year
+        // that is not a leap year.
+        for (y, m, d) in [(2020, 2, 28), (2020, 12, 31), (2100, 2, 28)] {
+            // Empty, under a day, and neither whole days nor whole weeks.
+            for hours in [0, 1, 23, 24, 25, 169, 24 * 400 + 7] {
+                assert_day_table_agrees(CalDate::new(y, m, d), hours);
+            }
+        }
+    }
+
     #[test]
     fn year_fraction_monotone_within_year() {
         let cal = Calendar::new(CalDate::new(2021, 1, 1));
@@ -471,6 +577,23 @@ mod tests {
             assert!(f > prev);
             assert!((0.0..1.0).contains(&f));
             prev = f;
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The per-day table agrees with [`Calendar`] from any start
+            /// date over any horizon up to ~2.5 years.
+            #[test]
+            fn day_table_agrees_with_calendar_from_random_starts(
+                start_serial in -40_000i64..60_000,
+                hours in 0usize..22_000,
+            ) {
+                assert_day_table_agrees(CalDate::from_serial_day(start_serial), hours);
+            }
         }
     }
 }

@@ -14,9 +14,9 @@
 //! ahead of deadline concentrations, including the sharper Jan/Feb-2021
 //! rise in front of the spring-2021 cluster.
 
-use greener_simkit::calendar::Calendar;
+use greener_simkit::calendar::{hour_of_day, CalDate, Calendar, DayTable};
 use greener_simkit::series::HourlySeries;
-use greener_simkit::time::SimTime;
+use greener_simkit::time::{SimTime, HOUR};
 use serde::{Deserialize, Serialize};
 
 use crate::calendar::ConferenceCalendar;
@@ -114,27 +114,38 @@ impl DemandModel {
         if self.config.rolling {
             return 1.0;
         }
-        self.raw_deadline_multiplier(hour)
+        self.raw_deadline_multiplier(hour, &mut DeadlineCursor::default())
+    }
+
+    /// The deadline factor of the rate at `hour`: the mean multiplier
+    /// under rolling submissions, otherwise the deadline multiplier.
+    fn deadline_factor(&self, hour: f64, cursor: &mut DeadlineCursor) -> f64 {
+        if self.config.rolling {
+            return self.mean_mult;
+        }
+        self.raw_deadline_multiplier(hour, cursor)
     }
 
     /// The multiplier ignoring the rolling flag (used to level rolling
     /// demand to the same total).
-    fn raw_deadline_multiplier(&self, hour: f64) -> f64 {
+    fn raw_deadline_multiplier(&self, hour: f64, cursor: &mut DeadlineCursor) -> f64 {
         let ramp_h = self.config.ramp_days * 24.0;
         let lull_h = self.config.lull_days * 24.0;
-        // Only deadlines in `(hour - lull_h, hour + ramp_h)` can contribute;
-        // the list is sorted, so binary-search the active window instead of
-        // scanning every deadline per call (this sits under every thinning
-        // candidate of trace generation). The loop keeps the original
-        // branch conditions, so the sum is bit-identical to a full scan.
-        let start = self
-            .deadline_hours
-            .partition_point(|&dh| dh <= hour - lull_h);
-        let end = self
-            .deadline_hours
-            .partition_point(|&dh| dh < hour + ramp_h);
+        // Only deadlines in `(hour - lull_h, hour + ramp_h)` can contribute.
+        // The list is sorted and the window only moves forward with
+        // `hour`, so the cursor walks it instead of scanning every
+        // deadline per call. The loop keeps the full branch conditions,
+        // so the sum is bit-identical to a full scan.
+        let dl = &self.deadline_hours;
+        while cursor.start < dl.len() && dl[cursor.start] <= hour - lull_h {
+            cursor.start += 1;
+        }
+        cursor.end = cursor.end.max(cursor.start);
+        while cursor.end < dl.len() && dl[cursor.end] < hour + ramp_h {
+            cursor.end += 1;
+        }
         let mut m = 1.0;
-        for &dh in &self.deadline_hours[start..end] {
+        for &dh in &dl[cursor.start..cursor.end] {
             let dt = dh - hour; // hours until the deadline
             if dt > 0.0 && dt < ramp_h {
                 // Quadratic build-up toward the deadline.
@@ -149,25 +160,61 @@ impl DemandModel {
         m.max(0.05)
     }
 
-    /// Arrival rate (jobs/hour) at simulation time `t`.
-    pub fn rate_at(&self, calendar: &Calendar, t: SimTime) -> f64 {
+    /// `base · diurnal · weekly`: the rate's factors fixed by the hour of
+    /// day and the weekend flag.
+    fn base_diurnal_weekly(&self, hour_of_day: u32, weekend: bool) -> f64 {
         let c = &self.config;
-        let hod = calendar.hour_of_day(t) as f64;
-        let phase = (hod - 14.0) / 24.0 * std::f64::consts::TAU;
+        let phase = (hour_of_day as f64 - 14.0) / 24.0 * std::f64::consts::TAU;
         let diurnal = 1.0 + c.diurnal_fraction * phase.cos();
-        let weekly = if calendar.is_weekend(t) {
-            c.weekend_mult
-        } else {
-            1.0
-        };
-        let deadline = if c.rolling {
-            self.mean_mult
-        } else {
-            self.deadline_multiplier(t.hours_f64())
-        };
-        let month = calendar.date_at(t).month.number() as usize - 1;
-        let seasonal = c.monthly_activity[month];
-        c.base_rate_per_hour * diurnal * weekly * deadline * seasonal * c.surge_mult
+        let weekly = if weekend { c.weekend_mult } else { 1.0 };
+        c.base_rate_per_hour * diurnal * weekly
+    }
+
+    /// The month-of-year activity factor on `date`.
+    fn seasonal(&self, date: CalDate) -> f64 {
+        self.config.monthly_activity[date.month.number() as usize - 1]
+    }
+
+    /// The one rate formula, on resolved factors:
+    /// `((base·diurnal·weekly)·deadline)·seasonal·surge`, multiplied in
+    /// that order so every caller gets the same bits.
+    #[inline]
+    fn rate_on(&self, base_diurnal_weekly: f64, seasonal: f64, deadline: f64) -> f64 {
+        base_diurnal_weekly * deadline * seasonal * self.config.surge_mult
+    }
+
+    /// Arrival rate (jobs/hour) at simulation time `t`.
+    ///
+    /// A single query resolves the civil date and walks the deadline list
+    /// from its start. Trace thinning needs a rate per candidate, so it
+    /// goes through [`HourlyRates::rate`] instead: one table read for the
+    /// calendar factors plus the few deadline terms a monotone cursor
+    /// keeps in view, to the same bits.
+    pub fn rate_at(&self, calendar: &Calendar, t: SimTime) -> f64 {
+        self.rate_on(
+            self.base_diurnal_weekly(calendar.hour_of_day(t), calendar.is_weekend(t)),
+            self.seasonal(calendar.date_at(t)),
+            self.deadline_factor(t.hours_f64(), &mut DeadlineCursor::default()),
+        )
+    }
+
+    /// The calendar factors of [`Self::rate_at`] for every hour of an
+    /// `hours`-long horizon, resolved once per civil day.
+    pub fn hourly_rates(&self, calendar: &Calendar, hours: usize) -> HourlyRates<'_> {
+        let days = DayTable::new(calendar, hours);
+        let factors = (0..hours)
+            .map(|h| {
+                let day = days.at_hour(h);
+                (
+                    self.base_diurnal_weekly(hour_of_day(h), day.weekend),
+                    self.seasonal(day.date),
+                )
+            })
+            .collect();
+        HourlyRates {
+            model: self,
+            factors,
+        }
     }
 
     /// Mean deadline multiplier over the window `[0, last deadline + lull]`
@@ -186,27 +233,66 @@ impl DemandModel {
         let hi = (last + self.config.lull_days * 24.0).max(lo + 24.0);
         let steps = 4_000;
         let dt = (hi - lo) / steps as f64;
+        let mut cursor = DeadlineCursor::default();
         let sum: f64 = (0..steps)
-            .map(|i| self.raw_deadline_multiplier(lo + (i as f64 + 0.5) * dt))
+            .map(|i| self.raw_deadline_multiplier(lo + (i as f64 + 0.5) * dt, &mut cursor))
             .sum();
         sum / steps as f64
     }
 
     /// An upper bound on the rate over the horizon (for NHPP thinning).
     pub fn rate_upper_bound(&self, calendar: &Calendar, hours: usize) -> f64 {
-        let mut max = 0.0f64;
-        for h in 0..hours {
-            let r = self.rate_at(calendar, SimTime::from_hours(h as u64));
-            max = max.max(r);
-        }
-        max * 1.01
+        self.hourly_rates(calendar, hours).upper_bound()
     }
 
     /// Hourly rate series (used by Fig. 5 diagnostics and forecasting).
     pub fn rate_series(&self, calendar: &Calendar, hours: usize) -> HourlySeries {
+        let rates = self.hourly_rates(calendar, hours);
+        let mut cursor = DeadlineCursor::default();
         HourlySeries::from_fn(*calendar, hours, |h| {
-            self.rate_at(calendar, SimTime::from_hours(h as u64))
+            rates.rate(&mut cursor, SimTime::from_hours(h as u64))
         })
+    }
+}
+
+/// A position in a [`DemandModel`]'s sorted deadline list for queries at
+/// non-decreasing times: the active deadline window only moves forward,
+/// so one walk over the list serves them all. Start a fresh cursor
+/// wherever time steps back.
+#[derive(Debug, Clone, Default)]
+pub struct DeadlineCursor {
+    start: usize,
+    end: usize,
+}
+
+/// A demand model's calendar factors resolved for every hour of a
+/// horizon: per hour, `(base·diurnal·weekly, seasonal)`. Only the deadline
+/// factor is left to compute per query.
+#[derive(Debug, Clone)]
+pub struct HourlyRates<'m> {
+    model: &'m DemandModel,
+    factors: Vec<(f64, f64)>,
+}
+
+impl HourlyRates<'_> {
+    /// [`DemandModel::rate_at`] at `t`, bit for bit. Successive calls on
+    /// one `cursor` must come at non-decreasing `t`, within the horizon.
+    #[inline]
+    pub fn rate(&self, cursor: &mut DeadlineCursor, t: SimTime) -> f64 {
+        let (base_diurnal_weekly, seasonal) = self.factors[(t.secs() / HOUR) as usize];
+        let deadline = self.model.deadline_factor(t.hours_f64(), cursor);
+        self.model.rate_on(base_diurnal_weekly, seasonal, deadline)
+    }
+
+    /// The largest rate over the whole hours of the horizon, plus 1%: the
+    /// bounding rate thinning draws candidates at.
+    pub fn upper_bound(&self) -> f64 {
+        let mut cursor = DeadlineCursor::default();
+        let mut max = 0.0f64;
+        for h in 0..self.factors.len() {
+            max = max.max(self.rate(&mut cursor, SimTime::from_hours(h as u64)));
+        }
+        max * 1.01
     }
 }
 

@@ -6,6 +6,17 @@
 //! accept each with probability `λ(t)/λ_max`. Job attributes are sampled
 //! from [`SizeDistribution`] and the submitting user from the population.
 //!
+//! Thinning evaluates `λ(t)` once per candidate, roughly two candidates
+//! per accepted job. [`DemandModel::hourly_rates`] resolves the calendar
+//! factors of `λ` (diurnal, weekly, seasonal) once per civil day into an
+//! hourly table before any shard runs, and each shard walks the sorted
+//! deadline list with a [`DeadlineCursor`], since its candidates only move
+//! forward in time. A candidate then costs one table read plus the few
+//! deadline terms active at its instant, where a [`DemandModel::rate_at`]
+//! call would resolve its civil date and walk the deadline list from the
+//! start. The rate is bit-identical to `rate_at`: a property test below
+//! pins the trace against a per-candidate `rate_at` reference.
+//!
 //! A trace is a pure function of `(config, calendar, seed)`, so policy
 //! comparisons in `greener-core` replay the *same* trace — the paired-
 //! comparison design that makes small policy effects measurable.
@@ -32,7 +43,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::calendar::ConferenceCalendar;
-use crate::demand::{DemandConfig, DemandModel};
+use crate::demand::{DeadlineCursor, DemandConfig, DemandModel};
 use crate::job::{Job, JobId, QueueClass, SizeDistribution};
 use crate::users::{PopulationConfig, UserPopulation};
 
@@ -118,10 +129,13 @@ impl TraceGenerator {
     /// docs for the sharding construction).
     pub fn generate_mode(&self, hours: usize, hub: &RngHub, parallel: bool) -> Vec<Job> {
         let horizon_secs = hours as f64 * 3_600.0;
+        // The calendar factors of λ(t), resolved once per day for the
+        // whole horizon; the bound and every shard's thinning read them.
+        let rates = self.demand.hourly_rates(&self.calendar, hours);
         // One bound for every shard: λ_max is a pure function of
         // (config, calendar, hours), so the thinning acceptance ratio is
         // shard-independent.
-        let lambda_max = self.demand.rate_upper_bound(&self.calendar, hours) / 3_600.0; // per second
+        let lambda_max = rates.upper_bound() / 3_600.0; // per second
         if lambda_max <= 0.0 || hours == 0 {
             return Vec::new();
         }
@@ -132,6 +146,8 @@ impl TraceGenerator {
             let mut attr_rng = hub.stream_indexed("trace.attributes", s as u64);
             let window_start = s as f64 * shard_secs;
             let window_end = (window_start + shard_secs).min(horizon_secs);
+            // Candidates only move forward in time within a shard.
+            let mut cursor = DeadlineCursor::default();
             let mut jobs = Vec::new();
             let mut t = window_start;
             loop {
@@ -143,7 +159,7 @@ impl TraceGenerator {
                     break;
                 }
                 let st = SimTime(t as u64);
-                let rate = self.demand.rate_at(&self.calendar, st) / 3_600.0;
+                let rate = rates.rate(&mut cursor, st) / 3_600.0;
                 if arr_rng.gen::<f64>() * lambda_max > rate {
                     continue; // thinned out
                 }
@@ -319,6 +335,50 @@ mod tests {
         assert!(g.generate(0, &hub).is_empty());
     }
 
+    /// The per-hour reference bound: [`DemandModel::rate_at`] at every
+    /// whole hour, resolving the calendar on each call.
+    fn reference_upper_bound(model: &DemandModel, calendar: &Calendar, hours: usize) -> f64 {
+        let mut max = 0.0f64;
+        for h in 0..hours {
+            max = max.max(model.rate_at(calendar, SimTime::from_hours(h as u64)));
+        }
+        max * 1.01
+    }
+
+    /// The per-candidate reference trace: the sequential thinning loop
+    /// with a [`DemandModel::rate_at`] call per candidate, no hourly table
+    /// and no deadline cursor.
+    fn reference_trace(g: &TraceGenerator, hours: usize, hub: &RngHub) -> Vec<Job> {
+        let lambda_max = reference_upper_bound(&g.demand, &g.calendar, hours) / 3_600.0;
+        if lambda_max <= 0.0 || hours == 0 {
+            return Vec::new();
+        }
+        let horizon_secs = hours as f64 * 3_600.0;
+        let shard_secs = (TRACE_SHARD_DAYS * 24) as f64 * 3_600.0;
+        let mut jobs = Vec::new();
+        for s in 0..hours.div_ceil(TRACE_SHARD_DAYS * 24) {
+            let mut arr_rng = hub.stream_indexed("trace.arrivals", s as u64);
+            let mut attr_rng = hub.stream_indexed("trace.attributes", s as u64);
+            let window_end = ((s + 1) as f64 * shard_secs).min(horizon_secs);
+            let mut t = s as f64 * shard_secs;
+            loop {
+                let u: f64 = arr_rng.gen::<f64>().max(1e-300);
+                t += -u.ln() / lambda_max;
+                if t >= window_end {
+                    break;
+                }
+                let st = SimTime(t as u64);
+                let rate = g.demand.rate_at(&g.calendar, st) / 3_600.0;
+                if arr_rng.gen::<f64>() * lambda_max > rate {
+                    continue;
+                }
+                let id = JobId(jobs.len() as u64);
+                jobs.push(g.sample_job(id, st, &mut attr_rng));
+            }
+        }
+        jobs
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
@@ -343,6 +403,37 @@ mod tests {
                 let seq = g.generate_mode(days * 24, &hub, false);
                 let par = g.generate_mode(days * 24, &hub, true);
                 prop_assert_eq!(seq, par);
+            }
+
+            /// The table-driven bound, rate series and thinned trace equal
+            /// the straight per-hour and per-candidate `rate_at` loops, bit
+            /// for bit, from random start dates (leap days, year ends and
+            /// deadline ramps included), over horizons that end mid-day
+            /// and mid-shard, with and without rolling submissions.
+            #[test]
+            fn table_driven_trace_equals_rate_at_reference(
+                seed in 0u64..1_000_000,
+                start_serial in 17_800i64..19_000,
+                hours in 0usize..(45 * 24),
+                base_rate in 0.3f64..6.0,
+                rolling in 0u8..2,
+            ) {
+                let hub = RngHub::new(seed);
+                let cal = Calendar::new(CalDate::from_serial_day(start_serial));
+                let mut config = TraceConfig::default();
+                config.demand.base_rate_per_hour = base_rate;
+                config.demand.rolling = rolling == 1;
+                let g = TraceGenerator::new(config, &ConferenceCalendar::table_i(), cal, &hub);
+                prop_assert_eq!(
+                    g.demand().rate_upper_bound(&cal, hours).to_bits(),
+                    reference_upper_bound(g.demand(), &cal, hours).to_bits()
+                );
+                let series = g.demand().rate_series(&cal, hours);
+                for (h, r) in series.values().iter().enumerate() {
+                    let reference = g.demand().rate_at(&cal, SimTime::from_hours(h as u64));
+                    prop_assert_eq!((h, r.to_bits()), (h, reference.to_bits()));
+                }
+                prop_assert_eq!(g.generate(hours, &hub), reference_trace(&g, hours, &hub));
             }
         }
     }

@@ -70,6 +70,9 @@ impl Default for PopulationConfig {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UserPopulation {
     users: Vec<UserProfile>,
+    /// Σ `activity_mult` over `users` in order: the weight total
+    /// [`Self::sample_submitter`] draws against, summed once here.
+    total_activity: f64,
 }
 
 impl UserPopulation {
@@ -103,7 +106,11 @@ impl UserPopulation {
         for u in &mut users {
             u.activity_mult /= mean;
         }
-        UserPopulation { users }
+        let total_activity = users.iter().map(|u| u.activity_mult).sum();
+        UserPopulation {
+            users,
+            total_activity,
+        }
     }
 
     /// All users.
@@ -128,8 +135,7 @@ impl UserPopulation {
 
     /// Sample a submitting user weighted by activity multiplier.
     pub fn sample_submitter<R: Rng>(&self, rng: &mut R) -> &UserProfile {
-        let total: f64 = self.users.iter().map(|u| u.activity_mult).sum();
-        let mut x = rng.gen::<f64>() * total;
+        let mut x = rng.gen::<f64>() * self.total_activity;
         for u in &self.users {
             if x < u.activity_mult {
                 return u;
