@@ -17,7 +17,7 @@
 //! pre-built world, so the snapshot tracks the sweep fast path against the
 //! full-probe replay number) and waiting-queue depth stats (max and mean
 //! at hourly sampling, collected by the driver's `QueueDepthProbe`).
-//! JSON is hand-formatted (the vendored serde stand-in has no serializer).
+//! JSON is hand-formatted.
 //!
 //! A `"campaign"` section reports the `campaign_small` lane: the
 //! policy-only campaign manifest (see `greener_bench::scenarios`) run

@@ -5,10 +5,12 @@
 //! cargo run --release -p greener-bench --bin repro fig2 e7    # a subset
 //! ```
 //!
+//! The ids are `greener_bench::cli::REPRO_IDS`; an unknown id prints the
+//! usage to stderr and exits 2.
+//!
 //! Figures F2–F5 run the flagship full-scale two-year world (640 GPUs,
 //! ~300k jobs); the ablations run the 1/10-scale world or shorter windows
-//! so the whole reproduction finishes in a couple of minutes. Scales are
-//! recorded in `EXPERIMENTS.md`.
+//! so the whole reproduction finishes in a couple of minutes.
 
 use greener_core::ablations::*;
 use greener_core::driver::{RunResult, SimDriver};
@@ -18,7 +20,11 @@ use greener_workload::ConferenceCalendar;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |id: &str| args.is_empty() || args.iter().any(|a| a == id);
+    let wanted = greener_bench::cli::parse_repro(&args).unwrap_or_else(|e| {
+        eprintln!("repro: {e}");
+        std::process::exit(2);
+    });
+    let want = |id: &str| wanted.contains(&id);
 
     let mut flagship: Option<RunResult> = None;
 
@@ -123,7 +129,7 @@ fn main() {
         println!("total deadline events 2020–21: {}\n", t.total_deadlines);
     }
 
-    // ---- Ablations on the 1/10-scale world (documented in EXPERIMENTS.md).
+    // ---- Ablations on the 1/10-scale world.
     let small = Scenario::two_year_small(greener_bench::seeds::WORLD);
     let quarter = small.clone().with_horizon_days(91);
     let summer_month = {

@@ -1,13 +1,13 @@
 //! # greener-bench
 //!
-//! Benchmarks and the `repro` binary for the `greener` workspace.
+//! The `repro` and `perfjson` binaries for the `greener` workspace.
 //!
 //! * `cargo run --release -p greener-bench --bin repro` regenerates every
 //!   figure and table of the paper (F1–F5, T1) and every quantified
-//!   ablation (E6–E14), printing the same rows/series the paper reports.
-//! * `cargo bench` measures the simulation engine (DES throughput, sweep
-//!   scaling, forecaster fits) and regenerates each artifact under
-//!   Criterion timing.
+//!   ablation (E6–E15), printing the same rows/series the paper reports.
+//!   Ids name a subset ([`cli::REPRO_IDS`]); an unknown id is an error.
+//! * `cargo run --release -p greener-bench --bin perfjson` times the
+//!   canonical engine scenarios ([`scenarios`]) into `BENCH_engine.json`.
 //! * `cargo run --release -p greener-bench --bin perfjson -- --profile`
 //!   adds the driver's self-profiling pass: per-phase replay wall time
 //!   (signal build / policy dispatch / decision apply / tick cooling) and
@@ -40,12 +40,12 @@
 //!   the lone-arrival fast path) and `fast_apply_events` (SoA apply slab
 //!   touches: one per start + one per finish).
 
-/// The `perfjson` command line: a strict flag parser.
+/// The `perfjson` and `repro` command lines: strict parsers.
 ///
 /// Strict on purpose — `perfjson` used to scan with
 /// `args.iter().any(|a| a == "--smoke")`, so a typo like `--proflie`
 /// silently ran the wrong benchmark shape and the snapshot looked valid.
-/// Unknown flags now fail with the usage text.
+/// Unknown flags and ids now fail with the usage text.
 pub mod cli {
     /// Parsed `perfjson` flags.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -336,9 +336,77 @@ pub mod cli {
         }
     }
 
+    /// Every artifact id `repro` regenerates, in the order it prints them.
+    pub const REPRO_IDS: [&str; 16] = [
+        "fig1", "fig2", "fig3", "fig4", "fig5", "table1", "e6", "e7", "e8", "e9", "e10", "e11",
+        "e12", "e13", "e14", "e15",
+    ];
+
+    /// Usage text for `repro`, listing [`REPRO_IDS`].
+    fn repro_usage() -> String {
+        format!(
+            "usage: repro [ID ...]\n\
+            \n\
+            Regenerates the named figures, table and ablations; no ID means all.\n\
+            IDs: {}\n",
+            REPRO_IDS.join(" ")
+        )
+    }
+
+    /// Parse `repro`'s argument list (without the program name) into the
+    /// ids to regenerate: every id when `args` is empty, else exactly the
+    /// named ones. Ids are case-sensitive; any id not in [`REPRO_IDS`] is
+    /// an error naming it, followed by the usage text.
+    pub fn parse_repro<S: AsRef<str>>(args: &[S]) -> Result<Vec<&'static str>, String> {
+        if args.is_empty() {
+            return Ok(REPRO_IDS.to_vec());
+        }
+        args.iter()
+            .map(|a| {
+                let a = a.as_ref();
+                REPRO_IDS
+                    .into_iter()
+                    .find(|&id| id == a)
+                    .ok_or_else(|| format!("unknown id `{a}`\n{}", repro_usage()))
+            })
+            .collect()
+    }
+
     #[cfg(test)]
     mod tests {
         use super::*;
+
+        #[test]
+        fn repro_without_ids_selects_everything() {
+            assert_eq!(parse_repro::<&str>(&[]).unwrap(), REPRO_IDS.to_vec());
+        }
+
+        #[test]
+        fn repro_selects_the_named_subset() {
+            assert_eq!(
+                parse_repro(&["fig1", "e7", "e15"]).unwrap(),
+                vec!["fig1", "e7", "e15"]
+            );
+        }
+
+        /// `bad` is rejected, even after a valid id, with an error naming
+        /// it and listing every valid id.
+        fn assert_repro_rejects(bad: &str) {
+            let e = parse_repro(&["fig1", bad]).unwrap_err();
+            assert!(e.contains(&format!("unknown id `{bad}`")), "{e}");
+            assert!(e.contains("usage: repro"), "{e}");
+            assert!(e.contains(&REPRO_IDS.join(" ")), "{e}");
+        }
+
+        #[test]
+        fn repro_rejects_unknown_ids_listing_the_valid_ones() {
+            assert_repro_rejects("fig6");
+        }
+
+        #[test]
+        fn repro_ids_are_case_sensitive() {
+            assert_repro_rejects("Fig2");
+        }
 
         #[test]
         fn known_flags_parse() {
@@ -527,8 +595,8 @@ pub mod cli {
     }
 }
 
-/// Standard seeds used by the benches and the repro binary so their outputs
-/// are comparable across runs.
+/// Standard seeds used by `perfjson`, the repro binary and the integration
+/// tests so their outputs are comparable across runs.
 pub mod seeds {
     /// The flagship two-year world. (Re-picked from 20220101 when the
     /// workspace moved to the vendored xoshiro256++ RNG stream, and again
@@ -541,8 +609,9 @@ pub mod seeds {
     pub const MECHANISM: u64 = 7;
 }
 
-/// Canonical benchmark scenarios shared by `cargo bench` and the
-/// `perfjson` snapshot binary (so their numbers are comparable).
+/// Canonical benchmark scenarios timed by the `perfjson` snapshot binary
+/// and replayed by the integration tests (so their numbers are
+/// comparable).
 pub mod scenarios {
     use greener_core::scenario::Scenario;
 

@@ -9,12 +9,11 @@
 use greener_simkit::calendar::{Calendar, Month};
 use greener_simkit::time::SimTime;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::weather::{poisson_knuth, WeatherConfig};
 
 /// The kind of episodic extreme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EpisodeKind {
     /// Sustained positive temperature anomaly (summer).
     HeatWave,
@@ -23,7 +22,7 @@ pub enum EpisodeKind {
 }
 
 /// One episodic extreme event with a triangular anomaly profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExtremeEvent {
     /// Event kind.
     pub kind: EpisodeKind,

@@ -10,10 +10,8 @@
 //! Descriptors are plain data so every crate can consume them without
 //! circular dependencies.
 
-use serde::{Deserialize, Serialize};
-
 /// One shock applied to a subsystem configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StressKind {
     /// Uniform warming of the weather path, °C (e.g. +2 °C, +4 °C).
     UniformWarming {
@@ -57,7 +55,7 @@ pub enum StressKind {
 }
 
 /// A named scenario bundling one or more shocks, with pass thresholds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StressScenario {
     /// Scenario identifier (e.g. `"severely-adverse-heat"`).
     pub name: String,
@@ -203,9 +201,7 @@ mod tests {
 
     #[test]
     fn clone_roundtrip() {
-        // Serialization plumbing is exercised once a real serializer is
-        // available (the vendored serde stand-in has none); until then pin
-        // the plain-data contract: scenarios are Clone + PartialEq.
+        // The plain-data contract: scenarios are Clone + PartialEq.
         let s = StressScenario::standard_suite();
         let back = s.clone();
         assert_eq!(s, back);

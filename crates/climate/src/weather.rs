@@ -16,7 +16,6 @@ use greener_simkit::series::HourlySeries;
 use greener_simkit::time::SimTime;
 use rand::Rng;
 use rand_distr::{Distribution, Normal};
-use serde::{Deserialize, Serialize};
 
 use crate::events::ExtremeEvent;
 
@@ -41,7 +40,7 @@ pub const DIURNAL_AMPLITUDE_F: [f64; 12] =
     [5.0, 5.5, 6.5, 7.5, 8.0, 8.5, 8.5, 8.0, 7.5, 7.0, 5.5, 5.0];
 
 /// Configuration of the weather generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WeatherConfig {
     /// Monthly mean temperature normals, °F (Jan..Dec).
     pub temp_normals_f: [f64; 12],
@@ -146,7 +145,7 @@ impl WeatherConfig {
 }
 
 /// A generated hourly weather path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WeatherPath {
     calendar: Calendar,
     /// Hourly outdoor dry-bulb temperature, °F.

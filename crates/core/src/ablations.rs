@@ -1,8 +1,7 @@
-//! Quantified ablations of the paper's proposals (E6–E14).
+//! Quantified ablations of the paper's proposals (E6–E15).
 //!
 //! Each section of the paper makes a qualitative claim; these experiments
-//! turn them into numbers on the simulated substrate. See `EXPERIMENTS.md`
-//! for the paper-vs-measured record.
+//! turn them into numbers on the simulated substrate.
 
 use greener_forecast::backtest::{backtest_all, BacktestReport};
 use greener_forecast::ForecasterKind;
@@ -13,7 +12,6 @@ use greener_mechanism::twopart::{compare_regimes, RegimeComparison};
 use greener_sched::PolicyKind;
 use greener_workload::job::InferenceService;
 use greener_workload::DeadlinePolicy;
-use serde::{Deserialize, Serialize};
 
 use crate::accounting::VarianceAnalysis;
 use crate::driver::{SimDriver, World};
@@ -22,7 +20,7 @@ use crate::scenario::{ForecastMode, Scenario};
 use crate::stress::{run_suite, StressReport};
 
 /// E6: one purchasing-strategy row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E6Row {
     /// Strategy label.
     pub strategy: String,
@@ -89,7 +87,7 @@ pub fn e6_purchasing(base: &Scenario) -> Vec<E6Row> {
 }
 
 /// E7: one power-cap row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E7Row {
     /// Fleet-wide cap, watts.
     pub cap_w: f64,
@@ -161,7 +159,7 @@ pub fn e8_mechanism(seed: u64) -> RegimeComparison {
 }
 
 /// E9 output: truthful vs. strategic queue games.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E9Outcome {
     /// Operator-assigned (truthful) outcome.
     pub truthful: AdverseSelectionOutcome,
@@ -184,7 +182,7 @@ pub fn e10_stress(base: &Scenario) -> Vec<StressReport> {
 }
 
 /// E11 output: forecaster backtests plus end-to-end value of forecasts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E11Report {
     /// Green-share forecaster backtests (sorted by MAE).
     pub green_share_backtests: Vec<BacktestReport>,
@@ -242,7 +240,7 @@ pub fn e11_forecast(base: &Scenario) -> E11Report {
 }
 
 /// E12: one deadline-restructuring row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E12Row {
     /// Restructuring policy label.
     pub policy: String,
@@ -308,7 +306,7 @@ pub fn e12_restructure(base: &Scenario) -> Vec<E12Row> {
 }
 
 /// E13 output: training vs. inference in a production fleet.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E13Report {
     /// Inference share of fleet energy (paper: 80–90 % of energy costs).
     pub inference_energy_share: f64,
@@ -366,7 +364,7 @@ pub fn e14_variance(reference_gpu_hours: f64) -> VarianceAnalysis {
 }
 
 /// E15 output: §IV-A redundancy and reproducibility waste.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E15Report {
     /// Naive sweep budget, GPU-hours.
     pub sweep_naive_gpu_hours: f64,

@@ -12,12 +12,11 @@
 //! average lifetime emissions of a car \[down\] to 10⁻⁵ times that amount".
 
 use greener_simkit::units::{Dollars, Energy, KgCo2};
-use serde::{Deserialize, Serialize};
 
 use crate::driver::RunResult;
 
 /// Summary of a run's footprint and opportunity costs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AccountingReport {
     /// Scenario name.
     pub scenario: String,
@@ -83,7 +82,7 @@ impl AccountingReport {
 /// "These estimates are inherently variable and difficult — not only due to
 /// differences in aspects like hardware (e.g. GPU vs. TPU) — in both the
 /// approach taken to quantify these costs and their resulting accuracy."
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FootprintAssumptions {
     /// Label for the assumption set.
     pub label: String,
@@ -162,7 +161,7 @@ pub const CAR_LIFETIME_KG: f64 = 57_000.0;
 
 /// The §IV-B variance analysis: estimate the same training job under a set
 /// of assumption sets and report the spread.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VarianceAnalysis {
     /// Reference workload, GPU-hours on the reference GPU.
     pub reference_gpu_hours: f64,

@@ -2,9 +2,8 @@
 //! batch — base scenario preset + named axes × values + a seed range —
 //! and its hand-rolled parser.
 //!
-//! The text format is a small line-oriented `key = value` dialect (the
-//! vendored serde stand-in has no serializer, so the format is owned
-//! here; see the module docs in [`crate::campaign`] for the full spec and
+//! The text format is a small line-oriented `key = value` dialect, owned
+//! here (see the module docs in [`crate::campaign`] for the full spec and
 //! a runnable example). Manifests can also be built programmatically with
 //! [`CampaignManifest::new`] + [`CampaignManifest::with_axis`] — that is
 //! how `Eq1Problem::grid_search` rides the expander.

@@ -12,9 +12,8 @@
 //! Four cooperating pieces:
 //!
 //! * **[`CampaignManifest`]** ([`manifest`]) — base preset + named axes ×
-//!   values + seed range, parsed from a small `key = value` text format
-//!   (hand-rolled: the vendored serde stand-in has no serializer) or built
-//!   programmatically.
+//!   values + seed range, parsed from a small hand-rolled `key = value`
+//!   text format or built programmatically.
 //! * **[`CampaignPlan`]** ([`plan`]) — the deterministic row-major
 //!   expansion (first axis outermost, seeds innermost, via
 //!   [`greener_simkit::sweep::gridn_indices`]) into cells with stable ids.

@@ -111,7 +111,6 @@ use greener_simkit::des::{EventQueue, EventScheduler};
 use greener_simkit::time::{SimTime, HOUR};
 use greener_simkit::units::{Energy, Fahrenheit};
 use greener_workload::{Job, JobId, JobKind, TraceGenerator, UserId};
-use serde::{Deserialize, Serialize};
 
 use crate::probe::{
     AggregatesProbe, JobPoint, JobsProbe, LedgerProbe, Observe, PurchasePoint, QueueDepthProbe,
@@ -124,7 +123,7 @@ use crate::profile::{
 use crate::scenario::{ForecastMode, Scenario};
 
 /// One completed job's accounting record (feeds Eq. 2's per-user `e_i`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobRecord {
     /// Job id.
     pub id: JobId,
@@ -163,7 +162,7 @@ impl JobRecord {
 }
 
 /// Aggregate job-level statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobStats {
     /// Jobs submitted within the horizon.
     pub submitted: usize,

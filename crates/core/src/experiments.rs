@@ -9,13 +9,12 @@ use greener_simkit::calendar::YearMonth;
 use greener_simkit::series::align_monthly;
 use greener_simkit::stats;
 use greener_workload::calendar::{Area, ConferenceCalendar};
-use serde::{Deserialize, Serialize};
 
 use crate::driver::RunResult;
 use crate::trends::ComputeTrend;
 
 /// Fig. 1 output: the landmark dataset plus the two fitted doubling times.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig1 {
     /// `(name, year, petaflop/s-days)` rows in dataset order.
     pub rows: Vec<(&'static str, f64, f64)>,
@@ -43,7 +42,7 @@ pub fn fig1() -> Fig1 {
 }
 
 /// One month of Fig. 2: average power vs. green share.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fig2Row {
     /// Month.
     pub ym: YearMonth,
@@ -54,7 +53,7 @@ pub struct Fig2Row {
 }
 
 /// Fig. 2 output with its headline statistic.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig2 {
     /// Monthly rows.
     pub rows: Vec<Fig2Row>,
@@ -84,7 +83,7 @@ pub fn fig2(run: &RunResult) -> Fig2 {
 }
 
 /// One month of Fig. 3: average price vs. green share.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fig3Row {
     /// Month.
     pub ym: YearMonth,
@@ -95,7 +94,7 @@ pub struct Fig3Row {
 }
 
 /// Fig. 3 output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3 {
     /// Monthly rows.
     pub rows: Vec<Fig3Row>,
@@ -134,7 +133,7 @@ pub fn fig3(run: &RunResult) -> Fig3 {
 }
 
 /// One month of Fig. 4: average power vs. temperature.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fig4Row {
     /// Month.
     pub ym: YearMonth,
@@ -145,7 +144,7 @@ pub struct Fig4Row {
 }
 
 /// Fig. 4 output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig4 {
     /// Monthly rows.
     pub rows: Vec<Fig4Row>,
@@ -177,7 +176,7 @@ pub fn fig4(run: &RunResult) -> Fig4 {
 }
 
 /// One month of Fig. 5: energy usage vs. deadline count.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fig5Row {
     /// Month.
     pub ym: YearMonth,
@@ -191,7 +190,7 @@ pub struct Fig5Row {
 }
 
 /// Fig. 5 output with the paper's two observations quantified.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5 {
     /// Monthly rows Jan 2020 – Dec 2021.
     pub rows: Vec<Fig5Row>,
@@ -265,7 +264,7 @@ pub fn fig5(run: &RunResult, calendar: &ConferenceCalendar) -> Fig5 {
 }
 
 /// Table I: the conference list by area.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1 {
     /// `(area label, conference names)` rows.
     pub rows: Vec<(&'static str, Vec<&'static str>)>,

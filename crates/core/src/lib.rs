@@ -72,7 +72,7 @@
 //! * [`stress`] — the Dodd-Frank-style stress-test harness (§II-B).
 //! * [`trends`] — the Fig. 1 compute-trend dataset and doubling-time fits.
 //! * [`experiments`] — figure/table regeneration (F1–F5, T1).
-//! * [`ablations`] — the quantified §II–§IV claims (E6–E14).
+//! * [`ablations`] — the quantified §II–§IV claims (E6–E15).
 
 pub mod ablations;
 pub mod accounting;

@@ -13,7 +13,6 @@
 
 use greener_sched::PolicyKind;
 use greener_workload::UserId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use crate::campaign::{run_campaign, AxisValue, CampaignManifest, InProcessBackend, Knob};
@@ -23,7 +22,7 @@ use crate::scenario::Scenario;
 
 /// The energy objective `E(·)` of Eq. 1 — "any number of quantities
 /// correlated with energy expenditure".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnergyObjective {
     /// Kilowatt-hours purchased.
     EnergyKwh,
@@ -59,7 +58,7 @@ impl EnergyObjective {
 }
 
 /// The activity measure `A(·)` of Eq. 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ActivityMeasure {
     /// Completed nominal GPU-hours.
     GpuHours,
@@ -81,7 +80,7 @@ impl ActivityMeasure {
 }
 
 /// One point on the Eq. 1 decision grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecisionPoint {
     /// Cluster-size multiplier on the baseline node count (`q_s`).
     pub qs_mult: f64,
@@ -90,7 +89,7 @@ pub struct DecisionPoint {
 }
 
 /// One evaluated grid cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EvaluatedPoint {
     /// The decisions.
     pub point: DecisionPoint,
@@ -202,7 +201,7 @@ impl Eq1Problem {
 }
 
 /// Per-user share of a run (Eq. 2's `e_i` and `a_i`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UserShare {
     /// User (None = the facility-overhead bucket: idle draw, cooling,
     /// fixed infrastructure).
@@ -214,7 +213,7 @@ pub struct UserShare {
 }
 
 /// Eq. 2: the per-user decomposition of a run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Eq2Decomposition {
     /// Per-user shares, descending by energy, with the overhead bucket last.
     pub shares: Vec<UserShare>,

@@ -40,7 +40,6 @@ use greener_simkit::obs::Probe;
 use greener_simkit::time::SimTime;
 use greener_simkit::units::Energy;
 use greener_workload::{Job, JobId};
-use serde::Serialize;
 
 use crate::driver::{JobRecord, JobStats};
 use crate::strategy::HourSettlement;
@@ -271,7 +270,7 @@ impl Probe<PurchasePoint> for QueueDepthProbe {
 /// fully-instrumented run **bit-for-bit**: the accumulators perform the
 /// same floating-point operations in the same (hour) order as summing the
 /// retained telemetry/ledger vectors would. The driver's tests pin this.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunAggregates {
     /// Hours observed.
     pub hours: usize,
@@ -427,7 +426,7 @@ impl Probe<PurchasePoint> for AggregatesProbe {
 /// one optional output. [`Observe::aggregates`] (everything off) is the
 /// fast path: the replay loop monomorphizes to a probe set with no
 /// per-frame vector growth and no job-record retention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Observe {
     /// Retain the hourly [`TelemetryLog`].
     pub telemetry: bool,

@@ -18,7 +18,7 @@
 //!   (medians of 21 interleaved reps, three runs, on a 2-vCPU Intel Xeon
 //!   VM). So profiled numbers are for *attribution* (which phase
 //!   dominates), not for end-to-end deltas — compare totals with the
-//!   un-profiled criterion/perfjson lanes instead.
+//!   un-profiled perfjson lanes instead.
 //!
 //! The phases follow the loop's structure: `SignalBuild` (the hourly
 //! forecast refresh feeding [`SchedSignals`]), `PolicyDispatch` (the

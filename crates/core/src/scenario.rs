@@ -14,12 +14,11 @@ use greener_hpc::{ClusterSpec, CoolingModel};
 use greener_sched::PolicyKind;
 use greener_simkit::calendar::CalDate;
 use greener_workload::{ConferenceCalendar, DeadlinePolicy, TraceConfig};
-use serde::{Deserialize, Serialize};
 
 use crate::strategy::PurchaseStrategy;
 
 /// How the carbon-aware scheduler obtains its green-share forecast.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ForecastMode {
     /// Perfect foresight: read the actual future grid path. Upper bound on
     /// achievable carbon-aware savings.
@@ -31,16 +30,7 @@ pub enum ForecastMode {
 }
 
 /// Full simulation configuration.
-///
-/// Serialization note: the struct derives both `Serialize` and
-/// `Deserialize` so a scenario can round-trip through config files once
-/// real serde is wired in. The vendored `serde` stand-in (see
-/// `vendor/README.md`) has no serializer/deserializer at all — its traits
-/// are blanket-implemented markers — so a roundtrip smoke test cannot run
-/// offline. The planned std-only spec text codec (ROADMAP item 3, which
-/// replaces the old "real serde + registry" plan) is where a roundtrip
-/// test belongs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// Human-readable scenario name (appears in reports).
     pub name: String,
@@ -291,15 +281,6 @@ mod tests {
         assert_eq!(s.forecast, ForecastMode::Naive);
         assert_eq!(s.deadline_policy, DeadlinePolicy::Rolling);
         assert_eq!(s.horizon_hours, 5 * 24);
-    }
-
-    /// Compile-level smoke test: `Scenario` satisfies both serde bounds
-    /// (the vendored stand-in cannot roundtrip values — see the struct
-    /// docs — so this pins the derives, not a serializer).
-    #[test]
-    fn scenario_satisfies_serde_bounds() {
-        fn assert_serde<T: Serialize + for<'de> Deserialize<'de>>() {}
-        assert_serde::<Scenario>();
     }
 
     #[test]

@@ -9,10 +9,9 @@
 
 use greener_grid::storage::{Battery, BatteryConfig};
 use greener_simkit::units::Energy;
-use serde::{Deserialize, Serialize};
 
 /// Purchasing strategy configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PurchaseStrategy {
     /// Buy every kWh when consumed, no storage.
     None,

@@ -11,14 +11,13 @@
 //! threshold.
 
 use greener_climate::{StressKind, StressScenario};
-use serde::{Deserialize, Serialize};
 
 use crate::driver::{SimDriver, World};
 use crate::probe::Observe;
 use crate::scenario::Scenario;
 
 /// One stress-test outcome row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StressReport {
     /// Scenario name.
     pub scenario: String,

@@ -8,11 +8,10 @@
 //! eras with segmented log-linear regression.
 
 use greener_simkit::stats::{segmented_doubling_fit, SegmentedDoubling};
-use serde::{Deserialize, Serialize};
 
 /// One landmark system: name, (fractional) year, training compute in
 /// petaflop/s-days.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LandmarkSystem {
     /// System name.
     pub name: &'static str,

@@ -6,10 +6,9 @@
 
 use crate::metrics::{mae, mape, rmse, smape};
 use crate::model::ForecasterKind;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate backtest scores for one model on one series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BacktestReport {
     /// Which model.
     pub kind: ForecasterKind,

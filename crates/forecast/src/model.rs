@@ -7,7 +7,6 @@
 //! seasonality, seasonal and smoothing methods are the right baseline class.
 
 use crate::linalg::least_squares;
-use serde::{Deserialize, Serialize};
 
 /// A point forecaster.
 pub trait Forecaster {
@@ -35,7 +34,7 @@ pub trait Forecaster {
 }
 
 /// Enumerates the built-in models (for sweeps and tables).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ForecasterKind {
     /// Grand mean of the history.
     Mean,

@@ -8,10 +8,9 @@
 //! opportunity cost (§II-A).
 
 use greener_simkit::units::{Dollars, Energy, KgCo2};
-use serde::{Deserialize, Serialize};
 
 /// One purchase record (typically one simulated hour).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PurchaseRecord {
     /// Hour index of the purchase.
     pub hour: u64,
@@ -38,7 +37,7 @@ impl PurchaseRecord {
 }
 
 /// Append-only purchase ledger with aggregate queries.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PurchaseLedger {
     records: Vec<PurchaseRecord>,
 }

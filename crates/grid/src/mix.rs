@@ -15,13 +15,12 @@ use greener_simkit::rng::RngHub;
 use greener_simkit::series::HourlySeries;
 use greener_simkit::time::SimTime;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::carbon;
 use crate::price::{self, PriceConfig};
 
 /// Fuel categories in the regional mix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FuelSource {
     /// Natural gas (marginal fuel).
     Gas,
@@ -55,7 +54,7 @@ impl FuelSource {
 }
 
 /// Grid model configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GridConfig {
     /// Mean regional demand, MW.
     pub base_demand_mw: f64,
@@ -155,7 +154,7 @@ impl GridConfig {
 }
 
 /// A generated hourly grid path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GridPath {
     calendar: Calendar,
     /// Regional demand, MW.

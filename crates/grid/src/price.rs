@@ -11,10 +11,9 @@
 
 use greener_simkit::calendar::Calendar;
 use greener_simkit::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Price-model parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PriceConfig {
     /// Mid-month natural gas price anchors, $/MMBtu (Jan..Dec).
     pub gas_price_usd_mmbtu: [f64; 12],

@@ -7,10 +7,9 @@
 //! charge it in green/cheap hours and discharge in dirty/expensive ones.
 
 use greener_simkit::units::Energy;
-use serde::{Deserialize, Serialize};
 
 /// Battery parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatteryConfig {
     /// Usable capacity, kWh.
     pub capacity_kwh: f64,
@@ -37,7 +36,7 @@ impl Default for BatteryConfig {
 }
 
 /// A stateful battery.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Battery {
     config: BatteryConfig,
     soc_kwh: f64,

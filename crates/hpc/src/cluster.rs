@@ -7,12 +7,11 @@
 
 use greener_simkit::units::Power;
 use greener_workload::JobId;
-use serde::{Deserialize, Serialize};
 
 use crate::gpu::GpuModel;
 
 /// Static cluster shape.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterSpec {
     /// Number of nodes.
     pub nodes: u32,
@@ -50,7 +49,7 @@ impl ClusterSpec {
 }
 
 /// One job's placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Allocation {
     /// `(node index, gpus on that node)` pieces of the gang.
     pub pieces: Vec<(u32, u32)>,
@@ -81,7 +80,7 @@ struct Slot {
 }
 
 /// Allocation failure reasons.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocError {
     /// Not enough free GPUs cluster-wide.
     InsufficientGpus,

@@ -9,10 +9,9 @@
 //! `P_cool = P_IT / COP(T) + fans`.
 
 use greener_simkit::units::{Energy, Fahrenheit, Liters, Power};
-use serde::{Deserialize, Serialize};
 
 /// Cooling-plant parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CoolingModel {
     /// COP at the reference outdoor temperature.
     pub cop_at_ref: f64,

@@ -9,10 +9,9 @@
 
 use greener_simkit::units::Power;
 use greener_workload::JobKind;
-use serde::{Deserialize, Serialize};
 
 /// A GPU model: power limits and the cap → throughput curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GpuModel {
     /// Nominal TDP, watts.
     pub nominal_power_w: f64,

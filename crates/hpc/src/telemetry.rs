@@ -18,10 +18,9 @@ use greener_simkit::obs::Probe;
 use greener_simkit::series::{HourlySeries, MonthlyAgg, MonthlyRow};
 use greener_simkit::time::HOUR;
 use greener_simkit::units::Energy;
-use serde::{Deserialize, Serialize};
 
 /// One hour of observations.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TelemetryFrame {
     /// Hour index since simulation start.
     pub hour: u64,
@@ -184,7 +183,7 @@ impl Probe<HourObservation> for TelemetryProbe {
 }
 
 /// Append-only telemetry store.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TelemetryLog {
     calendar: Calendar,
     frames: Vec<TelemetryFrame>,

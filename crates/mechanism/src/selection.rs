@@ -16,10 +16,9 @@
 use greener_simkit::rng::RngHub;
 use greener_workload::users::{PopulationConfig, UserPopulation, UserProfile};
 use greener_workload::QueueClass;
-use serde::{Deserialize, Serialize};
 
 /// A posted queue offering.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueSpec {
     /// Queue identity.
     pub class: QueueClass,
@@ -62,7 +61,7 @@ pub fn standard_queues() -> Vec<QueueSpec> {
 }
 
 /// How users pick queues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChoiceModel {
     /// Assignment by true type: urgent types → urgent queue, green types →
     /// green queue, everyone else standard (what an informed operator
@@ -74,7 +73,7 @@ pub enum ChoiceModel {
 }
 
 /// The solved game.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdverseSelectionOutcome {
     /// Choice model used.
     pub model: ChoiceModel,

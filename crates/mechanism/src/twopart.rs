@@ -16,10 +16,9 @@
 use greener_hpc::GpuModel;
 use greener_simkit::rng::RngHub;
 use greener_workload::users::{PopulationConfig, UserPopulation, UserProfile};
-use serde::{Deserialize, Serialize};
 
 /// One menu tier.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MenuTier {
     /// Power cap for this tier, watts.
     pub cap_w: f64,
@@ -28,7 +27,7 @@ pub struct MenuTier {
 }
 
 /// Mechanism definition.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TwoPartMechanism {
     /// The fixed component: everyone runs at most at this cap.
     pub base_cap_w: f64,
@@ -184,7 +183,7 @@ fn tier_counts_first(
 }
 
 /// Aggregate mechanism outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TwoPartOutcome {
     /// Users per tier.
     pub tier_counts: Vec<usize>,
@@ -199,7 +198,7 @@ pub struct TwoPartOutcome {
 }
 
 /// The three §II-C regimes compared by experiment E8.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegimeComparison {
     /// Laissez-faire: nominal caps, single allocation.
     pub laissez_faire: TwoPartOutcome,

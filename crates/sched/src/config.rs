@@ -4,14 +4,12 @@
 //! sweep cell can carry across threads and into JSON reports, with
 //! [`PolicyKind::build`] producing the live policy object.
 
-use serde::{Deserialize, Serialize};
-
 use crate::carbon::{CarbonAwarePolicy, GreenQueuePolicy};
 use crate::energy::{PowerCapPolicy, TempAwarePolicy};
 use crate::policy::{EasyBackfillPolicy, FcfsPolicy, SchedPolicy, SjfPolicy};
 
 /// A policy configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicyKind {
     /// Strict first-come-first-served at nominal power.
     Fcfs,
@@ -163,9 +161,7 @@ mod tests {
 
     #[test]
     fn descriptor_roundtrip() {
-        // Serialization plumbing is exercised once a real serializer is
-        // available (the vendored serde stand-in has none); until then pin
-        // the plain-data contract: descriptors are Copy + PartialEq and
+        // The plain-data contract: descriptors are Copy + PartialEq and
         // rebuild into policies with matching names.
         for k in PolicyKind::COMPARISON_SET {
             let copy = k;

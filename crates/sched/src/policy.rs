@@ -22,7 +22,6 @@
 use greener_hpc::Cluster;
 use greener_simkit::time::SimTime;
 use greener_workload::{Job, JobId};
-use serde::{Deserialize, Serialize};
 
 use crate::waitq::WaitQueue;
 
@@ -30,7 +29,7 @@ use crate::waitq::WaitQueue;
 /// out of the [`WaitQueue`] when applying decisions, and policy scratch
 /// buffers (the carbon gate's filtered view) refill without touching the
 /// heap.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueuedJob {
     /// The job.
     pub job: Job,
@@ -66,7 +65,7 @@ pub struct SchedSignals<'a> {
 }
 
 /// One dispatch decision: start this job under this cap.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Decision {
     /// Job to start.
     pub job_id: JobId,
@@ -297,7 +296,7 @@ impl SchedPolicy for SjfPolicy {
 ///   ones, so SLO/wait metrics degrade gracefully rather than diverging.
 ///
 /// [`BackfillLimit::Depth(k)`]: BackfillLimit::Depth
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackfillLimit {
     /// Consider every candidate (classic EASY semantics; the default).
     #[default]

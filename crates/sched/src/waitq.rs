@@ -417,7 +417,7 @@ impl<'a> FitIter<'a> {
 /// regardless of horizon. Samples are whatever cadence the caller picks —
 /// the driver samples at the top of every simulated hour, matching the
 /// queue-depth column hourly telemetry used to carry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DepthStats {
     /// Deepest observed queue.
     pub max: u32,

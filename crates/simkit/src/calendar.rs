@@ -6,11 +6,10 @@
 //! buckets used by the monthly aggregations in [`crate::series`].
 
 use crate::time::{SimTime, HOUR, SECONDS_PER_DAY};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Month of the year (1-based like civil usage).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Month {
     /// January
     Jan = 1,
@@ -128,7 +127,7 @@ pub fn days_in_year(year: i32) -> u32 {
 }
 
 /// A civil calendar date.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CalDate {
     /// Civil year (e.g. 2020).
     pub year: i32,
@@ -243,7 +242,7 @@ impl fmt::Display for CalDate {
 }
 
 /// A (year, month) bucket used for monthly aggregation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct YearMonth {
     /// Civil year.
     pub year: i32,
@@ -291,7 +290,7 @@ impl fmt::Display for YearMonth {
 ///
 /// A `Calendar` is anchored at a start date (hour 0 of the simulation is
 /// midnight local time of `start`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Calendar {
     /// Civil date of simulation hour 0.
     pub start: CalDate,

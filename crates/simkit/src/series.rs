@@ -7,10 +7,9 @@
 
 use crate::calendar::{Calendar, YearMonth};
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Monthly aggregation statistic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MonthlyAgg {
     /// Arithmetic mean of hourly values.
     Mean,
@@ -23,7 +22,7 @@ pub enum MonthlyAgg {
 }
 
 /// One aggregated month.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonthlyRow {
     /// Which month.
     pub ym: YearMonth,
@@ -34,7 +33,7 @@ pub struct MonthlyRow {
 }
 
 /// A fixed-resolution (hourly) time series anchored on a calendar.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HourlySeries {
     calendar: Calendar,
     values: Vec<f64>,

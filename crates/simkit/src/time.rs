@@ -5,7 +5,6 @@
 //! workspace (job arrivals/completions, hourly environment ticks), which
 //! keeps the discrete-event engine free of floating-point ordering bugs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -19,15 +18,11 @@ pub const SECONDS_PER_HOUR: u64 = HOUR;
 pub const SECONDS_PER_DAY: u64 = 24 * HOUR;
 
 /// A point in simulation time: whole seconds since scenario start.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 /// A span of simulation time in whole seconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(pub u64);
 
 impl SimTime {

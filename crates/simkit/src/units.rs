@@ -6,7 +6,6 @@
 //! used in cooling" and fiscal/opportunity cost. Each of those quantities
 //! gets its own newtype here so accounting code cannot mix them up.
 
-use serde::{Deserialize, Serialize};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
@@ -14,7 +13,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 macro_rules! scalar_newtype {
     ($(#[$meta:meta])* $name:ident) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(pub f64);
 
         impl $name {
@@ -222,11 +221,11 @@ impl Energy {
 }
 
 /// Temperature in degrees Fahrenheit (the paper's Fig. 4 uses °F).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Fahrenheit(pub f64);
 
 /// Temperature in degrees Celsius.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Celsius(pub f64);
 
 impl Fahrenheit {

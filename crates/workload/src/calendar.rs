@@ -9,10 +9,9 @@
 //! local peak, and early 2021 sits in front of a notable concentration.
 
 use greener_simkit::calendar::{CalDate, YearMonth};
-use serde::{Deserialize, Serialize};
 
 /// Research area (Table I's first column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Area {
     /// Natural-language processing and speech.
     NlpSpeech,
@@ -49,7 +48,7 @@ impl Area {
 }
 
 /// One conference with its deadline dates inside the analysis window.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Conference {
     /// Venue acronym.
     pub name: &'static str,
@@ -60,7 +59,7 @@ pub struct Conference {
 }
 
 /// A set of conferences with deadline queries.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConferenceCalendar {
     conferences: Vec<Conference>,
 }

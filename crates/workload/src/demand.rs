@@ -17,12 +17,11 @@
 use greener_simkit::calendar::{hour_of_day, CalDate, Calendar, DayTable};
 use greener_simkit::series::HourlySeries;
 use greener_simkit::time::{SimTime, HOUR};
-use serde::{Deserialize, Serialize};
 
 use crate::calendar::ConferenceCalendar;
 
 /// Demand-model parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DemandConfig {
     /// Baseline arrival rate, jobs per hour.
     pub base_rate_per_hour: f64,
@@ -72,7 +71,7 @@ impl Default for DemandConfig {
 
 /// The demand model: deadline calendar + parameters, pre-resolved against a
 /// simulation calendar.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DemandModel {
     config: DemandConfig,
     /// Deadline instants as fractional hours from simulation start

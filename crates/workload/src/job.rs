@@ -9,16 +9,15 @@
 use greener_simkit::time::{Duration, SimTime};
 use rand::Rng;
 use rand_distr::{Distribution, LogNormal};
-use serde::{Deserialize, Serialize};
 
 use crate::users::UserId;
 
 /// Unique job identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
 
 /// What the job computes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobKind {
     /// Single model-training run.
     Training,
@@ -41,7 +40,7 @@ impl JobKind {
 }
 
 /// Queue class a job was submitted to (the §II-C segmentation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QueueClass {
     /// Default queue: nominal power, standard priority.
     #[default]
@@ -59,7 +58,7 @@ impl QueueClass {
 }
 
 /// One schedulable job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Job {
     /// Unique id.
     pub id: JobId,
@@ -108,7 +107,7 @@ impl Job {
 }
 
 /// Distributions from which job attributes are sampled.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SizeDistribution {
     /// (gpu-count, probability) menu; probabilities sum to 1.
     pub gpu_menu: Vec<(u32, f64)>,
@@ -202,7 +201,7 @@ fn sample_menu<T: Copy, R: Rng>(menu: &[(T, f64)], rng: &mut R) -> T {
 }
 
 /// A long-lived inference service (§IV-B): low utilization, diurnal queries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferenceService {
     /// Service name.
     pub name: String,

@@ -16,10 +16,8 @@
 //!   probability; poor reporting multiplies the expected compute burned
 //!   before the first success.
 
-use serde::{Deserialize, Serialize};
-
 /// A hyper-parameter sweep campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepCampaign {
     /// Number of configurations explored.
     pub n_configs: u32,
@@ -74,7 +72,7 @@ impl SweepCampaign {
 }
 
 /// A community attempting to replicate a published result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicationModel {
     /// Probability one attempt succeeds, in (0, 1]. Driven by reporting
     /// quality: full hyper-parameters + seeds + code ≈ 0.9; "see paper" ≈

@@ -14,12 +14,11 @@
 //!    [`DemandConfig::rolling`](crate::demand::DemandConfig)).
 
 use greener_simkit::calendar::{days_in_month, CalDate, Month};
-use serde::{Deserialize, Serialize};
 
 use crate::calendar::ConferenceCalendar;
 
 /// The paper's §III options (1)–(3), plus the status quo.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeadlinePolicy {
     /// Keep the historical Table I calendar.
     StatusQuo,

@@ -40,7 +40,6 @@ use greener_simkit::calendar::Calendar;
 use greener_simkit::rng::RngHub;
 use greener_simkit::time::SimTime;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::calendar::ConferenceCalendar;
 use crate::demand::{DeadlineCursor, DemandConfig, DemandModel};
@@ -48,7 +47,7 @@ use crate::job::{Job, JobId, QueueClass, SizeDistribution};
 use crate::users::{PopulationConfig, UserPopulation};
 
 /// Everything needed to generate a trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceConfig {
     /// Demand-model parameters.
     pub demand: DemandConfig,

@@ -9,16 +9,15 @@
 use greener_simkit::rng::RngHub;
 use rand::Rng;
 use rand_distr::{Distribution, LogNormal};
-use serde::{Deserialize, Serialize};
 
 use crate::calendar::Area;
 
 /// Unique user identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UserId(pub u32);
 
 /// One user's (private) type and activity profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserProfile {
     /// Identifier.
     pub id: UserId,
@@ -34,7 +33,7 @@ pub struct UserProfile {
 }
 
 /// Population-level sampling parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PopulationConfig {
     /// Number of users.
     pub n_users: u32,
@@ -67,7 +66,7 @@ impl Default for PopulationConfig {
 }
 
 /// A sampled population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserPopulation {
     users: Vec<UserProfile>,
     /// Σ `activity_mult` over `users` in order: the weight total
