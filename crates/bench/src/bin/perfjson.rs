@@ -4,7 +4,6 @@
 //! cargo run --release -p greener-bench --bin perfjson             # writes BENCH_engine.json
 //! cargo run --release -p greener-bench --bin perfjson -- -        # prints to stdout only
 //! cargo run --release -p greener-bench --bin perfjson -- --smoke - # 1 timed run/scenario (CI)
-//! cargo run --release -p greener-bench --bin perfjson -- --profile # + replay phase split
 //! ```
 //!
 //! Times the canonical engine scenarios — `driver_quick_30d`,
@@ -17,7 +16,11 @@
 //! pre-built world, so the snapshot tracks the sweep fast path against the
 //! full-probe replay number) and waiting-queue depth stats (max and mean
 //! at hourly sampling, collected by the driver's `QueueDepthProbe`).
-//! JSON is hand-formatted.
+//! Every replay lane also carries a `"counters"` object: the driver's
+//! exact loop counters from the warm-up run (`SimDriver::run_profiled`),
+//! including the fast-path proofs `fast_dispatches` and
+//! `fast_apply_events` that CI greps (see the `greener_bench` crate docs
+//! for the fields). JSON is hand-formatted.
 //!
 //! A `"campaign"` section reports the `campaign_small` lane: the
 //! policy-only campaign manifest (see `greener_bench::scenarios`) run
@@ -37,28 +40,11 @@
 //! moves carbon on the spread grids (the CI fleet smoke greps for both).
 //!
 //! Flags are parsed strictly by [`greener_bench::cli`]: an unknown flag
-//! (e.g. a `--proflie` typo) aborts with the usage text instead of
+//! (e.g. a `--smok` typo) aborts with the usage text instead of
 //! silently running the wrong benchmark shape.
 //!
 //! `--smoke` runs each scenario once after warm-up: CI uses it to keep the
 //! bench binary from rotting without paying for stable timings.
-//!
-//! `--profile` additionally runs each replay scenario once through the
-//! driver's self-profiling mode (`SimDriver::run_profiled`, aggregates-only
-//! observation — the sweep fast path being optimized) and attaches the
-//! per-phase wall-time split and loop counters as a `"profile"` object:
-//! signal build, policy dispatch (with backfill visits counted
-//! separately), decision apply, tick cooling/ledger, plus unattributed
-//! remainder. The apply/unattributed interiors are further split into
-//! overlapping sub-phases (`event_pop`, `apply_alloc`, `apply_slab`,
-//! `apply_completions`, `apply_probes`, `apply_schedule`, `tick_settle`,
-//! emitted as `*_ns`), and the fast-path counters (`fast_dispatches`,
-//! `fast_apply_events`) prove the lone-arrival path and the SoA apply slab
-//! actually engage.
-//! Profiled replays pay for the clock reads, so the split is
-//! for *attribution*; the directly-timed lanes above stay the numbers of
-//! record. This is the "profile before picking" instrument behind
-//! ROADMAP's replay-remainder work.
 
 use greener_bench::cli;
 use greener_bench::scenarios::{
@@ -74,7 +60,7 @@ use greener_core::campaign::{
 use greener_core::driver::{SimDriver, World};
 use greener_core::fleet::{FleetDriver, FleetManifest, FleetWorld, RoutingPolicyKind};
 use greener_core::probe::Observe;
-use greener_core::profile::{ProfileCounter, ProfilePhase, ProfileSubPhase, ReplayProfile};
+use greener_core::profile::{ProfileCounter, ReplayProfile};
 use greener_core::scenario::Scenario;
 use greener_simkit::proc::write_atomic;
 use std::path::Path;
@@ -102,36 +88,16 @@ struct Measurement {
     completed_jobs: usize,
     max_queue_depth: u32,
     mean_queue_depth: f64,
-    /// Replay phase split from `SimDriver::run_profiled` (with
-    /// `--profile`; replay scenarios only).
-    profile: Option<ReplayProfile>,
+    /// The warm-up replay's loop counters (replay lanes only).
+    counters: Option<ReplayProfile>,
 }
 
-/// Hand-format a [`ReplayProfile`] as the `"profile"` JSON object.
-fn profile_json(p: &ReplayProfile) -> String {
-    let mut parts: Vec<String> = vec![format!("\"total_ns\": {}", p.total.as_nanos())];
-    parts.extend(
-        ProfilePhase::ALL
-            .iter()
-            .map(|&ph| format!("\"{}_ns\": {}", ph.name(), p.phase(ph).as_nanos())),
-    );
-    parts.push(format!(
-        "\"unattributed_ns\": {}",
-        p.unattributed().as_nanos()
-    ));
-    // Sub-phases overlap the top-level phases (and the unattributed
-    // remainder) rather than partitioning them — see
-    // `greener_core::profile` for the containment relations.
-    parts.extend(
-        ProfileSubPhase::ALL
-            .iter()
-            .map(|&sp| format!("\"{}_ns\": {}", sp.name(), p.sub(sp).as_nanos())),
-    );
-    parts.extend(
-        ProfileCounter::ALL
-            .iter()
-            .map(|&c| format!("\"{}\": {}", c.name(), p.counter(c))),
-    );
+/// Hand-format a [`ReplayProfile`] as the `"counters"` JSON object.
+fn counters_json(p: &ReplayProfile) -> String {
+    let parts: Vec<String> = ProfileCounter::ALL
+        .iter()
+        .map(|&c| format!("\"{}\": {}", c.name(), p.counter(c)))
+        .collect();
     format!("{{{}}}", parts.join(", "))
 }
 
@@ -151,13 +117,14 @@ fn time_scenario(
     s: &Scenario,
     min_runs: usize,
     budget_secs: f64,
-    profile: bool,
 ) -> Measurement {
     // Warm-up run; the queue-depth columns come straight off the
     // driver's `QueueDepthProbe` (aggregates-only otherwise — the
-    // warm-up retains nothing per frame or per job).
+    // warm-up retains nothing per frame or per job), and the loop
+    // counters, which no probe can change, come back with it.
     let world = World::build(s);
-    let warm = SimDriver::run_observed(s, &world, Observe::aggregates().with_queue_depth());
+    let (warm, counters) =
+        SimDriver::run_profiled(s, &world, Observe::aggregates().with_queue_depth());
     let completed = warm.jobs.completed;
     let depth = warm.queue_depth.expect("queue depth observed");
     let (runs, secs_per_run) = time_loop(min_runs, budget_secs, || {
@@ -179,14 +146,6 @@ fn time_scenario(
     let (_, replay_agg_secs) = time_loop(min_runs, budget_secs / 2.0, || {
         std::hint::black_box(SimDriver::run_observed(s, &world, Observe::aggregates()));
     });
-    // Phase attribution over the same shared world and the same
-    // aggregates-only observation the fast lane times (one pass — the
-    // split is for attribution, not for end-to-end deltas).
-    let profile = profile.then(|| {
-        let (_, p) = SimDriver::run_profiled(s, &world, Observe::aggregates());
-        eprintln!("[perfjson] {name} profile: {}", p.summary());
-        p
-    });
     eprintln!(
         "[perfjson] {name}: {secs_per_run:.3} s/run ({runs} runs, worldgen {worldgen_secs:.3} + \
          replay {replay_secs:.3}; direct replay full {replay_full_secs:.3} vs aggregates-only \
@@ -205,7 +164,7 @@ fn time_scenario(
         completed_jobs: completed,
         max_queue_depth: depth.max,
         mean_queue_depth: depth.mean(),
-        profile,
+        counters: Some(counters),
     }
 }
 
@@ -235,7 +194,7 @@ fn time_worldgen(
         completed_jobs: trace_len,
         max_queue_depth: 0,
         mean_queue_depth: 0.0,
-        profile: None,
+        counters: None,
     }
 }
 
@@ -577,7 +536,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let (smoke, profile) = (parsed.smoke, parsed.profile);
+    let smoke = parsed.smoke;
     // Smoke mode: one timed run per scenario (plus the warm-up), so CI can
     // prove the bench binary still runs without waiting for stable timings.
     // Single-run timings are noise, so smoke mode never overwrites the
@@ -592,14 +551,12 @@ fn main() {
             &Scenario::quick(30, 3),
             min_runs,
             short_budget,
-            profile,
         ),
         time_scenario(
             "driver_small_2y",
             &Scenario::two_year_small(greener_bench::seeds::WORLD),
             min_runs,
             long_budget,
-            profile,
         ),
         time_worldgen(
             "worldgen_2y",
@@ -612,14 +569,12 @@ fn main() {
             &dispatch_heavy_90d(greener_bench::seeds::WORLD),
             min_runs,
             long_budget,
-            profile,
         ),
         time_scenario(
             "dispatch_burst_7d",
             &dispatch_burst_7d(greener_bench::seeds::WORLD),
             min_runs,
             short_budget,
-            profile,
         ),
     ];
 
@@ -629,12 +584,12 @@ fn main() {
     let mut json = String::from("{\n  \"benchmarks\": [\n");
     for (i, m) in measurements.iter().enumerate() {
         // `unwrap_or_default()` is the point here, not a swallowed error:
-        // `profile` is `None` whenever `--profile` wasn't requested, and
-        // the empty string simply omits the optional JSON field.
-        let profile_field = m
-            .profile
+        // `counters` is `None` on the world-gen-only lane, and the empty
+        // string simply omits the optional JSON field.
+        let counters_field = m
+            .counters
             .as_ref()
-            .map(|p| format!(", \"profile\": {}", profile_json(p)))
+            .map(|p| format!(", \"counters\": {}", counters_json(p)))
             .unwrap_or_default();
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"secs_per_run\": {:.6}, \"runs_per_sec\": {:.6}, \"worldgen_secs_per_run\": {:.6}, \"replay_secs_per_run\": {:.6}, \"replay_full_probes_secs_per_run\": {:.6}, \"replay_aggregates_only_secs_per_run\": {:.6}, \"runs\": {}, \"completed_jobs\": {}, \"max_queue_depth\": {}, \"mean_queue_depth\": {:.1}{}}}{}\n",
@@ -649,7 +604,7 @@ fn main() {
             m.completed_jobs,
             m.max_queue_depth,
             m.mean_queue_depth,
-            profile_field,
+            counters_field,
             if i + 1 < measurements.len() { "," } else { "" }
         ));
     }

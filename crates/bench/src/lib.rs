@@ -8,42 +8,24 @@
 //!   Ids name a subset ([`cli::REPRO_IDS`]); an unknown id is an error.
 //! * `cargo run --release -p greener-bench --bin perfjson` times the
 //!   canonical engine scenarios ([`scenarios`]) into `BENCH_engine.json`.
-//! * `cargo run --release -p greener-bench --bin perfjson -- --profile`
-//!   adds the driver's self-profiling pass: per-phase replay wall time
-//!   (signal build / policy dispatch / decision apply / tick cooling) and
-//!   loop counters (fast-path dispatches, backfill visits) per scenario,
-//!   recorded in `BENCH_engine.json` — the instrument ROADMAP's
-//!   "profile before picking" rule refers to. See `greener_core::profile`.
 //!
-//! ## `BENCH_engine.json` profile schema
+//! ## `BENCH_engine.json` counters
 //!
-//! Each replay scenario's `"profile"` object (present with `--profile`)
-//! contains, in order:
-//!
-//! * `total_ns` — whole-replay wall time for the profiled pass;
-//! * one `<phase>_ns` per top-level [`greener_core::profile::ProfilePhase`]
-//!   (`signal_build`, `policy_dispatch`, `decision_apply`, `tick_cooling`,
-//!   `tick_ledger`) — disjoint slices of the replay loop;
-//! * `unattributed_ns` — `total` minus the top-level phases (completion
-//!   handling, event-queue pops, probe wiring);
-//! * one `<sub_phase>_ns` per
-//!   [`greener_core::profile::ProfileSubPhase`] (`event_pop`,
-//!   `apply_alloc`, `apply_slab`, `apply_completions`, `apply_probes`,
-//!   `apply_schedule`, `tick_settle`). Sub-phases **overlap** the
-//!   top-level split: starts are measured inside `decision_apply`,
-//!   finishes inside the unattributed remainder, and `tick_settle` inside
-//!   `tick_cooling` — so they attribute interiors and must not be summed
-//!   with the phases;
-//! * one field per [`greener_core::profile::ProfileCounter`] — loop
-//!   counts (events, decisions, dispatch calls, backfill visits, …) plus
-//!   the fast-path proof counters `fast_dispatches` (arrivals resolved on
-//!   the lone-arrival fast path) and `fast_apply_events` (SoA apply slab
-//!   touches: one per start + one per finish).
+//! Each replay lane carries a `"counters"` object: the driver's loop
+//! counters from the lane's warm-up run (`SimDriver::run_profiled`,
+//! aggregates plus queue depth), one field per
+//! [`greener_core::profile::ProfileCounter`]. They are exact counts
+//! (events, arrivals, completions, ticks, dispatch calls, decisions,
+//! backfill visits) plus the fast-path proofs `fast_dispatches`
+//! (arrivals resolved on the lone-arrival fast path) and
+//! `fast_apply_events` (SoA apply slab touches: one per start and one
+//! per finish). The snapshot has no in-loop timings; see
+//! `greener_core::profile` for why.
 
 /// The `perfjson` and `repro` command lines: strict parsers.
 ///
 /// Strict on purpose — `perfjson` used to scan with
-/// `args.iter().any(|a| a == "--smoke")`, so a typo like `--proflie`
+/// `args.iter().any(|a| a == "--smoke")`, so a typo like `--smok`
 /// silently ran the wrong benchmark shape and the snapshot looked valid.
 /// Unknown flags and ids now fail with the usage text.
 pub mod cli {
@@ -54,19 +36,16 @@ pub mod cli {
         /// since single-run timings must never overwrite the curated
         /// `BENCH_engine.json` trajectory).
         pub smoke: bool,
-        /// Attach the replay phase split (`SimDriver::run_profiled`).
-        pub profile: bool,
         /// Print to stdout instead of writing `BENCH_engine.json`.
         pub to_stdout: bool,
     }
 
     /// Usage text printed for `--help` and appended to unknown-flag errors.
-    pub const USAGE: &str = "usage: perfjson [--smoke] [--profile] [-]\n\
+    pub const USAGE: &str = "usage: perfjson [--smoke] [-]\n\
         \n\
-        \x20 --smoke    one timed run per scenario (CI); implies stdout-only\n\
-        \x20 --profile  attach the replay phase split and loop counters\n\
-        \x20 -          print to stdout instead of writing BENCH_engine.json\n\
-        \x20 --help     show this message\n";
+        \x20 --smoke  one timed run per scenario (CI); implies stdout-only\n\
+        \x20 -        print to stdout instead of writing BENCH_engine.json\n\
+        \x20 --help   show this message\n";
 
     /// Parse the argument list (without the program name).
     ///
@@ -75,13 +54,11 @@ pub mod cli {
     pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Option<PerfArgs>, String> {
         let mut parsed = PerfArgs {
             smoke: false,
-            profile: false,
             to_stdout: false,
         };
         for arg in args {
             match arg.as_ref() {
                 "--smoke" => parsed.smoke = true,
-                "--profile" => parsed.profile = true,
                 "-" => parsed.to_stdout = true,
                 "--help" | "-h" => return Ok(None),
                 unknown => return Err(format!("unknown flag `{unknown}`\n{USAGE}")),
@@ -410,19 +387,25 @@ pub mod cli {
 
         #[test]
         fn known_flags_parse() {
-            let a = parse(&["--smoke", "--profile"]).unwrap().unwrap();
-            assert!(a.smoke && a.profile && a.to_stdout, "smoke implies stdout");
-            let a = parse(&["--profile"]).unwrap().unwrap();
-            assert!(a.profile && !a.smoke && !a.to_stdout);
+            let a = parse(&["--smoke"]).unwrap().unwrap();
+            assert!(a.smoke && a.to_stdout, "smoke implies stdout");
             let a = parse(&["-"]).unwrap().unwrap();
-            assert!(a.to_stdout && !a.smoke && !a.profile);
+            assert!(a.to_stdout && !a.smoke);
             let a = parse::<&str>(&[]).unwrap().unwrap();
-            assert!(!a.smoke && !a.profile && !a.to_stdout);
+            assert!(!a.smoke && !a.to_stdout);
         }
 
         #[test]
         fn typos_are_rejected_with_usage() {
-            for bad in ["--proflie", "--smok", "--", "smoke", "--smoke=1"] {
+            // No `--profile`: every replay lane already carries the counters.
+            for bad in [
+                "--profile",
+                "--proflie",
+                "--smok",
+                "--",
+                "smoke",
+                "--smoke=1",
+            ] {
                 let e = parse(&[bad]).unwrap_err();
                 assert!(e.contains(bad), "{e}");
                 assert!(e.contains("usage:"), "{e}");

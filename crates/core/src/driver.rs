@@ -82,10 +82,10 @@
 //!   plant once per hour ([`greener_hpc::CoolingCache`]); COP, water use
 //!   and the saturation flag read that single [`CoolingPoint`] instead of
 //!   re-deriving the temperature response three times.
-//! * **Self-profiling seam** — the loop is generic over a
-//!   [`ReplayProfiler`] (no-op by default, so the instrumentation
-//!   compiles out); [`SimDriver::run_profiled`] attributes wall time to
-//!   loop phases and feeds `perfjson --profile` (see [`crate::profile`]).
+//! * **Always-on loop counters** — every replay counts its events,
+//!   dispatches, decisions and fast-path hits in one plain array
+//!   ([`crate::profile`]); the counts are exact and cost nothing
+//!   measurable, and [`SimDriver::run_profiled`] hands them back.
 //!
 //! The golden determinism test below pins total energy/carbon/completions
 //! bit-for-bit for fixed seeds across all policy families, on both the
@@ -116,10 +116,7 @@ use crate::probe::{
     AggregatesProbe, JobPoint, JobsProbe, LedgerProbe, Observe, PurchasePoint, QueueDepthProbe,
     RunOutput, RunProbes,
 };
-use crate::profile::{
-    NoProfiler, ProfileCounter, ProfilePhase, ProfileSubPhase, ReplayProfile, ReplayProfiler,
-    WallProfiler,
-};
+use crate::profile::{ProfileCounter, ReplayProfile};
 use crate::scenario::{ForecastMode, Scenario};
 
 /// One completed job's accounting record (feeds Eq. 2's per-user `e_i`).
@@ -218,11 +215,11 @@ struct Running {
 const VACANT_FINISH: SimTime = SimTime(u64::MAX);
 
 /// What one replay hands back: the probe set (now holding everything that
-/// was observed) and the profiler, plus the loop-side tallies probes
+/// was observed) and the loop counters, plus the loop-side tallies probes
 /// cannot see.
-struct ReplayOutcome<O, P> {
+struct ReplayOutcome<O> {
     probes: O,
-    prof: P,
+    counts: ReplayProfile,
     /// Jobs submitted within the horizon (= trace length).
     submitted: usize,
     /// Jobs still queued or running at the end.
@@ -240,7 +237,7 @@ const FORECAST_PERIOD: usize = 24;
 /// Mutable event-loop state. Every buffer in here persists across events;
 /// after warm-up the loop performs no heap allocation beyond what the
 /// attached probes retain (see the module docs for the architecture).
-struct Engine<'s, Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> {
+struct Engine<'s, Q: EventScheduler<Event>, O: RunProbes> {
     scenario: &'s Scenario,
     grid: &'s GridPath,
     weather: &'s WeatherPath,
@@ -295,16 +292,14 @@ struct Engine<'s, Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> {
     forecast_model: Option<Box<dyn Forecaster + Send>>,
     /// Per-run memo of the cooling plant's hourly operating point.
     cooling: CoolingCache,
-    /// Replay profiler ([`NoProfiler`] on every normal entry point — the
-    /// instrumentation then compiles out entirely).
-    prof: P,
+    /// Loop counters, always kept (see [`crate::profile`]).
+    counts: ReplayProfile,
     hour_cursor: usize,
 }
 
-impl<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O, P> {
+impl<Q: EventScheduler<Event>, O: RunProbes> Engine<'_, Q, O> {
     /// Refresh `forecast_green` for the top of `hour_cursor`.
     fn refresh_forecast(&mut self) {
-        let m = self.prof.mark();
         forecast_at(
             self.scenario,
             self.grid,
@@ -313,7 +308,6 @@ impl<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O,
             &mut self.forecast_model,
             &mut self.forecast_green,
         );
-        self.prof.record(ProfilePhase::SignalBuild, m);
     }
 
     /// Build the dispatch signals, run the policy and apply its decisions.
@@ -321,7 +315,7 @@ impl<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O,
         if self.waiting.is_empty() || self.cluster.free_gpus() == 0 {
             return;
         }
-        self.prof.bump(ProfileCounter::DispatchCalls, 1);
+        self.counts.bump(ProfileCounter::DispatchCalls, 1);
         let h = self.hour_cursor.min(self.hours - 1);
         let signals = build_signals(
             self.grid,
@@ -332,10 +326,8 @@ impl<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O,
             now,
         );
         self.decisions.clear();
-        let m = self.prof.mark();
         self.policy
             .dispatch(&self.waiting, &self.cluster, &signals, &mut self.decisions);
-        self.prof.record(ProfilePhase::PolicyDispatch, m);
         debug_assert!(
             greener_sched::policy::validate_decisions(
                 &self.decisions,
@@ -349,7 +341,6 @@ impl<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O,
         // packing, so this must match the decision sequence exactly). The
         // fit-indexed queue removes each started job by id in O(1) — no
         // position scan, no compaction pass.
-        let m = self.prof.mark();
         let mut applied = 0u64;
         for di in 0..self.decisions.len() {
             let d = self.decisions[di];
@@ -364,8 +355,7 @@ impl<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O,
             // On allocation failure (cannot happen for validated decisions)
             // the job simply stays queued at its position.
         }
-        self.prof.record(ProfilePhase::DecisionApply, m);
-        self.prof.bump(ProfileCounter::Decisions, applied);
+        self.counts.bump(ProfileCounter::Decisions, applied);
     }
 
     /// The lone-arrival fast path (default engine only): resolve a job
@@ -398,9 +388,7 @@ impl<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O,
             now,
         );
         let q = QueuedJob { job, enqueued: now };
-        let m = self.prof.mark();
         let lone = self.policy.lone_dispatch(&q, &self.cluster, &signals);
-        self.prof.record(ProfilePhase::PolicyDispatch, m);
         let submitted = JobPoint::Submitted {
             job,
             time: now,
@@ -409,7 +397,6 @@ impl<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O,
         match lone {
             LoneDispatch::Start { power_cap_w } => {
                 self.probes.observe(&submitted);
-                let m = self.prof.mark();
                 let started = self.try_start(
                     &job,
                     Decision {
@@ -418,9 +405,8 @@ impl<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O,
                     },
                     now,
                 );
-                self.prof.record(ProfilePhase::DecisionApply, m);
-                self.prof.bump(ProfileCounter::FastDispatches, 1);
-                self.prof.bump(ProfileCounter::Decisions, 1);
+                self.counts.bump(ProfileCounter::FastDispatches, 1);
+                self.counts.bump(ProfileCounter::Decisions, 1);
                 debug_assert!(started, "a fitting lone job must allocate");
                 if !started {
                     // Defensive fallback (unreachable for a fitting gang):
@@ -437,7 +423,7 @@ impl<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O,
                 // is decision-invisible.
                 self.waiting.push(q);
                 self.probes.observe(&submitted);
-                self.prof.bump(ProfileCounter::FastDispatches, 1);
+                self.counts.bump(ProfileCounter::FastDispatches, 1);
                 true
             }
             LoneDispatch::Unsupported => false,
@@ -447,7 +433,6 @@ impl<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O,
     /// Allocate and schedule one decided job. Returns false if the cluster
     /// rejects the allocation.
     fn try_start(&mut self, job: &Job, d: Decision, now: SimTime) -> bool {
-        let m = self.prof.mark();
         let util = kind_utilization(job.kind);
         // One borrow of the GPU model for the whole derivation. Speed and
         // power are pure functions of `(cap, util)`, so computing them
@@ -464,18 +449,12 @@ impl<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O,
         let duration = job.duration_at_speed(speed);
         let finish = now + duration;
         let energy = Energy(gpu_power * job.gpus as f64 * duration.secs_f64());
-        self.prof.record_sub(ProfileSubPhase::ApplyAlloc, m);
-        let m = self.prof.mark();
         self.queue.schedule(finish, Event::Completion(job.id));
-        self.prof.record_sub(ProfileSubPhase::ApplySchedule, m);
         // Keep the completion profile sorted: binary-search the insertion
         // point (ties insert after equals, preserving soonest-first order).
-        let m = self.prof.mark();
         let head = self.completions_head;
         let pos = head + self.completions[head..].partition_point(|&(t, _)| t <= finish);
         self.completions.insert(pos, (finish, job.gpus));
-        self.prof.record_sub(ProfileSubPhase::ApplyCompletions, m);
-        let m = self.prof.mark();
         let idx = job.id.0 as usize;
         if self.apply_fast {
             debug_assert!(self.finish_at[idx] == VACANT_FINISH, "job started twice");
@@ -483,7 +462,7 @@ impl<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O,
             self.cold_start[idx] = now;
             self.cold_cap_w[idx] = cap;
             self.cold_energy_j[idx] = energy.value();
-            self.prof.bump(ProfileCounter::FastApplyEvents, 1);
+            self.counts.bump(ProfileCounter::FastApplyEvents, 1);
         } else {
             debug_assert!(self.running[idx].is_none(), "job started twice");
             self.running[idx] = Some(Running {
@@ -503,13 +482,10 @@ impl<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O,
             });
         }
         self.running_count += 1;
-        self.prof.record_sub(ProfileSubPhase::ApplySlab, m);
-        let m = self.prof.mark();
         self.probes.observe(&JobPoint::Started {
             id: job.id,
             time: now,
         });
-        self.prof.record_sub(ProfileSubPhase::ApplyProbes, m);
         true
     }
 
@@ -517,11 +493,9 @@ impl<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O,
     /// Returns false for stale completion events.
     fn finish_job(&mut self, id: JobId) -> bool {
         let idx = id.0 as usize;
-        let m = self.prof.mark();
         let (finish, gpus, record) = if self.apply_fast {
             let finish = self.finish_at[idx];
             if finish == VACANT_FINISH {
-                self.prof.record_sub(ProfileSubPhase::ApplySlab, m);
                 return false;
             }
             self.finish_at[idx] = VACANT_FINISH;
@@ -543,24 +517,19 @@ impl<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O,
                 power_cap_w: self.cold_cap_w[idx],
                 energy: Energy(self.cold_energy_j[idx]),
             };
-            self.prof.bump(ProfileCounter::FastApplyEvents, 1);
+            self.counts.bump(ProfileCounter::FastApplyEvents, 1);
             (finish, job.gpus, record)
         } else {
             let Some(run) = self.running[idx].take() else {
-                self.prof.record_sub(ProfileSubPhase::ApplySlab, m);
                 return false;
             };
             let gpus = run.record.gpus;
             (run.finish, gpus, run.record)
         };
-        self.prof.record_sub(ProfileSubPhase::ApplySlab, m);
         self.running_count -= 1;
-        let m = self.prof.mark();
         self.cluster.release(id);
-        self.prof.record_sub(ProfileSubPhase::ApplyAlloc, m);
         // Remove one matching `(finish, gpus)` entry; among equal finish
         // times any match is equivalent (the profile is a multiset).
-        let m = self.prof.mark();
         let head = self.completions_head;
         let mut k = head + self.completions[head..].partition_point(|&(ct, _)| ct < finish);
         while k < self.completions.len() && self.completions[k].0 == finish {
@@ -583,10 +552,7 @@ impl<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O,
             self.completions.drain(..self.completions_head);
             self.completions_head = 0;
         }
-        self.prof.record_sub(ProfileSubPhase::ApplyCompletions, m);
-        let m = self.prof.mark();
         self.probes.observe(&JobPoint::Finished(record));
-        self.prof.record_sub(ProfileSubPhase::ApplyProbes, m);
         true
     }
 }
@@ -733,7 +699,7 @@ impl SimDriver {
     /// decision-invisible, so every spec observes bit-identical numbers
     /// (the golden determinism test and a property test pin this).
     pub fn run_observed(scenario: &Scenario, world: &World, observe: Observe) -> RunOutput {
-        Self::observed_on_core(scenario, world, observe, NoProfiler, false).0
+        Self::observed_on_core(scenario, world, observe, false).0
     }
 
     /// Replay a pre-built world on the **reference engine**: the
@@ -745,29 +711,20 @@ impl SimDriver {
     /// included, which [`crate::equivalence::assert_matches_reference`]
     /// checks. Slower, and meant for tests and benchmarks only.
     pub fn run_reference(scenario: &Scenario, world: &World, observe: Observe) -> RunOutput {
-        Self::observed_on_core(scenario, world, observe, NoProfiler, true).0
+        Self::observed_on_core(scenario, world, observe, true).0
     }
 
-    /// Replay a pre-built world with wall-clock self-profiling: like
-    /// [`SimDriver::run_observed`], plus a [`ReplayProfile`] attributing
-    /// replay time to loop phases (signal build, policy dispatch, decision
-    /// apply, tick cooling/ledger) and counting events, fast-path
-    /// dispatches and backfill visits.
-    ///
-    /// Profiling is observation-only — the returned [`RunOutput`] is
-    /// bit-identical to an un-profiled run — but reading the clock around
-    /// every phase costs real time, so use the profile for *attribution*
-    /// and the un-profiled lanes for end-to-end timings (see
-    /// [`crate::profile`]). `perfjson --profile` records this split in
-    /// `BENCH_engine.json`.
+    /// Replay a pre-built world like [`SimDriver::run_observed`], and also
+    /// return the replay's loop counters: events, dispatches, decisions,
+    /// fast-path hits and backfill visits (see [`crate::profile`]). Every
+    /// replay keeps these counts, so this is the same replay at the same
+    /// speed; it only hands them back. They do not depend on `observe`.
     pub fn run_profiled(
         scenario: &Scenario,
         world: &World,
         observe: Observe,
     ) -> (RunOutput, ReplayProfile) {
-        let (out, prof) =
-            Self::observed_on_core(scenario, world, observe, WallProfiler::new(), false);
-        (out, prof.finish())
+        Self::observed_on_core(scenario, world, observe, false)
     }
 
     /// Check that `world` was generated for `scenario`. Three integer
@@ -794,34 +751,32 @@ impl SimDriver {
     /// comes through here. `reference` selects the reference engine's
     /// binary-heap queue here, and its dispatch and apply paths in
     /// `SimDriver::replay`.
-    fn observed_on_core<P: ReplayProfiler>(
+    fn observed_on_core(
         scenario: &Scenario,
         world: &World,
         observe: Observe,
-        prof: P,
         reference: bool,
-    ) -> (RunOutput, P) {
+    ) -> (RunOutput, ReplayProfile) {
         Self::check_world(scenario, world);
         if reference {
-            Self::observed::<EventQueue<Event>, _>(scenario, world, observe, prof, true)
+            Self::observed::<EventQueue<Event>>(scenario, world, observe, true)
         } else {
-            Self::observed::<CalendarQueue<Event>, _>(scenario, world, observe, prof, false)
+            Self::observed::<CalendarQueue<Event>>(scenario, world, observe, false)
         }
     }
 
     /// Dispatch `observe` to a statically-composed probe set.
-    fn observed<Q: EventScheduler<Event>, P: ReplayProfiler>(
+    fn observed<Q: EventScheduler<Event>>(
         scenario: &Scenario,
         world: &World,
         observe: Observe,
-        prof: P,
         reference: bool,
-    ) -> (RunOutput, P) {
+    ) -> (RunOutput, ReplayProfile) {
         if observe == Observe::aggregates() {
             // The fast path gets its own monomorphization: no `Option`
             // probes, nothing retained per frame or per job.
             let probes = (AggregatesProbe::new(), JobsProbe::stats_only());
-            let outcome = Self::replay::<Q, _, _>(scenario, world, probes, prof, reference);
+            let outcome = Self::replay::<Q, _>(scenario, world, probes, reference);
             let (agg, jobs_probe) = outcome.probes;
             let (jobs, _) = jobs_probe.finish(
                 outcome.submitted,
@@ -839,7 +794,7 @@ impl SimDriver {
                     job_records: None,
                     queue_depth: None,
                 },
-                outcome.prof,
+                outcome.counts,
             );
         }
         let calendar = Calendar::new(scenario.start);
@@ -860,7 +815,7 @@ impl SimDriver {
                 observe.queue_depth.then(QueueDepthProbe::new),
             ),
         );
-        let outcome = Self::replay::<Q, _, _>(scenario, world, probes, prof, reference);
+        let outcome = Self::replay::<Q, _>(scenario, world, probes, reference);
         let ((agg, jobs_probe), ((telemetry, ledger), queue_depth)) = outcome.probes;
         let (jobs, records) = jobs_probe.finish(
             outcome.submitted,
@@ -878,20 +833,19 @@ impl SimDriver {
                 job_records: records,
                 queue_depth: queue_depth.map(QueueDepthProbe::into_stats),
             },
-            outcome.prof,
+            outcome.counts,
         )
     }
 
-    /// The event loop, generic over the scheduler core, the probe set and
-    /// the profiler. `reference` turns off the lone-arrival fast path and
-    /// keeps running jobs in the array-of-structs slab.
-    fn replay<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler>(
+    /// The event loop, generic over the scheduler core and the probe set.
+    /// `reference` turns off the lone-arrival fast path and keeps running
+    /// jobs in the array-of-structs slab.
+    fn replay<Q: EventScheduler<Event>, O: RunProbes>(
         scenario: &Scenario,
         world: &World,
         probes: O,
-        prof: P,
         reference: bool,
-    ) -> ReplayOutcome<O, P> {
+    ) -> ReplayOutcome<O> {
         let hours = scenario.horizon_hours;
         let World {
             weather,
@@ -959,7 +913,7 @@ impl SimDriver {
                 _ => None,
             },
             cooling: CoolingCache::new(),
-            prof,
+            counts: ReplayProfile::default(),
             hour_cursor: 0,
         };
         engine.refresh_forecast();
@@ -969,13 +923,8 @@ impl SimDriver {
         let mut last_t = SimTime::ZERO;
         let mut acc_it_j = 0.0f64;
 
-        while let Some((t, ev)) = {
-            let m = engine.prof.mark();
-            let popped = engine.queue.pop();
-            engine.prof.record_sub(ProfileSubPhase::EventPop, m);
-            popped
-        } {
-            engine.prof.bump(ProfileCounter::Events, 1);
+        while let Some((t, ev)) = engine.queue.pop() {
+            engine.counts.bump(ProfileCounter::Events, 1);
             // Integrate IT power since the last event.
             let dt = (t - last_t).secs_f64();
             if dt > 0.0 {
@@ -985,7 +934,7 @@ impl SimDriver {
 
             match ev {
                 Event::Arrival(idx) => {
-                    engine.prof.bump(ProfileCounter::Arrivals, 1);
+                    engine.counts.bump(ProfileCounter::Arrivals, 1);
                     let job = trace[idx as usize];
                     // Lone-arrival fast path: an arrival to an empty queue
                     // with free capacity resolves without the fit-indexed
@@ -1009,14 +958,13 @@ impl SimDriver {
                     }
                 }
                 Event::Completion(id) => {
-                    engine.prof.bump(ProfileCounter::Completions, 1);
+                    engine.counts.bump(ProfileCounter::Completions, 1);
                     if engine.finish_job(id) {
                         engine.dispatch(t);
                     }
                 }
                 Event::Tick => {
-                    engine.prof.bump(ProfileCounter::Ticks, 1);
-                    let tick_mark = engine.prof.mark();
+                    engine.counts.bump(ProfileCounter::Ticks, 1);
                     // Finalize the hour that just ended. The cooling plant
                     // is evaluated once for the hour's temperature; COP,
                     // water and saturation all read that one point.
@@ -1033,9 +981,7 @@ impl SimDriver {
                     // Settlement runs exactly once per hourly tick — the
                     // hour's energy is already batched by the
                     // piecewise-constant integration above, so there is one
-                    // strategy call and one purchase point per hour (the
-                    // `tick_settle` sub-phase measures it directly).
-                    let settle_mark = engine.prof.mark();
+                    // strategy call and one purchase point per hour.
                     let settle = strategy.settle_hour(facility, grid.green_share[h]);
                     let purchased = settle.purchased;
                     let rec = PurchaseRecord {
@@ -1049,9 +995,6 @@ impl SimDriver {
                         record: rec,
                         settle,
                     });
-                    engine
-                        .prof
-                        .record_sub(ProfileSubPhase::TickSettle, settle_mark);
 
                     // The hourly frame context: plain scalars the loop has
                     // in hand anyway. What gets *retained* about the hour
@@ -1075,7 +1018,6 @@ impl SimDriver {
                         cooling_saturated: cooling.saturated,
                     };
                     engine.probes.observe(&hour_obs);
-                    engine.prof.record(ProfilePhase::TickCooling, tick_mark);
 
                     engine.hour_cursor += 1;
                     if engine.hour_cursor < hours {
@@ -1086,7 +1028,7 @@ impl SimDriver {
                 }
             }
         }
-        engine.prof.bump(
+        engine.counts.bump(
             ProfileCounter::BackfillVisits,
             engine.policy.backfill_visits(),
         );
@@ -1107,7 +1049,7 @@ impl SimDriver {
 
         ReplayOutcome {
             probes: engine.probes,
-            prof: engine.prof,
+            counts: engine.counts,
             submitted: trace.len(),
             unfinished: engine.waiting.len() + engine.running_count,
             battery_cycles: strategy.equivalent_cycles(),
@@ -1596,13 +1538,8 @@ mod tests {
 
         let s = Scenario::quick(10, 19).with_battery();
         let world = World::build(&s);
-        let outcome = SimDriver::replay::<CalendarQueue<Event>, _, _>(
-            &s,
-            &world,
-            Audit::default(),
-            NoProfiler,
-            false,
-        );
+        let outcome =
+            SimDriver::replay::<CalendarQueue<Event>, _>(&s, &world, Audit::default(), false);
         let audit = outcome.probes;
         let reference = SimDriver::run(&s);
         assert_eq!(audit.submitted, reference.jobs.submitted);
@@ -1734,13 +1671,12 @@ mod tests {
         assert_eq!(out.battery_cycles, full.battery_cycles);
     }
 
-    /// Profiling is observation-only: a profiled run reproduces the
-    /// un-profiled bits, and its counters describe the replay it watched
-    /// (every event attributed, arrivals resolved fast on the default
-    /// path, phases bounded by the total).
+    /// Handing the counters back changes no bit of the run, and they
+    /// describe the replay they came from (every event attributed, arrivals
+    /// resolved fast on the default path) whatever the probes record.
     #[test]
     fn profiled_run_matches_unprofiled_and_counts_consistently() {
-        use crate::profile::{ProfileCounter, ProfilePhase};
+        use crate::profile::ProfileCounter;
         let s = Scenario::quick(10, 21);
         let world = World::build(&s);
         let plain = SimDriver::run_observed(&s, &world, Observe::aggregates());
@@ -1770,10 +1706,6 @@ mod tests {
             c(ProfileCounter::FastDispatches) > 0,
             "quick scenarios mostly arrive at an empty queue"
         );
-        let phase_sum: std::time::Duration =
-            ProfilePhase::ALL.iter().map(|&p| profile.phase(p)).sum();
-        assert!(phase_sum <= profile.total);
-        assert!(profile.phase(ProfilePhase::TickCooling) > std::time::Duration::ZERO);
         // The fast apply slab handles every start and every completed
         // job's retirement (the default apply path).
         assert_eq!(
@@ -1781,25 +1713,19 @@ mod tests {
             c(ProfileCounter::Decisions) + plain.jobs.completed as u64,
             "one fast-apply event per start plus one per finish"
         );
-        // Sub-phases overlap the top-level phases (they never partition
-        // the total); the ones on every event path must be non-zero.
-        use crate::profile::ProfileSubPhase;
-        assert!(profile.sub(ProfileSubPhase::EventPop) > std::time::Duration::ZERO);
-        assert!(profile.sub(ProfileSubPhase::TickSettle) > std::time::Duration::ZERO);
-        assert!(
-            profile.sub(ProfileSubPhase::TickSettle) <= profile.phase(ProfilePhase::TickCooling)
-        );
-        assert!(profile.sub(ProfileSubPhase::ApplySlab) > std::time::Duration::ZERO);
+        // Probes are decision-invisible, so full observation counts exactly
+        // what aggregates-only observation counts (`perfjson` takes its
+        // counters from a queue-depth run).
+        let everything = Observe::aggregates()
+            .with_telemetry()
+            .with_ledger()
+            .with_job_records()
+            .with_queue_depth();
+        let (_, full_profile) = SimDriver::run_profiled(&s, &world, everything);
+        assert_eq!(full_profile, profile);
         // The reference engine must take no fast path at all: otherwise
         // every reference-vs-default equivalence test would be vacuous.
-        let (_, ref_prof) = SimDriver::observed_on_core(
-            &s,
-            &world,
-            Observe::aggregates(),
-            WallProfiler::new(),
-            true,
-        );
-        let ref_profile = ref_prof.finish();
+        let (_, ref_profile) = SimDriver::observed_on_core(&s, &world, Observe::aggregates(), true);
         assert_eq!(ref_profile.counter(ProfileCounter::FastDispatches), 0);
         assert_eq!(ref_profile.counter(ProfileCounter::FastApplyEvents), 0);
         assert!(

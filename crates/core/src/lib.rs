@@ -49,8 +49,8 @@
 //! * [`driver`] — the discrete-event simulation loop.
 //! * [`probe`] — the run-observation layer: built-in probes, the
 //!   [`Observe`] spec and the [`RunOutput`] report surface.
-//! * [`profile`] — replay self-profiling: per-phase wall time and event
-//!   counters behind [`driver::SimDriver::run_profiled`].
+//! * [`profile`] — the replay loop's exact, always-on counters, returned
+//!   by [`driver::SimDriver::run_profiled`].
 //! * [`equivalence`] — the reference-vs-optimized test harness: run a
 //!   scenario matrix across two engine configurations and assert
 //!   bit-identical results (every fast path in the workspace is pinned
