@@ -40,7 +40,7 @@ pub const DIURNAL_AMPLITUDE_F: [f64; 12] =
     [5.0, 5.5, 6.5, 7.5, 8.0, 8.5, 8.5, 8.0, 7.5, 7.0, 5.5, 5.0];
 
 /// Configuration of the weather generator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeatherConfig {
     /// Monthly mean temperature normals, °F (Jan..Dec).
     pub temp_normals_f: [f64; 12],

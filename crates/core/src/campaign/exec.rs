@@ -32,16 +32,34 @@
 //! # World reuse
 //!
 //! [`InProcessBackend`] asks the plan to run each shard's cell range with
-//! `world_reuse` on; [`CampaignPlan`] keys each cell by
-//! [`Scenario::world_inputs_key`](crate::scenario::Scenario::world_inputs_key) and builds each distinct world once per
-//! shard, replaying every matching cell over it via the aggregates-only
-//! observation fast path — exactly the by-hand pattern the bench crate
-//! established, now automatic. On a policy-only campaign this turns
-//! O(cells) world builds into O(distinct seeds) per shard. (The fleet
-//! plan does the same with whole fleet worlds, keyed per site.)
+//! `world_reuse` on. World identity comes from the inputs, not from a
+//! hand-kept field list: the world builders read only
+//! [`EnvSpec`](crate::driver::EnvSpec) and
+//! [`TraceSpec`](crate::driver::TraceSpec), and
+//! [`Scenario::world_inputs_key`](crate::scenario::Scenario::world_inputs_key)
+//! is their text. Before running, [`CampaignPlan`] keys every cell of the
+//! range by its world and its environment, then walks the cells through
+//! one last-use cache per kind (`LastUseCache`):
+//!
+//! * a world is built on its first cell, replayed by every matching cell
+//!   via the aggregates-only observation fast path, and dropped after its
+//!   last cell;
+//! * an environment is built once per shard and shared by every world of
+//!   the shard that needs it: a world whose environment an earlier world
+//!   built generates only its trace, and the last such world takes the
+//!   environment itself rather than a copy.
+//!
+//! On a policy-only campaign this turns O(cells) world builds into
+//! O(distinct seeds) per shard; on a trace-knob sweep (arrival rate,
+//! deadline policy, nodes) it turns O(cells) environment builds into
+//! O(distinct seeds), and a shard never holds a world no later cell
+//! needs. The fleet plan caches whole fleet worlds, keyed per site, the
+//! same way; its sites differ in environment config, so it shares no
+//! environments.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::Hash;
 
 use greener_simkit::rng::fnv1a;
 use greener_simkit::sweep;
@@ -51,7 +69,7 @@ use crate::driver::{JobStats, SimDriver, World};
 use crate::equivalence::Fingerprint;
 use crate::probe::{Observe, RunAggregates};
 
-use super::plan::{CampaignCell, CampaignPlan};
+use super::plan::{env_key, CampaignCell, CampaignPlan};
 
 /// An error while parsing or merging shard artifacts.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -297,8 +315,9 @@ pub trait Plan: Sync {
 
     /// Run cells `start..end` in plan order and return their records in
     /// that order. `world_reuse` builds each distinct world once per call
-    /// instead of once per cell; both modes must produce identical bytes
-    /// (the reuse invariant every plan kind pins in tests).
+    /// instead of once per cell, and drops it after its last cell in the
+    /// range; both modes must produce identical bytes (the reuse invariant
+    /// every plan kind pins in tests).
     fn run_cells(&self, start: usize, end: usize, world_reuse: bool) -> Vec<Self::Record>;
 
     /// The straight-run reference fingerprint for cell `index` (fresh
@@ -639,13 +658,15 @@ pub trait ShardBackend<P: Plan>: Sync {
 }
 
 /// In-process shard runner: replays each cell through the aggregates-only
-/// observation fast path, optionally reusing worlds across cells whose
-/// world-input keys match.
+/// observation fast path, optionally reusing worlds (and environments)
+/// across cells whose world inputs match.
 #[derive(Debug, Clone, Copy)]
 pub struct InProcessBackend {
-    /// Build each distinct world once per shard (`true`, the default) or
-    /// once per cell (`false` — the per-cell reference the reuse tests
-    /// and the perfjson campaign lane compare against).
+    /// Build each distinct world once per shard, sharing environments and
+    /// dropping each world after its last cell (`true`, the default), or
+    /// build every world from scratch once per cell (`false` — the
+    /// per-cell reference the reuse tests and the perfjson campaign lane
+    /// compare against).
     pub world_reuse: bool,
 }
 
@@ -703,6 +724,84 @@ impl CellRecord for CellResult {
     }
 }
 
+/// A shard-local cache over a sequence of uses known up front. Each use
+/// names a key; the value for a key is built on the key's first use and
+/// dropped right after its last, so a shard holds only what its remaining
+/// cells still need. Both plan kinds keep their worlds in one;
+/// [`CampaignPlan`] keeps environments in a second, one use per world
+/// build.
+pub(crate) struct LastUseCache<V> {
+    /// Each use's slot (one slot per distinct key), in use order.
+    slots: Vec<usize>,
+    /// Each slot's first use.
+    first: Vec<usize>,
+    /// Each slot's last use.
+    last: Vec<usize>,
+    /// Each slot's value while it is live.
+    live: Vec<Option<V>>,
+}
+
+impl<V> LastUseCache<V> {
+    /// A cache for the uses `keys`, in order.
+    pub(crate) fn new<K: Eq + Hash>(keys: impl IntoIterator<Item = K>) -> LastUseCache<V> {
+        let mut ids = HashMap::new();
+        let (mut slots, mut first, mut last) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, key) in keys.into_iter().enumerate() {
+            let fresh = first.len();
+            let slot = *ids.entry(key).or_insert(fresh);
+            if slot == fresh {
+                first.push(i);
+                last.push(i);
+            } else {
+                last[slot] = i;
+            }
+            slots.push(slot);
+        }
+        let live = first.iter().map(|_| None).collect();
+        LastUseCache {
+            slots,
+            first,
+            last,
+            live,
+        }
+    }
+
+    /// Whether use `i` is its key's first, the one that builds the value.
+    pub(crate) fn is_first_use(&self, i: usize) -> bool {
+        self.first[self.slots[i]] == i
+    }
+
+    /// Use `i` by reference: build the value if `i` is its key's first
+    /// use, pass it to `f`, and drop it if `i` is the last.
+    pub(crate) fn with<R>(
+        &mut self,
+        i: usize,
+        build: impl FnOnce() -> V,
+        f: impl FnOnce(&V) -> R,
+    ) -> R {
+        let slot = self.slots[i];
+        let out = f(self.live[slot].get_or_insert_with(build));
+        if self.last[slot] == i {
+            self.live[slot] = None;
+        }
+        out
+    }
+
+    /// Use `i` by value: build the value if `i` is its key's first use,
+    /// and hand out a clone, or the value itself at the key's last use.
+    pub(crate) fn take(&mut self, i: usize, build: impl FnOnce() -> V) -> V
+    where
+        V: Clone,
+    {
+        let slot = self.slots[i];
+        if self.last[slot] == i {
+            self.live[slot].take().unwrap_or_else(build)
+        } else {
+            self.live[slot].get_or_insert_with(build).clone()
+        }
+    }
+}
+
 impl Plan for CampaignPlan {
     type Record = CellResult;
 
@@ -726,19 +825,38 @@ impl Plan for CampaignPlan {
 
     fn run_cells(&self, start: usize, end: usize, world_reuse: bool) -> Vec<CellResult> {
         let cells = &self.cells[start..end];
-        let mut worlds: HashMap<String, World> = HashMap::new();
-        let mut results = Vec::with_capacity(cells.len());
-        for cell in cells {
-            results.push(if world_reuse {
-                let world = worlds
-                    .entry(cell.scenario.world_inputs_key())
-                    .or_insert_with(|| World::build(&cell.scenario));
-                InProcessBackend::run_cell(cell, world)
-            } else {
-                InProcessBackend::run_cell(cell, &World::build(&cell.scenario))
-            });
+        if !world_reuse {
+            return cells
+                .iter()
+                .map(|cell| InProcessBackend::run_cell(cell, &World::build(&cell.scenario)))
+                .collect();
         }
-        results
+        let mut worlds = LastUseCache::new(cells.iter().map(|c| c.scenario.world_inputs_key()));
+        // One environment use per world build, in build order: a world
+        // whose environment an earlier build made builds only its trace.
+        let mut envs = LastUseCache::new(
+            cells
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| worlds.is_first_use(i))
+                .map(|(_, c)| env_key(&c.scenario)),
+        );
+        let mut builds = 0;
+        cells
+            .iter()
+            .enumerate()
+            .map(|(i, cell)| {
+                let s = &cell.scenario;
+                let build = || {
+                    let env_use = builds;
+                    builds += 1;
+                    World::with_environment(&s.trace_spec(), || {
+                        envs.take(env_use, || World::environment(s))
+                    })
+                };
+                worlds.with(i, build, |world| InProcessBackend::run_cell(cell, world))
+            })
+            .collect()
     }
 
     fn reference_fingerprint(&self, index: usize) -> Fingerprint {
@@ -1098,6 +1216,69 @@ mod tests {
         let rebuilt = run_campaign(&plan, &InProcessBackend { world_reuse: false }, 1).unwrap();
         // Bit-identical — not approximately equal — via the canonical text.
         assert_eq!(reused.to_text(), rebuilt.to_text());
+    }
+
+    #[test]
+    fn last_use_cache_builds_each_key_once_and_holds_nothing_past_its_last_use() {
+        use std::rc::{Rc, Weak};
+        let keys = ["a", "b", "a", "c", "b"];
+        let mut cache = LastUseCache::new(keys);
+        let mut built = Vec::new();
+        let mut handles: HashMap<&str, Weak<&str>> = HashMap::new();
+        for (i, &key) in keys.iter().enumerate() {
+            assert_eq!(cache.is_first_use(i), !built.contains(&key), "use {i}");
+            let build = || {
+                built.push(key);
+                Rc::new(key)
+            };
+            let seen = cache.with(i, build, |value| {
+                handles.insert(key, Rc::downgrade(value));
+                **value
+            });
+            assert_eq!(seen, key);
+            // A value is live after use `i` exactly when a later use needs it.
+            for (k, handle) in &handles {
+                let used_later = keys[i + 1..].contains(k);
+                assert_eq!(
+                    handle.upgrade().is_some(),
+                    used_later,
+                    "`{k}` after use {i}"
+                );
+            }
+        }
+        assert_eq!(built, ["a", "b", "c"]);
+    }
+
+    #[test]
+    fn last_use_cache_hands_the_value_itself_to_its_last_use() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+        /// A value that counts its clones.
+        struct Tally(Rc<Cell<usize>>);
+        impl Clone for Tally {
+            fn clone(&self) -> Tally {
+                self.0.set(self.0.get() + 1);
+                Tally(Rc::clone(&self.0))
+            }
+        }
+        let keys = ["a", "b", "a", "c", "b"];
+        let mut cache = LastUseCache::new(keys);
+        let clones = Rc::new(Cell::new(0));
+        let mut builds = 0;
+        let taken: Vec<Tally> = (0..keys.len())
+            .map(|i| {
+                cache.take(i, || {
+                    builds += 1;
+                    Tally(Rc::clone(&clones))
+                })
+            })
+            .collect();
+        assert_eq!(taken.len(), keys.len());
+        assert_eq!(builds, 3);
+        // Every use but each key's last gets a clone; the last gets the
+        // cached value itself, so nothing stays behind.
+        assert_eq!(clones.get(), keys.len() - 3);
+        assert!(cache.live.iter().all(Option::is_none));
     }
 
     #[test]

@@ -18,9 +18,12 @@
 //!   expansion (first axis outermost, seeds innermost, via
 //!   [`greener_simkit::sweep::gridn_indices`]) into cells with stable ids.
 //! * **[`ShardBackend`] / [`run_campaign`]** ([`exec`]) — contiguous shard
-//!   partition, per-shard execution behind a serialization boundary,
-//!   world-reuse caching keyed by [`Scenario::world_inputs_key`], and the
-//!   index-ordered merge. Artifacts are **versioned and checksummed**
+//!   partition, per-shard execution behind a serialization boundary, a
+//!   shard-local world cache, and the index-ordered merge. World identity
+//!   comes from the two specs the world builders read
+//!   ([`Scenario::world_inputs_key`] is their text); a shard shares one
+//!   environment among the worlds that need it and drops each world after
+//!   its last cell. Artifacts are **versioned and checksummed**
 //!   ([`ShardArtifact`]): a v1 header carries the producing plan's
 //!   fingerprint ([`exec::plan_fingerprint`]) and shard range, an FNV-1a
 //!   trailer seals the content, and [`merge_artifacts`] validates every

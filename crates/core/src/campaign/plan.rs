@@ -128,16 +128,34 @@ impl CampaignPlan {
         self.cells.is_empty()
     }
 
-    /// Number of *distinct worlds* the plan needs
-    /// (cells grouped by [`Scenario::world_inputs_key`]) — what the
-    /// world-reuse cache caps shard-local world builds at.
+    /// Number of *distinct worlds* the plan needs: cells grouped by
+    /// [`Scenario::world_inputs_key`], the text of the two specs the
+    /// world builders read. A shard builds each of its distinct worlds
+    /// once and drops it after its last cell.
     pub fn distinct_worlds(&self) -> usize {
+        self.count_distinct(Scenario::world_inputs_key)
+    }
+
+    /// Number of *distinct environments* the plan needs: cells grouped by
+    /// [`Scenario::env_spec`]. Worlds that differ only in their trace
+    /// share one environment, which a shard builds once.
+    pub fn distinct_environments(&self) -> usize {
+        self.count_distinct(env_key)
+    }
+
+    fn count_distinct(&self, key: impl Fn(&Scenario) -> String) -> usize {
         self.cells
             .iter()
-            .map(|c| c.scenario.world_inputs_key())
+            .map(|c| key(&c.scenario))
             .collect::<std::collections::HashSet<_>>()
             .len()
     }
+}
+
+/// The environment-cache key: the `Debug` text of [`Scenario::env_spec`],
+/// the environment half of [`Scenario::world_inputs_key`].
+pub(super) fn env_key(scenario: &Scenario) -> String {
+    format!("{:?}", scenario.env_spec())
 }
 
 #[cfg(test)]

@@ -97,20 +97,22 @@
 //! [`CoolingPoint`]: greener_hpc::CoolingPoint
 //! [`SchedPolicy::lone_dispatch`]: greener_sched::SchedPolicy::lone_dispatch
 
-use greener_climate::WeatherPath;
+use greener_climate::{WeatherConfig, WeatherPath};
 
 use greener_forecast::Forecaster;
 use greener_grid::ledger::{PurchaseLedger, PurchaseRecord};
-use greener_grid::mix::GridPath;
+use greener_grid::mix::{GridConfig, GridPath};
 use greener_hpc::gpu::kind_utilization;
 use greener_hpc::{Cluster, CoolingCache, HourObservation, TelemetryLog, TelemetryProbe};
 use greener_sched::{Decision, LoneDispatch, QueuedJob, SchedPolicy, SchedSignals, WaitQueue};
-use greener_simkit::calendar::Calendar;
+use greener_simkit::calendar::{CalDate, Calendar};
 use greener_simkit::calq::CalendarQueue;
 use greener_simkit::des::{EventQueue, EventScheduler};
 use greener_simkit::time::{SimTime, HOUR};
 use greener_simkit::units::{Energy, Fahrenheit};
-use greener_workload::{Job, JobId, JobKind, TraceGenerator, UserId};
+use greener_workload::{
+    ConferenceCalendar, DeadlinePolicy, Job, JobId, JobKind, TraceConfig, TraceGenerator, UserId,
+};
 
 use crate::probe::{
     AggregatesProbe, JobPoint, JobsProbe, LedgerProbe, Observe, PurchasePoint, QueueDepthProbe,
@@ -591,65 +593,130 @@ impl World {
     ///
     /// The fork's two sides consume disjoint stream families
     /// (`climate.*`/`grid.*` vs `users.*` and the indexed `trace.*`
-    /// shards), so [`World::environment`] and [`World::build_trace`] can
-    /// also be called separately — in any order, even from different hubs
+    /// shards), and each side reads only its own spec
+    /// ([`EnvSpec`], [`TraceSpec`]), so the environment and the trace can
+    /// also be built separately — in any order, even from different hubs
     /// seeded alike — and reproduce exactly the pieces built here. The
-    /// fleet layer ([`crate::fleet`]) leans on that: one shared trace from
-    /// the base scenario, one environment per site.
+    /// fleet layer ([`crate::fleet`]) leans on that (one shared trace from
+    /// the base scenario, one environment per site), and so does the
+    /// campaign world cache (one environment per seed, shared by every
+    /// trace variant of that seed).
     pub fn build(scenario: &Scenario) -> World {
-        let ((weather, grid), trace) = greener_simkit::par::join(
-            true,
-            || Self::environment(scenario),
-            || Self::build_trace(scenario),
-        );
+        let env = scenario.env_spec();
+        World::with_environment(&scenario.trace_spec(), || env.build())
+    }
+
+    /// Assemble a world from its trace spec and an environment that `env`
+    /// supplies — generated, or handed over by a cache — forked against
+    /// the trace build exactly as [`World::build`] forks the two halves.
+    pub(crate) fn with_environment(
+        spec: &TraceSpec,
+        env: impl FnOnce() -> (WeatherPath, GridPath) + Send,
+    ) -> World {
+        let ((weather, grid), trace) = greener_simkit::par::join(true, env, || spec.build());
         World {
-            seed: scenario.seed,
-            gpu_cap: scenario.cluster.total_gpus(),
+            seed: spec.seed,
+            gpu_cap: spec.gpu_cap,
             weather,
             grid,
             trace,
         }
     }
 
-    /// Generate only the scenario's environment — the hourly weather path
-    /// and the grid path that consumes it. Draws exactly the
-    /// `climate.*`/`grid.*` streams [`World::build`] draws on its
-    /// environment side, so the result is bit-identical to the
-    /// corresponding fields of a full build.
+    /// Generate only the scenario's environment: [`EnvSpec::build`] of
+    /// [`Scenario::env_spec`].
     pub fn environment(scenario: &Scenario) -> (WeatherPath, GridPath) {
-        let hub = greener_simkit::rng::RngHub::new(scenario.seed);
-        let calendar = Calendar::new(scenario.start);
-        let weather = WeatherPath::generate_mode(
-            &scenario.weather,
-            calendar,
-            scenario.horizon_hours,
-            &hub,
-            true,
-        );
-        let grid = GridPath::generate_mode(&scenario.grid, &weather, &hub, true);
-        (weather, grid)
+        scenario.env_spec().build()
     }
 
-    /// Generate only the scenario's job trace: dense ids in submit order,
-    /// gang sizes capped at the machine size. Draws exactly the `users.*`
-    /// and indexed `trace.*` streams [`World::build`] draws on its trace
-    /// side, so the result is bit-identical to the trace of a full build.
+    /// Generate only the scenario's job trace: [`TraceSpec::build`] of
+    /// [`Scenario::trace_spec`].
     pub fn build_trace(scenario: &Scenario) -> Vec<Job> {
-        let hub = greener_simkit::rng::RngHub::new(scenario.seed);
-        let calendar = Calendar::new(scenario.start);
+        scenario.trace_spec().build()
+    }
+}
+
+/// Everything the environment half of a world is a function of: the
+/// weather path and the grid path that consumes it. Built by
+/// [`EnvSpec::build`], which reads nothing else, so two scenarios with
+/// equal environment specs share a bit-identical environment whatever
+/// their trace, cluster or policy.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EnvSpec {
+    /// Root seed.
+    pub seed: u64,
+    /// Civil date of simulation hour 0.
+    pub start: CalDate,
+    /// Horizon in whole hours.
+    pub horizon_hours: usize,
+    /// Weather model.
+    pub weather: WeatherConfig,
+    /// Grid model.
+    pub grid: GridConfig,
+}
+
+impl EnvSpec {
+    /// Generate the hourly weather path and the grid path that consumes
+    /// it. Draws exactly the `climate.*`/`grid.*` streams [`World::build`]
+    /// draws on its environment side, so the result is bit-identical to
+    /// the corresponding fields of a full build.
+    pub fn build(&self) -> (WeatherPath, GridPath) {
+        let hub = greener_simkit::rng::RngHub::new(self.seed);
+        let calendar = Calendar::new(self.start);
+        let weather =
+            WeatherPath::generate_mode(&self.weather, calendar, self.horizon_hours, &hub, true);
+        let grid = GridPath::generate_mode(&self.grid, &weather, &hub, true);
+        (weather, grid)
+    }
+}
+
+/// Everything the trace half of a world is a function of. The deadline
+/// policy reshapes the calendar the generator samples, and gang sizes are
+/// capped at the cluster's GPU count, so both belong here; the cluster
+/// shape beyond that count does not. Built by [`TraceSpec::build`], which
+/// reads nothing else.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceSpec {
+    /// Root seed.
+    pub seed: u64,
+    /// Civil date of simulation hour 0.
+    pub start: CalDate,
+    /// Horizon in whole hours.
+    pub horizon_hours: usize,
+    /// Workload trace configuration.
+    pub trace: TraceConfig,
+    /// Deadline-restructuring policy applied to the Table I calendar.
+    pub deadline_policy: DeadlinePolicy,
+    /// Cluster size gang sizes are capped at, GPUs.
+    pub gpu_cap: u32,
+}
+
+impl TraceSpec {
+    /// The Table I calendar after applying the deadline policy.
+    pub fn calendar(&self) -> ConferenceCalendar {
+        self.deadline_policy.apply(&ConferenceCalendar::table_i())
+    }
+
+    /// Generate the job trace: dense ids in submit order, gang sizes
+    /// capped at the machine size. Draws exactly the `users.*` and indexed
+    /// `trace.*` streams [`World::build`] draws on its trace side, so the
+    /// result is bit-identical to the trace of a full build.
+    pub fn build(&self) -> Vec<Job> {
+        let hub = greener_simkit::rng::RngHub::new(self.seed);
+        let calendar = Calendar::new(self.start);
         // The trace generator construction samples the user population
         // (stream `users.population`) before generation proper.
-        let conferences = scenario.effective_calendar();
-        let mut trace_cfg = scenario.trace.clone();
-        trace_cfg.demand.rolling = scenario.deadline_policy.is_rolling();
+        let conferences = self.calendar();
+        let mut trace_cfg = self.trace.clone();
+        trace_cfg.demand.rolling = self.deadline_policy.is_rolling();
         let generator = TraceGenerator::new(trace_cfg, &conferences, calendar, &hub);
         generator
-            .generate_mode(scenario.horizon_hours, &hub, true)
+            .generate_mode(self.horizon_hours, &hub, true)
             .into_iter()
             .map(|mut j| {
                 // Cap gang sizes at the machine size so every job is
                 // feasible.
-                j.gpus = j.gpus.min(scenario.cluster.total_gpus());
+                j.gpus = j.gpus.min(self.gpu_cap);
                 j
             })
             .collect()

@@ -177,7 +177,6 @@
 
 use greener_climate::WeatherPath;
 use greener_grid::mix::GridPath;
-use std::collections::HashMap;
 use std::fmt;
 
 use greener_simkit::par;
@@ -187,7 +186,7 @@ use greener_simkit::time::SimTime;
 use greener_simkit::units::Energy;
 use greener_workload::{Job, JobId};
 
-use crate::campaign::exec::{fbits, parse_fbits, parse_usize};
+use crate::campaign::exec::{fbits, parse_fbits, parse_usize, LastUseCache};
 use crate::campaign::manifest::{
     err, for_each_entry, parse_axis_values, parse_base, parse_seeds, ManifestError,
 };
@@ -1272,26 +1271,28 @@ impl Plan for FleetPlan {
 
     fn run_cells(&self, start: usize, end: usize, world_reuse: bool) -> Vec<FleetCellResult> {
         let cells = &self.cells[start..end];
-        // World-reuse keys on [`FleetScenario::world_inputs_key`], which
-        // is routing-invariant: a routing axis over one base fleet builds
-        // each seed's FleetWorld once per shard and replays every routing
-        // cell over it — the fleet analogue of the campaign layer's
-        // policy-axis reuse.
-        let mut worlds: HashMap<String, FleetWorld> = HashMap::new();
-        let mut results = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let out = if world_reuse {
-                let world = worlds
-                    .entry(cell.fleet.world_inputs_key())
-                    .or_insert_with(|| FleetWorld::build(&cell.fleet));
-                FleetDriver::run_observed(&cell.fleet, world, Observe::aggregates())
-            } else {
-                let world = FleetWorld::build(&cell.fleet);
-                FleetDriver::run_observed(&cell.fleet, &world, Observe::aggregates())
-            };
-            results.push(FleetCellResult::from_output(cell.index, &cell.id, &out));
+        let run = |cell: &FleetCell, world: &FleetWorld| {
+            let out = FleetDriver::run_observed(&cell.fleet, world, Observe::aggregates());
+            FleetCellResult::from_output(cell.index, &cell.id, &out)
+        };
+        if !world_reuse {
+            return cells
+                .iter()
+                .map(|cell| run(cell, &FleetWorld::build(&cell.fleet)))
+                .collect();
         }
-        results
+        // World reuse keys on [`FleetScenario::world_inputs_key`], which
+        // is routing-invariant: a routing axis over one base fleet builds
+        // each seed's FleetWorld once per shard, replays every routing
+        // cell over it and drops it after the last — the fleet analogue of
+        // the campaign layer's policy-axis reuse. Sites differ in their
+        // environment configs, so there is no environment to share.
+        let mut worlds = LastUseCache::new(cells.iter().map(|c| c.fleet.world_inputs_key()));
+        cells
+            .iter()
+            .enumerate()
+            .map(|(i, cell)| worlds.with(i, || FleetWorld::build(&cell.fleet), |w| run(cell, w)))
+            .collect()
     }
 
     fn reference_fingerprint(&self, index: usize) -> Fingerprint {
@@ -1476,6 +1477,7 @@ mod tests {
     use super::*;
     use crate::equivalence::{self, assert_runners_equivalent, quick_matrix};
     use greener_simkit::rng::fnv1a;
+    use std::collections::HashMap;
 
     /// The fleet equivalence axis: a 1-site fleet under static routing is
     /// the identity wrapper — it must reproduce the single-site

@@ -13,8 +13,9 @@ use greener_grid::storage::BatteryConfig;
 use greener_hpc::{ClusterSpec, CoolingModel};
 use greener_sched::PolicyKind;
 use greener_simkit::calendar::CalDate;
-use greener_workload::{ConferenceCalendar, DeadlinePolicy, TraceConfig};
+use greener_workload::{DeadlinePolicy, TraceConfig};
 
+use crate::driver::{EnvSpec, TraceSpec};
 use crate::strategy::PurchaseStrategy;
 
 /// How the carbon-aware scheduler obtains its green-share forecast.
@@ -131,39 +132,50 @@ impl Scenario {
         s
     }
 
-    /// The Table I calendar after applying this scenario's deadline policy.
-    pub fn effective_calendar(&self) -> ConferenceCalendar {
-        self.deadline_policy.apply(&ConferenceCalendar::table_i())
+    /// The inputs of the world's environment half: seed, start date,
+    /// horizon, weather and grid.
+    pub fn env_spec(&self) -> EnvSpec {
+        EnvSpec {
+            seed: self.seed,
+            start: self.start,
+            horizon_hours: self.horizon_hours,
+            weather: self.weather.clone(),
+            grid: self.grid.clone(),
+        }
     }
 
-    /// Stable key over everything that feeds `World::build`: the seed,
-    /// start date, horizon, the weather/grid/trace configurations, the
-    /// deadline policy (it reshapes the calendar the trace generator
-    /// samples) and the cluster's total GPU count (gang sizes are capped
-    /// at it, baked into the trace). The name, policy, forecast, strategy,
-    /// cooling and SLO fields are deliberately excluded — they cannot
-    /// change a world bit. Neither can the world-gen thread count, which is not a
-    /// scenario field at all (`RAYON_NUM_THREADS`; the equivalence
-    /// harness pins 1 vs N threads bit-identical).
+    /// The inputs of the world's trace half: seed, start date, horizon,
+    /// trace configuration, deadline policy (it reshapes the calendar the
+    /// trace generator samples) and the cluster's total GPU count (gang
+    /// sizes are capped at it, baked into the trace).
+    pub fn trace_spec(&self) -> TraceSpec {
+        TraceSpec {
+            seed: self.seed,
+            start: self.start,
+            horizon_hours: self.horizon_hours,
+            trace: self.trace.clone(),
+            deadline_policy: self.deadline_policy,
+            gpu_cap: self.cluster.total_gpus(),
+        }
+    }
+
+    /// Stable key over everything that feeds `World::build`: the `Debug`
+    /// text of [`Scenario::env_spec`] and [`Scenario::trace_spec`]. The
+    /// world builders read nothing but those two specs, so no
+    /// world-affecting field can be missing from the key, and every field
+    /// outside them (name, policy, forecast, strategy, cooling, SLO, the
+    /// cluster shape beyond its GPU count) leaves it alone. Neither can
+    /// the world-gen thread count, which is not a scenario field at all
+    /// (`RAYON_NUM_THREADS`; the equivalence harness pins 1 vs N threads
+    /// bit-identical).
     ///
     /// Two scenarios with equal keys build **bit-identical** worlds, so a
     /// campaign shard may build the world once and replay every matching
-    /// cell over it (the world-reuse cache in `crate::campaign`). The key
-    /// is the `Debug` rendering of the world-input fields, which is
-    /// injective for this purpose: `f64`'s `Debug` is the
-    /// shortest-roundtrip form, so distinct finite values never collide.
+    /// cell over it (the world cache in `crate::campaign`). `Debug` is
+    /// injective here: `f64`'s `Debug` is the shortest-roundtrip form, so
+    /// distinct finite values never collide.
     pub fn world_inputs_key(&self) -> String {
-        format!(
-            "seed={} start={:?} hours={} gpus={} weather={:?} grid={:?} trace={:?} deadline={:?}",
-            self.seed,
-            self.start,
-            self.horizon_hours,
-            self.cluster.total_gpus(),
-            self.weather,
-            self.grid,
-            self.trace,
-            self.deadline_policy,
-        )
+        format!("{:?}", (self.env_spec(), self.trace_spec()))
     }
 
     /// 64-bit digest of [`Scenario::world_inputs_key`] for compact
@@ -317,10 +329,68 @@ mod tests {
     }
 
     #[test]
-    fn effective_calendar_honours_deadline_policy() {
+    fn specs_split_world_inputs_into_environment_and_trace() {
+        let base = Scenario::quick(5, 9);
+        // Trace-side inputs leave the environment alone: this is what
+        // lets a shard share one environment across them.
+        let mut busier = base.clone();
+        busier.trace.demand.base_rate_per_hour *= 1.5;
+        let mut bigger = base.clone();
+        bigger.cluster.nodes += 1;
+        let rolling = base.clone().with_deadline_policy(DeadlinePolicy::Rolling);
+        for trace_side in [&busier, &bigger, &rolling] {
+            assert_eq!(base.env_spec(), trace_side.env_spec());
+            assert_ne!(base.trace_spec(), trace_side.trace_spec());
+        }
+        // Environment-side inputs leave the trace alone.
+        let mut warmer = base.clone();
+        warmer.weather.warming_offset_c += 1.0;
+        let mut windier = base.clone();
+        windier.grid.wind_capacity_mw *= 2.0;
+        for env_side in [&warmer, &windier] {
+            assert_eq!(base.trace_spec(), env_side.trace_spec());
+            assert_ne!(base.env_spec(), env_side.env_spec());
+        }
+        // Seed, start and horizon feed both halves.
+        let mut later = base.clone();
+        later.start = CalDate::new(2020, 2, 1);
+        for both in [
+            &base.clone().with_seed(10),
+            &later,
+            &base.clone().with_horizon_days(6),
+        ] {
+            assert_ne!(base.env_spec(), both.env_spec());
+            assert_ne!(base.trace_spec(), both.trace_spec());
+        }
+        // Equal keys exactly when both specs are equal.
+        let replay_side = base
+            .clone()
+            .with_policy(PolicyKind::Fcfs)
+            .with_cooling(CoolingModel::default());
+        for other in [
+            &replay_side,
+            &busier,
+            &bigger,
+            &rolling,
+            &warmer,
+            &windier,
+            &later,
+        ] {
+            let specs_equal =
+                base.env_spec() == other.env_spec() && base.trace_spec() == other.trace_spec();
+            assert_eq!(
+                base.world_inputs_key() == other.world_inputs_key(),
+                specs_equal
+            );
+        }
+        assert_eq!(base.world_inputs_key(), replay_side.world_inputs_key());
+    }
+
+    #[test]
+    fn trace_calendar_honours_deadline_policy() {
         let mut s = Scenario::quick(3, 1);
         s.deadline_policy = DeadlinePolicy::WinterSpring;
-        let cal = s.effective_calendar();
+        let cal = s.trace_spec().calendar();
         for d in cal.all_deadlines() {
             assert!((3..=5).contains(&d.month.number()));
         }

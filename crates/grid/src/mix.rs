@@ -54,7 +54,7 @@ impl FuelSource {
 }
 
 /// Grid model configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridConfig {
     /// Mean regional demand, MW.
     pub base_demand_mw: f64,

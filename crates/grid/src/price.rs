@@ -13,7 +13,7 @@ use greener_simkit::calendar::Calendar;
 use greener_simkit::time::SimTime;
 
 /// Price-model parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PriceConfig {
     /// Mid-month natural gas price anchors, $/MMBtu (Jan..Dec).
     pub gas_price_usd_mmbtu: [f64; 12],

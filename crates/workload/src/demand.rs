@@ -21,7 +21,7 @@ use greener_simkit::time::{SimTime, HOUR};
 use crate::calendar::ConferenceCalendar;
 
 /// Demand-model parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DemandConfig {
     /// Baseline arrival rate, jobs per hour.
     pub base_rate_per_hour: f64,

@@ -107,7 +107,7 @@ impl Job {
 }
 
 /// Distributions from which job attributes are sampled.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SizeDistribution {
     /// (gpu-count, probability) menu; probabilities sum to 1.
     pub gpu_menu: Vec<(u32, f64)>,

@@ -47,7 +47,7 @@ use crate::job::{Job, JobId, QueueClass, SizeDistribution};
 use crate::users::{PopulationConfig, UserPopulation};
 
 /// Everything needed to generate a trace.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// Demand-model parameters.
     pub demand: DemandConfig,

@@ -33,7 +33,7 @@ pub struct UserProfile {
 }
 
 /// Population-level sampling parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PopulationConfig {
     /// Number of users.
     pub n_users: u32,

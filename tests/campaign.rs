@@ -91,6 +91,50 @@ fn campaign_axis_holds_from_downstream() {
     }
 }
 
+/// Two seeds × two arrival rates × two deadline policies: every cell is
+/// its own world, but the environment depends on the seed alone, so each
+/// shard shares one environment per seed across the trace variants and
+/// drops every world after its cell. Three shards split a seed's
+/// environment group across a shard boundary.
+const SHARED_ENV_MANIFEST: &str = "\
+name  = shared-env
+base  = quick:3@17
+seeds = 17, 18
+axis arrival_rate = 0.6, 0.9
+axis deadline = status_quo, rolling
+";
+
+#[test]
+fn shared_environment_manifest_merges_byte_identical_across_shards_and_reuse() {
+    let plan = CampaignManifest::parse(SHARED_ENV_MANIFEST)
+        .unwrap()
+        .expand()
+        .unwrap();
+    assert_eq!(plan.len(), 8);
+    assert_eq!(plan.distinct_worlds(), 8);
+    assert_eq!(plan.distinct_environments(), 2);
+
+    let reference = run_campaign(&plan, &InProcessBackend { world_reuse: false }, 1)
+        .unwrap()
+        .to_text();
+    for world_reuse in [true, false] {
+        let backend = InProcessBackend { world_reuse };
+        for shards in [1, 2, 3] {
+            assert_eq!(
+                run_campaign(&plan, &backend, shards).unwrap().to_text(),
+                reference,
+                "report moved at shards={shards} reuse={world_reuse}"
+            );
+        }
+        equivalence::assert_campaign_equivalent(
+            &format!("shared environments (reuse={world_reuse})"),
+            &plan,
+            &backend,
+            &[1, 2, 3],
+        );
+    }
+}
+
 fn worker_command() -> WorkerCommand {
     WorkerCommand {
         program: perfjson_bin(),
