@@ -31,10 +31,14 @@
 //! incremental:
 //!
 //! * **Pluggable event-scheduler core** — the loop is generic over
-//!   [`EventScheduler`]; the default engine runs the calendar/bucket queue
-//!   (O(1) pop for the hourly-tick-dominated stream), the reference engine
-//!   ([`SimDriver::run_reference`]) the binary heap. Both pop identical
-//!   event sequences, so the choice never changes results.
+//!   [`EventScheduler`]; the default engine runs the sorted-runs queue
+//!   ([`RunsQueue`]), the reference engine ([`SimDriver::run_reference`])
+//!   the binary heap. A replay schedules every arrival (in submit order)
+//!   and then every hourly tick (ascending) before its first pop, so the
+//!   runs queue keeps them as two append-only runs and merges their heads;
+//!   only completions, at most one per busy GPU, go through its heap. Both
+//!   cores pop identical event sequences, so the choice never changes
+//!   results.
 //! * **Borrowed scheduler signals** — [`SchedSignals`] borrows the forecast
 //!   and completion slices from engine-owned buffers; building the
 //!   per-dispatch snapshot costs zero heap traffic (it used to `to_vec()`
@@ -106,8 +110,8 @@ use greener_hpc::gpu::kind_utilization;
 use greener_hpc::{Cluster, CoolingCache, HourObservation, TelemetryLog, TelemetryProbe};
 use greener_sched::{Decision, LoneDispatch, QueuedJob, SchedPolicy, SchedSignals, WaitQueue};
 use greener_simkit::calendar::{CalDate, Calendar};
-use greener_simkit::calq::CalendarQueue;
 use greener_simkit::des::{EventQueue, EventScheduler};
+use greener_simkit::runs::RunsQueue;
 use greener_simkit::time::{SimTime, HOUR};
 use greener_simkit::units::{Energy, Fahrenheit};
 use greener_workload::{
@@ -794,10 +798,17 @@ impl SimDriver {
         Self::observed_on_core(scenario, world, observe, false)
     }
 
-    /// Check that `world` was generated for `scenario`. Three integer
-    /// comparisons once per run, so release builds check too: replaying a
+    /// Check that `scenario` can be replayed and that `world` was
+    /// generated for it. A few integer comparisons once per run, so release
+    /// builds check too: a zero horizon would index an empty forecast, a
+    /// zero-GPU cluster would run to the end completing nothing, and a
     /// mismatched world would silently report numbers for the wrong one.
     fn check_world(scenario: &Scenario, world: &World) {
+        assert!(scenario.horizon_hours > 0, "scenario horizon is zero hours");
+        assert!(
+            scenario.cluster.total_gpus() > 0,
+            "scenario cluster has no GPUs"
+        );
         assert_eq!(
             world.seed, scenario.seed,
             "world was built from a different seed than the scenario replays"
@@ -828,7 +839,7 @@ impl SimDriver {
         if reference {
             Self::observed::<EventQueue<Event>>(scenario, world, observe, true)
         } else {
-            Self::observed::<CalendarQueue<Event>>(scenario, world, observe, false)
+            Self::observed::<RunsQueue<Event>>(scenario, world, observe, false)
         }
     }
 
@@ -923,10 +934,12 @@ impl SimDriver {
 
         let mut strategy = scenario.strategy.build();
 
-        // Event queue: all arrivals and hourly ticks up front. Completions
-        // are scheduled as jobs start; since a completion only exists after
-        // its arrival popped, the queue never outgrows this capacity.
-        let mut queue: Q = Q::with_hints(trace.len() + hours + 8, hours as u64 * HOUR);
+        // Event queue: all arrivals (in submit order), then all hourly ticks
+        // (ascending), up front: two sorted streams, which the default
+        // engine's runs queue stores as two runs. Completions are scheduled
+        // as jobs start; since a completion only exists after its arrival
+        // popped, the queue never holds more than this capacity.
+        let mut queue: Q = Q::with_capacity(trace.len() + hours + 8);
         for (i, job) in trace.iter().enumerate() {
             queue.schedule(job.submit, Event::Arrival(i as u32));
         }
@@ -1333,7 +1346,8 @@ mod tests {
     /// `SchedSignals`) right after the build system was restored and
     /// survived two structural rewrites (fit-indexed `WaitQueue` +
     /// calendar-queue core; incremental `it_power()` — see PR 2's notes on
-    /// why the power sum is order-independent-exact) unchanged. The table
+    /// why the power sum is order-independent-exact) unchanged, and the
+    /// later swap of the calendar queue for the sorted-runs queue too. The table
     /// below was recaptured once, when trace synthesis moved to sharded
     /// indexed RNG streams (`trace.arrivals[s]`/`trace.attributes[s]` per
     /// 7-day block): that change replaces which stream samples which
@@ -1463,6 +1477,104 @@ mod tests {
         let mut matrix = crate::equivalence::quick_matrix();
         matrix.push(Scenario::quick(10, 17).named("deep-queue 10d seed 17"));
         crate::equivalence::assert_matches_reference("engine", &matrix);
+    }
+
+    /// Event-time ties the generated traces are not sure to contain: a
+    /// hand-built trace with three arrivals per half hour (so every other
+    /// arrival instant is a tick instant) and whole- or half-hour runtimes
+    /// (so jobs finish exactly on the hour and exactly at other jobs'
+    /// arrival instants). The default engine's runs queue must pop every
+    /// such tie in the reference heap's `(time, seq)` order, which the
+    /// decision streams of every policy family pin.
+    #[test]
+    fn arrivals_ticks_and_completions_tied_in_time_match_reference() {
+        use greener_workload::QueueClass;
+        let base = Scenario::quick(3, 29);
+        let mut world = World::build(&base);
+        let gangs = [1u32, 2, 4, 1, 8, 2];
+        world.trace = (0..120u64)
+            .map(|i| {
+                let gpus = if i % 29 == 0 {
+                    32
+                } else {
+                    gangs[i as usize % 6]
+                };
+                let submit = SimTime(i / 3 * HOUR / 2);
+                Job {
+                    id: JobId(i),
+                    user: UserId(i as u32 % 7),
+                    kind: JobKind::Training,
+                    gpus,
+                    work_gpu_hours: gpus as f64 * 0.5 * (i % 5 + 1) as f64,
+                    submit,
+                    deferrable: i % 2 == 0,
+                    start_deadline: (i % 2 == 0).then(|| SimTime(submit.secs() + 6 * HOUR)),
+                    queue: if i % 4 == 0 {
+                        QueueClass::Green
+                    } else {
+                        QueueClass::Standard
+                    },
+                }
+            })
+            .collect();
+        let arrivals: std::collections::HashSet<SimTime> =
+            world.trace.iter().map(|j| j.submit).collect();
+
+        let fcfs = SimDriver::run_observed(
+            &base.clone().with_policy(PolicyKind::Fcfs),
+            &world,
+            Observe::aggregates().with_job_records(),
+        );
+        let records = fcfs.job_records.expect("records observed");
+        let tied = |on_hour: bool| {
+            records
+                .iter()
+                .any(|r| arrivals.contains(&r.finish) && (r.finish.secs() % HOUR == 0) == on_hour)
+        };
+        assert!(
+            tied(true),
+            "no job finished on a tick and an arrival instant"
+        );
+        assert!(tied(false), "no job finished on a mid-hour arrival instant");
+
+        let matrix = [
+            PolicyKind::Fcfs,
+            PolicyKind::Sjf,
+            PolicyKind::EasyBackfill,
+            PolicyKind::StaticCap { cap_w: 160.0 },
+            PolicyKind::TempAware,
+            PolicyKind::CarbonAware {
+                green_threshold: 0.06,
+            },
+            PolicyKind::GreenQueues { green_cap_w: 160.0 },
+            PolicyKind::CarbonAndTempAware,
+        ];
+        for policy in matrix {
+            let s = base.clone().with_policy(policy).named(policy.label());
+            crate::equivalence::assert_world_matches_reference("hand-built ties", &s, &world);
+        }
+    }
+
+    /// A zero-hour horizon is refused before the engine is built, in
+    /// release too, instead of indexing an empty forecast.
+    #[test]
+    #[should_panic(expected = "scenario horizon is zero hours")]
+    fn zero_horizon_is_refused() {
+        let mut s = Scenario::quick(3, 1);
+        s.horizon_hours = 0;
+        let world = World::build(&s);
+        SimDriver::run_observed(&s, &world, Observe::aggregates());
+    }
+
+    /// A cluster with no GPUs is refused before the engine is built,
+    /// instead of running to the end with nothing completed.
+    #[test]
+    #[should_panic(expected = "scenario cluster has no GPUs")]
+    fn zero_gpu_cluster_is_refused() {
+        let mut s = Scenario::quick(3, 1);
+        s.cluster.nodes = 0;
+        let world = World::build(&s);
+        SimDriver::run_observed(&s, &world, Observe::aggregates());
     }
 
     /// World generation must not depend on the thread count: the world is
@@ -1605,8 +1717,7 @@ mod tests {
 
         let s = Scenario::quick(10, 19).with_battery();
         let world = World::build(&s);
-        let outcome =
-            SimDriver::replay::<CalendarQueue<Event>, _>(&s, &world, Audit::default(), false);
+        let outcome = SimDriver::replay::<RunsQueue<Event>, _>(&s, &world, Audit::default(), false);
         let audit = outcome.probes;
         let reference = SimDriver::run(&s);
         assert_eq!(audit.submitted, reference.jobs.submitted);

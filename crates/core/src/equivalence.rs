@@ -147,12 +147,21 @@ fn reference_fingerprint_with_world(scenario: &Scenario, world: &World) -> Finge
 /// On the first scenario whose fingerprints differ.
 pub fn assert_matches_reference(label: &str, matrix: &[Scenario]) {
     for scenario in matrix {
-        let world = World::build(scenario);
-        reference_fingerprint_with_world(scenario, &world).assert_same(
-            &fingerprint_with_world(scenario, &world),
-            &format!("{label} (reference vs default) [{}]", scenario.name),
-        );
+        assert_world_matches_reference(label, scenario, &World::build(scenario));
     }
+}
+
+/// [`assert_matches_reference`] for one scenario over a given world, for
+/// worlds built by hand (event-time ties no generated trace is sure to
+/// contain).
+///
+/// # Panics
+/// If the fingerprints differ.
+pub fn assert_world_matches_reference(label: &str, scenario: &Scenario, world: &World) {
+    reference_fingerprint_with_world(scenario, world).assert_same(
+        &fingerprint_with_world(scenario, world),
+        &format!("{label} (reference vs default) [{}]", scenario.name),
+    );
 }
 
 /// Pin two ways of performing or observing a run against each other: each

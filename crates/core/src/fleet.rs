@@ -940,16 +940,22 @@ impl FleetDriver {
             job.gpus = r.gpus;
             sub.push(job);
         }
+        // Each site's world takes its sub-trace by move; the replays
+        // borrow the worlds.
+        let site_worlds: Vec<World> = subtraces
+            .into_iter()
+            .zip(&fleet.sites)
+            .zip(&world.sites)
+            .map(|((trace, site), env)| World {
+                seed: site.scenario.seed,
+                gpu_cap: site.scenario.cluster.total_gpus(),
+                weather: env.weather.clone(),
+                grid: env.grid.clone(),
+                trace,
+            })
+            .collect();
         let sites = par::sharded_map(true, n, |i| {
-            let scenario = &fleet.sites[i].scenario;
-            let site_world = World {
-                seed: scenario.seed,
-                gpu_cap: scenario.cluster.total_gpus(),
-                weather: world.sites[i].weather.clone(),
-                grid: world.sites[i].grid.clone(),
-                trace: subtraces[i].clone(),
-            };
-            SimDriver::run_observed(scenario, &site_world, observe)
+            SimDriver::run_observed(&fleet.sites[i].scenario, &site_worlds[i], observe)
         });
         let totals = rollup_aggregates(&sites);
         let jobs = rollup_jobs(&sites);

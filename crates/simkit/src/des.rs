@@ -13,11 +13,13 @@
 //!
 //! * [`EventQueue`] — the `BinaryHeap`-backed reference implementation
 //!   (O(log n) schedule/pop, golden for determinism tests);
-//! * [`crate::calq::CalendarQueue`] — a calendar/bucket queue with O(1)
-//!   amortized pop for the dominant hourly-tick stream of year-scale runs.
+//! * [`crate::runs::RunsQueue`] — append-only sorted runs merged with a
+//!   small heap: the replay schedules its arrivals and its hourly ticks as
+//!   two pre-sorted streams, so only the out-of-order completions are
+//!   heaped.
 //!
 //! Both pop the exact same `(time, seq)` sequence for the same schedule
-//! calls (a property test in `calq` pins this), so swapping cores never
+//! calls (property tests in `runs` pin this), so swapping cores never
 //! changes simulation results.
 
 use crate::time::SimTime;
@@ -38,11 +40,14 @@ use std::collections::BinaryHeap;
 /// Because the pop order is fully determined by the schedule calls, two
 /// different implementations driven identically produce identical
 /// simulations — which is what lets the driver treat the core as a
-/// performance knob rather than a semantic one.
+/// performance knob rather than a semantic one. The driver's default
+/// engine runs [`crate::runs::RunsQueue`], because its traffic is two
+/// pre-sorted streams (arrivals, hourly ticks) plus at most one pending
+/// completion per GPU; its reference engine runs [`EventQueue`].
 pub trait EventScheduler<E> {
-    /// An empty scheduler sized for roughly `events` total events spanning
-    /// `horizon_secs` of simulated time. Both hints are advisory.
-    fn with_hints(events: usize, horizon_secs: u64) -> Self
+    /// An empty scheduler sized for roughly `events` total schedules. The
+    /// hint is advisory.
+    fn with_capacity(events: usize) -> Self
     where
         Self: Sized;
 
@@ -233,7 +238,7 @@ impl<E> EventQueue<E> {
 }
 
 impl<E> EventScheduler<E> for EventQueue<E> {
-    fn with_hints(events: usize, _horizon_secs: u64) -> Self {
+    fn with_capacity(events: usize) -> Self {
         EventQueue::with_capacity(events)
     }
 

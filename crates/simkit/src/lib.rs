@@ -16,8 +16,9 @@
 //! * [`des`] — a minimal, stable-ordered discrete-event engine, plus the
 //!   [`des::EventScheduler`] trait that makes the event-scheduler core
 //!   pluggable.
-//! * [`calq`] — a calendar/bucket [`EventScheduler`] with O(1) amortized
-//!   pop for tick-dominated year-scale runs.
+//! * [`runs`] — a sorted-runs [`EventScheduler`]: pre-sorted streams
+//!   (a replay's arrivals and hourly ticks) pop straight off append-only
+//!   runs, and only out-of-order events go through a heap.
 //! * [`obs`] — generic, decision-invisible observation probes: event loops
 //!   emit typed observation points to statically-composed [`obs::Probe`]
 //!   sets, so callers pay only for what they watch.
@@ -33,13 +34,13 @@
 //!   execution as unreliable.
 
 pub mod calendar;
-pub mod calq;
 pub mod des;
 pub mod fastmap;
 pub mod obs;
 pub mod par;
 pub mod proc;
 pub mod rng;
+pub mod runs;
 pub mod series;
 pub mod stats;
 pub mod sweep;
@@ -47,10 +48,10 @@ pub mod time;
 pub mod units;
 
 pub use calendar::{CalDate, Month, YearMonth};
-pub use calq::CalendarQueue;
 pub use des::{EventQueue, EventScheduler, ScheduledEvent};
 pub use obs::Probe;
 pub use rng::RngHub;
+pub use runs::RunsQueue;
 pub use series::{HourlySeries, MonthlyAgg, MonthlyRow};
 pub use time::{Duration, SimTime, HOUR, MINUTE, SECONDS_PER_DAY, SECONDS_PER_HOUR};
 pub use units::{Celsius, Dollars, Energy, Fahrenheit, KgCo2, Liters, Power};
