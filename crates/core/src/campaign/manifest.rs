@@ -87,8 +87,8 @@ impl AxisValue {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Knob {
     /// Scheduling policy (`policy`): `fcfs | sjf | easy | easy_depth:<k> |
-    /// cap:<watts> | temp | carbon:<green-share> | green_queues:<watts> |
-    /// carbon_temp`.
+    /// cap:<watts> | temp | carbon:<green-share in (0, 1]> |
+    /// green_queues:<watts> | carbon_temp`.
     Policy,
     /// Horizon in whole days (`horizon_days`): unsigned integer.
     HorizonDays,
@@ -263,7 +263,8 @@ impl Knob {
 }
 
 /// `fcfs | sjf | easy | easy_depth:<k> | cap:<w> | temp | carbon:<g> |
-/// green_queues:<w> | carbon_temp`.
+/// green_queues:<w> | carbon_temp`, where `<g>` is a green-share threshold
+/// in (0, 1].
 fn parse_policy(raw: &str, line: usize) -> Result<PolicyKind, ManifestError> {
     let (head, arg) = match raw.split_once(':') {
         Some((h, a)) => (h, Some(a)),
@@ -290,9 +291,14 @@ fn parse_policy(raw: &str, line: usize) -> Result<PolicyKind, ManifestError> {
             cap_w: need_real(arg)?,
         }),
         "temp" => Ok(PolicyKind::TempAware),
-        "carbon" => Ok(PolicyKind::CarbonAware {
-            green_threshold: need_real(arg)?,
-        }),
+        // A share, not a percentage: `carbon:6` would gate every hour.
+        "carbon" => match need_real(arg)? {
+            g if g <= 1.0 => Ok(PolicyKind::CarbonAware { green_threshold: g }),
+            g => err(
+                line,
+                format!("policy `carbon` needs a green-share threshold in (0, 1], got {g}"),
+            ),
+        },
         "green_queues" => Ok(PolicyKind::GreenQueues {
             green_cap_w: need_real(arg)?,
         }),
@@ -672,6 +678,13 @@ axis horizon_days = 4, 5
                 3,
                 "out of range",
             ),
+            // A percentage where a share belongs would count every hour as
+            // dirty.
+            (
+                "name = d\nbase = quick:3\naxis policy = easy, carbon:6\n",
+                3,
+                "green-share threshold in (0, 1], got 6",
+            ),
             (&horizon_overflow, 3, "`horizon_days`"),
             (&base_overflow, 2, "positive day count"),
             ("name = two words\nbase = quick:3\n", 1, "single token"),
@@ -698,6 +711,7 @@ axis horizon_days = 4, 5
             (Knob::Policy, "green_queues:150"),
             (Knob::Policy, "temp"),
             (Knob::Policy, "carbon_temp"),
+            (Knob::Policy, "carbon:1"),
             (Knob::Policy, "sjf"),
             (Knob::HorizonDays, "6"),
             (Knob::ArrivalRate, "2.5"),

@@ -74,14 +74,18 @@
 //!   growth and job-record retention entirely. Probes are
 //!   decision-invisible (read-only observers), so every composition
 //!   observes bit-identical numbers.
-//! * **Lone-arrival fast path** — on the default engine a job arriving to
-//!   an empty waiting queue with free capacity is resolved through
+//! * **Lone-arrival fast path** — on the default engine a job arriving
+//!   with free capacity to an empty waiting queue, or to a queue the
+//!   policy holds ([`SchedPolicy::holds_queue`]: every queued job is
+//!   invisible to dispatch at this instant, like the jobs a carbon gate
+//!   defers through a dirty hour), is resolved through
 //!   [`SchedPolicy::lone_dispatch`]: no queue push, no fit-index
-//!   maintenance, no one-job policy scan, no removal by id.
-//!   Profiling showed queue depth ≈ 0 is the dominant arrival regime on
-//!   the year-scale scenarios, and every built-in policy's lone decision
-//!   is provably the reference decision (pinned by golden + property
-//!   tests over the full per-job record stream).
+//!   maintenance, no full policy dispatch, no removal by id. Queue depth
+//!   ≈ 0 is the dominant arrival regime on the year-scale scenarios, and
+//!   a held queue is the dominant one under the carbon-aware policies;
+//!   every built-in policy's lone decision is provably the reference
+//!   decision (pinned by golden + property tests over the full per-job
+//!   record stream).
 //! * **Memoized hourly cooling** — the tick handler evaluates the cooling
 //!   plant once per hour ([`greener_hpc::CoolingCache`]); COP, water use
 //!   and the saturation flag read that single [`CoolingPoint`] instead of
@@ -100,6 +104,7 @@
 //!
 //! [`CoolingPoint`]: greener_hpc::CoolingPoint
 //! [`SchedPolicy::lone_dispatch`]: greener_sched::SchedPolicy::lone_dispatch
+//! [`SchedPolicy::holds_queue`]: greener_sched::SchedPolicy::holds_queue
 
 use greener_climate::{WeatherConfig, WeatherPath};
 
@@ -365,24 +370,25 @@ impl<Q: EventScheduler<Event>, O: RunProbes> Engine<'_, Q, O> {
     }
 
     /// The lone-arrival fast path (default engine only): resolve a job
-    /// arriving to an empty waiting queue with free capacity through
-    /// [`SchedPolicy::lone_dispatch`], skipping the fit-indexed queue
-    /// round-trip (push, full dispatch over a one-job queue, remove by
-    /// id). Returns `false` if the policy declined
-    /// ([`LoneDispatch::Unsupported`]) — the caller then runs the
-    /// reference path.
+    /// arriving with free capacity through [`SchedPolicy::lone_dispatch`],
+    /// skipping the fit-indexed queue round-trip (push, full dispatch,
+    /// remove by id), when the waiting queue is empty or the policy holds
+    /// it ([`SchedPolicy::holds_queue`]). Returns `false` if the queue is
+    /// not held or the policy declined ([`LoneDispatch::Unsupported`]) —
+    /// the caller then runs the reference path.
     ///
     /// The observation stream is kept identical to the reference path:
-    /// `Submitted` is emitted with queue depth 1 (what the reference sees
-    /// right after its push) before any `Started`, and `try_start` is the
-    /// shared start bookkeeping, so a fast start performs the exact f64
-    /// operations of a reference start.
+    /// `Submitted` is emitted with the queue depth the reference sees right
+    /// after its push (`waiting.len() + 1`) before any `Started`, and
+    /// `try_start` is the shared start bookkeeping, so a fast start
+    /// performs the exact f64 operations of a reference start.
     ///
-    /// Caller-checked preconditions: the default engine, `waiting.is_empty()`,
-    /// and `job.gpus <= cluster.free_gpus()` — the contract
-    /// `lone_dispatch` is specified under.
+    /// Caller-checked preconditions: the default engine and `job.gpus <=
+    /// cluster.free_gpus()`. Together with an empty or held queue, that is
+    /// the setting `lone_dispatch` is specified under.
+    ///
+    /// [`SchedPolicy::holds_queue`]: greener_sched::SchedPolicy::holds_queue
     fn lone_arrival(&mut self, job: Job, now: SimTime) -> bool {
-        debug_assert!(self.waiting.is_empty());
         debug_assert!(job.gpus <= self.cluster.free_gpus());
         let h = self.hour_cursor.min(self.hours - 1);
         let signals = build_signals(
@@ -393,12 +399,15 @@ impl<Q: EventScheduler<Event>, O: RunProbes> Engine<'_, Q, O> {
             &self.completions[self.completions_head..],
             now,
         );
+        if !self.waiting.is_empty() && !self.policy.holds_queue(&self.waiting, &signals) {
+            return false;
+        }
         let q = QueuedJob { job, enqueued: now };
         let lone = self.policy.lone_dispatch(&q, &self.cluster, &signals);
         let submitted = JobPoint::Submitted {
             job,
             time: now,
-            queue_len: 1,
+            queue_len: self.waiting.len() as u32 + 1,
         };
         match lone {
             LoneDispatch::Start { power_cap_w } => {
@@ -424,9 +433,9 @@ impl<Q: EventScheduler<Event>, O: RunProbes> Engine<'_, Q, O> {
             }
             LoneDispatch::Hold => {
                 // The policy holds the job. Queue it; the reference path's
-                // follow-up dispatch over the one-job queue provably emits
-                // no decision (that is `Hold`'s contract), so skipping it
-                // is decision-invisible.
+                // follow-up dispatch provably emits no decision (that is
+                // `Hold`'s contract, extended past the held queue by
+                // `holds_queue`'s), so skipping it is decision-invisible.
                 self.waiting.push(q);
                 self.probes.observe(&submitted);
                 self.counts.bump(ProfileCounter::FastDispatches, 1);
@@ -1016,14 +1025,13 @@ impl SimDriver {
                 Event::Arrival(idx) => {
                     engine.counts.bump(ProfileCounter::Arrivals, 1);
                     let job = trace[idx as usize];
-                    // Lone-arrival fast path: an arrival to an empty queue
-                    // with free capacity resolves without the fit-indexed
-                    // queue round-trip (see `Engine::lone_arrival`). Any
-                    // other arrival — any arrival on the reference engine,
-                    // and any policy that opts out — takes the full path
-                    // below.
+                    // Lone-arrival fast path: an arrival with free
+                    // capacity to an empty or held queue resolves without
+                    // the fit-indexed queue round-trip (see
+                    // `Engine::lone_arrival`). Any other arrival — any
+                    // arrival on the reference engine, and any policy that
+                    // opts out — takes the full path below.
                     let resolved = fast_dispatch
-                        && engine.waiting.is_empty()
                         && job.gpus <= engine.cluster.free_gpus()
                         && engine.lone_arrival(job, t);
                     if !resolved {
@@ -1555,6 +1563,81 @@ mod tests {
         }
     }
 
+    /// A hold the generated traces are not sure to time exactly: a green
+    /// job held through dirty hours whose slack deadline passes mid-hour,
+    /// then a fitting arrival before the next tick. The reference dispatch
+    /// on that arrival starts the expired green job too, so the queue is no
+    /// longer held and the default engine must not take the fast path past
+    /// it; earlier fitting arrivals meet a held queue and do. Hours 0–5 are
+    /// dirty and later ones green, so the carbon gate holds the far-slack
+    /// job over the same stretch.
+    #[test]
+    fn green_job_released_mid_hour_by_its_deadline_matches_reference() {
+        use crate::scenario::ForecastMode;
+        use greener_workload::QueueClass;
+        let green_queues = PolicyKind::GreenQueues { green_cap_w: 160.0 };
+        let mut base = Scenario::quick(3, 31).with_policy(green_queues);
+        base.forecast = ForecastMode::Oracle;
+        let mut world = World::build(&base);
+        for (h, g) in world.grid.green_share.iter_mut().enumerate() {
+            *g = if h < 6 { 0.03 } else { 0.10 };
+        }
+        let minute = |m: u64| SimTime(m * 60);
+        let job = |id: u64, submit_min: u64, queue: QueueClass, deadline_min: Option<u64>| Job {
+            id: JobId(id),
+            user: UserId(0),
+            kind: JobKind::Training,
+            gpus: 2,
+            work_gpu_hours: 2.0,
+            submit: minute(submit_min),
+            deferrable: deadline_min.is_some(),
+            start_deadline: deadline_min.map(minute),
+            queue,
+        };
+        world.trace = vec![
+            // Held from 0:30; its slack ends at 2:30.
+            job(0, 30, QueueClass::Green, Some(150)),
+            // 1:15, fits: meets a held queue and takes the fast path.
+            job(1, 75, QueueClass::Standard, None),
+            // 1:20: held as well, with slack far past the dirty stretch.
+            job(2, 80, QueueClass::Green, Some(3_000)),
+            // 2:45: after job 0's deadline, before the 3:00 tick.
+            job(3, 165, QueueClass::Standard, None),
+        ];
+
+        for policy in [
+            green_queues,
+            PolicyKind::CarbonAware {
+                green_threshold: 0.06,
+            },
+            PolicyKind::CarbonAndTempAware,
+        ] {
+            let s = base.clone().with_policy(policy).named(policy.label());
+            crate::equivalence::assert_world_matches_reference("green deadline", &s, &world);
+        }
+
+        let observe = Observe::aggregates().with_job_records();
+        let (out, counts) = SimDriver::run_profiled(&base, &world, observe);
+        let records = out.job_records.expect("records observed");
+        let start_of = |id: u64| records.iter().find(|r| r.id == JobId(id)).unwrap().start;
+        assert_eq!(start_of(1), minute(75));
+        assert_eq!(
+            start_of(0),
+            minute(165),
+            "the expired green job starts with the arrival, not at the next tick"
+        );
+        assert_eq!(
+            start_of(2),
+            SimTime::from_hours(6),
+            "held until the green hours"
+        );
+        assert_eq!(
+            counts.counter(ProfileCounter::FastDispatches),
+            3,
+            "jobs 0, 1 and 2 take the fast path, job 3 the full dispatch"
+        );
+    }
+
     /// A zero-hour horizon is refused before the engine is built, in
     /// release too, instead of indexing an empty forecast.
     #[test]
@@ -2039,7 +2122,7 @@ mod tests {
             #[test]
             fn default_engine_matches_reference_decision_stream(
                 seed in 0u64..1_000,
-                policy_idx in 0usize..8,
+                policy_idx in 0usize..9,
                 days in 3usize..9,
             ) {
                 let policies = [
@@ -2050,6 +2133,7 @@ mod tests {
                     PolicyKind::StaticCap { cap_w: 160.0 },
                     PolicyKind::TempAware,
                     PolicyKind::CarbonAware { green_threshold: 0.06 },
+                    PolicyKind::GreenQueues { green_cap_w: 160.0 },
                     PolicyKind::CarbonAndTempAware,
                 ];
                 let s = Scenario::quick(days, seed).with_policy(policies[policy_idx]);

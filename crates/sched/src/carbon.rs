@@ -16,6 +16,15 @@ use crate::policy::{Decision, LoneDispatch, QueuedJob, SchedPolicy, SchedSignals
 use crate::waitq::WaitQueue;
 
 /// Carbon-aware gating around a base policy.
+///
+/// Every dispatch tests each queued job against one forecast, so the gate
+/// computes the forecast's running maximum once per call (at most
+/// `lookahead_h` values) and a job's test reads one entry of it: O(1) per
+/// job instead of a fold over its slack window. Most gate dispatches defer
+/// every queued job or none, so the base policy sees `queue` itself in a
+/// green hour or when nothing defers, is not called at all when everything
+/// defers (an empty queue yields no decision), and only a mixed queue is
+/// copied into the filtered `visible` view.
 pub struct CarbonAwarePolicy {
     base: Box<dyn SchedPolicy>,
     /// Defer when current green share is below this threshold…
@@ -29,6 +38,9 @@ pub struct CarbonAwarePolicy {
     /// policy (jobs are plain data, so refilling it allocates nothing once
     /// capacity has grown to the high-water mark).
     visible: WaitQueue,
+    /// `best[i]` = the greenest forecast share among the next `i + 1`
+    /// hours, refilled by [`CarbonAwarePolicy::load`] once per call.
+    best: Vec<f64>,
 }
 
 impl CarbonAwarePolicy {
@@ -41,37 +53,54 @@ impl CarbonAwarePolicy {
             improvement_margin: 0.01,
             lookahead_h: 24,
             visible: WaitQueue::new(),
+            best: Vec::new(),
+        }
+    }
+
+    /// Prepare the per-job test for one decision instant: fill `best` and
+    /// return the share a forecast hour must reach for a job to wait, or
+    /// `None` in a green hour, when nothing defers.
+    fn load(&mut self, signals: &SchedSignals<'_>) -> Option<f64> {
+        if signals.green_share >= self.green_threshold {
+            return None;
+        }
+        let window = self.lookahead_h.min(signals.forecast_green.len());
+        self.best.clear();
+        let mut best = f64::NEG_INFINITY;
+        for &g in &signals.forecast_green[..window] {
+            best = best.max(g);
+            self.best.push(best);
+        }
+        Some(signals.green_share + self.improvement_margin)
+    }
+
+    /// The one deferral formula: hold `q` at `now` iff it is deferrable,
+    /// its slack has not expired, and the greenest forecast hour inside its
+    /// slack (and the lookahead) reaches `bar`. Reads `best` as filled by
+    /// the [`CarbonAwarePolicy::load`] that returned `bar`.
+    fn defers(&self, q: &QueuedJob, now: SimTime, bar: f64) -> bool {
+        if !q.job.deferrable {
+            return false;
+        }
+        // How many forecast hours are actually usable given the slack?
+        let slack_h = match q.job.start_deadline {
+            // Slack exhausted → must run.
+            Some(by) if now >= by => return false,
+            Some(by) => ((by.secs() - now.secs()) / 3_600) as usize,
+            None => self.lookahead_h,
+        };
+        match slack_h.min(self.best.len()).checked_sub(1) {
+            Some(i) => self.best[i].is_finite() && self.best[i] >= bar,
+            None => false,
         }
     }
 
     /// Should this queued job be held back right now?
-    pub fn should_defer(&self, q: &QueuedJob, signals: &SchedSignals<'_>) -> bool {
-        if !q.job.deferrable {
-            return false;
+    pub fn should_defer(&mut self, q: &QueuedJob, signals: &SchedSignals<'_>) -> bool {
+        match self.load(signals) {
+            Some(bar) => self.defers(q, signals.now, bar),
+            None => false,
         }
-        // Slack exhausted → must run.
-        if let Some(by) = q.job.start_deadline {
-            if signals.now >= by {
-                return false;
-            }
-        }
-        if signals.green_share >= self.green_threshold {
-            return false;
-        }
-        // How many forecast hours are actually usable given the slack?
-        let slack_h = q
-            .job
-            .start_deadline
-            .map(|by| ((by.secs().saturating_sub(signals.now.secs())) / 3_600) as usize)
-            .unwrap_or(self.lookahead_h);
-        let window = slack_h
-            .min(self.lookahead_h)
-            .min(signals.forecast_green.len());
-        let best = signals.forecast_green[..window]
-            .iter()
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max);
-        best.is_finite() && best >= signals.green_share + self.improvement_margin
     }
 }
 
@@ -87,18 +116,36 @@ impl SchedPolicy for CarbonAwarePolicy {
         signals: &SchedSignals<'_>,
         out: &mut Vec<Decision>,
     ) {
-        // Present the base policy with the non-deferred subset, staged in
-        // the reusable `visible` queue (taken out of `self` so the filter
-        // can borrow `self` immutably while pushing).
-        let mut visible = std::mem::take(&mut self.visible);
-        visible.clear();
-        for q in queue.iter() {
-            if !self.should_defer(q, signals) {
-                visible.push(*q);
+        let Some(bar) = self.load(signals) else {
+            return self.base.dispatch(queue, cluster, signals, out);
+        };
+        let now = signals.now;
+        let deferred = queue.iter().filter(|q| self.defers(q, now, bar)).count();
+        if deferred == 0 {
+            self.base.dispatch(queue, cluster, signals, out);
+        } else if deferred < queue.len() {
+            // Present the base policy with the non-deferred subset, staged
+            // in the reusable `visible` queue (taken out of `self` so the
+            // filter can borrow `self` immutably while pushing).
+            let mut visible = std::mem::take(&mut self.visible);
+            visible.clear();
+            for q in queue.iter() {
+                if !self.defers(q, now, bar) {
+                    visible.push(*q);
+                }
             }
+            self.base.dispatch(&visible, cluster, signals, out);
+            self.visible = visible;
         }
-        self.base.dispatch(&visible, cluster, signals, out);
-        self.visible = visible;
+    }
+
+    // Every queued job deferred: whatever arrives, the base policy sees
+    // exactly the one-job view `dispatch([q])` would show it.
+    fn holds_queue(&mut self, queue: &WaitQueue, signals: &SchedSignals<'_>) -> bool {
+        match self.load(signals) {
+            Some(bar) => queue.iter().all(|q| self.defers(q, signals.now, bar)),
+            None => false,
+        }
     }
 
     // A deferred lone job leaves the base policy an empty visible queue
@@ -192,6 +239,14 @@ impl SchedPolicy for GreenQueuePolicy {
         }
     }
 
+    // Every tier of dispatch skips a green job that may not start, so a
+    // queue of only those leaves an arrival facing dispatch alone.
+    fn holds_queue(&mut self, queue: &WaitQueue, signals: &SchedSignals<'_>) -> bool {
+        queue
+            .iter()
+            .all(|q| q.job.queue == QueueClass::Green && !self.green_may_start(q, signals))
+    }
+
     // One job, one tier: green jobs wait out dirty hours (unless their
     // slack expired) and run capped; urgent/standard run at nominal.
     fn lone_dispatch(
@@ -269,7 +324,7 @@ mod tests {
 
     #[test]
     fn runs_when_no_improvement_forecast() {
-        let p = CarbonAwarePolicy::new(Box::new(FcfsPolicy::default()));
+        let mut p = CarbonAwarePolicy::new(Box::new(FcfsPolicy::default()));
         let q = deferrable(qjob(1, 2, 1.0), 48);
         let signals = dirty_signals(&[0.04, 0.045, 0.04]);
         assert!(!p.should_defer(&q, &signals), "no better hour forecast");
@@ -277,7 +332,7 @@ mod tests {
 
     #[test]
     fn runs_when_green_now() {
-        let p = CarbonAwarePolicy::new(Box::new(FcfsPolicy::default()));
+        let mut p = CarbonAwarePolicy::new(Box::new(FcfsPolicy::default()));
         let q = deferrable(qjob(1, 2, 1.0), 48);
         let signals = SchedSignals {
             green_share: 0.09,
@@ -289,7 +344,7 @@ mod tests {
 
     #[test]
     fn slack_expiry_forces_start() {
-        let p = CarbonAwarePolicy::new(Box::new(FcfsPolicy::default()));
+        let mut p = CarbonAwarePolicy::new(Box::new(FcfsPolicy::default()));
         let mut q = deferrable(qjob(1, 2, 1.0), 10);
         q.job.start_deadline = Some(SimTime::ZERO); // already due
         let signals = dirty_signals(&[0.2; 24]);
@@ -298,7 +353,7 @@ mod tests {
 
     #[test]
     fn forecast_window_clipped_to_slack() {
-        let p = CarbonAwarePolicy::new(Box::new(FcfsPolicy::default()));
+        let mut p = CarbonAwarePolicy::new(Box::new(FcfsPolicy::default()));
         // Green hour forecast at +20h but slack only 4h → cannot wait.
         let q = deferrable(qjob(1, 2, 1.0), 4);
         let mut forecast = [0.04; 24];
@@ -341,6 +396,83 @@ mod tests {
         };
         let d = p.dispatch_collect(&queue, &c, &signals);
         assert!(d.is_empty(), "green job should wait for a green hour");
+    }
+
+    mod props {
+        use super::*;
+        use greener_simkit::time::Duration;
+        use proptest::prelude::*;
+
+        /// The deferral test as a straight-line fold over each job's
+        /// usable forecast window: the oracle for the gate's O(1) test
+        /// against prefix maxima.
+        fn fold_defers(p: &CarbonAwarePolicy, q: &QueuedJob, s: &SchedSignals<'_>) -> bool {
+            if !q.job.deferrable || s.green_share >= p.green_threshold {
+                return false;
+            }
+            if q.job.start_deadline.is_some_and(|by| s.now >= by) {
+                return false;
+            }
+            let slack_h = q
+                .job
+                .start_deadline
+                .map(|by| ((by.secs().saturating_sub(s.now.secs())) / 3_600) as usize)
+                .unwrap_or(p.lookahead_h);
+            let window = slack_h.min(p.lookahead_h).min(s.forecast_green.len());
+            let best = s.forecast_green[..window]
+                .iter()
+                .cloned()
+                .fold(f64::NEG_INFINITY, f64::max);
+            best.is_finite() && best >= s.green_share + p.improvement_margin
+        }
+
+        proptest! {
+            /// `should_defer` and the queue-wide dispatch agree with the
+            /// fold oracle job by job, for random forecasts, lookaheads,
+            /// slacks (expired ones included) and green shares.
+            #[test]
+            fn prefix_max_test_matches_window_fold(
+                forecast in prop::collection::vec(0.0f64..0.2, 0..30),
+                jobs in prop::collection::vec((0u8..3, 0u64..40), 1..10),
+                lookahead_h in 0usize..30,
+                green_share in 0.0f64..0.1,
+                now_h in 0u64..20,
+            ) {
+                let mut p = CarbonAwarePolicy::new(Box::new(FcfsPolicy::default()));
+                p.lookahead_h = lookahead_h;
+                let s = SchedSignals {
+                    now: SimTime::from_hours(now_h),
+                    green_share,
+                    forecast_green: &forecast,
+                    ..SchedSignals::default()
+                };
+                let queue: WaitQueue = jobs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(shape, by_h))| {
+                        let mut q = qjob(i as u64, 1, 1.0);
+                        q.job.deferrable = shape > 0;
+                        q.job.start_deadline =
+                            (shape == 1).then(|| SimTime::ZERO + Duration::from_hours(by_h));
+                        q
+                    })
+                    .collect();
+                let mut kept = Vec::new();
+                for q in queue.iter() {
+                    let want = fold_defers(&p, q, &s);
+                    prop_assert_eq!(p.should_defer(q, &s), want);
+                    if !want {
+                        kept.push(q.job.id);
+                    }
+                }
+                let started: Vec<JobId> = p
+                    .dispatch_collect(&queue, &cluster(), &s)
+                    .iter()
+                    .map(|d| d.job_id)
+                    .collect();
+                prop_assert_eq!(started, kept);
+            }
+        }
     }
 
     #[test]

@@ -73,9 +73,10 @@ pub struct Decision {
     pub power_cap_w: f64,
 }
 
-/// What a policy decides for a *lone* arrival — one job arriving to an
-/// otherwise empty waiting queue whose gang fits the free GPUs (see
-/// [`SchedPolicy::lone_dispatch`]).
+/// What a policy decides for a *lone* arrival — one job arriving, with its
+/// gang fitting the free GPUs, to a waiting queue that is empty or that
+/// the policy holds (see [`SchedPolicy::lone_dispatch`] and
+/// [`SchedPolicy::holds_queue`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LoneDispatch {
     /// Start the job now under this power cap — exactly the single
@@ -112,18 +113,20 @@ pub trait SchedPolicy: Send {
         out: &mut Vec<Decision>,
     );
 
-    /// Fast-path dispatch for the hot-loop common case: `q` just arrived
-    /// to an **empty** waiting queue and `q.job.gpus <=
-    /// cluster.free_gpus()`. The driver uses the answer to start (or hold)
-    /// the job without touching the fit-indexed queue machinery at all.
+    /// Fast-path dispatch for the hot-loop common case: `q` just arrived,
+    /// `q.job.gpus <= cluster.free_gpus()`, and the waiting queue is
+    /// either empty or one [`SchedPolicy::holds_queue`] answered `true`
+    /// for. The driver uses the answer to start (or hold) the job without
+    /// a full dispatch over the fit-indexed queue.
     ///
     /// # Contract
     ///
-    /// Under exactly those preconditions, the answer must reproduce what
-    /// [`SchedPolicy::dispatch`] would do for the queue `[q]`:
+    /// For a fitting `q`, the answer must reproduce what
+    /// [`SchedPolicy::dispatch`] would do for the one-job queue `[q]`:
     /// [`LoneDispatch::Start`] iff it would emit the single decision
     /// `(q.job.id, power_cap_w)`, [`LoneDispatch::Hold`] iff it would emit
-    /// no decision. Anything short of that certainty must return
+    /// no decision. `holds_queue` is what extends this answer to a
+    /// non-empty queue. Anything short of that certainty must return
     /// [`LoneDispatch::Unsupported`] (the default), which routes the
     /// arrival through the reference path. The driver's golden determinism
     /// test and a property test pin fast == reference decision streams for
@@ -136,6 +139,23 @@ pub trait SchedPolicy: Send {
     ) -> LoneDispatch {
         let _ = (q, cluster, signals);
         LoneDispatch::Unsupported
+    }
+
+    /// Whether every job in `queue` is invisible to [`SchedPolicy::dispatch`]
+    /// at this instant, so a fitting arrival may take the
+    /// [`SchedPolicy::lone_dispatch`] fast path past them.
+    ///
+    /// # Contract
+    ///
+    /// Return `true` only if, for every job `q` with `q.job.gpus <=
+    /// cluster.free_gpus()`, `dispatch(queue ++ [q])` emits exactly what
+    /// `dispatch([q])` emits under the same `signals`. Anything short of
+    /// that certainty must return `false` (the default), which sends the
+    /// arrival through the full dispatch. A `config` unit test and a
+    /// property test pin the contract for every built-in policy.
+    fn holds_queue(&mut self, queue: &WaitQueue, signals: &SchedSignals<'_>) -> bool {
+        let _ = (queue, signals);
+        false
     }
 
     /// Total backfill candidates examined by this policy so far (0 for

@@ -42,10 +42,13 @@
 //!
 //! Structure:
 //!
-//! * `slots` — arrival-ordered entries; a removed entry leaves a tombstone
-//!   until the front of the queue compacts past it. Positions are therefore
-//!   stable for the lifetime of an entry, which is what keeps the per-class
-//!   index lists sorted by construction.
+//! * `slots` — arrival-ordered entries in a ring, `slots[0]` at logical
+//!   position `base`; a removed entry leaves a tombstone until the front
+//!   of the queue compacts past it, and compaction pops the consumed
+//!   slots off the ring and advances `base`. Positions are therefore
+//!   stable for the lifetime of an entry, which is what keeps the
+//!   per-class index lists sorted by construction, while the ring holds
+//!   only the span from the oldest live entry to the newest.
 //! * `classes[size · NB + bucket]` — ascending positions of live entries in
 //!   that (gang size, duration bucket) class. Pushes append (positions
 //!   increase monotonically); removals binary-search.
@@ -55,7 +58,7 @@
 use greener_simkit::fastmap::FastMap;
 use greener_workload::JobId;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::policy::QueuedJob;
 
@@ -103,10 +106,12 @@ fn bucket_upper(bucket: u32) -> u64 {
 /// keep a second one as reusable scratch.
 #[derive(Debug, Default)]
 pub struct WaitQueue {
-    /// Arrival-ordered entries; `None` marks a removed entry (tombstone).
-    slots: Vec<Option<QueuedJob>>,
-    /// Index of the first live slot; everything before it is consumed.
-    head: usize,
+    /// Arrival-ordered entries from the oldest live one on; `None` marks a
+    /// removed entry (tombstone). The front is live whenever the queue is
+    /// not empty.
+    slots: VecDeque<Option<QueuedJob>>,
+    /// Logical position of `slots[0]`; everything before it is consumed.
+    base: usize,
     /// Number of live entries.
     live: usize,
     /// `classes[size · NB + bucket]` = `(position, duration secs)` of live
@@ -135,7 +140,7 @@ impl WaitQueue {
     /// An empty queue with room for `cap` entries.
     pub fn with_capacity(cap: usize) -> WaitQueue {
         WaitQueue {
-            slots: Vec::with_capacity(cap),
+            slots: VecDeque::with_capacity(cap),
             ..WaitQueue::default()
         }
     }
@@ -160,7 +165,7 @@ impl WaitQueue {
 
     /// Append a job at the back of the queue.
     pub fn push(&mut self, q: QueuedJob) {
-        let pos = self.slots.len() as u32;
+        let pos = (self.base + self.slots.len()) as u32;
         let class = Self::class_of(&q) as usize;
         if class >= self.classes.len() {
             self.classes.resize_with(class + 1, Vec::new);
@@ -173,7 +178,7 @@ impl WaitQueue {
         // Positions grow monotonically, so appending keeps the list sorted.
         self.classes[class].push((pos, q.job.nominal_duration().0));
         self.pos_of.insert(q.job.id, pos);
-        self.slots.push(Some(q));
+        self.slots.push_back(Some(q));
         self.live += 1;
     }
 
@@ -183,22 +188,26 @@ impl WaitQueue {
     /// # Panics
     /// If the position was consumed since it was yielded.
     pub fn at(&self, pos: u32) -> &QueuedJob {
-        self.slots[pos as usize]
-            .as_ref()
-            .expect("position refers to a live entry")
+        self.slot(pos).expect("position refers to a live entry")
+    }
+
+    /// The entry at a logical position not yet consumed.
+    #[inline]
+    fn slot(&self, pos: u32) -> Option<&QueuedJob> {
+        self.slots[pos as usize - self.base].as_ref()
     }
 
     /// Look up a waiting job by id.
     pub fn get(&self, id: JobId) -> Option<&QueuedJob> {
         let &pos = self.pos_of.get(&id)?;
-        self.slots[pos as usize].as_ref()
+        self.slot(pos)
     }
 
     /// Remove a job by id, returning it. The front of the queue compacts
     /// past any tombstones this leaves behind.
     pub fn remove(&mut self, id: JobId) -> Option<QueuedJob> {
         let pos = self.pos_of.remove(&id)?;
-        let q = self.slots[pos as usize]
+        let q = self.slots[pos as usize - self.base]
             .take()
             .expect("pos_of points at live slots");
         let list = &mut self.classes[Self::class_of(&q) as usize];
@@ -207,8 +216,9 @@ impl WaitQueue {
             .expect("live entry is in its class list");
         list.remove(i);
         self.live -= 1;
-        while self.head < self.slots.len() && self.slots[self.head].is_none() {
-            self.head += 1;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
         }
         Some(q)
     }
@@ -216,7 +226,7 @@ impl WaitQueue {
     /// Drop everything (retaining allocated capacity for refills).
     pub fn clear(&mut self) {
         self.slots.clear();
-        self.head = 0;
+        self.base = 0;
         self.live = 0;
         self.pos_of.clear();
         for &class in &self.touched {
@@ -228,17 +238,17 @@ impl WaitQueue {
 
     /// Iterate live jobs in arrival order.
     pub fn iter(&self) -> impl Iterator<Item = &QueuedJob> {
-        self.slots[self.head..].iter().filter_map(|s| s.as_ref())
+        self.slots.iter().filter_map(|s| s.as_ref())
     }
 
     /// Iterate `(position, job)` pairs of live jobs in arrival order.
     /// Positions are stable identifiers usable with
     /// [`WaitQueue::backfill_candidates`].
     pub fn live_positions(&self) -> impl Iterator<Item = (u32, &QueuedJob)> {
-        self.slots[self.head..]
+        self.slots
             .iter()
             .enumerate()
-            .filter_map(move |(i, s)| s.as_ref().map(|q| ((self.head + i) as u32, q)))
+            .filter_map(move |(i, s)| s.as_ref().map(|q| ((self.base + i) as u32, q)))
     }
 
     /// A fit-indexed iterator over live jobs at positions strictly after
@@ -397,11 +407,7 @@ impl<'a> FitIter<'a> {
                 self.heap
                     .push(Reverse((list[cur + 1].0, class, cur as u32 + 1)));
             }
-            return Some(
-                self.q.slots[pos as usize]
-                    .as_ref()
-                    .expect("fit index holds live positions"),
-            );
+            return Some(self.q.slot(pos).expect("fit index holds live positions"));
         }
         None
     }
@@ -503,6 +509,31 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert!(q.get(JobId(3)).is_some());
         assert!(q.get(JobId(1)).is_none());
+    }
+
+    #[test]
+    fn consumed_slots_are_released_and_positions_stay_stable() {
+        let mut q = WaitQueue::new();
+        for i in 0..1_000 {
+            q.push(qjob(i, 1, 1.0));
+            if i % 2 == 1 {
+                q.remove(JobId(i - 1));
+                q.remove(JobId(i));
+            }
+        }
+        assert!(q.is_empty());
+        assert!(q.slots.is_empty(), "consumed slots are popped off the ring");
+        // Positions keep counting from where the ring left off, so a later
+        // entry's position still orders after every earlier one.
+        q.push(qjob(7_000, 2, 1.0));
+        q.push(qjob(7_001, 4, 1.0));
+        let positions: Vec<u32> = q.live_positions().map(|(p, _)| p).collect();
+        assert_eq!(positions, vec![1_000, 1_001]);
+        assert_eq!(q.at(1_001).job.id, JobId(7_001));
+        assert_eq!(drain_fit(&q, 1_000, 8), vec![7_001]);
+        q.remove(JobId(7_000));
+        assert_eq!(q.slots.len(), 1);
+        assert_eq!(q.get(JobId(7_001)).unwrap().job.gpus, 4);
     }
 
     #[test]
