@@ -110,13 +110,6 @@ impl WeatherConfig {
         self
     }
 
-    /// Scale heat-wave frequency and amplitude (climate-change stress).
-    pub fn with_heatwave_scaling(mut self, freq_mult: f64, amp_mult: f64) -> Self {
-        self.heatwaves_per_year *= freq_mult;
-        self.heatwave_amplitude_f *= amp_mult;
-        self
-    }
-
     /// Seasonal normal temperature at a given hour (smooth interpolation of
     /// mid-month anchors) plus the diurnal cycle, before noise.
     pub fn deterministic_temp_f(&self, calendar: &Calendar, hour: u64) -> f64 {
@@ -162,39 +155,23 @@ impl WeatherPath {
     /// Generate `hours` of weather from the configuration and RNG hub.
     ///
     /// The path is a deterministic function of `(config, calendar, hub)`.
-    /// This is the sequential reference schedule; [`Self::generate_mode`]
-    /// with `parallel = true` produces the identical path concurrently.
+    /// It decomposes into four channel passes, each consuming its own
+    /// named RNG stream (`climate.events/temp/wind/cloud`), so they run
+    /// concurrently without changing a single draw: events + temperature on
+    /// one side of the fork (temperature adds each hour's episodic anomaly,
+    /// so it consumes the sampled events), wind ∥ cloud on the other. The
+    /// path is bit-identical at every worker count; `RAYON_NUM_THREADS=1`
+    /// runs the passes in order on the calling thread (pinned by the
+    /// per-hour oracle test below and by the driver's golden determinism
+    /// test).
     pub fn generate(
         config: &WeatherConfig,
         calendar: Calendar,
         hours: usize,
         hub: &RngHub,
     ) -> WeatherPath {
-        Self::generate_mode(config, calendar, hours, hub, false)
-    }
-
-    /// Generate the weather path, optionally running the channel passes in
-    /// parallel.
-    ///
-    /// The path decomposes into four channel passes, each consuming its own
-    /// named RNG stream (`climate.events/temp/wind/cloud`), so they can run
-    /// concurrently without changing a single draw: events + temperature on
-    /// one side of the fork (temperature adds each hour's episodic anomaly,
-    /// so it consumes the sampled events), wind ∥ cloud on the other. Every
-    /// per-hour expression is written exactly as the sequential reference
-    /// evaluates it, so `parallel = true` is bit-identical to
-    /// `parallel = false` (pinned by a test below and by the driver's
-    /// golden determinism test).
-    pub fn generate_mode(
-        config: &WeatherConfig,
-        calendar: Calendar,
-        hours: usize,
-        hub: &RngHub,
-        parallel: bool,
-    ) -> WeatherPath {
         let days = DayTable::new(&calendar, hours);
         let ((temp_f, events), wind_ms, cloud) = greener_simkit::par::join3(
-            parallel,
             || {
                 let mut event_rng = hub.stream("climate.events");
                 let events = ExtremeEvent::sample_episodes(config, calendar, hours, &mut event_rng);
@@ -399,20 +376,6 @@ mod tests {
         assert_ne!(a.temp_f, c.temp_f);
     }
 
-    #[test]
-    fn parallel_generation_is_bit_identical() {
-        for seed in [1u64, 7, 20220107] {
-            let hub = RngHub::new(seed);
-            let cfg = WeatherConfig::default();
-            let seq = WeatherPath::generate_mode(&cfg, cal2020(), 120 * 24, &hub, false);
-            let par = WeatherPath::generate_mode(&cfg, cal2020(), 120 * 24, &hub, true);
-            assert_eq!(seq.temp_f, par.temp_f);
-            assert_eq!(seq.wind_ms, par.wind_ms);
-            assert_eq!(seq.cloud, par.cloud);
-            assert_eq!(seq.events, par.events);
-        }
-    }
-
     /// The per-hour reference: every channel loop resolving the calendar
     /// each hour through [`WeatherConfig::deterministic_temp_f`] and
     /// [`interp_monthly`], sequentially, with no day table.
@@ -465,13 +428,11 @@ mod tests {
             let hours = 40 * 24 + 5;
             let hub = RngHub::new(29);
             let reference = reference_path(&config, cal, hours, &hub);
-            for parallel in [false, true] {
-                let path = WeatherPath::generate_mode(&config, cal, hours, &hub, parallel);
-                assert_eq!(path.temp_f, reference.temp_f, "{start}");
-                assert_eq!(path.wind_ms, reference.wind_ms, "{start}");
-                assert_eq!(path.cloud, reference.cloud, "{start}");
-                assert_eq!(path.events, reference.events, "{start}");
-            }
+            let path = WeatherPath::generate(&config, cal, hours, &hub);
+            assert_eq!(path.temp_f, reference.temp_f, "{start}");
+            assert_eq!(path.wind_ms, reference.wind_ms, "{start}");
+            assert_eq!(path.cloud, reference.cloud, "{start}");
+            assert_eq!(path.events, reference.events, "{start}");
             let days = DayTable::new(&cal, hours);
             for h in 0..hours {
                 let fraction = days.at_hour(h).year_fraction(hour_of_day(h));

@@ -385,15 +385,13 @@ pub struct ShardArtifact {
     pub text: String,
 }
 
-/// `f64` → bit-exact hex token (shared with the fleet layer's routing
-/// records, which render the same byte-comparable report idiom).
-pub(crate) fn fbits(x: f64) -> String {
+/// `f64` → bit-exact hex token.
+fn fbits(x: f64) -> String {
     format!("{:016x}", x.to_bits())
 }
 
-/// Bit-exact hex token → `f64` (shared with the fleet layer's cell
-/// records).
-pub(crate) fn parse_fbits(tok: &str) -> Result<f64, CampaignError> {
+/// Bit-exact hex token → `f64`.
+fn parse_fbits(tok: &str) -> Result<f64, CampaignError> {
     match u64::from_str_radix(tok, 16) {
         Ok(bits) => Ok(f64::from_bits(bits)),
         Err(_) => cerr(format!("bad f64 bits token `{tok}`")),
@@ -406,40 +404,77 @@ pub(crate) fn parse_usize(tok: &str) -> Result<usize, CampaignError> {
     })
 }
 
+/// Append a run's totals to an artifact line as 21 space-led tokens: the
+/// [`RunAggregates`] fields, then the [`JobStats`] fields, floats as
+/// `to_bits` hex. Shared by campaign and fleet cell lines.
+pub(crate) fn write_totals(line: &mut String, a: &RunAggregates, j: &JobStats) {
+    let _ = write!(
+        line,
+        " {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
+        a.hours,
+        fbits(a.energy_kwh),
+        fbits(a.carbon_kg),
+        fbits(a.cost_usd),
+        fbits(a.water_l),
+        fbits(a.it_energy_kwh),
+        fbits(a.peak_power_kw),
+        a.cooling_saturated_hours,
+        fbits(a.purchased.0),
+        fbits(a.green_weighted_kwh),
+        fbits(a.pue_sum),
+        a.pue_hours,
+        j.submitted,
+        j.completed,
+        j.unfinished,
+        fbits(j.mean_wait_hours),
+        fbits(j.p95_wait_hours),
+        fbits(j.mean_slowdown),
+        j.slo_violations,
+        fbits(j.slo_violation_fraction),
+        fbits(j.gpu_hours_completed),
+    );
+}
+
+/// Parse the first 21 tokens of `t` as written by [`write_totals`]. The
+/// caller checks the line's token count.
+pub(crate) fn parse_totals(t: &[&str]) -> Result<(RunAggregates, JobStats), CampaignError> {
+    let aggregates = RunAggregates {
+        hours: parse_usize(t[0])?,
+        energy_kwh: parse_fbits(t[1])?,
+        carbon_kg: parse_fbits(t[2])?,
+        cost_usd: parse_fbits(t[3])?,
+        water_l: parse_fbits(t[4])?,
+        it_energy_kwh: parse_fbits(t[5])?,
+        peak_power_kw: parse_fbits(t[6])?,
+        cooling_saturated_hours: parse_usize(t[7])?,
+        purchased: Energy(parse_fbits(t[8])?),
+        green_weighted_kwh: parse_fbits(t[9])?,
+        pue_sum: parse_fbits(t[10])?,
+        pue_hours: parse_usize(t[11])?,
+    };
+    let jobs = JobStats {
+        submitted: parse_usize(t[12])?,
+        completed: parse_usize(t[13])?,
+        unfinished: parse_usize(t[14])?,
+        mean_wait_hours: parse_fbits(t[15])?,
+        p95_wait_hours: parse_fbits(t[16])?,
+        mean_slowdown: parse_fbits(t[17])?,
+        slo_violations: parse_usize(t[18])?,
+        slo_violation_fraction: parse_fbits(t[19])?,
+        gpu_hours_completed: parse_fbits(t[20])?,
+    };
+    Ok((aggregates, jobs))
+}
+
 impl CellResult {
     /// Serialize to one artifact line. Floats are emitted as `to_bits`
     /// hex, so a parse round-trip is bit-exact; the id is whitespace-free
     /// by plan construction, so the line splits back into fixed fields.
     pub fn to_line(&self) -> String {
-        let a = &self.aggregates;
-        let j = &self.jobs;
-        format!(
-            "cell {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
-            self.index,
-            self.id,
-            a.hours,
-            fbits(a.energy_kwh),
-            fbits(a.carbon_kg),
-            fbits(a.cost_usd),
-            fbits(a.water_l),
-            fbits(a.it_energy_kwh),
-            fbits(a.peak_power_kw),
-            a.cooling_saturated_hours,
-            fbits(a.purchased.0),
-            fbits(a.green_weighted_kwh),
-            fbits(a.pue_sum),
-            a.pue_hours,
-            j.submitted,
-            j.completed,
-            j.unfinished,
-            fbits(j.mean_wait_hours),
-            fbits(j.p95_wait_hours),
-            fbits(j.mean_slowdown),
-            j.slo_violations,
-            fbits(j.slo_violation_fraction),
-            fbits(j.gpu_hours_completed),
-            fbits(self.battery_cycles),
-        )
+        let mut line = format!("cell {} {}", self.index, self.id);
+        write_totals(&mut line, &self.aggregates, &self.jobs);
+        let _ = write!(line, " {}", fbits(self.battery_cycles));
+        line
     }
 
     /// Parse one artifact line (inverse of [`CellResult::to_line`]).
@@ -451,34 +486,12 @@ impl CellResult {
                 t.len()
             ));
         }
+        let (aggregates, jobs) = parse_totals(&t[3..])?;
         Ok(CellResult {
             index: parse_usize(t[1])?,
             id: t[2].to_string(),
-            aggregates: RunAggregates {
-                hours: parse_usize(t[3])?,
-                energy_kwh: parse_fbits(t[4])?,
-                carbon_kg: parse_fbits(t[5])?,
-                cost_usd: parse_fbits(t[6])?,
-                water_l: parse_fbits(t[7])?,
-                it_energy_kwh: parse_fbits(t[8])?,
-                peak_power_kw: parse_fbits(t[9])?,
-                cooling_saturated_hours: parse_usize(t[10])?,
-                purchased: Energy(parse_fbits(t[11])?),
-                green_weighted_kwh: parse_fbits(t[12])?,
-                pue_sum: parse_fbits(t[13])?,
-                pue_hours: parse_usize(t[14])?,
-            },
-            jobs: JobStats {
-                submitted: parse_usize(t[15])?,
-                completed: parse_usize(t[16])?,
-                unfinished: parse_usize(t[17])?,
-                mean_wait_hours: parse_fbits(t[18])?,
-                p95_wait_hours: parse_fbits(t[19])?,
-                mean_slowdown: parse_fbits(t[20])?,
-                slo_violations: parse_usize(t[21])?,
-                slo_violation_fraction: parse_fbits(t[22])?,
-                gpu_hours_completed: parse_fbits(t[23])?,
-            },
+            aggregates,
+            jobs,
             battery_cycles: parse_fbits(t[24])?,
         })
     }
@@ -715,12 +728,7 @@ impl CellRecord for CellResult {
     }
 
     fn fingerprint(&self) -> Fingerprint {
-        Fingerprint {
-            energy_bits: self.aggregates.energy_kwh.to_bits(),
-            carbon_bits: self.aggregates.carbon_kg.to_bits(),
-            completed: self.jobs.completed,
-            records: None,
-        }
+        Fingerprint::of_totals(&self.aggregates, &self.jobs, None)
     }
 }
 

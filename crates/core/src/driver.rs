@@ -86,9 +86,10 @@
 //!   every built-in policy's lone decision is provably the reference
 //!   decision (pinned by golden + property tests over the full per-job
 //!   record stream).
-//! * **Memoized hourly cooling** — the tick handler evaluates the cooling
-//!   plant once per hour ([`greener_hpc::CoolingCache`]); COP, water use
-//!   and the saturation flag read that single [`CoolingPoint`] instead of
+//! * **One cooling evaluation per hour** — the tick handler evaluates the
+//!   cooling plant once for the hour's temperature
+//!   ([`greener_hpc::CoolingModel::at`]); COP, water use and the
+//!   saturation flag read that single [`CoolingPoint`] instead of
 //!   re-deriving the temperature response three times.
 //! * **Always-on loop counters** — every replay counts its events,
 //!   dispatches, decisions and fast-path hits in one plain array
@@ -112,7 +113,7 @@ use greener_forecast::Forecaster;
 use greener_grid::ledger::{PurchaseLedger, PurchaseRecord};
 use greener_grid::mix::{GridConfig, GridPath};
 use greener_hpc::gpu::kind_utilization;
-use greener_hpc::{Cluster, CoolingCache, HourObservation, TelemetryLog, TelemetryProbe};
+use greener_hpc::{Cluster, HourObservation, TelemetryLog, TelemetryProbe};
 use greener_sched::{Decision, LoneDispatch, QueuedJob, SchedPolicy, SchedSignals, WaitQueue};
 use greener_simkit::calendar::{CalDate, Calendar};
 use greener_simkit::des::{EventQueue, EventScheduler};
@@ -301,8 +302,6 @@ struct Engine<'s, Q: EventScheduler<Event>, O: RunProbes> {
     forecast_green: Vec<f64>,
     /// Persistent forecaster for `ForecastMode::Model` (built once).
     forecast_model: Option<Box<dyn Forecaster + Send>>,
-    /// Per-run memo of the cooling plant's hourly operating point.
-    cooling: CoolingCache,
     /// Loop counters, always kept (see [`crate::profile`]).
     counts: ReplayProfile,
     hour_cursor: usize,
@@ -626,7 +625,7 @@ impl World {
         spec: &TraceSpec,
         env: impl FnOnce() -> (WeatherPath, GridPath) + Send,
     ) -> World {
-        let ((weather, grid), trace) = greener_simkit::par::join(true, env, || spec.build());
+        let ((weather, grid), trace) = greener_simkit::par::join(env, || spec.build());
         World {
             seed: spec.seed,
             gpu_cap: spec.gpu_cap,
@@ -676,9 +675,8 @@ impl EnvSpec {
     pub fn build(&self) -> (WeatherPath, GridPath) {
         let hub = greener_simkit::rng::RngHub::new(self.seed);
         let calendar = Calendar::new(self.start);
-        let weather =
-            WeatherPath::generate_mode(&self.weather, calendar, self.horizon_hours, &hub, true);
-        let grid = GridPath::generate_mode(&self.grid, &weather, &hub, true);
+        let weather = WeatherPath::generate(&self.weather, calendar, self.horizon_hours, &hub);
+        let grid = GridPath::generate(&self.grid, &weather, &hub);
         (weather, grid)
     }
 }
@@ -724,7 +722,7 @@ impl TraceSpec {
         trace_cfg.demand.rolling = self.deadline_policy.is_rolling();
         let generator = TraceGenerator::new(trace_cfg, &conferences, calendar, &hub);
         generator
-            .generate_mode(self.horizon_hours, &hub, true)
+            .generate(self.horizon_hours, &hub)
             .into_iter()
             .map(|mut j| {
                 // Cap gang sizes at the machine size so every job is
@@ -1001,7 +999,6 @@ impl SimDriver {
                 ForecastMode::Model(kind) => Some(kind.build(FORECAST_PERIOD)),
                 _ => None,
             },
-            cooling: CoolingCache::new(),
             counts: ReplayProfile::default(),
             hour_cursor: 0,
         };
@@ -1060,7 +1057,7 @@ impl SimDriver {
                     let it_energy = Energy(acc_it_j);
                     acc_it_j = 0.0;
                     let temp = Fahrenheit(weather.temp_f[h]);
-                    let cooling = engine.cooling.at(&scenario.cooling, temp);
+                    let cooling = scenario.cooling.at(temp);
                     let cooling_j = it_energy.value() / cooling.cop
                         + scenario.cooling.fan_power_w * HOUR as f64;
                     let cooling_energy = Energy(cooling_j);
@@ -1692,6 +1689,7 @@ mod tests {
         assert_eq!(one.grid.lmp_usd_mwh, four.grid.lmp_usd_mwh);
         assert_eq!(one.grid.ci_kg_mwh, four.grid.ci_kg_mwh);
         assert_eq!(one.grid.demand_mw, four.grid.demand_mw);
+        assert_eq!(one.grid.gas_mw, four.grid.gas_mw);
         assert_eq!(one.trace, four.trace);
         fingerprint_with_world(&s, one).assert_same(
             &fingerprint_with_world(&s, four),

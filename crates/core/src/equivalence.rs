@@ -39,8 +39,8 @@
 use greener_sched::PolicyKind;
 
 use crate::campaign::{run_campaign, CellRecord, Plan, ShardBackend};
-use crate::driver::{JobRecord, SimDriver, World};
-use crate::probe::{Observe, RunOutput};
+use crate::driver::{JobRecord, JobStats, SimDriver, World};
+use crate::probe::{Observe, RunAggregates, RunOutput};
 use crate::scenario::Scenario;
 
 /// What two equivalent engine configurations must agree on.
@@ -68,11 +68,22 @@ impl Fingerprint {
     /// The fingerprint of one replay's output (`records` is whatever the
     /// run retained).
     fn of(out: RunOutput) -> Fingerprint {
+        Fingerprint::of_totals(&out.aggregates, &out.jobs, out.job_records)
+    }
+
+    /// The fingerprint of a run's totals, carrying `records` if the
+    /// producer retained them (shared by replays, fleet runs and the
+    /// aggregates-only campaign and fleet cell records).
+    pub(crate) fn of_totals(
+        aggregates: &RunAggregates,
+        jobs: &JobStats,
+        records: Option<Vec<JobRecord>>,
+    ) -> Fingerprint {
         Fingerprint {
-            energy_bits: out.aggregates.energy_kwh.to_bits(),
-            carbon_bits: out.aggregates.carbon_kg.to_bits(),
-            completed: out.jobs.completed,
-            records: out.job_records,
+            energy_bits: aggregates.energy_kwh.to_bits(),
+            carbon_bits: aggregates.carbon_kg.to_bits(),
+            completed: jobs.completed,
+            records,
         }
     }
 

@@ -186,7 +186,7 @@ use greener_simkit::time::SimTime;
 use greener_simkit::units::Energy;
 use greener_workload::{Job, JobId};
 
-use crate::campaign::exec::{fbits, parse_fbits, parse_usize, LastUseCache};
+use crate::campaign::exec::{parse_totals, parse_usize, write_totals, LastUseCache};
 use crate::campaign::manifest::{
     err, for_each_entry, parse_axis_values, parse_base, parse_seeds, ManifestError,
 };
@@ -443,10 +443,9 @@ impl FleetWorld {
     pub fn build(fleet: &FleetScenario) -> FleetWorld {
         fleet.assert_valid();
         let (trace, sites) = par::join(
-            true,
             || World::build_trace(&fleet.base),
             || {
-                par::sharded_map(true, fleet.sites.len(), |i| {
+                par::sharded_map(fleet.sites.len(), |i| {
                     let (weather, grid) = World::environment(&fleet.sites[i].scenario);
                     SiteWorld { weather, grid }
                 })
@@ -954,7 +953,7 @@ impl FleetDriver {
                 trace,
             })
             .collect();
-        let sites = par::sharded_map(true, n, |i| {
+        let sites = par::sharded_map(n, |i| {
             SimDriver::run_observed(&fleet.sites[i].scenario, &site_worlds[i], observe)
         });
         let totals = rollup_aggregates(&sites);
@@ -1042,16 +1041,12 @@ fn rollup_jobs(sites: &[RunOutput]) -> JobStats {
 pub fn fingerprint(fleet: &FleetScenario) -> Fingerprint {
     let world = FleetWorld::build(fleet);
     let out = FleetDriver::run_observed(fleet, &world, Observe::aggregates().with_job_records());
-    Fingerprint {
-        energy_bits: out.totals.energy_kwh.to_bits(),
-        carbon_bits: out.totals.carbon_kg.to_bits(),
-        completed: out.jobs.completed,
-        records: if out.sites.len() == 1 {
-            out.sites[0].job_records.clone()
-        } else {
-            None
-        },
-    }
+    let records = if out.sites.len() == 1 {
+        out.sites[0].job_records.clone()
+    } else {
+        None
+    };
+    Fingerprint::of_totals(&out.totals, &out.jobs, records)
 }
 
 /// One fully-resolved fleet run of a [`FleetPlan`].
@@ -1139,38 +1134,17 @@ impl FleetCellResult {
     /// floats as `to_bits` hex (the campaign artifact idiom), so a parse
     /// round-trip is bit-exact.
     pub fn to_line(&self) -> String {
-        let a = &self.totals;
-        let j = &self.jobs;
-        format!(
-            "fleet-cell {} {} {} {} {} {:016x} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
+        let mut line = format!(
+            "fleet-cell {} {} {} {} {} {:016x}",
             self.index,
             self.id,
             self.routing.label(),
             self.routed_jobs,
             self.truncated_jobs,
             self.report_digest,
-            a.hours,
-            fbits(a.energy_kwh),
-            fbits(a.carbon_kg),
-            fbits(a.cost_usd),
-            fbits(a.water_l),
-            fbits(a.it_energy_kwh),
-            fbits(a.peak_power_kw),
-            a.cooling_saturated_hours,
-            fbits(a.purchased.0),
-            fbits(a.green_weighted_kwh),
-            fbits(a.pue_sum),
-            a.pue_hours,
-            j.submitted,
-            j.completed,
-            j.unfinished,
-            fbits(j.mean_wait_hours),
-            fbits(j.p95_wait_hours),
-            fbits(j.mean_slowdown),
-            j.slo_violations,
-            fbits(j.slo_violation_fraction),
-            fbits(j.gpu_hours_completed),
-        )
+        );
+        write_totals(&mut line, &self.totals, &self.jobs);
+        line
     }
 
     /// Parse one artifact line (inverse of [`FleetCellResult::to_line`]).
@@ -1191,6 +1165,7 @@ impl FleetCellResult {
         let report_digest = u64::from_str_radix(t[6], 16).map_err(|_| CampaignError {
             msg: format!("bad report digest token `{}`", t[6]),
         })?;
+        let (totals, jobs) = parse_totals(&t[7..])?;
         Ok(FleetCellResult {
             index: parse_usize(t[1])?,
             id: t[2].to_string(),
@@ -1198,31 +1173,8 @@ impl FleetCellResult {
             routed_jobs: parse_usize(t[4])?,
             truncated_jobs: parse_usize(t[5])?,
             report_digest,
-            totals: RunAggregates {
-                hours: parse_usize(t[7])?,
-                energy_kwh: parse_fbits(t[8])?,
-                carbon_kg: parse_fbits(t[9])?,
-                cost_usd: parse_fbits(t[10])?,
-                water_l: parse_fbits(t[11])?,
-                it_energy_kwh: parse_fbits(t[12])?,
-                peak_power_kw: parse_fbits(t[13])?,
-                cooling_saturated_hours: parse_usize(t[14])?,
-                purchased: Energy(parse_fbits(t[15])?),
-                green_weighted_kwh: parse_fbits(t[16])?,
-                pue_sum: parse_fbits(t[17])?,
-                pue_hours: parse_usize(t[18])?,
-            },
-            jobs: JobStats {
-                submitted: parse_usize(t[19])?,
-                completed: parse_usize(t[20])?,
-                unfinished: parse_usize(t[21])?,
-                mean_wait_hours: parse_fbits(t[22])?,
-                p95_wait_hours: parse_fbits(t[23])?,
-                mean_slowdown: parse_fbits(t[24])?,
-                slo_violations: parse_usize(t[25])?,
-                slo_violation_fraction: parse_fbits(t[26])?,
-                gpu_hours_completed: parse_fbits(t[27])?,
-            },
+            totals,
+            jobs,
         })
     }
 }
@@ -1245,12 +1197,7 @@ impl CellRecord for FleetCellResult {
     }
 
     fn fingerprint(&self) -> Fingerprint {
-        Fingerprint {
-            energy_bits: self.totals.energy_kwh.to_bits(),
-            carbon_bits: self.totals.carbon_kg.to_bits(),
-            completed: self.jobs.completed,
-            records: None,
-        }
+        Fingerprint::of_totals(&self.totals, &self.jobs, None)
     }
 }
 

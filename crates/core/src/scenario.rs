@@ -192,13 +192,6 @@ impl Scenario {
         self
     }
 
-    /// Builder-style: replace the purchasing strategy.
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: PurchaseStrategy) -> Scenario {
-        self.strategy = strategy;
-        self
-    }
-
     /// Builder-style: replace the seed.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Scenario {

@@ -218,26 +218,16 @@ impl GridBlock {
 const GRID_SHARD_HOURS: usize = 7 * 24;
 
 impl GridPath {
-    /// Generate the grid path for the same horizon as `weather`
-    /// (sequential reference schedule; see [`Self::generate_mode`]).
-    pub fn generate(config: &GridConfig, weather: &WeatherPath, hub: &RngHub) -> GridPath {
-        Self::generate_mode(config, weather, hub, false)
-    }
-
-    /// Generate the grid path, optionally dispatching week-blocks of hours
-    /// in parallel.
+    /// Generate the grid path for the same horizon as `weather`,
+    /// dispatching week-blocks of hours across the worker pool.
     ///
     /// The only stochastic input is the hourly demand-noise stream, which
     /// is drawn up front in hour order (cheap); everything downstream is a
     /// pure function of `(config, weather, noise[h], h)`, so the hour
     /// blocks can be computed in any order — or concurrently — and
-    /// concatenated in index order for a bit-identical path.
-    pub fn generate_mode(
-        config: &GridConfig,
-        weather: &WeatherPath,
-        hub: &RngHub,
-        parallel: bool,
-    ) -> GridPath {
+    /// concatenated in index order for a bit-identical path at every
+    /// worker count.
+    pub fn generate(config: &GridConfig, weather: &WeatherPath, hub: &RngHub) -> GridPath {
         let calendar = *weather.calendar();
         let hours = weather.hours();
         let mut noise_rng = hub.stream("grid.demand-noise");
@@ -248,7 +238,7 @@ impl GridPath {
         let days = DayTable::new(&calendar, hours);
         let gas_usd_mmbtu = interp_monthly_daily(&config.price.gas_price_usd_mmbtu, &days);
         let shards = hours.div_ceil(GRID_SHARD_HOURS);
-        let blocks = greener_simkit::par::sharded_map(parallel, shards, |s| {
+        let blocks = greener_simkit::par::sharded_map(shards, |s| {
             let lo = s * GRID_SHARD_HOURS;
             let hi = (lo + GRID_SHARD_HOURS).min(hours);
             Self::dispatch_hours(config, weather, &days, &gas_usd_mmbtu, &noise_u, lo, hi)
@@ -403,11 +393,6 @@ impl GridPath {
     pub fn lmp_series(&self) -> HourlySeries {
         HourlySeries::from_values(self.calendar, self.lmp_usd_mwh.clone())
     }
-
-    /// Carbon intensity as an [`HourlySeries`].
-    pub fn ci_series(&self) -> HourlySeries {
-        HourlySeries::from_values(self.calendar, self.ci_kg_mwh.clone())
-    }
 }
 
 #[cfg(test)]
@@ -540,23 +525,6 @@ mod tests {
         let b = year_grid(7);
         assert_eq!(a.lmp_usd_mwh, b.lmp_usd_mwh);
         assert_eq!(a.green_share, b.green_share);
-    }
-
-    #[test]
-    fn parallel_generation_is_bit_identical() {
-        let cal = Calendar::new(CalDate::new(2020, 1, 1));
-        for seed in [3u64, 20220106] {
-            let hub = RngHub::new(seed);
-            // 100 days: full weeks plus a partial final shard.
-            let weather = WeatherPath::generate(&WeatherConfig::default(), cal, 100 * 24, &hub);
-            let seq = GridPath::generate_mode(&GridConfig::default(), &weather, &hub, false);
-            let par = GridPath::generate_mode(&GridConfig::default(), &weather, &hub, true);
-            assert_eq!(seq.demand_mw, par.demand_mw);
-            assert_eq!(seq.gas_mw, par.gas_mw);
-            assert_eq!(seq.lmp_usd_mwh, par.lmp_usd_mwh);
-            assert_eq!(seq.ci_kg_mwh, par.ci_kg_mwh);
-            assert_eq!(seq.green_share, par.green_share);
-        }
     }
 
     /// The day-resolved dispatch equals a per-hour reference built from

@@ -218,11 +218,6 @@ impl Cluster {
         self.running_gpus() as f64 / self.total_gpus() as f64
     }
 
-    /// Whether a gang of `gpus` fits right now (spanning allowed).
-    pub fn can_fit(&self, gpus: u32) -> bool {
-        gpus > 0 && gpus <= self.free_total
-    }
-
     /// Number of active jobs.
     pub fn active_jobs(&self) -> usize {
         self.active_jobs

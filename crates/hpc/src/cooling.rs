@@ -151,41 +151,6 @@ impl CoolingPoint {
     }
 }
 
-/// A one-entry memo of the last [`CoolingPoint`] evaluated, keyed on the
-/// exact temperature bits.
-///
-/// The driver owns one per run: within a tick the COP, water and
-/// saturation queries then share a single model evaluation, and
-/// consecutive hours at the same temperature skip it entirely. The cache
-/// assumes the model is fixed for its lifetime (true for a run — the
-/// scenario owns the model); results are bit-identical by construction
-/// since a hit returns the exact `CoolingPoint` a miss would compute.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CoolingCache {
-    last: Option<(u64, CoolingPoint)>,
-}
-
-impl CoolingCache {
-    /// An empty cache.
-    pub fn new() -> CoolingCache {
-        CoolingCache::default()
-    }
-
-    /// The model's operating point at `outdoor`, memoized on the
-    /// temperature's bit pattern.
-    pub fn at(&mut self, model: &CoolingModel, outdoor: Fahrenheit) -> CoolingPoint {
-        let key = outdoor.value().to_bits();
-        if let Some((k, point)) = self.last {
-            if k == key {
-                return point;
-            }
-        }
-        let point = model.at(outdoor);
-        self.last = Some((key, point));
-        point
-    }
-}
-
 /// Fraction of observed hours with a saturated cooling plant (0 for an
 /// empty observation window).
 ///
@@ -314,21 +279,6 @@ mod tests {
             );
             assert_eq!(p.saturated, m.is_saturated(temp));
         }
-    }
-
-    #[test]
-    fn cache_hits_return_identical_points() {
-        let m = CoolingModel::default();
-        let mut cache = CoolingCache::new();
-        let a = cache.at(&m, Fahrenheit(55.0));
-        let b = cache.at(&m, Fahrenheit(55.0)); // hit
-        assert_eq!(a, b);
-        let c = cache.at(&m, Fahrenheit(72.0)); // miss re-evaluates
-        assert_eq!(c.cop.to_bits(), m.cop(Fahrenheit(72.0)).to_bits());
-        // Back to a previous temperature: single-entry memo re-evaluates,
-        // and re-evaluation reproduces the original bits.
-        let a2 = cache.at(&m, Fahrenheit(55.0));
-        assert_eq!(a, a2);
     }
 
     #[test]

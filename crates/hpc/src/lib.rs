@@ -26,6 +26,6 @@ pub mod gpu;
 pub mod telemetry;
 
 pub use cluster::{AllocError, Allocation, Cluster, ClusterSpec};
-pub use cooling::{CoolingCache, CoolingModel, CoolingPoint};
+pub use cooling::{CoolingModel, CoolingPoint};
 pub use gpu::GpuModel;
 pub use telemetry::{HourObservation, TelemetryFrame, TelemetryLog, TelemetryProbe};

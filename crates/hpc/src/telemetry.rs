@@ -282,17 +282,6 @@ impl TelemetryLog {
             self.frames.len(),
         )
     }
-
-    /// Mean GPU utilization across the log.
-    pub fn mean_gpu_utilization(&self) -> f64 {
-        greener_simkit::stats::mean(
-            &self
-                .frames
-                .iter()
-                .map(|f| f.gpu_utilization)
-                .collect::<Vec<_>>(),
-        )
-    }
 }
 
 #[cfg(test)]

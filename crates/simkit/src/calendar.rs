@@ -217,16 +217,6 @@ impl CalDate {
             month: self.month,
         }
     }
-
-    /// First day of this date's month.
-    #[inline]
-    pub fn month_start(self) -> CalDate {
-        CalDate {
-            year: self.year,
-            month: self.month,
-            day: 1,
-        }
-    }
 }
 
 impl fmt::Display for CalDate {

@@ -133,8 +133,14 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue with the clock at zero.
     pub fn new() -> EventQueue<E> {
+        EventScheduler::with_capacity(0)
+    }
+}
+
+impl<E> EventScheduler<E> for EventQueue<E> {
+    fn with_capacity(events: usize) -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            heap: BinaryHeap::with_capacity(events),
             now: SimTime::ZERO,
             next_seq: 0,
             processed: 0,
@@ -142,54 +148,23 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// An empty queue with pre-reserved capacity (hot loops in the
-    /// year-scale driver schedule tens of thousands of events).
-    pub fn with_capacity(cap: usize) -> EventQueue<E> {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            now: SimTime::ZERO,
-            next_seq: 0,
-            processed: 0,
-            clamped: 0,
-        }
-    }
-
-    /// Current simulation time (the timestamp of the last popped event).
-    #[inline]
-    pub fn now(&self) -> SimTime {
+    fn now(&self) -> SimTime {
         self.now
     }
 
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.heap.len()
     }
 
-    /// True if no events are pending.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total number of events popped so far.
-    #[inline]
-    pub fn processed(&self) -> u64 {
+    fn processed(&self) -> u64 {
         self.processed
     }
 
-    /// Number of past-timestamp schedules that were clamped to `now`.
-    #[inline]
-    pub fn clamped(&self) -> u64 {
+    fn clamped(&self) -> u64 {
         self.clamped
     }
 
-    /// Schedule `event` at absolute time `at`.
-    ///
-    /// Scheduling in the past is a logic error: debug builds panic, release
-    /// builds clamp to `now` (counted in [`EventQueue::clamped`]) so the
-    /// simulation still makes progress.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
+    fn schedule(&mut self, at: SimTime, event: E) {
         debug_assert!(
             at >= self.now,
             "scheduled event in the past: at={at}, now={}",
@@ -204,73 +179,18 @@ impl<E> EventQueue<E> {
         self.heap.push(ScheduledEvent { at, seq, event });
     }
 
-    /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Pop the next event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    fn pop(&mut self) -> Option<(SimTime, E)> {
         let ev = self.heap.pop()?;
         debug_assert!(ev.at >= self.now, "event queue clock went backwards");
         self.now = ev.at;
         self.processed += 1;
         Some((ev.at, ev.event))
     }
-
-    /// Pop the next event only if it fires strictly before `t`.
-    pub fn pop_before(&mut self, t: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time()? < t {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
-    /// Drop all pending events and reset the clock.
-    pub fn reset(&mut self) {
-        self.heap.clear();
-        self.now = SimTime::ZERO;
-        self.next_seq = 0;
-        self.processed = 0;
-        self.clamped = 0;
-    }
-}
-
-impl<E> EventScheduler<E> for EventQueue<E> {
-    fn with_capacity(events: usize) -> Self {
-        EventQueue::with_capacity(events)
-    }
-
-    fn now(&self) -> SimTime {
-        EventQueue::now(self)
-    }
-
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-
-    fn processed(&self) -> u64 {
-        EventQueue::processed(self)
-    }
-
-    fn clamped(&self) -> u64 {
-        EventQueue::clamped(self)
-    }
-
-    fn schedule(&mut self, at: SimTime, event: E) {
-        EventQueue::schedule(self, at, event)
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        EventQueue::pop(self)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::Duration;
 
     #[test]
     fn pops_in_time_order() {
@@ -305,16 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_before_respects_boundary() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime(10), "early");
-        q.schedule(SimTime(20), "late");
-        assert_eq!(q.pop_before(SimTime(15)).map(|(_, e)| e), Some("early"));
-        assert_eq!(q.pop_before(SimTime(15)), None);
-        assert_eq!(q.pop_before(SimTime(21)).map(|(_, e)| e), Some("late"));
-    }
-
-    #[test]
     #[should_panic(expected = "scheduled event in the past")]
     #[cfg(debug_assertions)]
     fn scheduling_in_past_panics_in_debug() {
@@ -335,20 +245,6 @@ mod tests {
         assert_eq!(q.clamped(), 1);
         let (t, _) = q.pop().unwrap();
         assert_eq!(t, SimTime(10), "clamped event fires at now");
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime(10) + Duration::from_secs(1), ());
-        q.pop();
-        q.reset();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.processed(), 0);
-        // Can schedule at time 0 again after reset.
-        q.schedule(SimTime::ZERO, ());
-        assert_eq!(q.len(), 1);
     }
 
     mod props {

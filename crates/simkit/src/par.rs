@@ -3,36 +3,31 @@
 //! The sweep layer ([`crate::sweep`]) fans out *across* runs; this module
 //! is the second level of the two-level threading model: fork/join *inside*
 //! one run, across phases that draw from independent named RNG streams
-//! (see [`crate::rng::RngHub`]). Both helpers take an explicit `parallel`
-//! flag so a caller can force the sequential reference execution — the
-//! parallel schedule must produce bit-identical results, and keeping the
-//! sequential path selectable is what lets golden tests pin that.
+//! (see [`crate::rng::RngHub`]). There is one schedule: every result must
+//! be bit-identical at any worker count, and `RAYON_NUM_THREADS=1` is its
+//! sequential form, which golden tests and CI pin.
 //!
 //! Thread count follows rayon's global-pool rules (`RAYON_NUM_THREADS`
 //! override, else `available_parallelism()`); with one worker both helpers
 //! degrade to plain sequential calls on the calling thread.
 
-/// Fork/join two closures. With `parallel = false` (or a single worker)
-/// they run sequentially on the calling thread, `a` first — the reference
-/// schedule. The results are identical either way **iff** the closures
-/// share no mutable state, which is the caller's contract: each side must
-/// draw only from its own named RNG streams.
-pub fn join<A, B, RA, RB>(parallel: bool, a: A, b: B) -> (RA, RB)
+/// Fork/join two closures. With a single worker they run sequentially on
+/// the calling thread, `a` first. The results are identical at every
+/// worker count **iff** the closures share no mutable state, which is the
+/// caller's contract: each side must draw only from its own named RNG
+/// streams.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
     B: FnOnce() -> RB + Send,
     RA: Send,
     RB: Send,
 {
-    if parallel {
-        rayon::join(a, b)
-    } else {
-        (a(), b())
-    }
+    rayon::join(a, b)
 }
 
 /// Fork/join three closures (two nested [`join`]s: `a ∥ (b ∥ c)`).
-pub fn join3<A, B, C, RA, RB, RC>(parallel: bool, a: A, b: B, c: C) -> (RA, RB, RC)
+pub fn join3<A, B, C, RA, RB, RC>(a: A, b: B, c: C) -> (RA, RB, RC)
 where
     A: FnOnce() -> RA + Send,
     B: FnOnce() -> RB + Send,
@@ -41,26 +36,20 @@ where
     RB: Send,
     RC: Send,
 {
-    let (ra, (rb, rc)) = join(parallel, a, || join(parallel, b, c));
+    let (ra, (rb, rc)) = join(a, || join(b, c));
     (ra, rb, rc)
 }
 
-/// Map `f` over shard indices `0..shards`, returning results in index
-/// order. With `parallel = false` the shards run in index order on the
-/// calling thread; with `parallel = true` they run across the worker pool
-/// and the per-shard results are concatenated in index order, so the
-/// output is identical as long as `f(i)` depends only on `i`.
-pub fn sharded_map<R, F>(parallel: bool, shards: usize, f: F) -> Vec<R>
+/// Map `f` over shard indices `0..shards` across the worker pool,
+/// returning results in index order. The output is identical at every
+/// worker count as long as `f(i)` depends only on `i`.
+pub fn sharded_map<R, F>(shards: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    if parallel {
-        use rayon::prelude::*;
-        (0..shards).into_par_iter().map(f).collect()
-    } else {
-        (0..shards).map(f).collect()
-    }
+    use rayon::prelude::*;
+    (0..shards).into_par_iter().map(f).collect()
 }
 
 #[cfg(test)]
@@ -72,28 +61,26 @@ mod tests {
 
     #[test]
     fn join_matches_sequential() {
-        let seq = join(false, || 1 + 1, || 2 + 2);
-        let par = join(true, || 1 + 1, || 2 + 2);
-        assert_eq!(seq, par);
+        assert_eq!(join(|| 1 + 1, || 2 + 2), (2, 4));
     }
 
     #[test]
     fn join3_returns_all_three() {
-        let (a, b, c) = join3(true, || "a", || "b", || "c");
+        let (a, b, c) = join3(|| "a", || "b", || "c");
         assert_eq!((a, b, c), ("a", "b", "c"));
     }
 
     #[test]
     fn sharded_map_preserves_index_order() {
-        let seq = sharded_map(false, 64, |i| i * i);
-        let par = sharded_map(true, 64, |i| i * i);
-        assert_eq!(seq, par);
-        assert_eq!(seq[7], 49);
+        let par = sharded_map(64, |i| i * i);
+        let seq: Vec<usize> = (0..64).map(|i| i * i).collect();
+        assert_eq!(par, seq);
+        assert_eq!(par[7], 49);
     }
 
     #[test]
     fn sharded_map_empty() {
-        let out: Vec<u32> = sharded_map(true, 0, |_| unreachable!("no shards"));
+        let out: Vec<u32> = sharded_map(0, |_| unreachable!("no shards"));
         assert!(out.is_empty());
     }
 
@@ -107,10 +94,10 @@ mod tests {
             let mut rng: StdRng = hub.stream_indexed("shard-test", i as u64);
             std::array::from_fn(|_| rng.gen())
         };
-        let seq = sharded_map(false, 16, draw);
-        let par = sharded_map(true, 16, draw);
-        assert_eq!(seq, par);
+        let par = sharded_map(16, draw);
+        let seq: Vec<[u64; 4]> = (0..16).map(draw).collect();
+        assert_eq!(par, seq);
         // Shards draw from distinct streams.
-        assert_ne!(seq[0], seq[1]);
+        assert_ne!(par[0], par[1]);
     }
 }

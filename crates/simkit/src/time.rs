@@ -88,12 +88,6 @@ impl Duration {
         Duration(s)
     }
 
-    /// Construct from whole minutes.
-    #[inline]
-    pub fn from_mins(m: u64) -> Duration {
-        Duration(m * MINUTE)
-    }
-
     /// Construct from whole hours.
     #[inline]
     pub fn from_hours(h: u64) -> Duration {

@@ -77,7 +77,11 @@ pub struct DemandModel {
     /// Deadline instants as fractional hours from simulation start
     /// (negative = before the window; they still cast lulls into it).
     deadline_hours: Vec<f64>,
-    /// Precomputed mean deadline multiplier (what rolling levels to).
+    /// Mean deadline multiplier over the window `[0, last deadline + lull]`,
+    /// precomputed: what "rolling submissions" levels the rate to,
+    /// conserving total annual compute (the paper's premise "if the same
+    /// amount of compute is to be spent throughout a representative year
+    /// regardless").
     mean_mult: f64,
 }
 
@@ -214,14 +218,6 @@ impl DemandModel {
             model: self,
             factors,
         }
-    }
-
-    /// Mean deadline multiplier over the window `[0, last deadline + lull]`
-    /// (what "rolling submissions" levels the rate to, conserving total
-    /// annual compute — the paper's premise "if the same amount of compute
-    /// is to be spent throughout a representative year regardless").
-    pub fn mean_deadline_multiplier(&self) -> f64 {
-        self.mean_mult
     }
 
     fn compute_mean_multiplier(&self) -> f64 {

@@ -33,8 +33,9 @@
 //! touch disjoint streams and disjoint windows, so they can run in any
 //! order — or concurrently — and concatenating them in index order yields
 //! the same byte-for-byte job sequence as running them sequentially (job
-//! ids are assigned densely after concatenation). A property test below
-//! pins `parallel == sequential` for random seeds and configs.
+//! ids are assigned densely after concatenation). The property test
+//! below pins the sharded trace against a per-candidate reference for
+//! random seeds and configs; CI runs it at one worker and the host's count.
 
 use greener_simkit::calendar::Calendar;
 use greener_simkit::rng::RngHub;
@@ -117,16 +118,11 @@ impl TraceGenerator {
         &self.population
     }
 
-    /// Generate the job trace for `hours` of simulated time (sequential
-    /// reference schedule; see [`Self::generate_mode`]).
+    /// Generate the job trace for `hours` of simulated time, synthesizing
+    /// the day-block shards across the worker pool. The trace is identical
+    /// at every worker count (see the module docs for the sharding
+    /// construction).
     pub fn generate(&self, hours: usize, hub: &RngHub) -> Vec<Job> {
-        self.generate_mode(hours, hub, false)
-    }
-
-    /// Generate the job trace, optionally synthesizing the day-block shards
-    /// in parallel. Both modes produce the identical trace (see the module
-    /// docs for the sharding construction).
-    pub fn generate_mode(&self, hours: usize, hub: &RngHub, parallel: bool) -> Vec<Job> {
         let horizon_secs = hours as f64 * 3_600.0;
         // The calendar factors of λ(t), resolved once per day for the
         // whole horizon; the bound and every shard's thinning read them.
@@ -140,7 +136,7 @@ impl TraceGenerator {
         }
         let shard_secs = (TRACE_SHARD_DAYS * 24) as f64 * 3_600.0;
         let shards = hours.div_ceil(TRACE_SHARD_DAYS * 24);
-        let shard_jobs = greener_simkit::par::sharded_map(parallel, shards, |s| {
+        let shard_jobs = greener_simkit::par::sharded_map(shards, |s| {
             let mut arr_rng = hub.stream_indexed("trace.arrivals", s as u64);
             let mut attr_rng = hub.stream_indexed("trace.attributes", s as u64);
             let window_start = s as f64 * shard_secs;
@@ -384,26 +380,6 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(12))]
-            /// The tentpole invariant: parallel shard synthesis produces
-            /// the byte-for-byte sequential trace for arbitrary seeds,
-            /// demand levels and horizons (including horizons shorter than
-            /// one shard and ones ending mid-shard).
-            #[test]
-            fn parallel_trace_equals_sequential(
-                seed in 0u64..1_000_000,
-                days in 1usize..40,
-                base_rate in 0.3f64..8.0,
-            ) {
-                let hub = RngHub::new(seed);
-                let cal = Calendar::new(CalDate::new(2020, 1, 1));
-                let mut config = TraceConfig::default();
-                config.demand.base_rate_per_hour = base_rate;
-                let g = TraceGenerator::new(config, &ConferenceCalendar::table_i(), cal, &hub);
-                let seq = g.generate_mode(days * 24, &hub, false);
-                let par = g.generate_mode(days * 24, &hub, true);
-                prop_assert_eq!(seq, par);
-            }
-
             /// The table-driven bound, rate series and thinned trace equal
             /// the straight per-hour and per-candidate `rate_at` loops, bit
             /// for bit, from random start dates (leap days, year ends and
@@ -414,7 +390,7 @@ mod tests {
                 seed in 0u64..1_000_000,
                 start_serial in 17_800i64..19_000,
                 hours in 0usize..(45 * 24),
-                base_rate in 0.3f64..6.0,
+                base_rate in 0.3f64..8.0,
                 rolling in 0u8..2,
             ) {
                 let hub = RngHub::new(seed);
