@@ -954,7 +954,8 @@ impl SimDriver {
             queue.schedule(SimTime::from_hours(h as u64), Event::Tick);
         }
 
-        let cluster = Cluster::new(scenario.cluster.clone());
+        let mut cluster = Cluster::new(scenario.cluster.clone());
+        cluster.reserve_jobs(trace.len());
         // At most `total_gpus` jobs run concurrently (every gang is ≥1 GPU),
         // which bounds the completion profile.
         let max_concurrent = cluster.total_gpus() as usize + 1;

@@ -4,6 +4,11 @@
 //! allocation is first-fit-descending over nodes (pack), gangs may span
 //! nodes (SuperCloud-style), and a node burns its CPU/host overhead only
 //! while it hosts at least one allocated GPU.
+//!
+//! Per-job bookkeeping is O(1) in the number of running jobs: the nodes
+//! with free GPUs are indexed by a bitset per free level, so placing a
+//! gang walks set bits in packing order and moving a node between levels
+//! flips two bits, and IT power is a maintained sum.
 
 use greener_simkit::units::Power;
 use greener_workload::JobId;
@@ -92,6 +97,10 @@ pub enum AllocError {
 
 /// Mutable cluster state.
 ///
+/// Placement reads a free-level bitset index (see the `level_bits` field):
+/// allocate walks set bits from the fewest-free level up, and both
+/// allocate and release re-level each touched node with two bit flips.
+///
 /// IT power is maintained *incrementally*: [`Cluster::it_power`] is O(1),
 /// assembled from an allocated-gang power sum and an active-node count that
 /// are updated on every allocate/release/recap instead of re-summed over
@@ -120,15 +129,18 @@ pub struct Cluster {
     alloc_power_w: f64,
     /// Nodes hosting ≥ 1 allocated GPU.
     active_nodes: u32,
-    /// Free-level index: `level_nodes[f-1]` holds the nodes with exactly
-    /// `f` free GPUs, each list sorted by node index and maintained
-    /// incrementally on allocate/release. Walking levels ascending, nodes
-    /// ascending within each, reproduces the comparison sort by
-    /// `(free, n)` the packing is specified as — without rescanning every
-    /// node per `allocate` (the driver allocates on every job start, so
-    /// this is hot; a property test pins the walk against the sorted
-    /// reference).
-    level_nodes: Vec<Vec<u32>>,
+    /// Free-level index: one bitset of `words` 64-bit words per free
+    /// level, laid out level after level, so bit `n` of row `f-1` is set
+    /// exactly when node `n` has `f` free GPUs. Walking the rows ascending,
+    /// and each row word by word with `trailing_zeros`, visits nodes in the
+    /// `(free, n)` order of the comparison sort the packing is specified
+    /// as, without rescanning every node per `allocate`; moving a node
+    /// between levels is two bit flips (the driver allocates on every job
+    /// start and releases on every finish, so both are hot; a property
+    /// test pins the walk against the sorted reference).
+    level_bits: Vec<u64>,
+    /// Words per free-level row: `nodes.div_ceil(64)`.
+    words: usize,
     /// Recycled `pieces` buffers: `release` returns each allocation's
     /// piece list here so the next `allocate` starts from a warm buffer.
     pieces_pool: Vec<Vec<(u32, u32)>>,
@@ -139,10 +151,14 @@ impl Cluster {
     pub fn new(spec: ClusterSpec) -> Cluster {
         let free_per_node = vec![spec.gpus_per_node; spec.nodes as usize];
         let free_total = spec.total_gpus();
-        let mut level_nodes = vec![Vec::new(); spec.gpus_per_node as usize];
+        let words = (spec.nodes as usize).div_ceil(64);
+        let mut level_bits = vec![0u64; spec.gpus_per_node as usize * words];
         if spec.gpus_per_node > 0 {
-            // Every node starts fully free.
-            level_nodes[spec.gpus_per_node as usize - 1] = (0..spec.nodes).collect();
+            // Every node starts fully free: set bits 0..nodes of the top row.
+            let top = &mut level_bits[(spec.gpus_per_node as usize - 1) * words..];
+            for n in 0..spec.nodes as usize {
+                top[n / 64] |= 1 << (n % 64);
+            }
         }
         Cluster {
             spec,
@@ -152,9 +168,19 @@ impl Cluster {
             free_total,
             alloc_power_w: 0.0,
             active_nodes: 0,
-            level_nodes,
+            level_bits,
+            words,
             pieces_pool: Vec::new(),
         }
+    }
+
+    /// Size the allocation slab for job ids `0..jobs` up front, so a
+    /// replay that allocates its trace in id order fills one buffer
+    /// instead of regrowing it (each regrowth frees a buffer half the new
+    /// size, which the allocator keeps around).
+    pub fn reserve_jobs(&mut self, jobs: usize) {
+        self.allocations
+            .reserve_exact(jobs.saturating_sub(self.allocations.len()));
     }
 
     /// One gang's contribution to the allocated-power sum, watts.
@@ -167,21 +193,28 @@ impl Cluster {
                 .value()
     }
 
+    /// The bitset row of free level `free` (≥ 1).
+    #[inline]
+    fn level_row(&self, free: u32) -> &[u64] {
+        let start = (free as usize - 1) * self.words;
+        &self.level_bits[start..start + self.words]
+    }
+
     /// Move node `n` from free level `from` to free level `to` (0 = not
-    /// listed). Lists stay sorted by node index via binary search.
+    /// indexed): clear its bit in one row, set it in the other.
     #[inline]
     fn relevel(&mut self, n: u32, from: u32, to: u32) {
+        let word = n as usize / 64;
+        let bit = 1u64 << (n % 64);
         if from > 0 {
-            let list = &mut self.level_nodes[from as usize - 1];
-            let i = list.binary_search(&n).expect("level index holds the node");
-            list.remove(i);
+            let w = &mut self.level_bits[(from as usize - 1) * self.words + word];
+            assert!(*w & bit != 0, "level index holds the node");
+            *w &= !bit;
         }
         if to > 0 {
-            let list = &mut self.level_nodes[to as usize - 1];
-            let i = list
-                .binary_search(&n)
-                .expect_err("node already at target level");
-            list.insert(i, n);
+            let w = &mut self.level_bits[(to as usize - 1) * self.words + word];
+            assert!(*w & bit == 0, "node already at target level");
+            *w |= bit;
         }
     }
 
@@ -248,23 +281,27 @@ impl Cluster {
             return Err(AllocError::InsufficientGpus);
         }
         // Plan over the free-level index: ascending level, ascending node
-        // within each list — exactly the `(free, n)` comparison-sort order
-        // over candidate nodes (free > 0), so we fill partially-used nodes
-        // before waking idle ones. The plan walk never mutates the index,
-        // so it sees the same pre-allocation snapshot a rebuilt candidate
-        // list would.
+        // within each row (words low to high, bits low to high) — exactly
+        // the `(free, n)` comparison-sort order over candidate nodes
+        // (free > 0), so we fill partially-used nodes before waking idle
+        // ones. The plan walk never mutates the index, so it sees the same
+        // pre-allocation snapshot a rebuilt candidate list would.
         let mut remaining = gpus;
         let mut pieces = self.pieces_pool.pop().unwrap_or_default();
         debug_assert!(pieces.is_empty(), "pooled piece buffers come back clean");
-        'fill: for (level, nodes) in self.level_nodes.iter().enumerate() {
-            let free = level as u32 + 1;
-            for &n in nodes {
-                debug_assert_eq!(self.free_per_node[n as usize], free);
-                let take = remaining.min(free);
-                pieces.push((n, take));
-                remaining -= take;
-                if remaining == 0 {
-                    break 'fill;
+        'fill: for free in 1..=self.spec.gpus_per_node {
+            for (w, &word) in self.level_row(free).iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let n = (w * 64) as u32 + bits.trailing_zeros();
+                    bits &= bits - 1;
+                    debug_assert_eq!(self.free_per_node[n as usize], free);
+                    let take = remaining.min(free);
+                    pieces.push((n, take));
+                    remaining -= take;
+                    if remaining == 0 {
+                        break 'fill;
+                    }
                 }
             }
         }
@@ -398,21 +435,34 @@ impl Cluster {
                 ));
             }
         }
-        for (level, nodes) in self.level_nodes.iter().enumerate() {
-            let free = level as u32 + 1;
-            if !nodes.windows(2).all(|w| w[0] < w[1]) {
-                return Err(format!("level {free} list not sorted/unique: {nodes:?}"));
-            }
-            for &n in nodes {
-                if self.free_per_node[n as usize] != free {
-                    return Err(format!(
-                        "node {n} listed at free level {free} but has {} free",
-                        self.free_per_node[n as usize]
-                    ));
+        // Rebuild each level's node set from its bits: every listed node
+        // exists and has exactly that many free GPUs, and every node with
+        // a free GPU is listed (so none is listed twice).
+        let mut listed = 0usize;
+        for free in 1..=self.spec.gpus_per_node {
+            for (w, &word) in self.level_row(free).iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let n = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    listed += 1;
+                    match self.free_per_node.get(n) {
+                        None => {
+                            return Err(format!(
+                                "level {free} lists node {n} beyond the {} nodes",
+                                self.spec.nodes
+                            ))
+                        }
+                        Some(&f) if f != free => {
+                            return Err(format!(
+                                "node {n} listed at free level {free} but has {f} free"
+                            ))
+                        }
+                        Some(_) => {}
+                    }
                 }
             }
         }
-        let listed: usize = self.level_nodes.iter().map(Vec::len).sum();
         let candidates = self.free_per_node.iter().filter(|&&f| f > 0).count();
         if listed != candidates {
             return Err(format!(
@@ -572,51 +622,117 @@ mod tests {
         assert!((c.gpu_utilization() - 0.5).abs() < 1e-12);
     }
 
+    /// A cluster with no GPUs constructs, reports none free, refuses every
+    /// gang and draws the fixed-plus-idle floor.
+    fn assert_empty_cluster(spec: ClusterSpec) {
+        let floor = spec.fixed_infra_w + spec.nodes as f64 * spec.node_idle_w;
+        let mut c = Cluster::new(spec);
+        assert_eq!(c.free_gpus(), 0);
+        assert_eq!(
+            c.allocate(JobId(1), 1, 250.0, 1.0),
+            Err(AllocError::InsufficientGpus)
+        );
+        assert!(!c.release(JobId(1)));
+        c.check_invariants().unwrap();
+        assert_eq!(c.it_power().value(), floor);
+    }
+
+    #[test]
+    fn reserved_slab_fills_without_regrowing() {
+        let mut c = Cluster::new(ClusterSpec::default());
+        c.reserve_jobs(1_000);
+        let capacity = c.allocations.capacity();
+        assert!(capacity >= 1_000);
+        for id in 0..1_000u64 {
+            c.allocate(JobId(id), 1, 250.0, 1.0).unwrap();
+            assert!(c.release(JobId(id)));
+        }
+        assert_eq!(c.allocations.len(), 1_000);
+        assert_eq!(c.allocations.capacity(), capacity, "no regrowth");
+        c.reserve_jobs(10);
+        assert_eq!(c.allocations.capacity(), capacity, "never shrinks");
+        c.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn zero_node_cluster_never_panics() {
+        assert_empty_cluster(ClusterSpec {
+            nodes: 0,
+            ..ClusterSpec::default()
+        });
+    }
+
+    #[test]
+    fn zero_gpu_nodes_never_panic() {
+        assert_empty_cluster(ClusterSpec {
+            gpus_per_node: 0,
+            ..ClusterSpec::default()
+        });
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
 
+        /// Node counts at and around the bitset's word boundaries.
+        const BOUNDARY_NODES: [u32; 6] = [1, 63, 64, 65, 128, 129];
+
+        /// A cluster shape drawn from `(pick, drawn, gpus_per_node)`: the
+        /// first six picks take a word-boundary node count, the rest the
+        /// drawn count in 1..=320.
+        fn shape((pick, drawn, gpus_per_node): (usize, u32, u32)) -> Cluster {
+            Cluster::new(ClusterSpec {
+                nodes: BOUNDARY_NODES.get(pick).copied().unwrap_or(drawn),
+                gpus_per_node,
+                ..ClusterSpec::default()
+            })
+        }
+
+        /// A gang size in 1..=total from a unit draw, cubed so most gangs
+        /// are small (mixed fill states) while some reach the whole
+        /// cluster whatever its shape.
+        fn gang(c: &Cluster, unit: f64) -> u32 {
+            1 + (unit.powi(3) * c.total_gpus() as f64) as u32 % c.total_gpus()
+        }
+
         proptest! {
             /// Random allocate/release interleavings conserve GPUs and keep
-            /// per-node bounds.
+            /// per-node bounds, on shapes that span one or many bitset
+            /// words and end mid-word or on a word boundary.
             #[test]
-            fn conservation_under_churn(ops in prop::collection::vec((0u8..2, 1u64..30, 1u32..12), 1..120)) {
-                let mut c = Cluster::new(ClusterSpec {
-                    nodes: 8,
-                    gpus_per_node: 4,
-                    ..ClusterSpec::default()
-                });
-                for (op, id, gpus) in ops {
+            fn conservation_under_churn(
+                dims in (0usize..12, 1u32..321, 1u32..9),
+                ops in prop::collection::vec((0u8..2, 1u64..30, 0.0f64..1.0), 1..120),
+            ) {
+                let mut c = shape(dims);
+                for (op, id, unit) in ops {
                     match op {
-                        0 => { let _ = c.allocate(JobId(id), gpus, 200.0, 0.9); }
+                        0 => { let _ = c.allocate(JobId(id), gang(&c, unit), 200.0, 0.9); }
                         _ => { c.release(JobId(id)); }
                     }
                     prop_assert!(c.check_invariants().is_ok(), "{:?}", c.check_invariants());
                 }
             }
 
-            /// The bucketed candidate walk in `allocate` packs exactly like
-            /// the comparison sort by `(free, n)` it replaced: after random
+            /// The bitset walk in `allocate` packs exactly like the
+            /// comparison sort by `(free, n)` it replaced: after random
             /// churn puts nodes in mixed fill states, one more allocation's
             /// pieces match the reference packing computed from the sorted
-            /// candidate list.
+            /// candidate list, on drawn shapes and gang sizes.
             #[test]
             fn packing_matches_comparison_sort_reference(
-                ops in prop::collection::vec((0u8..2, 1u64..30, 1u32..12), 0..60),
-                gpus in 1u32..13,
+                dims in (0usize..12, 1u32..321, 1u32..9),
+                ops in prop::collection::vec((0u8..2, 1u64..30, 0.0f64..1.0), 0..60),
+                unit in 0.0f64..1.0,
             ) {
-                let mut c = Cluster::new(ClusterSpec {
-                    nodes: 8,
-                    gpus_per_node: 4,
-                    ..ClusterSpec::default()
-                });
-                for (op, id, g) in ops {
+                let mut c = shape(dims);
+                for (op, id, u) in ops {
                     match op {
-                        0 => { let _ = c.allocate(JobId(id), g, 200.0, 0.9); }
+                        0 => { let _ = c.allocate(JobId(id), gang(&c, u), 200.0, 0.9); }
                         _ => { c.release(JobId(id)); }
                     }
                 }
-                let gpus = gpus.min(c.free_gpus());
+                let gpus = gang(&c, unit).min(c.free_gpus());
                 if gpus == 0 {
                     return Ok(());
                 }

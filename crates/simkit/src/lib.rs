@@ -33,6 +33,7 @@
 //!   waits, atomic file publication) for backends that treat worker
 //!   execution as unreliable.
 
+mod arenas;
 pub mod calendar;
 pub mod des;
 pub mod fastmap;

@@ -23,6 +23,7 @@ where
     RA: Send,
     RB: Send,
 {
+    crate::arenas::cap_per_core();
     rayon::join(a, b)
 }
 
@@ -49,6 +50,7 @@ where
     F: Fn(usize) -> R + Sync,
 {
     use rayon::prelude::*;
+    crate::arenas::cap_per_core();
     (0..shards).into_par_iter().map(f).collect()
 }
 

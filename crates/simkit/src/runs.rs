@@ -44,6 +44,8 @@ pub struct RunsQueue<E> {
     runs: Vec<VecDeque<ScheduledEvent<E>>>,
     /// Events that fit no run.
     heap: BinaryHeap<ScheduledEvent<E>>,
+    /// The `with_capacity` hint: total schedules expected.
+    expected: usize,
     now: SimTime,
     next_seq: u64,
     processed: u64,
@@ -51,11 +53,15 @@ pub struct RunsQueue<E> {
 }
 
 impl<E> EventScheduler<E> for RunsQueue<E> {
-    /// Runs grow as they are appended to, so the hint goes unused.
-    fn with_capacity(_events: usize) -> Self {
+    /// A run opens sized for every expected schedule not yet made, so a
+    /// stream scheduled whole fills one buffer instead of regrowing it
+    /// (each regrowth frees a buffer half the new size, which the
+    /// allocator keeps around). The heap grows as it is pushed to.
+    fn with_capacity(events: usize) -> Self {
         RunsQueue {
             runs: Vec::with_capacity(MAX_RUNS),
             heap: BinaryHeap::new(),
+            expected: events,
             now: SimTime::ZERO,
             next_seq: 0,
             processed: 0,
@@ -98,7 +104,10 @@ impl<E> EventScheduler<E> for RunsQueue<E> {
         match self.runs.last_mut() {
             Some(run) if run.back().is_none_or(|tail| tail.at <= at) => run.push_back(ev),
             _ if opens_run => {
-                self.runs.push(VecDeque::from([ev]));
+                let left = self.expected.saturating_sub(seq as usize);
+                let mut run = VecDeque::with_capacity(left.max(1));
+                run.push_back(ev);
+                self.runs.push(run);
             }
             _ => self.heap.push(ev),
         }
@@ -157,6 +166,25 @@ mod tests {
         assert_eq!(order, vec![50, 1, 2, 3, 101, 4, 102, 103]);
         assert_eq!(q.processed(), 9);
         assert_eq!(q.clamped(), 0);
+    }
+
+    #[test]
+    fn a_hinted_queue_opens_each_run_at_full_size() {
+        let mut q = RunsQueue::with_capacity(8);
+        q.schedule(SimTime(0), 0u64);
+        let arrivals = q.runs[0].capacity();
+        assert!(arrivals >= 8, "the first run holds every expected schedule");
+        for i in 1..5u64 {
+            q.schedule(SimTime(i * 1_000), i);
+        }
+        q.schedule(SimTime(HOUR), 101);
+        let ticks = q.runs[1].capacity();
+        assert!(ticks >= 3, "the second run holds the three schedules left");
+        for h in 2..=3u64 {
+            q.schedule(SimTime(h * HOUR), 100 + h);
+        }
+        assert_eq!(q.runs[0].capacity(), arrivals, "arrivals never regrew");
+        assert_eq!(q.runs[1].capacity(), ticks, "ticks never regrew");
     }
 
     #[test]
@@ -245,7 +273,7 @@ mod tests {
             ops: &[(u8, u32)],
         ) -> (EventQueue<u64>, RunsQueue<u64>, Vec<(u8, u64)>) {
             let mut heap = EventQueue::new();
-            let mut runs = RunsQueue::with_capacity(0);
+            let mut runs = RunsQueue::with_capacity(streams.iter().map(Vec::len).sum());
             let mut payload = 0u64;
             for steps in streams {
                 let mut at = 0u64;

@@ -29,21 +29,47 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
 }
 
-/// Linear-interpolated quantile, `q` in [0, 1]. Panics on empty input.
+/// Linear-interpolated quantile, `q` in [0, 1]. Panics on empty input,
+/// and with "NaN in quantile input" on a NaN among two or more values.
+///
+/// Defined on the stably sorted input, but found by selection: O(n)
+/// instead of a sort, with the same bits. A selected zero takes its sign
+/// from the stable order, the one place +0.0 and −0.0 could differ.
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
     assert!(!xs.is_empty(), "quantile of empty slice");
     assert!((0.0..=1.0).contains(&q), "quantile level out of range");
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
-    let pos = q * (sorted.len() - 1) as f64;
+    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("NaN in quantile input");
+    let pos = q * (xs.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
+    let mut scratch = xs.to_vec();
+    let (_, &mut lo_x, upper) = scratch.select_nth_unstable_by(lo, cmp);
+    let lo_x = stable_order_statistic(xs, lo, lo_x);
     if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        return lo_x;
     }
+    // `hi == lo + 1`: the least element above the selected one.
+    let hi_x = *upper.iter().min_by(|a, b| cmp(a, b)).expect("hi < len");
+    let hi_x = stable_order_statistic(xs, hi, hi_x);
+    let frac = pos - lo as f64;
+    lo_x * (1.0 - frac) + hi_x * frac
+}
+
+/// The `k`-th element of `xs` after a stable sort, given its value `x`.
+///
+/// Without NaN, +0.0 and −0.0 are the only values that compare equal
+/// while differing in bits, so only a zero needs its sign resolved: the
+/// stable order keeps zeros in input order after the negatives, so the
+/// `k`-th element is the `(k − #{x < 0})`-th zero of `xs`.
+fn stable_order_statistic(xs: &[f64], k: usize, x: f64) -> f64 {
+    if x != 0.0 {
+        return x;
+    }
+    let negatives = xs.iter().filter(|&&v| v < 0.0).count();
+    *xs.iter()
+        .filter(|&&v| v == 0.0)
+        .nth(k - negatives)
+        .expect("a zero order statistic is one of the zeros")
 }
 
 /// Pearson product-moment correlation of two equal-length slices.
@@ -271,6 +297,41 @@ mod tests {
         assert!(mean(&[]).is_nan());
     }
 
+    /// The sort-based definition `quantile` must match bit for bit.
+    fn quantile_by_sort(xs: &[f64], q: f64) -> f64 {
+        let mut sorted = xs.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
+        let pos = q * (sorted.len() - 1) as f64;
+        let lo = pos.floor() as usize;
+        let hi = pos.ceil() as usize;
+        if lo == hi {
+            sorted[lo]
+        } else {
+            let frac = pos - lo as f64;
+            sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in quantile input")]
+    fn quantile_rejects_nan() {
+        quantile(&[1.0, f64::NAN, 0.5], 0.5);
+    }
+
+    #[test]
+    fn quantile_keeps_the_stable_sign_of_zero() {
+        let xs = [0.0, -0.0, -1.0, -0.0, 2.0];
+        for q in [0.25, 0.5, 0.75, 0.3, 0.6] {
+            assert_eq!(
+                quantile(&xs, q).to_bits(),
+                quantile_by_sort(&xs, q).to_bits(),
+                "q = {q}"
+            );
+        }
+        assert_eq!(quantile(&xs, 0.25).to_bits(), 0.0f64.to_bits());
+        assert_eq!(quantile(&xs, 0.5).to_bits(), (-0.0f64).to_bits());
+    }
+
     #[test]
     fn quantiles_interpolate() {
         let xs = [1.0, 2.0, 3.0, 4.0];
@@ -404,6 +465,37 @@ mod tests {
                 let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
                 let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
                 prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9);
+            }
+
+            /// Selection returns the stable sort's bits on heavily tied
+            /// input with mixed ±0.0, at every order statistic, every
+            /// midpoint between two, and a drawn `q`.
+            #[test]
+            fn quantile_matches_sort_bits(
+                draws in prop::collection::vec((0u32..7, 0u8..2), 1..80),
+                q in 0.0f64..1.0,
+            ) {
+                // Values in {-3, …, 3}; a zero takes its sign from the flag.
+                let xs: Vec<f64> = draws
+                    .iter()
+                    .map(|&(v, neg)| {
+                        let x = v as f64 - 3.0;
+                        if x == 0.0 && neg == 1 { -0.0 } else { x }
+                    })
+                    .collect();
+                let last = (xs.len() - 1) as f64;
+                let mut qs = vec![q, 0.0, 1.0];
+                for k in 0..xs.len() {
+                    qs.push(k as f64 / last.max(1.0));
+                    qs.push((k as f64 + 0.5) / last.max(1.0));
+                }
+                for q in qs.into_iter().filter(|q| (0.0..=1.0).contains(q)) {
+                    let (got, want) = (quantile(&xs, q), quantile_by_sort(&xs, q));
+                    prop_assert!(
+                        got.to_bits() == want.to_bits(),
+                        "q = {q}: {got:?} != {want:?} on {xs:?}"
+                    );
+                }
             }
 
             #[test]

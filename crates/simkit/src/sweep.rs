@@ -76,6 +76,7 @@ where
     R: Send,
     F: Fn(&P) -> R + Sync,
 {
+    crate::arenas::cap_per_core();
     params.par_iter().map(f).collect()
 }
 
@@ -86,6 +87,7 @@ where
     R: Send,
     F: Fn(usize, &P, RngHub) -> R + Sync,
 {
+    crate::arenas::cap_per_core();
     let root = RngHub::new(root_seed);
     params
         .par_iter()
@@ -101,6 +103,7 @@ where
     R: Send,
     F: Fn(usize, RngHub) -> R + Sync,
 {
+    crate::arenas::cap_per_core();
     let root = RngHub::new(root_seed);
     (0..n)
         .into_par_iter()

@@ -166,7 +166,7 @@ impl TraceGenerator {
         // Shards cover disjoint, increasing windows: concatenating in index
         // order keeps submit times sorted, and the dense id assignment
         // matches the order the driver replays.
-        let mut jobs: Vec<Job> = shard_jobs.into_iter().flatten().collect();
+        let mut jobs: Vec<Job> = shard_jobs.concat();
         for (i, job) in jobs.iter_mut().enumerate() {
             job.id = JobId(i as u64);
         }
