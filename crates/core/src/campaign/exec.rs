@@ -31,35 +31,48 @@
 //!
 //! # World reuse
 //!
-//! [`InProcessBackend`] asks the plan to run each shard's cell range with
-//! `world_reuse` on. World identity comes from the inputs, not from a
-//! hand-kept field list: the world builders read only
+//! [`InProcessBackend`] asks the plan to run all shards' cell ranges with
+//! `world_reuse` on, one thread per range, over one cache shared by the
+//! threads of that call (a worker process runs one shard, so its cache
+//! covers just that shard's range). World identity comes from the inputs,
+//! not from a hand-kept field list: the world builders read only
 //! [`EnvSpec`](crate::driver::EnvSpec) and
 //! [`TraceSpec`](crate::driver::TraceSpec), and
 //! [`Scenario::world_inputs_key`](crate::scenario::Scenario::world_inputs_key)
 //! is their text. Before running, [`CampaignPlan`] keys every cell of the
-//! range by its world and its environment, then walks the cells through
+//! ranges by its world and its environment, then walks the cells through
 //! one last-use cache per kind (`LastUseCache`):
 //!
-//! * a world is built on its first cell, replayed by every matching cell
-//!   via the aggregates-only observation fast path, and dropped after its
-//!   last cell;
-//! * an environment is built once per shard and shared by every world of
-//!   the shard that needs it: a world whose environment an earlier world
-//!   built generates only its trace, and the last such world takes the
-//!   environment itself rather than a copy.
+//! * a world is built by the first cell to need it, in whichever shard,
+//!   replayed by every matching cell via the aggregates-only observation
+//!   fast path, and dropped after its last cell finishes;
+//! * an environment is built once per in-process pass, or once per
+//!   worker's shard, and shared by every world that needs it: a world
+//!   whose environment an earlier world built generates only its trace,
+//!   and the last such world takes the environment itself rather than a
+//!   copy.
 //!
 //! On a policy-only campaign this turns O(cells) world builds into
-//! O(distinct seeds) per shard; on a trace-knob sweep (arrival rate,
+//! O(distinct seeds) per pass; on a trace-knob sweep (arrival rate,
 //! deadline policy, nodes) it turns O(cells) environment builds into
-//! O(distinct seeds), and a shard never holds a world no later cell
+//! O(distinct seeds), and a pass never holds a world no later cell
 //! needs. The fleet plan caches whole fleet worlds, keyed per site, the
 //! same way; its sites differ in environment config, so it shares no
 //! environments.
+//!
+//! A shard that panics ends as a [`ShardError::Panic`] that names it. A
+//! shard waiting for a build that panicked in another shard fails the
+//! same way instead of waiting forever.
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::Hash;
+use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread;
 
 use greener_simkit::rng::fnv1a;
 use greener_simkit::sweep;
@@ -170,6 +183,14 @@ pub enum ShardError {
         /// The validation failure.
         msg: String,
     },
+    /// The shard panicked while running in this process, or waited for a
+    /// world build that panicked in another shard.
+    Panic {
+        /// Shard ordinal.
+        shard: usize,
+        /// The panic message.
+        msg: String,
+    },
 }
 
 impl ShardError {
@@ -180,7 +201,8 @@ impl ShardError {
             | ShardError::Exit { shard, .. }
             | ShardError::Timeout { shard, .. }
             | ShardError::Parse { shard, .. }
-            | ShardError::Validation { shard, .. } => *shard,
+            | ShardError::Validation { shard, .. }
+            | ShardError::Panic { shard, .. } => *shard,
         }
     }
 
@@ -206,6 +228,7 @@ impl std::fmt::Display for ShardError {
             }
             ShardError::Parse { shard, msg } => write!(f, "shard {shard}: {msg}"),
             ShardError::Validation { shard, msg } => write!(f, "shard {shard}: {msg}"),
+            ShardError::Panic { shard, msg } => write!(f, "shard {shard}: panicked: {msg}"),
         }
     }
 }
@@ -313,12 +336,31 @@ pub trait Plan: Sync {
     /// re-fingerprints the plan even when cell ids stay put.
     fn cell_config(&self, index: usize) -> String;
 
+    /// Run `ranges` across threads (one per range, up to
+    /// `RAYON_NUM_THREADS`) and return each range's records in plan
+    /// order, or the payload of the panic that ended it.
+    /// The ranges must follow one another in plan order, as [`partition`]
+    /// makes them. `world_reuse` builds each distinct world once per call
+    /// instead of once per cell: the ranges share one cache, in which the
+    /// first cell to need a world builds it, any other cell that needs it
+    /// meanwhile waits for that build, and the world is dropped once its
+    /// last cell in any range has finished. Both modes must produce
+    /// identical bytes (the reuse invariant every plan kind pins in tests).
+    fn run_ranges(
+        &self,
+        ranges: &[Range<usize>],
+        world_reuse: bool,
+    ) -> Vec<thread::Result<Vec<Self::Record>>>;
+
     /// Run cells `start..end` in plan order and return their records in
-    /// that order. `world_reuse` builds each distinct world once per call
-    /// instead of once per cell, and drops it after its last cell in the
-    /// range; both modes must produce identical bytes (the reuse invariant
-    /// every plan kind pins in tests).
-    fn run_cells(&self, start: usize, end: usize, world_reuse: bool) -> Vec<Self::Record>;
+    /// that order: [`Plan::run_ranges`] over the one range, so each
+    /// distinct world is built once per call, and a panic in a cell
+    /// propagates.
+    fn run_cells(&self, start: usize, end: usize, world_reuse: bool) -> Vec<Self::Record> {
+        let mut out = self.run_ranges(std::slice::from_ref(&(start..end)), world_reuse);
+        let records = out.pop().expect("one result per range");
+        records.unwrap_or_else(|payload| panic::resume_unwind(payload))
+    }
 
     /// The straight-run reference fingerprint for cell `index` (fresh
     /// world, no sharding, no reuse) — what
@@ -660,13 +702,22 @@ pub trait ShardBackend<P: Plan>: Sync {
     /// artifact, cells in plan order.
     fn run_shard(&self, plan: &P, shard: &ShardSpec) -> ShardArtifact;
 
-    /// Fallible counterpart of [`ShardBackend::run_shard`]. Infallible
-    /// backends get this for free (in-process execution can only fail by
-    /// panicking, which stays a panic); supervising backends override it
-    /// to surface spawn/exit/timeout/parse/validation failures as
-    /// [`ShardError`] after their retry budget is spent.
+    /// Fallible counterpart of [`ShardBackend::run_shard`]. Backends that
+    /// cannot fail get this for free; [`InProcessBackend`] overrides it to
+    /// turn a panicking shard into a [`ShardError::Panic`], and
+    /// supervising backends override it to surface
+    /// spawn/exit/timeout/parse/validation failures as [`ShardError`]
+    /// after their retry budget is spent.
     fn try_run_shard(&self, plan: &P, shard: &ShardSpec) -> Result<ShardArtifact, ShardError> {
         Ok(self.run_shard(plan, shard))
+    }
+
+    /// Run every shard of one pass across threads (one per shard, up to
+    /// `RAYON_NUM_THREADS`) and return the outcomes in shard order. The default calls
+    /// [`ShardBackend::try_run_shard`] per shard; [`InProcessBackend`]
+    /// overrides it so that the shards share one world cache.
+    fn run_shards(&self, plan: &P, shards: &[ShardSpec]) -> Vec<Result<ShardArtifact, ShardError>> {
+        sweep::run(shards, |spec| self.try_run_shard(plan, spec))
     }
 }
 
@@ -675,11 +726,11 @@ pub trait ShardBackend<P: Plan>: Sync {
 /// across cells whose world inputs match.
 #[derive(Debug, Clone, Copy)]
 pub struct InProcessBackend {
-    /// Build each distinct world once per shard, sharing environments and
-    /// dropping each world after its last cell (`true`, the default), or
-    /// build every world from scratch once per cell (`false` — the
-    /// per-cell reference the reuse tests and the perfjson campaign lane
-    /// compare against).
+    /// Build each distinct world once per in-process pass, or once per
+    /// worker's shard, sharing environments and dropping each world after
+    /// its last cell (`true`, the default), or build every world from
+    /// scratch once per cell (`false` — the per-cell reference the reuse
+    /// tests and the perfjson campaign lane compare against).
     pub world_reuse: bool,
 }
 
@@ -708,6 +759,61 @@ impl<P: Plan> ShardBackend<P> for InProcessBackend {
         let results = plan.run_cells(shard.start, shard.end, self.world_reuse);
         ShardArtifact::compose(plan_fingerprint(plan), shard, &results)
     }
+
+    fn try_run_shard(&self, plan: &P, shard: &ShardSpec) -> Result<ShardArtifact, ShardError> {
+        let mut out = self.run_shards(plan, std::slice::from_ref(shard));
+        out.pop().expect("one outcome per shard")
+    }
+
+    fn run_shards(&self, plan: &P, shards: &[ShardSpec]) -> Vec<Result<ShardArtifact, ShardError>> {
+        let ranges: Vec<Range<usize>> = shards.iter().map(|s| s.start..s.end).collect();
+        let plan_fp = plan_fingerprint(plan);
+        let outcomes = plan.run_ranges(&ranges, self.world_reuse);
+        outcomes
+            .into_iter()
+            .zip(shards)
+            .map(|(outcome, spec)| match outcome {
+                Ok(records) => Ok(ShardArtifact::compose(plan_fp, spec, &records)),
+                Err(payload) => Err(ShardError::Panic {
+                    shard: spec.shard,
+                    msg: panic_message(payload.as_ref()),
+                }),
+            })
+            .collect()
+    }
+}
+
+/// The text of a panic payload (`panic!` with a literal or a format).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    match (
+        payload.downcast_ref::<&str>(),
+        payload.downcast_ref::<String>(),
+    ) {
+        (Some(msg), _) => msg.to_string(),
+        (_, Some(msg)) => msg.clone(),
+        _ => "non-text panic payload".to_string(),
+    }
+}
+
+/// Run `f` over each of `ranges` through [`sweep::run`], catching a panic
+/// in one range as that range's `Err`; outcomes come back in range order.
+pub(crate) fn per_range<R: Send>(
+    ranges: &[Range<usize>],
+    f: impl Fn(Range<usize>) -> Vec<R> + Sync,
+) -> Vec<thread::Result<Vec<R>>> {
+    sweep::run(ranges, |range| {
+        panic::catch_unwind(AssertUnwindSafe(|| f(range.clone())))
+    })
+}
+
+/// The cells `ranges` cover, which must follow one another in plan order.
+pub(crate) fn span(ranges: &[Range<usize>]) -> Range<usize> {
+    assert!(
+        ranges.windows(2).all(|w| w[0].end == w[1].start),
+        "cell ranges must follow one another in plan order"
+    );
+    let start = ranges.first().map_or(0, |r| r.start);
+    start..ranges.last().map_or(start, |r| r.end)
 }
 
 impl CellRecord for CellResult {
@@ -732,81 +838,149 @@ impl CellRecord for CellResult {
     }
 }
 
-/// A shard-local cache over a sequence of uses known up front. Each use
-/// names a key; the value for a key is built on the key's first use and
-/// dropped right after its last, so a shard holds only what its remaining
-/// cells still need. Both plan kinds keep their worlds in one;
-/// [`CampaignPlan`] keeps environments in a second, one use per world
-/// build.
+/// A cache over a sequence of uses known up front, shared by the threads
+/// of one pass. Each use names a key, and each distinct key has one slot.
+/// The first use to reach a slot builds its value while holding the
+/// slot's lock, so any other use of that key waits for that build and
+/// nothing else; a use runs on the value after the lock is released. Each
+/// slot counts its unfinished uses and drops its value when the count
+/// reaches zero, so a pass holds only what its remaining cells still
+/// need. Used from one thread, it builds a key's value on its first use
+/// and hands the value itself to its last.
+///
+/// A build that panics poisons its slot's lock, and every later use of
+/// that key panics too rather than waiting for a value that never comes.
+/// Both plan kinds keep their worlds in one; [`CampaignPlan`] keeps
+/// environments in a second, one use per world slot. Its environments
+/// are only taken while a world is being built, so locks nest world, then
+/// environment, and never the other way round.
 pub(crate) struct LastUseCache<V> {
-    /// Each use's slot (one slot per distinct key), in use order.
-    slots: Vec<usize>,
+    /// Each use's slot, in use order.
+    uses: Vec<usize>,
     /// Each slot's first use.
     first: Vec<usize>,
-    /// Each slot's last use.
-    last: Vec<usize>,
-    /// Each slot's value while it is live.
-    live: Vec<Option<V>>,
+    /// Each slot's unfinished uses and live value.
+    slots: Vec<Mutex<Slot<V>>>,
+    /// Values built so far.
+    built: AtomicUsize,
+}
+
+/// One key's state in a [`LastUseCache`].
+struct Slot<V> {
+    /// Uses not yet finished.
+    pending: usize,
+    /// The value, from its build until its last use finishes.
+    value: Option<Arc<V>>,
 }
 
 impl<V> LastUseCache<V> {
     /// A cache for the uses `keys`, in order.
     pub(crate) fn new<K: Eq + Hash>(keys: impl IntoIterator<Item = K>) -> LastUseCache<V> {
         let mut ids = HashMap::new();
-        let (mut slots, mut first, mut last) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut uses, mut first, mut pending) = (Vec::new(), Vec::new(), Vec::new());
         for (i, key) in keys.into_iter().enumerate() {
             let fresh = first.len();
             let slot = *ids.entry(key).or_insert(fresh);
             if slot == fresh {
                 first.push(i);
-                last.push(i);
-            } else {
-                last[slot] = i;
+                pending.push(0);
             }
-            slots.push(slot);
+            pending[slot] += 1;
+            uses.push(slot);
         }
-        let live = first.iter().map(|_| None).collect();
+        let slots = pending
+            .into_iter()
+            .map(|pending| {
+                Mutex::new(Slot {
+                    pending,
+                    value: None,
+                })
+            })
+            .collect();
         LastUseCache {
-            slots,
+            uses,
             first,
-            last,
-            live,
+            slots,
+            built: AtomicUsize::new(0),
         }
     }
 
-    /// Whether use `i` is its key's first, the one that builds the value.
-    pub(crate) fn is_first_use(&self, i: usize) -> bool {
-        self.first[self.slots[i]] == i
+    /// Use `i`'s slot. Slots are numbered in order of their first use.
+    pub(crate) fn slot(&self, i: usize) -> usize {
+        self.uses[i]
     }
 
-    /// Use `i` by reference: build the value if `i` is its key's first
-    /// use, pass it to `f`, and drop it if `i` is the last.
+    /// Whether use `i` is the first of its key in use order.
+    pub(crate) fn is_first_use(&self, i: usize) -> bool {
+        self.first[self.uses[i]] == i
+    }
+
+    /// How many values this cache has built.
+    #[cfg(test)]
+    pub(crate) fn builds(&self) -> usize {
+        self.built.load(Ordering::Relaxed)
+    }
+
+    /// Lock use `i`'s slot.
+    fn lock(&self, i: usize) -> MutexGuard<'_, Slot<V>> {
+        self.slots[self.uses[i]]
+            .lock()
+            .expect("the build of this cache key panicked on another thread")
+    }
+
+    /// Lock use `i`'s slot, building its value if no use has yet.
+    fn get(&self, i: usize, build: impl FnOnce() -> V) -> MutexGuard<'_, Slot<V>> {
+        let mut slot = self.lock(i);
+        if slot.value.is_none() {
+            slot.value = Some(Arc::new(build()));
+            self.built.fetch_add(1, Ordering::Relaxed);
+        }
+        slot
+    }
+
+    /// Use `i` by reference: build the value if no use of its key has
+    /// yet, pass it to `f` outside the lock, and drop it if `i` was the
+    /// key's last unfinished use.
     pub(crate) fn with<R>(
-        &mut self,
+        &self,
         i: usize,
         build: impl FnOnce() -> V,
         f: impl FnOnce(&V) -> R,
     ) -> R {
-        let slot = self.slots[i];
-        let out = f(self.live[slot].get_or_insert_with(build));
-        if self.last[slot] == i {
-            self.live[slot] = None;
-        }
+        let value = self.get(i, build).value.clone().expect("built above");
+        let out = f(&value);
+        drop(value);
+        let last = {
+            let mut slot = self.lock(i);
+            slot.pending -= 1;
+            if slot.pending == 0 {
+                slot.value.take()
+            } else {
+                None
+            }
+        };
+        drop(last);
         out
     }
 
-    /// Use `i` by value: build the value if `i` is its key's first use,
+    /// Use `i` by value: build the value if no use of its key has yet,
     /// and hand out a clone, or the value itself at the key's last use.
-    pub(crate) fn take(&mut self, i: usize, build: impl FnOnce() -> V) -> V
+    /// The clone is made outside the lock.
+    pub(crate) fn take(&self, i: usize, build: impl FnOnce() -> V) -> V
     where
         V: Clone,
     {
-        let slot = self.slots[i];
-        if self.last[slot] == i {
-            self.live[slot].take().unwrap_or_else(build)
-        } else {
-            self.live[slot].get_or_insert_with(build).clone()
-        }
+        let value = {
+            let mut slot = self.get(i, build);
+            slot.pending -= 1;
+            if slot.pending == 0 {
+                slot.value.take()
+            } else {
+                slot.value.clone()
+            }
+        };
+        let value = value.expect("built above");
+        Arc::try_unwrap(value).unwrap_or_else(|shared| V::clone(&shared))
     }
 }
 
@@ -831,40 +1005,44 @@ impl Plan for CampaignPlan {
         format!("{:?}", self.cells[index].scenario)
     }
 
-    fn run_cells(&self, start: usize, end: usize, world_reuse: bool) -> Vec<CellResult> {
-        let cells = &self.cells[start..end];
+    fn run_ranges(
+        &self,
+        ranges: &[Range<usize>],
+        world_reuse: bool,
+    ) -> Vec<thread::Result<Vec<CellResult>>> {
+        let run = |i: usize, world: &World| InProcessBackend::run_cell(&self.cells[i], world);
         if !world_reuse {
-            return cells
-                .iter()
-                .map(|cell| InProcessBackend::run_cell(cell, &World::build(&cell.scenario)))
-                .collect();
+            return per_range(ranges, |range| {
+                range
+                    .map(|i| run(i, &World::build(&self.cells[i].scenario)))
+                    .collect()
+            });
         }
-        let mut worlds = LastUseCache::new(cells.iter().map(|c| c.scenario.world_inputs_key()));
-        // One environment use per world build, in build order: a world
-        // whose environment an earlier build made builds only its trace.
-        let mut envs = LastUseCache::new(
+        let span = span(ranges);
+        let cells = &self.cells[span.clone()];
+        let worlds = LastUseCache::new(cells.iter().map(|c| c.scenario.world_inputs_key()));
+        // One environment use per world slot: a world whose environment
+        // another world built builds only its trace.
+        let envs = LastUseCache::new(
             cells
                 .iter()
                 .enumerate()
-                .filter(|&(i, _)| worlds.is_first_use(i))
+                .filter(|&(u, _)| worlds.is_first_use(u))
                 .map(|(_, c)| env_key(&c.scenario)),
         );
-        let mut builds = 0;
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, cell)| {
-                let s = &cell.scenario;
-                let build = || {
-                    let env_use = builds;
-                    builds += 1;
-                    World::with_environment(&s.trace_spec(), || {
-                        envs.take(env_use, || World::environment(s))
-                    })
-                };
-                worlds.with(i, build, |world| InProcessBackend::run_cell(cell, world))
-            })
-            .collect()
+        per_range(ranges, |range| {
+            range
+                .map(|i| {
+                    let (u, s) = (i - span.start, &self.cells[i].scenario);
+                    let build = || {
+                        World::with_environment(&s.trace_spec(), || {
+                            envs.take(worlds.slot(u), || World::environment(s))
+                        })
+                    };
+                    worlds.with(u, build, |world| run(i, world))
+                })
+                .collect()
+        })
     }
 
     fn reference_fingerprint(&self, index: usize) -> Fingerprint {
@@ -949,12 +1127,12 @@ pub fn merge_artifacts<P: Plan>(
     })
 }
 
-/// Run a whole campaign: partition into `shards` shards, fan the shards
-/// out across threads (outer sweep level), merge. The merged report is
-/// bit-identical for any `shards ≥ 1` and any `RAYON_NUM_THREADS`.
+/// Run a whole campaign: partition into `shards` shards, run them all
+/// through [`ShardBackend::run_shards`] (one thread per shard, the outer
+/// sweep level), merge. The merged report is bit-identical for any
+/// `shards ≥ 1` and any `RAYON_NUM_THREADS`.
 ///
-/// Shards run through the fallible seam
-/// ([`ShardBackend::try_run_shard`]); if any shard fails after the
+/// Shards run through the fallible seam; if any shard fails after the
 /// backend's own recovery (retries, resume) is exhausted, the error for
 /// the **lowest-indexed** failing shard is reported — deterministic no
 /// matter which shard's thread finished first.
@@ -964,10 +1142,10 @@ pub fn run_campaign<P: Plan>(
     shards: usize,
 ) -> Result<CampaignReport<P::Record>, CampaignError> {
     let specs = partition(plan.len(), shards);
-    let outcomes = sweep::run(&specs, |spec| backend.try_run_shard(plan, spec));
+    let outcomes = backend.run_shards(plan, &specs);
     let mut artifacts = Vec::with_capacity(outcomes.len());
     for outcome in outcomes {
-        // sweep::run returns in spec order, so the first error seen is
+        // Outcomes come back in spec order, so the first error seen is
         // the lowest shard ordinal.
         artifacts.push(outcome.map_err(|e| CampaignError { msg: e.to_string() })?);
     }
@@ -1230,7 +1408,7 @@ mod tests {
     fn last_use_cache_builds_each_key_once_and_holds_nothing_past_its_last_use() {
         use std::rc::{Rc, Weak};
         let keys = ["a", "b", "a", "c", "b"];
-        let mut cache = LastUseCache::new(keys);
+        let cache = LastUseCache::new(keys);
         let mut built = Vec::new();
         let mut handles: HashMap<&str, Weak<&str>> = HashMap::new();
         for (i, &key) in keys.iter().enumerate() {
@@ -1270,7 +1448,7 @@ mod tests {
             }
         }
         let keys = ["a", "b", "a", "c", "b"];
-        let mut cache = LastUseCache::new(keys);
+        let cache = LastUseCache::new(keys);
         let clones = Rc::new(Cell::new(0));
         let mut builds = 0;
         let taken: Vec<Tally> = (0..keys.len())
@@ -1286,7 +1464,105 @@ mod tests {
         // Every use but each key's last gets a clone; the last gets the
         // cached value itself, so nothing stays behind.
         assert_eq!(clones.get(), keys.len() - 3);
-        assert!(cache.live.iter().all(Option::is_none));
+        assert!(cache
+            .slots
+            .iter()
+            .all(|slot| slot.lock().unwrap().value.is_none()));
+    }
+
+    #[test]
+    fn last_use_cache_shared_by_threads_builds_each_key_once_and_drops_every_value() {
+        use std::sync::{Barrier, Weak};
+        // Interleaved keys: every thread's contiguous range needs every
+        // key, so threads race for each build.
+        let keys: Vec<usize> = (0..24).map(|i| i % 3).collect();
+        for threads in 2..=4 {
+            let cache = LastUseCache::new(keys.iter().copied());
+            let builds: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
+            let handles: Mutex<Vec<Weak<usize>>> = Mutex::new(Vec::new());
+            let start = Barrier::new(threads);
+            thread::scope(|scope| {
+                for spec in partition(keys.len(), threads) {
+                    let (cache, builds, handles, keys) = (&cache, &builds, &handles, &keys);
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        for (i, &key) in keys.iter().enumerate().take(spec.end).skip(spec.start) {
+                            let build = || {
+                                builds[key].fetch_add(1, Ordering::Relaxed);
+                                let value = Arc::new(key);
+                                handles.lock().unwrap().push(Arc::downgrade(&value));
+                                value
+                            };
+                            assert_eq!(cache.with(i, build, |value| **value), key);
+                        }
+                    });
+                }
+            });
+            let per_key: Vec<usize> = builds.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+            assert_eq!(per_key, [1, 1, 1], "{threads} threads");
+            assert_eq!(cache.builds(), 3);
+            let handles = handles.into_inner().unwrap();
+            assert_eq!(handles.len(), 3);
+            assert!(
+                handles.iter().all(|h| h.upgrade().is_none()),
+                "a value outlived its last use ({threads} threads)"
+            );
+        }
+    }
+
+    #[test]
+    fn last_use_cache_build_panic_fails_the_thread_waiting_on_its_key() {
+        use std::sync::mpsc;
+        let cache: LastUseCache<u32> = LastUseCache::new(["k", "k"]);
+        let (building, a_building) = mpsc::channel();
+        let (waiting, b_waiting) = mpsc::channel();
+        thread::scope(|scope| {
+            let cache = &cache;
+            // A holds the key's lock while it builds, and fails only once
+            // B is on its way to the same lock.
+            let a = scope.spawn(move || {
+                let build = || -> u32 {
+                    building.send(()).unwrap();
+                    b_waiting.recv().unwrap();
+                    panic!("build failed")
+                };
+                cache.with(0, build, |value| *value)
+            });
+            a_building.recv().unwrap();
+            let b = scope.spawn(move || {
+                waiting.send(()).unwrap();
+                cache.with(1, || 7, |value| *value)
+            });
+            let a = a.join().unwrap_err();
+            let b = b.join().unwrap_err();
+            assert_eq!(panic_message(a.as_ref()), "build failed");
+            let msg = panic_message(b.as_ref());
+            assert!(msg.contains("panicked on another thread"), "{msg}");
+        });
+    }
+
+    #[test]
+    fn a_panicking_shard_becomes_that_shards_error() {
+        let mut plan = tiny_plan();
+        let last = plan.len() - 1;
+        // A cluster without GPUs makes the replay panic.
+        plan.cells[last].scenario.cluster.nodes = 0;
+        let spec = partition(plan.len(), 2)[1];
+        for world_reuse in [true, false] {
+            let backend = InProcessBackend { world_reuse };
+            let e = run_campaign(&plan, &backend, 2).unwrap_err();
+            assert!(e.msg.starts_with("shard 1: panicked"), "{e}");
+            assert!(e.msg.contains("no GPUs"), "{e}");
+            match backend.try_run_shard(&plan, &spec) {
+                Err(ShardError::Panic { shard: 1, msg }) => assert!(msg.contains("no GPUs")),
+                other => panic!("expected shard 1's panic, got {other:?}"),
+            }
+        }
+        // With two failing shards, the lower one is reported.
+        plan.cells[0].scenario.cluster.nodes = 0;
+        let e = run_campaign(&plan, &InProcessBackend::default(), 2).unwrap_err();
+        assert!(e.msg.starts_with("shard 0: panicked"), "{e}");
     }
 
     #[test]

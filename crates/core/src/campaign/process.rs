@@ -667,7 +667,9 @@ impl<P: Plan> ProcessBackend<P> {
                 Err(e) => {
                     match &e {
                         ShardError::Timeout { .. } => stats.timeouts += 1,
-                        ShardError::Exit { .. } => stats.exit_failures += 1,
+                        ShardError::Exit { .. } | ShardError::Panic { .. } => {
+                            stats.exit_failures += 1
+                        }
                         ShardError::Spawn { .. } => stats.spawn_failures += 1,
                         ShardError::Parse { .. } => stats.parse_failures += 1,
                         ShardError::Validation { .. } => stats.validation_failures += 1,

@@ -178,6 +178,8 @@
 use greener_climate::WeatherPath;
 use greener_grid::mix::GridPath;
 use std::fmt;
+use std::ops::Range;
+use std::thread;
 
 use greener_simkit::par;
 use greener_simkit::rng::{Fnv1a, RngHub};
@@ -186,7 +188,9 @@ use greener_simkit::time::SimTime;
 use greener_simkit::units::Energy;
 use greener_workload::{Job, JobId};
 
-use crate::campaign::exec::{parse_totals, parse_usize, write_totals, LastUseCache};
+use crate::campaign::exec::{
+    parse_totals, parse_usize, per_range, span, write_totals, LastUseCache,
+};
 use crate::campaign::manifest::{
     err, for_each_entry, parse_axis_values, parse_base, parse_seeds, ManifestError,
 };
@@ -1201,6 +1205,47 @@ impl CellRecord for FleetCellResult {
     }
 }
 
+impl FleetPlan {
+    /// Run cell `i` over its world.
+    fn run_cell(&self, i: usize, world: &FleetWorld) -> FleetCellResult {
+        let cell = &self.cells[i];
+        let out = FleetDriver::run_observed(&cell.fleet, world, Observe::aggregates());
+        FleetCellResult::from_output(cell.index, &cell.id, &out)
+    }
+
+    /// The world cache for one pass over `ranges`. It keys on
+    /// [`FleetScenario::world_inputs_key`], which is routing-invariant: a
+    /// routing axis over one base fleet builds each seed's `FleetWorld`
+    /// once per in-process pass, or once per worker's shard, replays every
+    /// routing cell over it and drops it after the last, the fleet
+    /// analogue of the campaign layer's policy-axis reuse. Sites differ in
+    /// their environment configs, so there is no environment to share.
+    fn world_cache(&self, ranges: &[Range<usize>]) -> LastUseCache<FleetWorld> {
+        LastUseCache::new(
+            self.cells[span(ranges)]
+                .iter()
+                .map(|c| c.fleet.world_inputs_key()),
+        )
+    }
+
+    /// [`Plan::run_ranges`] with world reuse, over `worlds`.
+    fn run_reusing(
+        &self,
+        ranges: &[Range<usize>],
+        worlds: &LastUseCache<FleetWorld>,
+    ) -> Vec<thread::Result<Vec<FleetCellResult>>> {
+        let base = span(ranges).start;
+        per_range(ranges, |range| {
+            range
+                .map(|i| {
+                    let build = || FleetWorld::build(&self.cells[i].fleet);
+                    worlds.with(i - base, build, |world| self.run_cell(i, world))
+                })
+                .collect()
+        })
+    }
+}
+
 impl Plan for FleetPlan {
     type Record = FleetCellResult;
 
@@ -1222,30 +1267,19 @@ impl Plan for FleetPlan {
         format!("{:?}", self.cells[index].fleet)
     }
 
-    fn run_cells(&self, start: usize, end: usize, world_reuse: bool) -> Vec<FleetCellResult> {
-        let cells = &self.cells[start..end];
-        let run = |cell: &FleetCell, world: &FleetWorld| {
-            let out = FleetDriver::run_observed(&cell.fleet, world, Observe::aggregates());
-            FleetCellResult::from_output(cell.index, &cell.id, &out)
-        };
+    fn run_ranges(
+        &self,
+        ranges: &[Range<usize>],
+        world_reuse: bool,
+    ) -> Vec<thread::Result<Vec<FleetCellResult>>> {
         if !world_reuse {
-            return cells
-                .iter()
-                .map(|cell| run(cell, &FleetWorld::build(&cell.fleet)))
-                .collect();
+            return per_range(ranges, |range| {
+                range
+                    .map(|i| self.run_cell(i, &FleetWorld::build(&self.cells[i].fleet)))
+                    .collect()
+            });
         }
-        // World reuse keys on [`FleetScenario::world_inputs_key`], which
-        // is routing-invariant: a routing axis over one base fleet builds
-        // each seed's FleetWorld once per shard, replays every routing
-        // cell over it and drops it after the last — the fleet analogue of
-        // the campaign layer's policy-axis reuse. Sites differ in their
-        // environment configs, so there is no environment to share.
-        let mut worlds = LastUseCache::new(cells.iter().map(|c| c.fleet.world_inputs_key()));
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, cell)| worlds.with(i, || FleetWorld::build(&cell.fleet), |w| run(cell, w)))
-            .collect()
+        self.run_reusing(ranges, &self.world_cache(ranges))
     }
 
     fn reference_fingerprint(&self, index: usize) -> Fingerprint {
@@ -1909,6 +1943,48 @@ mod tests {
             .map(|c| c.fleet.world_inputs_key())
             .collect();
         assert_eq!(keys.len(), 2);
+    }
+
+    #[test]
+    fn fleet_pass_shares_worlds_across_in_process_shards() {
+        use crate::campaign::{
+            merge_artifacts, partition, plan_fingerprint, run_campaign, InProcessBackend,
+            ShardArtifact,
+        };
+        // Routing outer, seeds inner: both shards need all three worlds.
+        let plan = FleetManifest::parse(
+            "name = pass\n\
+             base = quick:2@21\n\
+             sites = 2\n\
+             axis routing = static, round-robin, greedy-carbon, cost-based\n\
+             seeds = 21..24\n",
+        )
+        .unwrap()
+        .expand()
+        .unwrap();
+        assert_eq!(plan.cells.len(), 12);
+        let specs = partition(plan.len(), 2);
+        let ranges: Vec<Range<usize>> = specs.iter().map(|s| s.start..s.end).collect();
+        let worlds = plan.world_cache(&ranges);
+        let outcomes = plan.run_reusing(&ranges, &worlds);
+        assert_eq!(
+            worlds.builds(),
+            3,
+            "one build per distinct world, not per shard"
+        );
+        let fp = plan_fingerprint(&plan);
+        let artifacts: Vec<ShardArtifact> = outcomes
+            .into_iter()
+            .zip(&specs)
+            .map(|(records, spec)| ShardArtifact::compose(fp, spec, &records.unwrap()))
+            .collect();
+        let shared = merge_artifacts(&plan, &artifacts).unwrap().to_text();
+        let rebuilt = run_campaign(&plan, &InProcessBackend { world_reuse: false }, 2)
+            .unwrap()
+            .to_text();
+        assert_eq!(shared, rebuilt);
+        let backend = InProcessBackend::default();
+        assert_eq!(run_campaign(&plan, &backend, 2).unwrap().to_text(), rebuilt);
     }
 
     mod props {

@@ -22,8 +22,9 @@
 //!   can never deadlock. It *can* oversubscribe — with a pool size of
 //!   `P = rayon::current_num_threads()`, the outer sweep runs at most `P`
 //!   cells at once and each cell's inner `par::sharded_map`/`join` calls
-//!   spawn up to `P` short-lived workers each, so the transient thread
-//!   count is O(P²) regardless of cell count. The OS timeshares them; to
+//!   spawn up to `P - 1` short-lived workers each (the calling thread
+//!   runs the first chunk), so the transient thread count is O(P²)
+//!   regardless of cell count. The OS timeshares them; to
 //!   bound the total, cap the pool via `RAYON_NUM_THREADS`;
 //! * batch entry points (`greener-core`'s ablations / stress suites) go
 //!   through [`run_seeded`], making the outer level's seeding explicit
@@ -37,15 +38,17 @@
 //! *experiment-batch* level: a declarative manifest (base scenario + named
 //! axes × values + seed ranges) expands through [`gridn_indices`] into an
 //! ordered plan of cells with stable ids, the plan is partitioned into
-//! contiguous shards, each shard runs independently (fanning out across
-//! threads via [`run`], each cell replaying through the aggregates-only
-//! observation fast path, with worlds reused across cells whose
-//! world-inputs fingerprints match), and the per-shard serialized
-//! aggregate artifacts are merged back in cell-id order. The merge rule is
-//! a standing invariant: the merged report is **bit-identical for every
-//! shard count and every `RAYON_NUM_THREADS`**, because each cell's result
-//! is a pure function of its scenario, shards partition the plan, and the
-//! merge orders by cell id — never by completion order. The campaign axis
+//! contiguous shards, the shards of one in-process pass run on their own
+//! threads (fanning out via [`run`], each cell replaying through the
+//! aggregates-only observation fast path, with worlds reused across cells
+//! whose world-inputs fingerprints match: each such world is built once
+//! per in-process pass, or once per worker's shard), and the per-shard
+//! serialized aggregate artifacts are merged back in cell-id order. The
+//! merge rule is a standing invariant: the merged report is
+//! **bit-identical for every shard count and every `RAYON_NUM_THREADS`**,
+//! because each cell's result is a pure function of its scenario, shards
+//! partition the plan, and the merge orders by cell id — never by
+//! completion order. The campaign axis
 //! in `greener-core::equivalence` pins sharded/merged execution against
 //! straight per-cell runs.
 //!
