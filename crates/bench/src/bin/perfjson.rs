@@ -25,9 +25,10 @@
 //! A `"campaign"` section reports the `campaign_small` lane: the
 //! policy-only campaign manifest (see `greener_bench::scenarios`) run
 //! through `greener_core::campaign`'s shard-and-merge executor, with its
-//! distinct world and environment counts, cells/sec under world-reuse
-//! caching vs per-cell world rebuilds and a merged-report byte-identity
-//! check across shard counts 1 and 2 (the CI campaign smoke greps for it).
+//! distinct world and environment counts, cells/sec through the
+//! executor's world cache vs per-cell straight runs on fresh worlds
+//! (`Plan::reference_record`) and a merged-report byte-identity check
+//! across shard counts 1 and 2 (the CI campaign smoke greps for it).
 //!
 //! A `"fleet"` section reports the `fleet_small` lane: the three-site
 //! fleet (one shared trace, regionally-varied grids) run through
@@ -199,7 +200,7 @@ fn time_worldgen(
 }
 
 /// The campaign lane's snapshot row: runs/sec through the shard-and-merge
-/// executor with and without world-reuse caching, plus the merge
+/// executor and through per-cell straight runs, plus the merge
 /// byte-identity check the CI campaign smoke greps for.
 struct CampaignMeasurement {
     cells: usize,
@@ -214,9 +215,12 @@ struct CampaignMeasurement {
 /// Time the `campaign_small` manifest through the campaign executor.
 ///
 /// Both timed passes run **one shard, sequentially**, so the ratio
-/// isolates world reuse: the rebuild pass builds all `cells` worlds, the
-/// reuse pass builds `distinct_worlds` (= 1 here — every axis is
-/// replay-side) and replays the rest over the cache.
+/// isolates world reuse: the reuse pass goes through `run_campaign`,
+/// which builds `distinct_worlds` (= 1 here — every axis is replay-side)
+/// and replays the rest over the cache; the rebuild pass calls
+/// `Plan::reference_record` for every cell, a fresh world each. The
+/// rebuild pass skips artifact compose and merge, which cost
+/// microseconds next to a world build.
 ///
 /// Caveat, as for every lane in this binary: the container's timer noise
 /// is ±30% on short runs, so the recorded speedup is indicative, not a
@@ -228,8 +232,7 @@ fn time_campaign(min_runs: usize, budget_secs: f64) -> CampaignMeasurement {
     let plan = campaign_small(greener_bench::seeds::WORLD)
         .expand()
         .expect("campaign_small expands");
-    let reuse = InProcessBackend { world_reuse: true };
-    let rebuild = InProcessBackend { world_reuse: false };
+    let reuse = InProcessBackend;
     // Merge determinism across shard counts, on top of the equivalence
     // axis pinning it in-tree: the canonical report text must be
     // byte-identical however the plan is sharded.
@@ -240,7 +243,9 @@ fn time_campaign(min_runs: usize, budget_secs: f64) -> CampaignMeasurement {
         std::hint::black_box(run_campaign(&plan, &reuse, 1).expect("merge"));
     });
     let (_, rebuild_secs) = time_loop(min_runs, budget_secs, || {
-        std::hint::black_box(run_campaign(&plan, &rebuild, 1).expect("merge"));
+        for i in 0..plan.len() {
+            std::hint::black_box(plan.reference_record(i));
+        }
     });
     eprintln!(
         "[perfjson] campaign_small: {} cells over {} world(s) and {} environment(s), {:.3} \
@@ -397,7 +402,7 @@ fn run_worker_impl<P: Plan>(
         die(format!("shard {} out of range 0..{}", args.shard, args.of));
     }
     let spec = partition(plan.len(), args.of)[args.shard];
-    let artifact = InProcessBackend::default().run_shard(&plan, &spec);
+    let artifact = InProcessBackend.run_shard(&plan, &spec);
     let mut text = artifact.text;
     if let Some(mode_) = fault {
         mode_.mangle(&mut text);
@@ -482,7 +487,7 @@ fn run_campaign_impl<P: Plan>(
     print!("{}", report.to_text());
     print!("{}", run.to_text());
     if args.check {
-        let reference = run_campaign(backend.plan(), &InProcessBackend::default(), 1)
+        let reference = run_campaign(backend.plan(), &InProcessBackend, 1)
             .unwrap_or_else(|e| die(e.to_string()))
             .to_text();
         let identical = reference == report.to_text();

@@ -642,7 +642,7 @@ pub mod scenarios {
     /// SLO threshold, one seed) over the small two-year world. Every axis
     /// is replay-side, so all 12 cells share one world — the shape where
     /// world-reuse caching pays most, and the lane `perfjson` reports
-    /// runs/sec on with and without reuse.
+    /// runs/sec on through the world cache and on fresh worlds.
     pub fn campaign_small(seed: u64) -> greener_core::campaign::CampaignManifest {
         use greener_core::campaign::{AxisValue, CampaignManifest, Knob};
         use greener_sched::PolicyKind;

@@ -66,7 +66,7 @@ pub fn e6_purchasing(base: &Scenario) -> Vec<E6Row> {
     // Every E6 column is a total or a weighted total, so each cell is an
     // aggregates-only observation.
     let world = World::build(base);
-    let runs = greener_simkit::sweep::run_seeded(&cells, base.seed, |_, (label, s), _hub| {
+    let runs = greener_simkit::sweep::run(&cells, |(label, s)| {
         let out = SimDriver::run_observed(s, &world, Observe::aggregates());
         (label.clone(), out)
     });
@@ -113,7 +113,7 @@ pub fn e7_powercaps(base: &Scenario, caps: &[f64]) -> Vec<E7Row> {
     // energy (an aggregate) plus per-job records for the stretch column —
     // but never hourly frames, so telemetry stays off.
     let world = World::build(base);
-    greener_simkit::sweep::run_seeded(&cells, base.seed, |_, &cap, _hub| {
+    greener_simkit::sweep::run(&cells, |&cap| {
         let s = base
             .clone()
             .with_policy(PolicyKind::StaticCap { cap_w: cap })
@@ -226,12 +226,11 @@ pub fn e11_forecast(base: &Scenario) -> E11Report {
     // never the world itself. Only the carbon total is consumed, so the
     // cells run aggregates-only.
     let world = World::build(base);
-    let value_of_forecast =
-        greener_simkit::sweep::run_seeded(&modes, base.seed, |_, (label, mode), _hub| {
-            let s = base.clone().with_policy(policy).with_forecast(*mode);
-            let out = SimDriver::run_observed(&s, &world, Observe::aggregates());
-            (label.clone(), out.aggregates.carbon_kg)
-        });
+    let value_of_forecast = greener_simkit::sweep::run(&modes, |(label, mode)| {
+        let s = base.clone().with_policy(policy).with_forecast(*mode);
+        let out = SimDriver::run_observed(&s, &world, Observe::aggregates());
+        (label.clone(), out.aggregates.carbon_kg)
+    });
     E11Report {
         green_share_backtests,
         price_backtests,
@@ -265,7 +264,7 @@ pub struct E12Row {
 /// E12 (§III): compare the paper's deadline-restructuring options (1)–(3).
 pub fn e12_restructure(base: &Scenario) -> Vec<E12Row> {
     let cells: Vec<DeadlinePolicy> = DeadlinePolicy::ALL.to_vec();
-    greener_simkit::sweep::run_seeded(&cells, base.seed, |_, &dp, _hub| {
+    greener_simkit::sweep::run(&cells, |&dp| {
         // Deadline policies reshape the workload trace, so each cell
         // builds its own world. Monthly seasonality columns need hourly
         // telemetry; ledger and job records stay off.

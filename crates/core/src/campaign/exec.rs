@@ -1,4 +1,4 @@
-//! Shard-and-merge campaign execution with world-reuse caching.
+//! Shard-and-merge campaign execution over a pass-wide world cache.
 //!
 //! A plan is partitioned into K contiguous shards; each shard runs
 //! independently through a [`ShardBackend`] and returns a **serialized**
@@ -16,26 +16,30 @@
 //! partition the plan, and the merge places results by cell index — never
 //! by completion order. Floats cross the artifact boundary as
 //! `f64::to_bits` hex, so serialization cannot round. The
-//! `assert_campaign_equivalent` axis in [`crate::equivalence`] pins
-//! sharded/merged execution against straight per-cell runs.
+//! `assert_campaign_equivalent` axis in [`crate::equivalence`] pins every
+//! merged record's artifact line, byte for byte, against the straight run
+//! of its cell ([`Plan::reference_record`]).
 //!
 //! # The plan seam
 //!
 //! Everything here is generic over [`Plan`]: an ordered cell list with
-//! stable ids, a cell runner, and a per-cell [`CellRecord`] that
-//! serializes to one artifact line. [`CampaignPlan`] (scenario sweeps)
-//! and [`crate::fleet::FleetPlan`] (fleet routing sweeps) both implement
-//! it, so fleet manifests shard, supervise, resume and merge through the
+//! stable ids, a runner for contiguous cell ranges, a per-cell reference
+//! run, and a per-cell [`CellRecord`] that serializes to one artifact
+//! line. [`CampaignPlan`] (scenario sweeps) and
+//! [`crate::fleet::FleetPlan`] (fleet routing sweeps) both implement it,
+//! so fleet manifests shard, supervise, resume and merge through the
 //! **same** backends — partitioning, artifact validation, merging and the
-//! equivalence axis have zero plan-kind-specific code paths.
+//! equivalence axis have zero plan-kind-specific code paths. A backend
+//! has one entry point, [`ShardBackend::run_shards`], which runs the
+//! shards of one pass.
 //!
-//! # World reuse
+//! # The world cache
 //!
-//! [`InProcessBackend`] asks the plan to run all shards' cell ranges with
-//! `world_reuse` on, one thread per range, over one cache shared by the
-//! threads of that call (a worker process runs one shard, so its cache
-//! covers just that shard's range). World identity comes from the inputs,
-//! not from a hand-kept field list: the world builders read only
+//! [`InProcessBackend`] asks the plan to run all shards' cell ranges, one
+//! thread per range, over one cache shared by the threads of that call (a
+//! worker process runs one shard, so its cache covers just that shard's
+//! range). World identity comes from the inputs, not from a hand-kept
+//! field list: the world builders read only
 //! [`EnvSpec`](crate::driver::EnvSpec) and
 //! [`TraceSpec`](crate::driver::TraceSpec), and
 //! [`Scenario::world_inputs_key`](crate::scenario::Scenario::world_inputs_key)
@@ -58,7 +62,8 @@
 //! O(distinct seeds), and a pass never holds a world no later cell
 //! needs. The fleet plan caches whole fleet worlds, keyed per site, the
 //! same way; its sites differ in environment config, so it shares no
-//! environments.
+//! environments. Building a fresh world for every cell survives only as
+//! the reference, [`Plan::reference_record`].
 //!
 //! A shard that panics ends as a [`ShardError::Panic`] that names it. A
 //! shard waiting for a build that panicked in another shard fails the
@@ -79,10 +84,9 @@ use greener_simkit::sweep;
 use greener_simkit::units::Energy;
 
 use crate::driver::{JobStats, SimDriver, World};
-use crate::equivalence::Fingerprint;
 use crate::probe::{Observe, RunAggregates};
 
-use super::plan::{env_key, CampaignCell, CampaignPlan};
+use super::plan::{env_key, CampaignPlan};
 
 /// An error while parsing or merging shard artifacts.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -140,10 +144,10 @@ impl std::fmt::Display for ArtifactIssue {
 impl std::error::Error for ArtifactIssue {}
 
 /// Why a shard failed to produce an accepted artifact. This is the error
-/// surface of the fallible backend seam
-/// ([`ShardBackend::try_run_shard`]): process-per-shard supervisors
-/// classify every failure mode so retry policy and run reports can tell
-/// a hung worker from a corrupt artifact.
+/// surface of the backend seam ([`ShardBackend::run_shards`] returns one
+/// outcome per shard): the in-process backend reports a panicking shard,
+/// and process-per-shard supervisors classify every failure mode so retry
+/// policy and run reports can tell a hung worker from a corrupt artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardError {
     /// The worker process could not be spawned at all.
@@ -290,19 +294,13 @@ pub trait CellRecord: Clone + Send + PartialEq + std::fmt::Debug {
 
     /// Parse one artifact line (inverse of [`CellRecord::to_line`]).
     fn parse_line(line: &str) -> Result<Self, CampaignError>;
-
-    /// Condense the record for the equivalence harness. Artifact lines
-    /// carry aggregates only, so `records` is `None` and per-job record
-    /// comparison is (one-sidedly) skipped, as with the aggregates-only
-    /// observation axis.
-    fn fingerprint(&self) -> Fingerprint;
 }
 
 /// A plan the campaign execution stack can shard, run, serialize and
-/// merge: an ordered cell list with stable whitespace-free ids, a cell
-/// runner, and a per-cell straight-run reference for the equivalence
-/// axis. [`CampaignPlan`] and [`crate::fleet::FleetPlan`] implement it —
-/// that shared seam is what routes fleet sweeps through
+/// merge: an ordered cell list with stable whitespace-free ids, a runner
+/// for contiguous cell ranges, and a per-cell straight-run reference for
+/// the equivalence axis. [`CampaignPlan`] and [`crate::fleet::FleetPlan`]
+/// implement it — that shared seam is what routes fleet sweeps through
 /// [`InProcessBackend`] and the supervised process backend with zero
 /// bespoke code paths.
 pub trait Plan: Sync {
@@ -340,33 +338,19 @@ pub trait Plan: Sync {
     /// `RAYON_NUM_THREADS`) and return each range's records in plan
     /// order, or the payload of the panic that ended it.
     /// The ranges must follow one another in plan order, as [`partition`]
-    /// makes them. `world_reuse` builds each distinct world once per call
-    /// instead of once per cell: the ranges share one cache, in which the
-    /// first cell to need a world builds it, any other cell that needs it
-    /// meanwhile waits for that build, and the world is dropped once its
-    /// last cell in any range has finished. Both modes must produce
-    /// identical bytes (the reuse invariant every plan kind pins in tests).
-    fn run_ranges(
-        &self,
-        ranges: &[Range<usize>],
-        world_reuse: bool,
-    ) -> Vec<thread::Result<Vec<Self::Record>>>;
+    /// makes them. Each distinct world is built once per call: the ranges
+    /// share one cache, in which the first cell to need a world builds
+    /// it, any other cell that needs it meanwhile waits for that build,
+    /// and the world is dropped once its last cell in any range has
+    /// finished.
+    fn run_ranges(&self, ranges: &[Range<usize>]) -> Vec<thread::Result<Vec<Self::Record>>>;
 
-    /// Run cells `start..end` in plan order and return their records in
-    /// that order: [`Plan::run_ranges`] over the one range, so each
-    /// distinct world is built once per call, and a panic in a cell
-    /// propagates.
-    fn run_cells(&self, start: usize, end: usize, world_reuse: bool) -> Vec<Self::Record> {
-        let mut out = self.run_ranges(std::slice::from_ref(&(start..end)), world_reuse);
-        let records = out.pop().expect("one result per range");
-        records.unwrap_or_else(|payload| panic::resume_unwind(payload))
-    }
-
-    /// The straight-run reference fingerprint for cell `index` (fresh
-    /// world, no sharding, no reuse) — what
-    /// [`crate::equivalence::assert_campaign_equivalent`] compares every
-    /// merged record against.
-    fn reference_fingerprint(&self, index: usize) -> Fingerprint;
+    /// The straight run of cell `index`: a fresh world, no cache, no
+    /// shard. Every record [`Plan::run_ranges`] returns must serialize to
+    /// the same artifact line as this one, which
+    /// [`crate::equivalence::assert_campaign_equivalent`] checks byte for
+    /// byte.
+    fn reference_record(&self, index: usize) -> Self::Record;
 }
 
 /// One cell's aggregate results, as carried by artifacts and reports.
@@ -692,83 +676,44 @@ impl ShardArtifact {
     }
 }
 
-/// How a shard of a plan gets executed, generic over the plan kind. The
-/// in-process backend below runs any [`Plan`]; the contract is shaped so
-/// a process-per-shard or distributed backend (serialize the shard spec
-/// out, collect artifact text back) drops in without touching the
-/// expander or the merge.
+/// How the shards of a plan get executed, generic over the plan kind.
+/// [`InProcessBackend`] runs any [`Plan`] on threads of this process, and
+/// [`crate::campaign::process::ProcessBackend`] runs each shard in a
+/// supervised worker process; a distributed backend (serialize the shard
+/// spec out, collect artifact text back) drops in the same way without
+/// touching the expander or the merge.
 pub trait ShardBackend<P: Plan>: Sync {
-    /// Run every cell in `shard`'s range and return the serialized
-    /// artifact, cells in plan order.
-    fn run_shard(&self, plan: &P, shard: &ShardSpec) -> ShardArtifact;
+    /// Run every shard of one pass (one thread per shard, up to
+    /// `RAYON_NUM_THREADS`) and return the outcomes in shard order: each
+    /// shard's serialized artifact, cells in plan order, or the
+    /// [`ShardError`] that ended it once the backend's own recovery
+    /// (retries, resume) ran out.
+    fn run_shards(&self, plan: &P, shards: &[ShardSpec]) -> Vec<Result<ShardArtifact, ShardError>>;
 
-    /// Fallible counterpart of [`ShardBackend::run_shard`]. Backends that
-    /// cannot fail get this for free; [`InProcessBackend`] overrides it to
-    /// turn a panicking shard into a [`ShardError::Panic`], and
-    /// supervising backends override it to surface
-    /// spawn/exit/timeout/parse/validation failures as [`ShardError`]
-    /// after their retry budget is spent.
-    fn try_run_shard(&self, plan: &P, shard: &ShardSpec) -> Result<ShardArtifact, ShardError> {
-        Ok(self.run_shard(plan, shard))
-    }
-
-    /// Run every shard of one pass across threads (one per shard, up to
-    /// `RAYON_NUM_THREADS`) and return the outcomes in shard order. The default calls
-    /// [`ShardBackend::try_run_shard`] per shard; [`InProcessBackend`]
-    /// overrides it so that the shards share one world cache.
-    fn run_shards(&self, plan: &P, shards: &[ShardSpec]) -> Vec<Result<ShardArtifact, ShardError>> {
-        sweep::run(shards, |spec| self.try_run_shard(plan, spec))
+    /// Run one shard as a pass of its own: what a worker process that
+    /// publishes one artifact calls.
+    ///
+    /// # Panics
+    /// If the shard fails, with the [`ShardError`]'s message.
+    fn run_shard(&self, plan: &P, shard: &ShardSpec) -> ShardArtifact {
+        let mut out = self.run_shards(plan, std::slice::from_ref(shard));
+        let outcome = out.pop().expect("one outcome per shard");
+        outcome.unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
-/// In-process shard runner: replays each cell through the aggregates-only
-/// observation fast path, optionally reusing worlds (and environments)
-/// across cells whose world inputs match.
-#[derive(Debug, Clone, Copy)]
-pub struct InProcessBackend {
-    /// Build each distinct world once per in-process pass, or once per
-    /// worker's shard, sharing environments and dropping each world after
-    /// its last cell (`true`, the default), or build every world from
-    /// scratch once per cell (`false` — the per-cell reference the reuse
-    /// tests and the perfjson campaign lane compare against).
-    pub world_reuse: bool,
-}
-
-impl Default for InProcessBackend {
-    fn default() -> InProcessBackend {
-        InProcessBackend { world_reuse: true }
-    }
-}
-
-impl InProcessBackend {
-    /// Run one cell over a pre-built world.
-    fn run_cell(cell: &CampaignCell, world: &World) -> CellResult {
-        let out = SimDriver::run_observed(&cell.scenario, world, Observe::aggregates());
-        CellResult {
-            index: cell.index,
-            id: cell.id.clone(),
-            aggregates: out.aggregates,
-            jobs: out.jobs,
-            battery_cycles: out.battery_cycles,
-        }
-    }
-}
+/// In-process shard runner: the shards of one pass run on threads of this
+/// process over one world cache ([`Plan::run_ranges`]), each cell
+/// replaying through the aggregates-only observation fast path, and a
+/// panicking shard becomes that shard's [`ShardError::Panic`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct InProcessBackend;
 
 impl<P: Plan> ShardBackend<P> for InProcessBackend {
-    fn run_shard(&self, plan: &P, shard: &ShardSpec) -> ShardArtifact {
-        let results = plan.run_cells(shard.start, shard.end, self.world_reuse);
-        ShardArtifact::compose(plan_fingerprint(plan), shard, &results)
-    }
-
-    fn try_run_shard(&self, plan: &P, shard: &ShardSpec) -> Result<ShardArtifact, ShardError> {
-        let mut out = self.run_shards(plan, std::slice::from_ref(shard));
-        out.pop().expect("one outcome per shard")
-    }
-
     fn run_shards(&self, plan: &P, shards: &[ShardSpec]) -> Vec<Result<ShardArtifact, ShardError>> {
         let ranges: Vec<Range<usize>> = shards.iter().map(|s| s.start..s.end).collect();
         let plan_fp = plan_fingerprint(plan);
-        let outcomes = plan.run_ranges(&ranges, self.world_reuse);
+        let outcomes = plan.run_ranges(&ranges);
         outcomes
             .into_iter()
             .zip(shards)
@@ -831,10 +776,6 @@ impl CellRecord for CellResult {
 
     fn parse_line(line: &str) -> Result<CellResult, CampaignError> {
         CellResult::parse_line(line)
-    }
-
-    fn fingerprint(&self) -> Fingerprint {
-        Fingerprint::of_totals(&self.aggregates, &self.jobs, None)
     }
 }
 
@@ -984,6 +925,21 @@ impl<V> LastUseCache<V> {
     }
 }
 
+impl CampaignPlan {
+    /// Run cell `i` over its world.
+    fn run_cell(&self, i: usize, world: &World) -> CellResult {
+        let cell = &self.cells[i];
+        let out = SimDriver::run_observed(&cell.scenario, world, Observe::aggregates());
+        CellResult {
+            index: cell.index,
+            id: cell.id.clone(),
+            aggregates: out.aggregates,
+            jobs: out.jobs,
+            battery_cycles: out.battery_cycles,
+        }
+    }
+}
+
 impl Plan for CampaignPlan {
     type Record = CellResult;
 
@@ -1005,19 +961,7 @@ impl Plan for CampaignPlan {
         format!("{:?}", self.cells[index].scenario)
     }
 
-    fn run_ranges(
-        &self,
-        ranges: &[Range<usize>],
-        world_reuse: bool,
-    ) -> Vec<thread::Result<Vec<CellResult>>> {
-        let run = |i: usize, world: &World| InProcessBackend::run_cell(&self.cells[i], world);
-        if !world_reuse {
-            return per_range(ranges, |range| {
-                range
-                    .map(|i| run(i, &World::build(&self.cells[i].scenario)))
-                    .collect()
-            });
-        }
+    fn run_ranges(&self, ranges: &[Range<usize>]) -> Vec<thread::Result<Vec<CellResult>>> {
         let span = span(ranges);
         let cells = &self.cells[span.clone()];
         let worlds = LastUseCache::new(cells.iter().map(|c| c.scenario.world_inputs_key()));
@@ -1039,14 +983,14 @@ impl Plan for CampaignPlan {
                             envs.take(worlds.slot(u), || World::environment(s))
                         })
                     };
-                    worlds.with(u, build, |world| run(i, world))
+                    worlds.with(u, build, |world| self.run_cell(i, world))
                 })
                 .collect()
         })
     }
 
-    fn reference_fingerprint(&self, index: usize) -> Fingerprint {
-        crate::equivalence::fingerprint(&self.cells[index].scenario)
+    fn reference_record(&self, index: usize) -> CellResult {
+        self.run_cell(index, &World::build(&self.cells[index].scenario))
     }
 }
 
@@ -1194,7 +1138,7 @@ mod tests {
     #[test]
     fn cell_line_roundtrip_is_bit_exact() {
         let plan = tiny_plan();
-        let artifact = InProcessBackend::default().run_shard(&plan, &partition(plan.len(), 1)[0]);
+        let artifact = InProcessBackend.run_shard(&plan, &partition(plan.len(), 1)[0]);
         // Body lines sit between the v1 header and the checksum trailer.
         let body: Vec<&str> = artifact
             .text
@@ -1237,7 +1181,7 @@ mod tests {
     #[test]
     fn merge_rejects_missing_duplicate_and_mismatched_cells() {
         let plan = tiny_plan();
-        let backend = InProcessBackend::default();
+        let backend = InProcessBackend;
         let specs = partition(plan.len(), 3);
         let shards: Vec<ShardArtifact> =
             specs.iter().map(|s| backend.run_shard(&plan, s)).collect();
@@ -1272,7 +1216,7 @@ mod tests {
         let plan = tiny_plan();
         let fp = plan_fingerprint(&plan);
         let spec = partition(plan.len(), 2)[0];
-        let good = InProcessBackend::default().run_shard(&plan, &spec);
+        let good = InProcessBackend.run_shard(&plan, &spec);
         good.validate(&plan, fp, Some(&spec)).unwrap();
 
         let expect_reject = |artifact: &ShardArtifact, needle: &str| {
@@ -1302,7 +1246,7 @@ mod tests {
         .expand()
         .unwrap();
         assert_eq!(other_plan.cells[0].id, plan.cells[0].id, "ids must agree");
-        let stale = InProcessBackend::default().run_shard(&other_plan, &spec);
+        let stale = InProcessBackend.run_shard(&other_plan, &spec);
         expect_reject(&stale, "stale artifact");
 
         // Truncation: any prefix cut loses or damages the trailer.
@@ -1320,7 +1264,7 @@ mod tests {
 
         // Wrong shard range vs. what the supervisor asked for.
         let other_spec = partition(plan.len(), 2)[1];
-        let wrong = InProcessBackend::default().run_shard(&plan, &other_spec);
+        let wrong = InProcessBackend.run_shard(&plan, &other_spec);
         let issue = wrong.validate(&plan, fp, Some(&spec)).unwrap_err();
         assert!(issue.msg().contains("expected"), "{issue}");
         // …but with no expectation (merge path) it is fine.
@@ -1360,19 +1304,17 @@ mod tests {
             let specs = partition(plan.len(), k);
             assert_eq!(specs.len(), k);
             assert!(specs[1..].iter().all(|s| s.start == s.end));
-            let report = run_campaign(&plan, &InProcessBackend::default(), k).unwrap();
+            let report = run_campaign(&plan, &InProcessBackend, k).unwrap();
             assert_eq!(report.cells.len(), 1);
             assert_eq!(
                 report.to_text(),
-                run_campaign(&plan, &InProcessBackend::default(), 1)
-                    .unwrap()
-                    .to_text()
+                run_campaign(&plan, &InProcessBackend, 1).unwrap().to_text()
             );
         }
         // An empty shard's artifact still validates (zero cells).
         let fp = plan_fingerprint(&plan);
         let empty_spec = partition(plan.len(), 3)[2];
-        let empty = InProcessBackend::default().run_shard(&plan, &empty_spec);
+        let empty = InProcessBackend.run_shard(&plan, &empty_spec);
         assert!(empty
             .validate(&plan, fp, Some(&empty_spec))
             .unwrap()
@@ -1382,26 +1324,12 @@ mod tests {
     #[test]
     fn merged_report_is_shard_count_invariant() {
         let plan = tiny_plan();
-        let backend = InProcessBackend::default();
+        let backend = InProcessBackend;
         let reference = run_campaign(&plan, &backend, 1).unwrap().to_text();
         for k in [2, 3, plan.len(), plan.len() + 3] {
             let merged = run_campaign(&plan, &backend, k).unwrap().to_text();
             assert_eq!(merged, reference, "shard count {k} changed the report");
         }
-    }
-
-    #[test]
-    fn world_reuse_matches_per_cell_builds() {
-        let plan = tiny_plan();
-        assert_eq!(
-            plan.distinct_worlds(),
-            2,
-            "policy axis shares worlds per seed"
-        );
-        let reused = run_campaign(&plan, &InProcessBackend { world_reuse: true }, 1).unwrap();
-        let rebuilt = run_campaign(&plan, &InProcessBackend { world_reuse: false }, 1).unwrap();
-        // Bit-identical — not approximately equal — via the canonical text.
-        assert_eq!(reused.to_text(), rebuilt.to_text());
     }
 
     #[test]
@@ -1549,26 +1477,27 @@ mod tests {
         // A cluster without GPUs makes the replay panic.
         plan.cells[last].scenario.cluster.nodes = 0;
         let spec = partition(plan.len(), 2)[1];
-        for world_reuse in [true, false] {
-            let backend = InProcessBackend { world_reuse };
-            let e = run_campaign(&plan, &backend, 2).unwrap_err();
-            assert!(e.msg.starts_with("shard 1: panicked"), "{e}");
-            assert!(e.msg.contains("no GPUs"), "{e}");
-            match backend.try_run_shard(&plan, &spec) {
-                Err(ShardError::Panic { shard: 1, msg }) => assert!(msg.contains("no GPUs")),
-                other => panic!("expected shard 1's panic, got {other:?}"),
-            }
+        let e = run_campaign(&plan, &InProcessBackend, 2).unwrap_err();
+        assert!(e.msg.starts_with("shard 1: panicked"), "{e}");
+        assert!(e.msg.contains("no GPUs"), "{e}");
+        match InProcessBackend.run_shards(&plan, &[spec]).pop() {
+            Some(Err(ShardError::Panic { shard: 1, msg })) => assert!(msg.contains("no GPUs")),
+            other => panic!("expected shard 1's panic, got {other:?}"),
         }
+        // A worker's one-shard pass panics with the shard's error.
+        let payload = panic::catch_unwind(|| InProcessBackend.run_shard(&plan, &spec)).unwrap_err();
+        let msg = panic_message(payload.as_ref());
+        assert!(msg.starts_with("shard 1: panicked"), "{msg}");
         // With two failing shards, the lower one is reported.
         plan.cells[0].scenario.cluster.nodes = 0;
-        let e = run_campaign(&plan, &InProcessBackend::default(), 2).unwrap_err();
+        let e = run_campaign(&plan, &InProcessBackend, 2).unwrap_err();
         assert!(e.msg.starts_with("shard 0: panicked"), "{e}");
     }
 
     #[test]
     fn report_lookup_by_id() {
         let plan = tiny_plan();
-        let report = run_campaign(&plan, &InProcessBackend::default(), 2).unwrap();
+        let report = run_campaign(&plan, &InProcessBackend, 2).unwrap();
         let id = &plan.cells[3].id;
         assert_eq!(report.get(id).unwrap().index, 3);
         assert!(report.get("t/absent").is_none());
@@ -1581,22 +1510,19 @@ mod tests {
         use greener_sched::PolicyKind;
         use proptest::prelude::*;
 
-        /// Build the straight-run reference text: every cell executed
-        /// individually (fresh world each, no sharding, no reuse) through
-        /// the plain `sweep::run_seeded` fan-out, serialized with the same
-        /// encoding the artifact layer uses. Bit-exact float encoding makes
-        /// text equality exactly aggregate bit equality.
+        /// Build the straight-run reference text: every cell's
+        /// [`Plan::reference_record`] (a fresh world each, no cache, no
+        /// shard) through the plain `sweep::run` fan-out, in the merged
+        /// report's format. Bit-exact float encoding makes text equality
+        /// exactly aggregate bit equality.
         fn straight_text(plan: &CampaignPlan) -> String {
-            let lines = sweep::run_seeded(&plan.cells, 0, |_, cell, _hub| {
-                let world = World::build(&cell.scenario);
-                InProcessBackend::run_cell(cell, &world).to_line()
-            });
-            let mut out = format!("campaign {} cells {}\n", plan.name, plan.cells.len());
-            for line in lines {
-                out.push_str(&line);
-                out.push('\n');
+            let indices: Vec<usize> = (0..plan.len()).collect();
+            let cells = sweep::run(&indices, |&i| plan.reference_record(i));
+            CampaignReport {
+                name: plan.name.clone(),
+                cells,
             }
-            out
+            .to_text()
         }
 
         proptest! {
@@ -1605,13 +1531,13 @@ mod tests {
             ))]
             /// Shard-and-merge bit-equality over random small manifests:
             /// for every shard count in {1, 2, 7, cells} and
-            /// `RAYON_NUM_THREADS` in {1, 4}, with and without world
-            /// reuse, the merged report text equals the straight
-            /// `run_seeded` reference byte for byte. (The vendored rayon
-            /// reads the variable per call and every engine axis is
-            /// thread-count-invariant, so toggling it in-process is safe.)
+            /// `RAYON_NUM_THREADS` in {1, 4}, the merged report text
+            /// equals the straight-run reference byte for byte. (The
+            /// vendored rayon reads the variable per call and every engine
+            /// axis is thread-count-invariant, so toggling it in-process
+            /// is safe.)
             #[test]
-            fn sharded_merge_equals_straight_run_seeded(
+            fn sharded_merge_equals_straight_run(
                 days in 2usize..4,
                 world_seed in 0u64..500,
                 two_seeds in 0u8..2,
@@ -1649,16 +1575,12 @@ mod tests {
                 let prior = std::env::var("RAYON_NUM_THREADS").ok();
                 for threads in ["1", "4"] {
                     std::env::set_var("RAYON_NUM_THREADS", threads);
-                    for world_reuse in [true, false] {
-                        let backend = InProcessBackend { world_reuse };
-                        for k in [1, 2, 7, plan.len()] {
-                            let merged =
-                                run_campaign(&plan, &backend, k).unwrap().to_text();
-                            prop_assert!(
-                                merged == reference,
-                                "diverged at shards={k} threads={threads} reuse={world_reuse}"
-                            );
-                        }
+                    for k in [1, 2, 7, plan.len()] {
+                        let merged = run_campaign(&plan, &InProcessBackend, k).unwrap().to_text();
+                        prop_assert!(
+                            merged == reference,
+                            "diverged at shards={k} threads={threads}"
+                        );
                     }
                 }
                 match prior {
@@ -1677,8 +1599,7 @@ mod tests {
             GOLDEN.get_or_init(|| {
                 let plan = super::tiny_plan();
                 let fp = plan_fingerprint(&plan);
-                let artifact =
-                    InProcessBackend::default().run_shard(&plan, &partition(plan.len(), 1)[0]);
+                let artifact = InProcessBackend.run_shard(&plan, &partition(plan.len(), 1)[0]);
                 (plan, fp, artifact)
             })
         }

@@ -166,7 +166,7 @@ impl Knob {
             },
             Knob::ArrivalRate | Knob::SurgeMult | Knob::QsMult | Knob::SloWaitHours => {
                 match raw.parse::<f64>() {
-                    Ok(x) if x.is_finite() && x > 0.0 => Ok(AxisValue::Real(x)),
+                    Ok(x) if positive_real(x) => Ok(AxisValue::Real(x)),
                     _ => err(
                         line,
                         format!("`{}` needs a positive real, got `{raw}`", self.name()),
@@ -216,19 +216,22 @@ impl Knob {
         (1..=self.max_count()).contains(&n)
     }
 
-    /// Check that `value`'s variant is one this knob produces, and that a
-    /// count is in range (guards the programmatic construction path,
-    /// which skips [`Knob::parse_value`]).
+    /// Check that `value` is one [`Knob::parse_value`] could produce for
+    /// this knob: its variant is this knob's, and a count, real or policy
+    /// argument is in the range the parser enforces, through the same
+    /// checks (guards the programmatic construction path, which skips the
+    /// parser).
     fn accepts(&self, value: &AxisValue) -> bool {
         match (self, value) {
             (Knob::HorizonDays | Knob::Nodes, AxisValue::Count(n)) => self.count_fits(*n),
-            (Knob::Policy, AxisValue::Policy(_))
-            | (
+            (Knob::Policy, AxisValue::Policy(p)) => policy_range_issue(p).is_none(),
+            (
                 Knob::ArrivalRate | Knob::SurgeMult | Knob::QsMult | Knob::SloWaitHours,
-                AxisValue::Real(_),
-            )
-            | (Knob::Forecast, AxisValue::Forecast(_))
-            | (Knob::Deadline, AxisValue::Deadline(_)) => true,
+                AxisValue::Real(x),
+            ) => positive_real(*x),
+            (Knob::Forecast, AxisValue::Forecast(_)) | (Knob::Deadline, AxisValue::Deadline(_)) => {
+                true
+            }
             _ => false,
         }
     }
@@ -262,6 +265,32 @@ impl Knob {
     }
 }
 
+/// Whether `x` is a value a real knob or a policy's watt argument can
+/// take: finite and positive.
+fn positive_real(x: f64) -> bool {
+    x.is_finite() && x > 0.0
+}
+
+/// Why `policy`'s argument is out of range, or `None` when it is in range:
+/// watt arguments must be positive reals and a green-share threshold must
+/// lie in (0, 1]. The text parser and [`Knob::accepts`] both check through
+/// here, so text and programmatic manifests accept the same policies.
+fn policy_range_issue(policy: &PolicyKind) -> Option<String> {
+    match *policy {
+        PolicyKind::StaticCap { cap_w: w } if !positive_real(w) => {
+            Some("policy `cap` needs a positive real argument".into())
+        }
+        PolicyKind::GreenQueues { green_cap_w: w } if !positive_real(w) => {
+            Some("policy `green_queues` needs a positive real argument".into())
+        }
+        // A share, not a percentage: `carbon:6` would gate every hour.
+        PolicyKind::CarbonAware { green_threshold: g } if !(positive_real(g) && g <= 1.0) => Some(
+            format!("policy `carbon` needs a green-share threshold in (0, 1], got {g}"),
+        ),
+        _ => None,
+    }
+}
+
 /// `fcfs | sjf | easy | easy_depth:<k> | cap:<w> | temp | carbon:<g> |
 /// green_queues:<w> | carbon_temp`, where `<g>` is a green-share threshold
 /// in (0, 1].
@@ -272,38 +301,37 @@ fn parse_policy(raw: &str, line: usize) -> Result<PolicyKind, ManifestError> {
     };
     let need_real = |arg: Option<&str>| -> Result<f64, ManifestError> {
         match arg.and_then(|a| a.parse::<f64>().ok()) {
-            Some(x) if x.is_finite() && x > 0.0 => Ok(x),
-            _ => err(
+            Some(x) => Ok(x),
+            None => err(
                 line,
                 format!("policy `{head}` needs a positive real argument"),
             ),
         }
     };
-    match head {
-        "fcfs" => Ok(PolicyKind::Fcfs),
-        "sjf" => Ok(PolicyKind::Sjf),
-        "easy" => Ok(PolicyKind::EasyBackfill),
+    let policy = match head {
+        "fcfs" => PolicyKind::Fcfs,
+        "sjf" => PolicyKind::Sjf,
+        "easy" => PolicyKind::EasyBackfill,
         "easy_depth" => match arg.and_then(|a| a.parse::<u32>().ok()) {
-            Some(depth) => Ok(PolicyKind::EasyBackfillLimited { depth }),
-            None => err(line, "policy `easy_depth` needs an integer depth"),
+            Some(depth) => PolicyKind::EasyBackfillLimited { depth },
+            None => return err(line, "policy `easy_depth` needs an integer depth"),
         },
-        "cap" => Ok(PolicyKind::StaticCap {
+        "cap" => PolicyKind::StaticCap {
             cap_w: need_real(arg)?,
-        }),
-        "temp" => Ok(PolicyKind::TempAware),
-        // A share, not a percentage: `carbon:6` would gate every hour.
-        "carbon" => match need_real(arg)? {
-            g if g <= 1.0 => Ok(PolicyKind::CarbonAware { green_threshold: g }),
-            g => err(
-                line,
-                format!("policy `carbon` needs a green-share threshold in (0, 1], got {g}"),
-            ),
         },
-        "green_queues" => Ok(PolicyKind::GreenQueues {
+        "temp" => PolicyKind::TempAware,
+        "carbon" => PolicyKind::CarbonAware {
+            green_threshold: need_real(arg)?,
+        },
+        "green_queues" => PolicyKind::GreenQueues {
             green_cap_w: need_real(arg)?,
-        }),
-        "carbon_temp" => Ok(PolicyKind::CarbonAndTempAware),
-        _ => err(line, format!("unknown policy `{raw}`")),
+        },
+        "carbon_temp" => PolicyKind::CarbonAndTempAware,
+        _ => return err(line, format!("unknown policy `{raw}`")),
+    };
+    match policy_range_issue(&policy) {
+        Some(msg) => err(line, msg),
+        None => Ok(policy),
     }
 }
 
@@ -349,9 +377,10 @@ impl CampaignManifest {
     /// Builder-style: append one axis (outermost first).
     ///
     /// # Panics
-    /// If any value's variant does not belong to `knob`, a count is out
-    /// of the knob's range, or the axis is empty — programmatic manifests
-    /// fail fast like text ones fail [`CampaignManifest::parse`].
+    /// If any value is one the text parser rejects for `knob` (its variant
+    /// is another knob's, or a count, real or policy argument is out of
+    /// range), or the axis is empty — programmatic manifests fail fast
+    /// like text ones fail [`CampaignManifest::parse`].
     #[must_use]
     pub fn with_axis(mut self, knob: Knob, values: Vec<AxisValue>) -> CampaignManifest {
         assert!(!values.is_empty(), "axis `{}` has no values", knob.name());
@@ -745,5 +774,37 @@ axis horizon_days = 4, 5
     fn programmatic_axis_rejects_mismatched_variant() {
         let _ = CampaignManifest::new("x", Scenario::quick(3, 1))
             .with_axis(Knob::Policy, vec![AxisValue::Count(3)]);
+    }
+
+    /// A programmatic axis value the text parser would reject.
+    fn programmatic_axis(knob: Knob, value: AxisValue) {
+        let _ = CampaignManifest::new("x", Scenario::quick(3, 1)).with_axis(knob, vec![value]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot carry value Real(NaN)")]
+    fn programmatic_axis_rejects_nan_slo() {
+        programmatic_axis(Knob::SloWaitHours, AxisValue::Real(f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot carry value Real(-1.0)")]
+    fn programmatic_axis_rejects_negative_arrival_rate() {
+        programmatic_axis(Knob::ArrivalRate, AxisValue::Real(-1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot carry value Real(NaN)")]
+    fn programmatic_axis_rejects_nan_qs_mult() {
+        programmatic_axis(Knob::QsMult, AxisValue::Real(f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot carry value Policy(CarbonAware")]
+    fn programmatic_axis_rejects_carbon_share_above_one() {
+        let gate = PolicyKind::CarbonAware {
+            green_threshold: 6.0,
+        };
+        programmatic_axis(Knob::Policy, AxisValue::Policy(gate));
     }
 }

@@ -7,7 +7,8 @@
 //! deterministically: for a fixed manifest the merged report is
 //! **bit-identical for every shard count and every `RAYON_NUM_THREADS`**
 //! (the merge-determinism standing invariant, pinned by the
-//! [`crate::equivalence::assert_campaign_equivalent`] axis).
+//! [`crate::equivalence::assert_campaign_equivalent`] axis, which checks
+//! every merged record against its cell's straight run byte for byte).
 //!
 //! Four cooperating pieces:
 //!
@@ -18,8 +19,9 @@
 //!   expansion (first axis outermost, seeds innermost, via
 //!   [`greener_simkit::sweep::gridn_indices`]) into cells with stable ids.
 //! * **[`ShardBackend`] / [`run_campaign`]** ([`exec`]) — contiguous shard
-//!   partition, per-shard execution behind a serialization boundary, a
-//!   world cache shared by the shards of one in-process pass (or kept by
+//!   partition, one pass of shards behind a serialization boundary
+//!   ([`ShardBackend::run_shards`], the one method a backend implements),
+//!   a world cache shared by the shards of one in-process pass (or kept by
 //!   each worker's shard), and the index-ordered merge. World identity
 //!   comes from the two specs the world builders read
 //!   ([`Scenario::world_inputs_key`] is their text); a pass builds each
@@ -69,8 +71,10 @@
 //!
 //! # Plan kinds: campaign and fleet sweeps
 //!
-//! The execution stack is generic over the **[`Plan`] seam** (plan +
-//! [`CellRecord`], see [`exec`]): everything from [`partition`] through
+//! The execution stack is generic over the **[`Plan`] seam** (a range
+//! runner over a pass-wide world cache, the per-cell reference run
+//! [`Plan::reference_record`], and the [`CellRecord`] artifact line; see
+//! [`exec`]): everything from [`partition`] through
 //! [`ShardArtifact`] validation, [`merge_artifacts`], [`run_campaign`]
 //! and the supervised [`process::ProcessBackend`] works identically for
 //! two plan kinds —
@@ -100,7 +104,7 @@
 //! .unwrap()
 //! .expand()
 //! .unwrap();
-//! let backend = InProcessBackend::default();
+//! let backend = InProcessBackend;
 //! let one = run_campaign(&plan, &backend, 1).unwrap().to_text();
 //! let three = run_campaign(&plan, &backend, 3).unwrap().to_text();
 //! assert_eq!(one, three);
@@ -153,7 +157,7 @@
 //! assert_eq!(plan.cells[0].id, "demo/policy=fcfs/slo_wait_hours=12.0/seed=1");
 //!
 //! // Merged output is bit-identical for any shard count.
-//! let backend = InProcessBackend::default();
+//! let backend = InProcessBackend;
 //! let two = run_campaign(&plan, &backend, 2).unwrap();
 //! let eight = run_campaign(&plan, &backend, 8).unwrap();
 //! assert_eq!(two.to_text(), eight.to_text());

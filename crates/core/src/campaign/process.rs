@@ -55,6 +55,7 @@ use std::time::Duration;
 
 use greener_simkit::proc::{wait_with_timeout, write_atomic, WaitOutcome};
 use greener_simkit::rng::splitmix64;
+use greener_simkit::sweep;
 
 use super::exec::{
     plan_fingerprint, CampaignError, CampaignReport, Plan, ShardArtifact, ShardBackend, ShardError,
@@ -683,22 +684,24 @@ impl<P: Plan> ProcessBackend<P> {
 }
 
 impl<P: Plan> ShardBackend<P> for ProcessBackend<P> {
-    fn run_shard(&self, plan: &P, shard: &ShardSpec) -> ShardArtifact {
-        self.try_run_shard(plan, shard)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_run_shard(&self, plan: &P, shard: &ShardSpec) -> Result<ShardArtifact, ShardError> {
-        // Guard the seam: the plan handed in must be the one this
-        // backend's manifest expands to, or workers (which re-expand the
-        // manifest) would compute different cells than the merge expects.
+    fn run_shards(&self, plan: &P, shards: &[ShardSpec]) -> Vec<Result<ShardArtifact, ShardError>> {
+        // Guard the seam once per pass: the plan handed in must be the one
+        // this backend's manifest expands to, or workers (which re-expand
+        // the manifest) would compute different cells than the merge
+        // expects. No worker starts for a mismatched plan.
         if plan_fingerprint(plan) != self.plan_fp {
-            return Err(ShardError::Validation {
-                shard: shard.shard,
-                msg: "plan does not match this backend's manifest (fingerprint mismatch)".into(),
-            });
+            return shards
+                .iter()
+                .map(|spec| {
+                    Err(ShardError::Validation {
+                        shard: spec.shard,
+                        msg: "plan does not match this backend's manifest (fingerprint mismatch)"
+                            .into(),
+                    })
+                })
+                .collect();
         }
-        self.supervise(plan, shard)
+        sweep::run(shards, |spec| self.supervise(plan, spec))
     }
 }
 
@@ -738,7 +741,7 @@ mod tests {
     fn stage_golden(plan: &CampaignPlan, shards: usize, dir: &Path) -> PathBuf {
         let staging = dir.join("golden");
         std::fs::create_dir_all(&staging).unwrap();
-        let backend = InProcessBackend::default();
+        let backend = InProcessBackend;
         for spec in partition(plan.len(), shards) {
             let artifact = backend.run_shard(plan, &spec);
             std::fs::write(
@@ -769,9 +772,7 @@ mod tests {
     fn expected_report(text: &str) -> String {
         let plan = CampaignManifest::parse(MANIFEST).unwrap().expand().unwrap();
         assert_eq!(text.lines().count(), plan.len() + 1);
-        run_campaign(&plan, &InProcessBackend::default(), 1)
-            .unwrap()
-            .to_text()
+        run_campaign(&plan, &InProcessBackend, 1).unwrap().to_text()
     }
 
     #[test]
@@ -891,7 +892,7 @@ mod tests {
         let backend =
             ProcessBackend::new(MANIFEST, sh_worker("exit 1"), &dir, quick_config()).unwrap();
         let plan = backend.plan().clone();
-        let in_process = InProcessBackend::default();
+        let in_process = InProcessBackend;
         for spec in partition(plan.len(), 2) {
             let artifact = in_process.run_shard(&plan, &spec);
             write_atomic(&backend.artifact_path(&spec), artifact.text.as_bytes()).unwrap();
@@ -911,6 +912,37 @@ mod tests {
         .unwrap();
         let err = backend.run_supervised(2).unwrap_err();
         assert!(err.msg.contains("exited with status 1"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_plan_other_than_the_manifests_is_refused_before_any_worker_starts() {
+        let dir = temp_dir("mismatch");
+        let sentinel = dir.join("worker-started");
+        let script = format!(": > \"{}\"", sentinel.display());
+        let backend =
+            ProcessBackend::new(MANIFEST, sh_worker(&script), &dir, quick_config()).unwrap();
+        let other = CampaignManifest::parse(&MANIFEST.replace("quick:2@9", "quick:3@9"))
+            .unwrap()
+            .expand()
+            .unwrap();
+        assert_eq!(other.len(), backend.plan().len());
+        let specs = partition(other.len(), 3);
+        let outcomes = backend.run_shards(&other, &specs);
+        assert_eq!(outcomes.len(), specs.len());
+        for (outcome, spec) in outcomes.iter().zip(&specs) {
+            match outcome {
+                Err(ShardError::Validation { shard, msg }) => {
+                    assert_eq!(*shard, spec.shard);
+                    assert!(msg.contains("fingerprint mismatch"), "{msg}");
+                }
+                other => panic!("shard {} ran: {other:?}", spec.shard),
+            }
+        }
+        assert!(!sentinel.exists(), "a worker started for a mismatched plan");
+        // Control: the manifest's own plan does start a worker.
+        let _ = backend.run_shards(backend.plan(), &specs[..1]);
+        assert!(sentinel.exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -954,7 +986,7 @@ mod tests {
         let plan = CampaignManifest::parse(MANIFEST).unwrap().expand().unwrap();
         let fp = plan_fingerprint(&plan);
         let spec = partition(plan.len(), 1)[0];
-        let good = InProcessBackend::default().run_shard(&plan, &spec);
+        let good = InProcessBackend.run_shard(&plan, &spec);
         for mode in [FaultMode::Corrupt, FaultMode::Truncate] {
             let mut text = good.text.clone();
             mode.mangle(&mut text);

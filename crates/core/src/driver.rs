@@ -19,9 +19,8 @@
 //!
 //! # Hot-path architecture
 //!
-//! A year-scale run pops hundreds of thousands of events, and Monte-Carlo
-//! sweeps (`greener_simkit::sweep::replicate`) multiply whole runs across
-//! cores. Threading is two-level (see `greener_simkit::sweep`'s docs):
+//! A year-scale run pops hundreds of thousands of events, and sweeps
+//! (`greener_simkit::sweep::run`) multiply whole runs across cores. Threading is two-level (see `greener_simkit::sweep`'s docs):
 //! sweeps fan out *across* runs, and *within* a run [`World::build`] forks
 //! the independent world-generation phases (weather channels ∥ sharded
 //! trace synthesis, grid pipelined behind weather) across rayon's pool —

@@ -142,7 +142,7 @@ pub fn fingerprint_with_world(scenario: &Scenario, world: &World) -> Fingerprint
 
 /// Fingerprint a reference-engine replay over a pre-built world (see
 /// [`SimDriver::run_reference`]).
-fn reference_fingerprint_with_world(scenario: &Scenario, world: &World) -> Fingerprint {
+fn reference_engine_fingerprint(scenario: &Scenario, world: &World) -> Fingerprint {
     Fingerprint::of(SimDriver::run_reference(
         scenario,
         world,
@@ -169,7 +169,7 @@ pub fn assert_matches_reference(label: &str, matrix: &[Scenario]) {
 /// # Panics
 /// If the fingerprints differ.
 pub fn assert_world_matches_reference(label: &str, scenario: &Scenario, world: &World) {
-    reference_fingerprint_with_world(scenario, world).assert_same(
+    reference_engine_fingerprint(scenario, world).assert_same(
         &fingerprint_with_world(scenario, world),
         &format!("{label} (reference vs default) [{}]", scenario.name),
     );
@@ -198,25 +198,23 @@ pub fn assert_runners_equivalent(
 /// [`Plan`] — scenario campaigns and fleet plans alike — against straight
 /// per-cell runs, at every shard count in `shard_counts`.
 ///
-/// Each cell's straight-run reference ([`Plan::reference_fingerprint`]:
-/// fresh world, no sharding, no reuse) is computed once. Then, for each
-/// shard count, the plan is executed through `backend` and merged, every
-/// cell is looked up in the merged report by id, and its record's
-/// [`CellRecord::fingerprint`] must match the reference — energy/carbon
-/// **bits** and completion count (artifact records carry no per-job
-/// records, so record comparison is one-sidedly skipped, as with the
-/// aggregates-only observation axis). Combined with the artifact layer's
-/// bit-exact float encoding this pins the merge-determinism standing
-/// invariant: shard count and thread count are unobservable in campaign
+/// Each cell's straight-run reference ([`Plan::reference_record`]: fresh
+/// world, no cache, no shard) is computed once. Then, for each shard
+/// count, the plan is executed through `backend` and merged, every cell
+/// is looked up in the merged report by id, and its record's artifact
+/// line ([`CellRecord::to_line`]) must equal the reference's byte for
+/// byte. The line carries every aggregate and job-statistic total as
+/// `f64::to_bits` hex (and, for fleet cells, the digest of the full fleet
+/// report), so this pins the merge-determinism standing invariant: shard
+/// count, thread count and the world cache are unobservable in campaign
 /// output.
 ///
-/// `backend` is any [`ShardBackend`] — the in-process runner (with or
-/// without world reuse) and the process-per-shard
-/// [`crate::campaign::process::ProcessBackend`] (with its retries,
-/// fault injection and resume) ride the same axis, for campaign and
-/// fleet plans alike, which is what makes "the supervised backend
-/// changes no byte" a pinned invariant rather than a bespoke comparison
-/// loop.
+/// `backend` is any [`ShardBackend`] — the in-process runner and the
+/// process-per-shard [`crate::campaign::process::ProcessBackend`] (with
+/// its retries, fault injection and resume) ride the same axis, for
+/// campaign and fleet plans alike, which is what makes "the supervised
+/// backend changes no byte" a pinned invariant rather than a bespoke
+/// comparison loop.
 ///
 /// # Panics
 /// On the first cell whose merged record diverges from its straight run,
@@ -227,8 +225,8 @@ pub fn assert_campaign_equivalent<P: Plan>(
     backend: &impl ShardBackend<P>,
     shard_counts: &[usize],
 ) {
-    let references: Vec<Fingerprint> = (0..plan.len())
-        .map(|i| plan.reference_fingerprint(i))
+    let references: Vec<String> = (0..plan.len())
+        .map(|i| plan.reference_record(i).to_line())
         .collect();
     for &shards in shard_counts {
         let report = run_campaign(plan, backend, shards)
@@ -238,9 +236,10 @@ pub fn assert_campaign_equivalent<P: Plan>(
             let cell = report
                 .get(id)
                 .unwrap_or_else(|| panic!("{label}: cell `{id}` missing from report"));
-            reference.assert_same(
-                &cell.fingerprint(),
-                &format!("{label} shards={shards} [{id}]"),
+            assert_eq!(
+                &cell.to_line(),
+                reference,
+                "{label} shards={shards} [{id}]: merged record differs from the straight run"
             );
         }
     }
@@ -311,7 +310,7 @@ mod tests {
         let matrix = [Scenario::quick(6, 13)];
         assert_runners_equivalent("shared-world engine axis", &matrix, fingerprint, |s| {
             let world = World::build(s);
-            reference_fingerprint_with_world(s, &world)
+            reference_engine_fingerprint(s, &world)
         });
     }
 
@@ -340,7 +339,7 @@ mod tests {
             assert_campaign_equivalent(
                 &format!("campaign threads={threads}"),
                 &plan,
-                &InProcessBackend::default(),
+                &InProcessBackend,
                 &[1, 2, 8],
             );
         }

@@ -164,7 +164,7 @@
 //! .unwrap()
 //! .expand()
 //! .unwrap();
-//! let backend = InProcessBackend::default();
+//! let backend = InProcessBackend;
 //! let merged = run_campaign(&plan, &backend, 2).unwrap();
 //! assert_eq!(
 //!     merged.to_text(),
@@ -334,8 +334,8 @@ impl FleetScenario {
     /// with every site's (the per-site environments), in site order.
     /// Routing never reaches world generation, so the key is
     /// routing-invariant — which is exactly what lets the campaign
-    /// layer's world-reuse cache share one [`FleetWorld`] across the
-    /// paired routing cells of a [`FleetPlan`] shard.
+    /// layer's world cache share one [`FleetWorld`] across the paired
+    /// routing cells of a [`FleetPlan`] pass.
     pub fn world_inputs_key(&self) -> String {
         let mut key = self.base.world_inputs_key();
         for site in &self.sites {
@@ -1199,10 +1199,6 @@ impl CellRecord for FleetCellResult {
     fn parse_line(line: &str) -> Result<FleetCellResult, CampaignError> {
         FleetCellResult::parse_line(line)
     }
-
-    fn fingerprint(&self) -> Fingerprint {
-        Fingerprint::of_totals(&self.totals, &self.jobs, None)
-    }
 }
 
 impl FleetPlan {
@@ -1228,7 +1224,7 @@ impl FleetPlan {
         )
     }
 
-    /// [`Plan::run_ranges`] with world reuse, over `worlds`.
+    /// [`Plan::run_ranges`] over `worlds`.
     fn run_reusing(
         &self,
         ranges: &[Range<usize>],
@@ -1267,23 +1263,12 @@ impl Plan for FleetPlan {
         format!("{:?}", self.cells[index].fleet)
     }
 
-    fn run_ranges(
-        &self,
-        ranges: &[Range<usize>],
-        world_reuse: bool,
-    ) -> Vec<thread::Result<Vec<FleetCellResult>>> {
-        if !world_reuse {
-            return per_range(ranges, |range| {
-                range
-                    .map(|i| self.run_cell(i, &FleetWorld::build(&self.cells[i].fleet)))
-                    .collect()
-            });
-        }
+    fn run_ranges(&self, ranges: &[Range<usize>]) -> Vec<thread::Result<Vec<FleetCellResult>>> {
         self.run_reusing(ranges, &self.world_cache(ranges))
     }
 
-    fn reference_fingerprint(&self, index: usize) -> Fingerprint {
-        fingerprint(&self.cells[index].fleet)
+    fn reference_record(&self, index: usize) -> FleetCellResult {
+        self.run_cell(index, &FleetWorld::build(&self.cells[index].fleet))
     }
 }
 
@@ -1878,7 +1863,8 @@ mod tests {
     #[test]
     fn fleet_cell_line_round_trips_bit_exactly() {
         let plan = tiny_fleet_plan();
-        let cells = plan.run_cells(0, plan.cells.len(), true);
+        let cells: Vec<FleetCellResult> =
+            (0..plan.len()).map(|i| plan.reference_record(i)).collect();
         assert_eq!(cells.len(), 4);
         for c in &cells {
             let parsed = FleetCellResult::parse_line(&c.to_line()).unwrap();
@@ -1909,7 +1895,7 @@ mod tests {
     #[test]
     fn fleet_cell_parse_rejects_malformed_lines() {
         let plan = tiny_fleet_plan();
-        let line = plan.run_cells(0, 1, true)[0].to_line();
+        let line = plan.reference_record(0).to_line();
         // Wrong token count and wrong leading token.
         let e = FleetCellResult::parse_line("fleet-cell 0 tiny").unwrap_err();
         assert!(e.msg.contains("28 tokens"), "{}", e.msg);
@@ -1927,31 +1913,14 @@ mod tests {
     }
 
     #[test]
-    fn fleet_run_cells_reuse_matches_rebuild_bit_for_bit() {
-        // The reuse invariant every plan kind must pin (see
-        // [`Plan::run_cells`]): the FleetWorld cache keyed by the
-        // routing-invariant `world_inputs_key` must not change a single
-        // byte of any record.
-        let plan = tiny_fleet_plan();
-        let reused = plan.run_cells(0, plan.cells.len(), true);
-        let rebuilt = plan.run_cells(0, plan.cells.len(), false);
-        assert_eq!(reused, rebuilt);
-        // Paired routing cells share a world: 2 seeds → 2 distinct keys.
-        let keys: std::collections::HashSet<String> = plan
-            .cells
-            .iter()
-            .map(|c| c.fleet.world_inputs_key())
-            .collect();
-        assert_eq!(keys.len(), 2);
-    }
-
-    #[test]
     fn fleet_pass_shares_worlds_across_in_process_shards() {
         use crate::campaign::{
-            merge_artifacts, partition, plan_fingerprint, run_campaign, InProcessBackend,
-            ShardArtifact,
+            merge_artifacts, partition, plan_fingerprint, run_campaign, CampaignReport,
+            InProcessBackend, ShardArtifact,
         };
-        // Routing outer, seeds inner: both shards need all three worlds.
+        // Routing outer, seeds inner: both shards need all three worlds,
+        // and the routing-invariant world key lets every routing cell of a
+        // seed share one.
         let plan = FleetManifest::parse(
             "name = pass\n\
              base = quick:2@21\n\
@@ -1979,19 +1948,21 @@ mod tests {
             .map(|(records, spec)| ShardArtifact::compose(fp, spec, &records.unwrap()))
             .collect();
         let shared = merge_artifacts(&plan, &artifacts).unwrap().to_text();
-        let rebuilt = run_campaign(&plan, &InProcessBackend { world_reuse: false }, 2)
-            .unwrap()
-            .to_text();
-        assert_eq!(shared, rebuilt);
-        let backend = InProcessBackend::default();
-        assert_eq!(run_campaign(&plan, &backend, 2).unwrap().to_text(), rebuilt);
+        let reference = CampaignReport {
+            name: plan.name.clone(),
+            cells: (0..plan.len()).map(|i| plan.reference_record(i)).collect(),
+        }
+        .to_text();
+        assert_eq!(shared, reference);
+        let merged = run_campaign(&plan, &InProcessBackend, 2).unwrap();
+        assert_eq!(merged.to_text(), reference);
     }
 
     mod props {
         use super::*;
         use crate::campaign::{
-            merge_artifacts, partition, plan_fingerprint, run_campaign, InProcessBackend,
-            ShardArtifact, ShardBackend,
+            merge_artifacts, partition, plan_fingerprint, run_campaign, CampaignReport,
+            InProcessBackend, ShardArtifact, ShardBackend,
         };
         use proptest::prelude::*;
 
@@ -2047,13 +2018,13 @@ mod tests {
             }
 
             /// Fleet sweeps through the campaign stack: for random small
-            /// fleet manifests the merged fleet-campaign report is
-            /// byte-identical across shard counts {1, 2, 7, cells},
-            /// `RAYON_NUM_THREADS` {1, 4}, and FleetWorld reuse on/off —
+            /// fleet manifests the merged fleet-campaign report equals the
+            /// straight run of every cell byte for byte, across shard
+            /// counts {1, 2, 7, cells} and `RAYON_NUM_THREADS` {1, 4} —
             /// the same merge-determinism invariant the campaign plan
             /// kind pins, now over [`FleetPlan`] records.
             #[test]
-            fn fleet_campaign_merge_is_shard_thread_and_reuse_invariant(
+            fn fleet_campaign_merge_is_shard_and_thread_invariant(
                 days in 2usize..4,
                 seed in 0u64..500,
                 sites in 1usize..3,
@@ -2083,25 +2054,20 @@ mod tests {
                 })
                 .expand()
                 .unwrap();
-                let reference = run_campaign(
-                    &plan,
-                    &InProcessBackend { world_reuse: true },
-                    1,
-                )
-                .unwrap()
+                let reference = CampaignReport {
+                    name: plan.name.clone(),
+                    cells: (0..plan.len()).map(|i| plan.reference_record(i)).collect(),
+                }
                 .to_text();
                 let prior = std::env::var("RAYON_NUM_THREADS").ok();
                 for threads in ["1", "4"] {
                     std::env::set_var("RAYON_NUM_THREADS", threads);
-                    for world_reuse in [true, false] {
-                        let backend = InProcessBackend { world_reuse };
-                        for k in [1, 2, 7, plan.cells.len()] {
-                            let merged = run_campaign(&plan, &backend, k).unwrap().to_text();
-                            prop_assert!(
-                                merged == reference,
-                                "diverged at shards={k} threads={threads} reuse={world_reuse}"
-                            );
-                        }
+                    for k in [1, 2, 7, plan.cells.len()] {
+                        let merged = run_campaign(&plan, &InProcessBackend, k).unwrap().to_text();
+                        prop_assert!(
+                            merged == reference,
+                            "diverged at shards={k} threads={threads}"
+                        );
                     }
                 }
                 match prior {
@@ -2120,8 +2086,8 @@ mod tests {
             GOLDEN.get_or_init(|| {
                 let plan = super::tiny_fleet_plan();
                 let fp = plan_fingerprint(&plan);
-                let artifact = InProcessBackend::default()
-                    .run_shard(&plan, &partition(plan.cells.len(), 1)[0]);
+                let artifact =
+                    InProcessBackend.run_shard(&plan, &partition(plan.cells.len(), 1)[0]);
                 (plan, fp, artifact)
             })
         }

@@ -171,7 +171,7 @@ impl Eq1Problem {
         let plan = manifest
             .expand()
             .unwrap_or_else(|e| panic!("Eq. 1 grid must expand cleanly: {e}"));
-        let report = run_campaign(&plan, &InProcessBackend::default(), plan.len())
+        let report = run_campaign(&plan, &InProcessBackend, plan.len())
             .unwrap_or_else(|e| panic!("in-process shards must merge: {e}"));
         let cells: Vec<EvaluatedPoint> = report
             .cells

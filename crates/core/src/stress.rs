@@ -111,13 +111,13 @@ pub fn run_one(base: &Scenario, stress: &StressScenario) -> StressReport {
 
 /// Run a whole suite in parallel, preserving suite order.
 ///
-/// Goes through `sweep::run_seeded` — the outer level of the two-level
-/// threading model (see `greener_simkit::sweep`): scenarios fan out across
-/// threads while each run's world generation forks again internally. Every
-/// cell replays the base scenario's seed (shocked worlds stay paired with
-/// the baseline world), so the per-cell hub goes unused.
+/// Goes through `sweep::run` — the outer level of the two-level threading
+/// model (see `greener_simkit::sweep`): scenarios fan out across threads
+/// while each run's world generation forks again internally. Every cell
+/// replays the base scenario's seed, so shocked worlds stay paired with
+/// the baseline world.
 pub fn run_suite(base: &Scenario, suite: &[StressScenario]) -> Vec<StressReport> {
-    greener_simkit::sweep::run_seeded(suite, base.seed, |_, s, _hub| run_one(base, s))
+    greener_simkit::sweep::run(suite, |s| run_one(base, s))
 }
 
 #[cfg(test)]

@@ -111,13 +111,6 @@ impl RngHub {
     pub fn stream_indexed(&self, name: &str, index: u64) -> StdRng {
         StdRng::seed_from_u64(self.seed_for_indexed(name, index))
     }
-
-    /// A derived hub (e.g. per Monte-Carlo replication).
-    pub fn child(&self, index: u64) -> RngHub {
-        RngHub {
-            root: splitmix64(self.root ^ splitmix64(index.wrapping_add(0xA5A5))),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -162,15 +155,6 @@ mod tests {
     #[test]
     fn different_roots_differ() {
         assert_ne!(RngHub::new(1).seed_for("x"), RngHub::new(2).seed_for("x"));
-    }
-
-    #[test]
-    fn children_are_distinct() {
-        let hub = RngHub::new(9);
-        assert_ne!(hub.child(0).root(), hub.child(1).root());
-        assert_ne!(hub.child(0).root(), hub.root());
-        // Child derivation is itself deterministic.
-        assert_eq!(hub.child(3).root(), hub.child(3).root());
     }
 
     mod props {

@@ -1,22 +1,21 @@
 //! Deterministic parallel parameter sweeps.
 //!
-//! Per the hpc-parallel guides, sweeps fan out over Rayon's global pool with
-//! `par_iter`, while preserving *input order* of results (so downstream
-//! tables are stable regardless of thread scheduling). Each cell receives a
-//! deterministic [`RngHub`] derived from the sweep's root seed and the cell
-//! index, so a sweep is reproducible at any thread count.
+//! Sweeps fan out over Rayon's global pool with `par_iter`, while
+//! preserving *input order* of results (so downstream tables are stable
+//! regardless of thread scheduling). A cell's result depends only on its
+//! parameters, so a sweep is reproducible at any thread count.
 //!
 //! # The two-level threading model
 //!
 //! This module is the **outer** level: fan-out *across* runs (sweep cells,
-//! Monte-Carlo replications, stress suites). The **inner** level is
+//! ablations, stress suites). The **inner** level is
 //! [`crate::par`]: fork/join *inside* one run across world-generation
 //! phases that draw from independent named RNG streams. The levels compose
 //! freely because both are structured (scoped fork/join, no detached
 //! tasks) and both are deterministic at any thread count:
 //!
-//! * results depend only on `(params, root_seed)` — never on scheduling —
-//!   so `RAYON_NUM_THREADS=1` reproduces a parallel run bit-for-bit;
+//! * results depend only on the parameters — never on scheduling — so
+//!   `RAYON_NUM_THREADS=1` reproduces a parallel run bit-for-bit;
 //! * an outer sweep that already saturates the machine still nests inner
 //!   forks safely: scoped threads don't wait on a shared pool, so nesting
 //!   can never deadlock. It *can* oversubscribe — with a pool size of
@@ -27,10 +26,9 @@
 //!   regardless of cell count. The OS timeshares them; to
 //!   bound the total, cap the pool via `RAYON_NUM_THREADS`;
 //! * batch entry points (`greener-core`'s ablations / stress suites) go
-//!   through [`run_seeded`], making the outer level's seeding explicit
-//!   even for cells that derive their workload from the scenario's own
-//!   seed (paired comparisons pass the *same* scenario seed to every cell
-//!   and ignore the per-cell hub; independent-replication designs use it).
+//!   through [`run`]; their cells derive every random draw from the
+//!   scenario's own seed, and paired comparisons pass the *same* scenario
+//!   seed to every cell.
 //!
 //! # The campaign layer above the sweep
 //!
@@ -69,7 +67,6 @@
 //! bit-identical at any thread count, pinned the same way campaign
 //! merges are.
 
-use crate::rng::RngHub;
 use rayon::prelude::*;
 
 /// Run `f` over every parameter in parallel, preserving input order.
@@ -83,45 +80,13 @@ where
     params.par_iter().map(f).collect()
 }
 
-/// Run `f` over every parameter with a per-cell deterministic RNG hub.
-pub fn run_seeded<P, R, F>(params: &[P], root_seed: u64, f: F) -> Vec<R>
-where
-    P: Sync,
-    R: Send,
-    F: Fn(usize, &P, RngHub) -> R + Sync,
-{
-    crate::arenas::cap_per_core();
-    let root = RngHub::new(root_seed);
-    params
-        .par_iter()
-        .enumerate()
-        .map(|(i, p)| f(i, p, root.child(i as u64)))
-        .collect()
-}
-
-/// Monte-Carlo replication: run `f` for `n` replications, each with an
-/// independent hub, and collect the per-replication results in order.
-pub fn replicate<R, F>(n: usize, root_seed: u64, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, RngHub) -> R + Sync,
-{
-    crate::arenas::cap_per_core();
-    let root = RngHub::new(root_seed);
-    (0..n)
-        .into_par_iter()
-        .map(|i| f(i, root.child(i as u64)))
-        .collect()
-}
-
 /// Row-major index tuples for an N-dimensional grid with axis lengths
 /// `dims` — the single source of cartesian-product order in this
 /// workspace: the **first** axis is outermost (slowest), the **last** is
 /// innermost (fastest), exactly like nested `for` loops in declaration
-/// order. [`gridn`] is defined over it, `greener-core`'s campaign and
-/// fleet plan expanders walk it to assign stable cell indices, and the
-/// historical `grid2`/`grid3` tuple wrappers survive only as test-side
-/// shims cross-checking the same walk.
+/// order. `greener-core`'s campaign and fleet plan expanders walk it to
+/// assign stable cell indices, and the historical `grid2`/`grid3` tuple
+/// wrappers survive only as test-side shims cross-checking the same walk.
 ///
 /// `dims` containing a zero yields an empty product; an empty `dims`
 /// yields the one empty tuple (the nullary product).
@@ -153,39 +118,14 @@ pub fn gridn_indices(dims: &[usize]) -> Vec<Vec<usize>> {
     }
 }
 
-/// Cartesian product of N homogeneous axes, row-major (first axis
-/// outermost). This is the N-ary generalization manifest-driven sweeps
-/// expand through; use it (or [`gridn_indices`] for heterogeneous axes)
-/// in every call site — the fixed-arity `grid2`/`grid3` wrappers are
-/// test-only shims now.
-pub fn gridn<T: Clone>(axes: &[Vec<T>]) -> Vec<Vec<T>> {
-    let dims: Vec<usize> = axes.iter().map(Vec::len).collect();
-    gridn_indices(&dims)
-        .into_iter()
-        .map(|ix| {
-            ix.iter()
-                .zip(axes)
-                .map(|(&i, axis)| axis[i].clone())
-                .collect()
-        })
-        .collect()
-}
-
-/// Inclusive linearly spaced axis with `n ≥ 2` points.
-pub fn linspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
-    assert!(n >= 2, "linspace needs at least two points");
-    let step = (hi - lo) / (n - 1) as f64;
-    (0..n).map(|i| lo + step * i as f64).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// Test-only shim of the retired two-axis tuple product: every
-    /// in-tree call site migrated onto [`gridn`]/[`gridn_indices`]; this
-    /// survives purely to cross-check the index walk against the
-    /// historical fixed-arity definition.
+    /// in-tree call site migrated onto [`gridn_indices`]; this survives
+    /// purely to cross-check the index walk against the historical
+    /// fixed-arity definition.
     fn grid2<A: Clone, B: Clone>(a: &[A], b: &[B]) -> Vec<(A, B)> {
         gridn_indices(&[a.len(), b.len()])
             .into_iter()
@@ -210,30 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn seeded_cells_are_reproducible_and_distinct() {
-        use rand::Rng;
-        let params = vec![(), (), (), ()];
-        let a = run_seeded(&params, 99, |_, _, hub| hub.stream("x").gen::<u64>());
-        let b = run_seeded(&params, 99, |_, _, hub| hub.stream("x").gen::<u64>());
-        assert_eq!(a, b);
-        // Cells differ from one another.
-        assert!(a.windows(2).all(|w| w[0] != w[1]));
-        // Different root seed changes everything.
-        let c = run_seeded(&params, 100, |_, _, hub| hub.stream("x").gen::<u64>());
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn replicate_is_order_stable() {
-        let a = replicate(16, 7, |i, hub| (i, hub.root()));
-        for (i, (idx, _)) in a.iter().enumerate() {
-            assert_eq!(i, *idx);
-        }
-        let b = replicate(16, 7, |i, hub| (i, hub.root()));
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn grids_are_row_major() {
         let g = grid2(&[1, 2], &["a", "b", "c"]);
         assert_eq!(g.len(), 6);
@@ -252,33 +168,6 @@ mod tests {
         assert!(gridn_indices(&[2, 0, 3]).is_empty());
         // One axis: the identity walk.
         assert_eq!(gridn_indices(&[3]), vec![vec![0], vec![1], vec![2]]);
-    }
-
-    #[test]
-    fn gridn_matches_nested_loops() {
-        let axes = vec![vec!["a", "b"], vec!["x", "y", "z"]];
-        let got = gridn(&axes);
-        let mut want = Vec::new();
-        for p in &axes[0] {
-            for q in &axes[1] {
-                want.push(vec![*p, *q]);
-            }
-        }
-        assert_eq!(got, want);
-        // grid2/grid3 are defined over the same index walk.
-        let g2 = grid2(&axes[0], &axes[1]);
-        for (t, v) in g2.iter().zip(&got) {
-            assert_eq!(vec![t.0, t.1], *v);
-        }
-    }
-
-    #[test]
-    fn linspace_endpoints() {
-        let xs = linspace(100.0, 250.0, 4);
-        assert_eq!(xs.len(), 4);
-        assert!((xs[0] - 100.0).abs() < 1e-12);
-        assert!((xs[3] - 250.0).abs() < 1e-12);
-        assert!((xs[1] - 150.0).abs() < 1e-12);
     }
 
     mod props {
@@ -305,22 +194,6 @@ mod tests {
                         rem /= d;
                     }
                     prop_assert_eq!(rem, 0);
-                }
-            }
-
-            /// `gridn` agrees with chaining the fixed-arity products.
-            #[test]
-            fn gridn_agrees_with_grid3(
-                a in proptest::collection::vec(0u8..100, 1..4),
-                b in proptest::collection::vec(0u8..100, 1..4),
-                c in proptest::collection::vec(0u8..100, 1..4),
-            ) {
-                let axes = vec![a.clone(), b.clone(), c.clone()];
-                let n = gridn(&axes);
-                let fixed = grid3(&a, &b, &c);
-                prop_assert_eq!(n.len(), fixed.len());
-                for (v, (x, y, z)) in n.iter().zip(fixed) {
-                    prop_assert_eq!(v.as_slice(), &[x, y, z]);
                 }
             }
         }

@@ -37,7 +37,7 @@ fn smoke_manifest_merges_byte_identical_across_shard_counts() {
     // Policy and SLO are replay knobs; only the seed axis splits worlds.
     assert_eq!(plan.distinct_worlds(), 2);
 
-    let backend = InProcessBackend::default();
+    let backend = InProcessBackend;
     let two = run_campaign(&plan, &backend, 2).expect("2 shards merge");
     let five = run_campaign(&plan, &backend, 5).expect("5 shards merge");
     assert_eq!(
@@ -62,7 +62,7 @@ fn hand_carried_artifacts_reproduce_run_campaign() {
         .unwrap()
         .expand()
         .unwrap();
-    let backend = InProcessBackend::default();
+    let backend = InProcessBackend;
     let artifacts: Vec<_> = partition(plan.len(), 3)
         .iter()
         .map(|spec| backend.run_shard(&plan, spec))
@@ -72,28 +72,26 @@ fn hand_carried_artifacts_reproduce_run_campaign() {
     assert_eq!(merged.to_text(), direct.to_text());
 }
 
-/// The campaign equivalence axis, exercised from outside the crate: the
-/// merged output matches straight per-cell runs at several shard counts,
-/// with and without world reuse.
+/// The campaign equivalence axis, exercised from outside the crate: every
+/// merged record matches its cell's straight run byte for byte at several
+/// shard counts.
 #[test]
 fn campaign_axis_holds_from_downstream() {
     let plan = CampaignManifest::parse(SMOKE_MANIFEST)
         .unwrap()
         .expand()
         .unwrap();
-    for world_reuse in [true, false] {
-        equivalence::assert_campaign_equivalent(
-            &format!("downstream campaign (reuse={world_reuse})"),
-            &plan,
-            &InProcessBackend { world_reuse },
-            &[1, 3, 8],
-        );
-    }
+    equivalence::assert_campaign_equivalent(
+        "downstream campaign",
+        &plan,
+        &InProcessBackend,
+        &[1, 3, 8],
+    );
 }
 
 /// Two seeds × two arrival rates × two deadline policies: every cell is
-/// its own world, but the environment depends on the seed alone, so each
-/// shard shares one environment per seed across the trace variants and
+/// its own world, but the environment depends on the seed alone, so a
+/// pass shares one environment per seed across the trace variants and
 /// drops every world after its cell. Three shards split a seed's
 /// environment group across a shard boundary.
 const SHARED_ENV_MANIFEST: &str = "\
@@ -114,25 +112,14 @@ fn shared_environment_manifest_merges_byte_identical_across_shards_and_reuse() {
     assert_eq!(plan.distinct_worlds(), 8);
     assert_eq!(plan.distinct_environments(), 2);
 
-    let reference = run_campaign(&plan, &InProcessBackend { world_reuse: false }, 1)
-        .unwrap()
-        .to_text();
-    for world_reuse in [true, false] {
-        let backend = InProcessBackend { world_reuse };
-        for shards in [1, 2, 3] {
-            assert_eq!(
-                run_campaign(&plan, &backend, shards).unwrap().to_text(),
-                reference,
-                "report moved at shards={shards} reuse={world_reuse}"
-            );
-        }
-        equivalence::assert_campaign_equivalent(
-            &format!("shared environments (reuse={world_reuse})"),
-            &plan,
-            &backend,
-            &[1, 2, 3],
-        );
-    }
+    // Every merged record equals its cell's straight run (a fresh world
+    // and environment) byte for byte, so the merged reports agree too.
+    equivalence::assert_campaign_equivalent(
+        "shared environments",
+        &plan,
+        &InProcessBackend,
+        &[1, 2, 3],
+    );
 }
 
 fn worker_command() -> WorkerCommand {
@@ -174,9 +161,7 @@ fn process_backend_holds_the_campaign_equivalence_axis() {
 
     // Byte-identity against the in-process backend at yet another count.
     let process_text = run_campaign(&plan, &backend, 3).unwrap().to_text();
-    let in_process_text = run_campaign(&plan, &InProcessBackend::default(), 3)
-        .unwrap()
-        .to_text();
+    let in_process_text = run_campaign(&plan, &InProcessBackend, 3).unwrap().to_text();
     assert_eq!(process_text, in_process_text);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -200,9 +185,7 @@ fn injected_faults_are_retried_to_a_byte_identical_report() {
     let backend = ProcessBackend::new(SMOKE_MANIFEST, worker_command(), &dir, config).unwrap();
     let (report, run) = backend.run_supervised(4).unwrap();
 
-    let clean = run_campaign(&plan, &InProcessBackend::default(), 1)
-        .unwrap()
-        .to_text();
+    let clean = run_campaign(&plan, &InProcessBackend, 1).unwrap().to_text();
     assert_eq!(report.to_text(), clean, "faults must not change a byte");
     assert_eq!(run.shards, 4);
     assert!(run.retries >= 4, "every shard retried once: {run:?}");

@@ -41,7 +41,7 @@ fn smoke_manifest_merges_byte_identical_across_shard_counts() {
     let plan = smoke_plan();
     assert_eq!(plan.cells.len(), 8);
 
-    let backend = InProcessBackend::default();
+    let backend = InProcessBackend;
     let two = run_campaign(&plan, &backend, 2).expect("2 shards merge");
     let five = run_campaign(&plan, &backend, 5).expect("5 shards merge");
     assert_eq!(
@@ -77,7 +77,7 @@ fn smoke_manifest_merges_byte_identical_across_shard_counts() {
 #[test]
 fn hand_carried_fleet_artifacts_reproduce_run_campaign() {
     let plan = smoke_plan();
-    let backend = InProcessBackend::default();
+    let backend = InProcessBackend;
     let artifacts: Vec<_> = partition(plan.cells.len(), 3)
         .iter()
         .map(|spec| backend.run_shard(&plan, spec))
@@ -89,22 +89,20 @@ fn hand_carried_fleet_artifacts_reproduce_run_campaign() {
 
 /// The fleet-campaign equivalence axis through the shared
 /// `assert_campaign_equivalent` harness (no bespoke comparison loop):
-/// merged cells match straight fleet-run fingerprints at several shard
-/// counts, with and without FleetWorld reuse, across thread counts.
+/// merged cells match straight fleet runs byte for byte at several shard
+/// counts, across thread counts.
 #[test]
 fn fleet_campaign_axis_holds_from_downstream() {
     let plan = smoke_plan();
     let prior = std::env::var("RAYON_NUM_THREADS").ok();
     for threads in ["1", "4"] {
         std::env::set_var("RAYON_NUM_THREADS", threads);
-        for world_reuse in [true, false] {
-            equivalence::assert_campaign_equivalent(
-                &format!("downstream fleet campaign (threads={threads}, reuse={world_reuse})"),
-                &plan,
-                &InProcessBackend { world_reuse },
-                &[1, 2, 8],
-            );
-        }
+        equivalence::assert_campaign_equivalent(
+            &format!("downstream fleet campaign (threads={threads})"),
+            &plan,
+            &InProcessBackend,
+            &[1, 2, 8],
+        );
     }
     match prior {
         Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
@@ -150,9 +148,7 @@ fn process_backend_holds_the_fleet_campaign_equivalence_axis() {
 
     // Byte-identity against the in-process backend at yet another count.
     let process_text = run_campaign(&plan, &backend, 3).unwrap().to_text();
-    let in_process_text = run_campaign(&plan, &InProcessBackend::default(), 3)
-        .unwrap()
-        .to_text();
+    let in_process_text = run_campaign(&plan, &InProcessBackend, 3).unwrap().to_text();
     assert_eq!(process_text, in_process_text);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -174,9 +170,7 @@ fn injected_faults_are_retried_to_a_byte_identical_fleet_report() {
         ProcessBackend::new_fleet(SMOKE_MANIFEST, worker_command(), &dir, config).unwrap();
     let (report, run) = backend.run_supervised(4).unwrap();
 
-    let clean = run_campaign(&plan, &InProcessBackend::default(), 1)
-        .unwrap()
-        .to_text();
+    let clean = run_campaign(&plan, &InProcessBackend, 1).unwrap().to_text();
     assert_eq!(report.to_text(), clean, "faults must not change a byte");
     assert_eq!(run.shards, 4);
     assert!(run.retries >= 4, "every shard retried once: {run:?}");
