@@ -25,9 +25,9 @@
 //! A `"campaign"` section reports the `campaign_small` lane: the
 //! policy-only campaign manifest (see `greener_bench::scenarios`) run
 //! through `greener_core::campaign`'s shard-and-merge executor, with its
-//! distinct world and environment counts, cells/sec through the
-//! executor's world cache vs per-cell straight runs on fresh worlds
-//! (`Plan::reference_record`) and a merged-report byte-identity check
+//! distinct world, environment and replay counts, cells/sec through the
+//! executor's world and replay caches vs per-cell straight runs on fresh
+//! worlds (`Plan::reference_record`) and a merged-report byte-identity check
 //! across shard counts 1 and 2 (the CI campaign smoke greps for it).
 //!
 //! A `"fleet"` section reports the `fleet_small` lane: the three-site
@@ -206,6 +206,7 @@ struct CampaignMeasurement {
     cells: usize,
     distinct_worlds: usize,
     distinct_environments: usize,
+    distinct_replays: usize,
     reuse_secs_per_cell: f64,
     rebuild_secs_per_cell: f64,
     /// Merged report text byte-identical at shard counts 1 and 2.
@@ -215,19 +216,21 @@ struct CampaignMeasurement {
 /// Time the `campaign_small` manifest through the campaign executor.
 ///
 /// Both timed passes run **one shard, sequentially**, so the ratio
-/// isolates world reuse: the reuse pass goes through `run_campaign`,
-/// which builds `distinct_worlds` (= 1 here — every axis is replay-side)
-/// and replays the rest over the cache; the rebuild pass calls
-/// `Plan::reference_record` for every cell, a fresh world each. The
-/// rebuild pass skips artifact compose and merge, which cost
-/// microseconds next to a world build.
+/// isolates reuse: the reuse pass goes through `run_campaign`, which
+/// builds `distinct_worlds` (= 1 here — every axis is replay-side), runs
+/// `distinct_replays` (= 4, one per policy: the SLO is read only after
+/// replay) over that world and finishes every cell from its policy's
+/// replay; the rebuild pass calls `Plan::reference_record` for every
+/// cell, a fresh world and a full replay each. The rebuild pass skips
+/// artifact compose and merge, which cost microseconds next to a world
+/// build. The ratio keeps its `world_reuse_speedup` key (CI greps it),
+/// but since the cached pass also reuses replays it measures both.
 ///
 /// Caveat, as for every lane in this binary: the container's timer noise
 /// is ±30% on short runs, so the recorded speedup is indicative, not a
 /// gate. The structural expectation is `(worldgen + replay) / replay` of
-/// the underlying scenario. Since world-gen resolves the calendar once per
-/// day, world-gen is a smaller share of a cell, and the committed
-/// snapshots read 1.5–1.8×.
+/// the underlying scenario times the cells per replay (3 here). Before
+/// replays were shared the committed snapshots read 1.5–1.8×.
 fn time_campaign(min_runs: usize, budget_secs: f64) -> CampaignMeasurement {
     let plan = campaign_small(greener_bench::seeds::WORLD)
         .expand()
@@ -248,12 +251,13 @@ fn time_campaign(min_runs: usize, budget_secs: f64) -> CampaignMeasurement {
         }
     });
     eprintln!(
-        "[perfjson] campaign_small: {} cells over {} world(s) and {} environment(s), {:.3} \
-         s/campaign with reuse ({reuse_runs} passes) vs {:.3} s/campaign rebuilding ({:.2}x), \
+        "[perfjson] campaign_small: {} cells over {} world(s), {} environment(s) and {} \
+         replay(s), {:.3} s/campaign with reuse ({reuse_runs} passes) vs {:.3} s/campaign rebuilding ({:.2}x), \
          merged identical at shards 1 vs 2: {merged_identical}",
         plan.len(),
         plan.distinct_worlds(),
         plan.distinct_environments(),
+        plan.distinct_replays(),
         reuse_secs,
         rebuild_secs,
         rebuild_secs / reuse_secs,
@@ -262,6 +266,7 @@ fn time_campaign(min_runs: usize, budget_secs: f64) -> CampaignMeasurement {
         cells: plan.len(),
         distinct_worlds: plan.distinct_worlds(),
         distinct_environments: plan.distinct_environments(),
+        distinct_replays: plan.distinct_replays(),
         reuse_secs_per_cell: reuse_secs / plan.len() as f64,
         rebuild_secs_per_cell: rebuild_secs / plan.len() as f64,
         merged_identical_shards_1_2: merged_identical,
@@ -620,11 +625,12 @@ fn main() {
     json.push_str("  ],\n");
     json.push_str(&format!(
         "  \"campaign\": {{\"name\": \"campaign_small\", \"cells\": {}, \"distinct_worlds\": {}, \
-         \"distinct_environments\": {}, \"cells_per_sec_world_reuse\": {:.6}, \"cells_per_sec_rebuild\": {:.6}, \
+         \"distinct_environments\": {}, \"distinct_replays\": {}, \"cells_per_sec_world_reuse\": {:.6}, \"cells_per_sec_rebuild\": {:.6}, \
          \"world_reuse_speedup\": {:.3}, \"merged_identical_shards_1_2\": {}}},\n",
         campaign.cells,
         campaign.distinct_worlds,
         campaign.distinct_environments,
+        campaign.distinct_replays,
         1.0 / campaign.reuse_secs_per_cell,
         1.0 / campaign.rebuild_secs_per_cell,
         campaign.rebuild_secs_per_cell / campaign.reuse_secs_per_cell,

@@ -640,9 +640,10 @@ pub mod scenarios {
 
     /// The `campaign_small` manifest: a **policy-only** campaign (policy ×
     /// SLO threshold, one seed) over the small two-year world. Every axis
-    /// is replay-side, so all 12 cells share one world — the shape where
-    /// world-reuse caching pays most, and the lane `perfjson` reports
-    /// runs/sec on through the world cache and on fresh worlds.
+    /// is replay-side, so all 12 cells share one world, and the SLO is
+    /// read only after replay, so they share 4 replays — the shape where
+    /// the campaign caches pay most, and the lane `perfjson` reports
+    /// runs/sec on through those caches and on fresh worlds.
     pub fn campaign_small(seed: u64) -> greener_core::campaign::CampaignManifest {
         use greener_core::campaign::{AxisValue, CampaignManifest, Knob};
         use greener_sched::PolicyKind;

@@ -1,4 +1,5 @@
-//! Shard-and-merge campaign execution over a pass-wide world cache.
+//! Shard-and-merge campaign execution over pass-wide world and replay
+//! caches.
 //!
 //! A plan is partitioned into K contiguous shards; each shard runs
 //! independently through a [`ShardBackend`] and returns a **serialized**
@@ -33,23 +34,36 @@
 //! has one entry point, [`ShardBackend::run_shards`], which runs the
 //! shards of one pass.
 //!
-//! # The world cache
+//! # The world and replay caches
 //!
 //! [`InProcessBackend`] asks the plan to run all shards' cell ranges, one
-//! thread per range, over one cache shared by the threads of that call (a
-//! worker process runs one shard, so its cache covers just that shard's
-//! range). World identity comes from the inputs, not from a hand-kept
-//! field list: the world builders read only
-//! [`EnvSpec`](crate::driver::EnvSpec) and
-//! [`TraceSpec`](crate::driver::TraceSpec), and
-//! [`Scenario::world_inputs_key`](crate::scenario::Scenario::world_inputs_key)
-//! is their text. Before running, [`CampaignPlan`] keys every cell of the
-//! ranges by its world and its environment, then walks the cells through
-//! one last-use cache per kind (`LastUseCache`):
+//! thread per range, over caches shared by the threads of that call (a
+//! worker process runs one shard, so its caches cover just that shard's
+//! range). Identity comes from the inputs, not from a hand-kept field
+//! list:
 //!
-//! * a world is built by the first cell to need it, in whichever shard,
-//!   replayed by every matching cell via the aggregates-only observation
-//!   fast path, and dropped after its last cell finishes;
+//! * the world builders read only [`EnvSpec`](crate::driver::EnvSpec) and
+//!   [`TraceSpec`](crate::driver::TraceSpec), and
+//!   [`Scenario::world_inputs_key`] is their text;
+//! * a replay reads the whole scenario except its report-time fields (the
+//!   name and the SLO threshold, read only when the replay is finished),
+//!   and [`Scenario::replay_inputs_key`] is the text of
+//!   [`Scenario::replay_inputs`], the scenario with those two reset. A
+//!   field added later is a replay input until it is reset there.
+//!
+//! Before running, [`CampaignPlan`] keys every cell of the ranges by its
+//! replay, every replay by its world and every world by its environment,
+//! and walks the cells through one last-use cache per kind
+//! (`LastUseCache`), chained in that order:
+//!
+//! * a replay is run by the first cell to need it, in whichever shard,
+//!   over the aggregates-only observation fast path
+//!   ([`SimDriver::replay_aggregates`]), finished under each matching
+//!   cell's SLO, and dropped after its last cell, so cells that differ only
+//!   in report-time fields replay once;
+//! * a world is built by the first replay to need it, replayed by every
+//!   matching replay, and dropped after the last one is built; a cell whose
+//!   replay is cached never touches a world;
 //! * an environment is built once per in-process pass, or once per
 //!   worker's shard, and shared by every world that needs it: a world
 //!   whose environment an earlier world built generates only its trace,
@@ -57,13 +71,20 @@
 //!   copy.
 //!
 //! On a policy-only campaign this turns O(cells) world builds into
-//! O(distinct seeds) per pass; on a trace-knob sweep (arrival rate,
-//! deadline policy, nodes) it turns O(cells) environment builds into
-//! O(distinct seeds), and a pass never holds a world no later cell
-//! needs. The fleet plan caches whole fleet worlds, keyed per site, the
-//! same way; its sites differ in environment config, so it shares no
-//! environments. Building a fresh world for every cell survives only as
-//! the reference, [`Plan::reference_record`].
+//! O(distinct seeds) per pass; an SLO axis adds no replays; on a
+//! trace-knob sweep (arrival rate, deadline policy, nodes) it turns
+//! O(cells) environment builds into O(distinct seeds), and a pass never
+//! holds a world or a replay no later cell needs. The fleet plan caches
+//! whole fleet worlds, keyed per site, the same way; its sites differ in
+//! environment config, so it shares no environments, and every axis it
+//! sweeps reaches decisions, so it caches no replays. Building a fresh
+//! world and replaying the full scenario for every cell survives only as
+//! the reference, [`Plan::reference_record`]: a reset field that reached
+//! a decision would make the cached record differ from it.
+//!
+//! [`Scenario::world_inputs_key`]: crate::scenario::Scenario::world_inputs_key
+//! [`Scenario::replay_inputs_key`]: crate::scenario::Scenario::replay_inputs_key
+//! [`Scenario::replay_inputs`]: crate::scenario::Scenario::replay_inputs
 //!
 //! A shard that panics ends as a [`ShardError::Panic`] that names it. A
 //! shard waiting for a build that panicked in another shard fails the
@@ -83,8 +104,12 @@ use greener_simkit::rng::fnv1a;
 use greener_simkit::sweep;
 use greener_simkit::units::Energy;
 
-use crate::driver::{JobStats, SimDriver, World};
-use crate::probe::{Observe, RunAggregates};
+use greener_climate::WeatherPath;
+use greener_grid::mix::GridPath;
+
+use crate::driver::{AggregatesReplay, JobStats, SimDriver, World};
+use crate::probe::RunAggregates;
+use crate::scenario::Scenario;
 
 use super::plan::{env_key, CampaignPlan};
 
@@ -342,7 +367,8 @@ pub trait Plan: Sync {
     /// share one cache, in which the first cell to need a world builds
     /// it, any other cell that needs it meanwhile waits for that build,
     /// and the world is dropped once its last cell in any range has
-    /// finished.
+    /// finished. [`CampaignPlan`] caches replays the same way, one per
+    /// distinct set of replay inputs.
     fn run_ranges(&self, ranges: &[Range<usize>]) -> Vec<thread::Result<Vec<Self::Record>>>;
 
     /// The straight run of cell `index`: a fresh world, no cache, no
@@ -703,8 +729,8 @@ pub trait ShardBackend<P: Plan>: Sync {
 }
 
 /// In-process shard runner: the shards of one pass run on threads of this
-/// process over one world cache ([`Plan::run_ranges`]), each cell
-/// replaying through the aggregates-only observation fast path, and a
+/// process over one set of pass caches ([`Plan::run_ranges`]), each
+/// replay going through the aggregates-only observation fast path, and a
 /// panicking shard becomes that shard's [`ShardError::Panic`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InProcessBackend;
@@ -791,10 +817,12 @@ impl CellRecord for CellResult {
 ///
 /// A build that panics poisons its slot's lock, and every later use of
 /// that key panics too rather than waiting for a value that never comes.
-/// Both plan kinds keep their worlds in one; [`CampaignPlan`] keeps
-/// environments in a second, one use per world slot. Its environments
-/// are only taken while a world is being built, so locks nest world, then
-/// environment, and never the other way round.
+/// Both plan kinds keep their worlds in one. [`CampaignPlan`] chains
+/// three: replays, one use per cell; worlds, one use per replay slot; and
+/// environments, one use per world slot. A world is only used while a
+/// replay is being built, and an environment only taken while a world is
+/// being built, so locks nest replay, then world, then environment, and
+/// never the other way round.
 pub(crate) struct LastUseCache<V> {
     /// Each use's slot, in use order.
     uses: Vec<usize>,
@@ -925,18 +953,86 @@ impl<V> LastUseCache<V> {
     }
 }
 
+/// The caches of one [`CampaignPlan`] pass, chained: replays are keyed per
+/// cell, worlds per replay slot (only a replay build touches a world) and
+/// environments per world slot (only a world build takes one). Locks nest
+/// in that order, and a cell whose replay is cached never pins a world.
+struct PassCaches {
+    replays: LastUseCache<AggregatesReplay>,
+    worlds: LastUseCache<World>,
+    envs: LastUseCache<(WeatherPath, GridPath)>,
+}
+
 impl CampaignPlan {
-    /// Run cell `i` over its world.
-    fn run_cell(&self, i: usize, world: &World) -> CellResult {
+    /// Cell `i`'s record from a replay of its scenario, or of its
+    /// [`Scenario::replay_inputs`](crate::scenario::Scenario::replay_inputs),
+    /// finished under the cell's own SLO.
+    fn record(&self, i: usize, replay: &AggregatesReplay) -> CellResult {
         let cell = &self.cells[i];
-        let out = SimDriver::run_observed(&cell.scenario, world, Observe::aggregates());
         CellResult {
             index: cell.index,
             id: cell.id.clone(),
-            aggregates: out.aggregates,
-            jobs: out.jobs,
-            battery_cycles: out.battery_cycles,
+            aggregates: replay.aggregates,
+            jobs: replay.finish(cell.scenario.slo_wait_hours),
+            battery_cycles: replay.battery_cycles,
         }
+    }
+
+    /// The caches for one pass over `ranges`.
+    fn pass_caches(&self, ranges: &[Range<usize>]) -> PassCaches {
+        let cells = &self.cells[span(ranges)];
+        let replays = LastUseCache::new(cells.iter().map(|c| c.scenario.replay_inputs_key()));
+        // The first cell of each replay slot, in slot order. The replay
+        // key holds every world input, so it stands for its whole slot.
+        let firsts: Vec<&Scenario> = (0..cells.len())
+            .filter(|&u| replays.is_first_use(u))
+            .map(|u| &cells[u].scenario)
+            .collect();
+        let worlds = LastUseCache::new(firsts.iter().map(|s| s.world_inputs_key()));
+        let envs = LastUseCache::new(
+            (0..firsts.len())
+                .filter(|&r| worlds.is_first_use(r))
+                .map(|r| env_key(firsts[r])),
+        );
+        PassCaches {
+            replays,
+            worlds,
+            envs,
+        }
+    }
+
+    /// [`Plan::run_ranges`] over `caches`.
+    fn run_reusing(
+        &self,
+        ranges: &[Range<usize>],
+        caches: &PassCaches,
+    ) -> Vec<thread::Result<Vec<CellResult>>> {
+        let base = span(ranges).start;
+        let PassCaches {
+            replays,
+            worlds,
+            envs,
+        } = caches;
+        per_range(ranges, |range| {
+            range
+                .map(|i| {
+                    let (u, s) = (i - base, &self.cells[i].scenario);
+                    let r = replays.slot(u);
+                    let build_world = || {
+                        World::with_environment(&s.trace_spec(), || {
+                            envs.take(worlds.slot(r), || World::environment(s))
+                        })
+                    };
+                    let build_replay = || {
+                        let inputs = s.replay_inputs();
+                        worlds.with(r, build_world, |world| {
+                            SimDriver::replay_aggregates(&inputs, world)
+                        })
+                    };
+                    replays.with(u, build_replay, |replay| self.record(i, replay))
+                })
+                .collect()
+        })
     }
 }
 
@@ -962,35 +1058,13 @@ impl Plan for CampaignPlan {
     }
 
     fn run_ranges(&self, ranges: &[Range<usize>]) -> Vec<thread::Result<Vec<CellResult>>> {
-        let span = span(ranges);
-        let cells = &self.cells[span.clone()];
-        let worlds = LastUseCache::new(cells.iter().map(|c| c.scenario.world_inputs_key()));
-        // One environment use per world slot: a world whose environment
-        // another world built builds only its trace.
-        let envs = LastUseCache::new(
-            cells
-                .iter()
-                .enumerate()
-                .filter(|&(u, _)| worlds.is_first_use(u))
-                .map(|(_, c)| env_key(&c.scenario)),
-        );
-        per_range(ranges, |range| {
-            range
-                .map(|i| {
-                    let (u, s) = (i - span.start, &self.cells[i].scenario);
-                    let build = || {
-                        World::with_environment(&s.trace_spec(), || {
-                            envs.take(worlds.slot(u), || World::environment(s))
-                        })
-                    };
-                    worlds.with(u, build, |world| self.run_cell(i, world))
-                })
-                .collect()
-        })
+        self.run_reusing(ranges, &self.pass_caches(ranges))
     }
 
     fn reference_record(&self, index: usize) -> CellResult {
-        self.run_cell(index, &World::build(&self.cells[index].scenario))
+        let scenario = &self.cells[index].scenario;
+        let world = World::build(scenario);
+        self.record(index, &SimDriver::replay_aggregates(scenario, &world))
     }
 }
 
@@ -1492,6 +1566,39 @@ mod tests {
         plan.cells[0].scenario.cluster.nodes = 0;
         let e = run_campaign(&plan, &InProcessBackend, 2).unwrap_err();
         assert!(e.msg.starts_with("shard 0: panicked"), "{e}");
+    }
+
+    #[test]
+    fn campaign_pass_shares_replays_across_in_process_shards() {
+        // Policy outer, SLO inner: the middle policy's cells straddle the
+        // two shards, and every cell of a policy shares one replay.
+        let plan = CampaignManifest::parse(
+            "name = replays\n\
+             base = quick:3@13\n\
+             axis policy = fcfs, easy, carbon:0.06\n\
+             axis slo_wait_hours = 1, 12, 24\n",
+        )
+        .unwrap()
+        .expand()
+        .unwrap();
+        assert_eq!(plan.len(), 9);
+        let specs = partition(plan.len(), 2);
+        let ranges: Vec<Range<usize>> = specs.iter().map(|s| s.start..s.end).collect();
+        let caches = plan.pass_caches(&ranges);
+        let outcomes = plan.run_reusing(&ranges, &caches);
+        let builds = [
+            caches.replays.builds(),
+            caches.worlds.builds(),
+            caches.envs.builds(),
+        ];
+        assert_eq!(builds, [3, 1, 1], "replays, worlds, environments");
+        let records: Vec<CellResult> = outcomes.into_iter().flat_map(Result::unwrap).collect();
+        for (i, record) in records.iter().enumerate() {
+            assert_eq!(record.to_line(), plan.reference_record(i).to_line());
+        }
+        // The SLO axis moves what it should, so the check above has teeth.
+        let violations: Vec<usize> = records[..3].iter().map(|r| r.jobs.slo_violations).collect();
+        assert!(violations[0] > violations[2], "{violations:?}");
     }
 
     #[test]

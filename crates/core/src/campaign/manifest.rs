@@ -80,10 +80,12 @@ impl AxisValue {
 
 /// The closed set of scenario knobs an axis can sweep. Each knob knows how
 /// to parse its values from manifest text and how to apply one to a
-/// scenario; whether a knob is world-affecting is *not* encoded here — the
-/// world-reuse cache derives that from
-/// [`Scenario::world_inputs_key`] after application, so a knob can never
-/// claim to be replay-only incorrectly.
+/// scenario; whether a knob is world-affecting or report-only is *not*
+/// encoded here. The world cache derives the first from
+/// [`Scenario::world_inputs_key`] after application, and the replay cache
+/// derives the second from [`Scenario::replay_inputs_key`] after
+/// application, so a knob can never claim to be replay-only, or
+/// report-only, incorrectly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Knob {
     /// Scheduling policy (`policy`): `fcfs | sjf | easy | easy_depth:<k> |

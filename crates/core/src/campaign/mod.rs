@@ -21,12 +21,17 @@
 //! * **[`ShardBackend`] / [`run_campaign`]** ([`exec`]) — contiguous shard
 //!   partition, one pass of shards behind a serialization boundary
 //!   ([`ShardBackend::run_shards`], the one method a backend implements),
-//!   a world cache shared by the shards of one in-process pass (or kept by
-//!   each worker's shard), and the index-ordered merge. World identity
-//!   comes from the two specs the world builders read
-//!   ([`Scenario::world_inputs_key`] is their text); a pass builds each
-//!   world once, shares one environment among the worlds that need it
-//!   and drops each world after its last cell. Artifacts are **versioned and checksummed**
+//!   replay, world and environment caches shared by the shards of one
+//!   in-process pass (or kept by each worker's shard), and the
+//!   index-ordered merge. World identity comes from the two specs the
+//!   world builders read ([`Scenario::world_inputs_key`] is their text),
+//!   and replay identity from the scenario minus its report-time name and
+//!   SLO ([`Scenario::replay_inputs_key`]). A pass replays each distinct
+//!   set of replay inputs once and finishes it under every matching
+//!   cell's SLO, builds each world once for the replays that need it,
+//!   shares one environment among the worlds that need it, and drops each
+//!   value after its last use. Locks nest replay, then world, then
+//!   environment. Artifacts are **versioned and checksummed**
 //!   ([`ShardArtifact`]): a v1 header carries the producing plan's
 //!   fingerprint ([`exec::plan_fingerprint`]) and shard range, an FNV-1a
 //!   trailer seals the content, and [`merge_artifacts`] validates every
@@ -72,7 +77,7 @@
 //! # Plan kinds: campaign and fleet sweeps
 //!
 //! The execution stack is generic over the **[`Plan`] seam** (a range
-//! runner over a pass-wide world cache, the per-cell reference run
+//! runner over pass-wide caches, the per-cell reference run
 //! [`Plan::reference_record`], and the [`CellRecord`] artifact line; see
 //! [`exec`]): everything from [`partition`] through
 //! [`ShardArtifact`] validation, [`merge_artifacts`], [`run_campaign`]
@@ -165,6 +170,7 @@
 //! ```
 //!
 //! [`Scenario::world_inputs_key`]: crate::scenario::Scenario::world_inputs_key
+//! [`Scenario::replay_inputs_key`]: crate::scenario::Scenario::replay_inputs_key
 
 pub mod exec;
 pub mod manifest;

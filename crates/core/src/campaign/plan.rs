@@ -143,6 +143,13 @@ impl CampaignPlan {
         self.count_distinct(env_key)
     }
 
+    /// Number of *distinct replays* the plan needs: cells grouped by
+    /// [`Scenario::replay_inputs_key`]. Cells that differ only in their
+    /// name and SLO threshold share one replay, which a pass runs once.
+    pub fn distinct_replays(&self) -> usize {
+        self.count_distinct(Scenario::replay_inputs_key)
+    }
+
     fn count_distinct(&self, key: impl Fn(&Scenario) -> String) -> usize {
         self.cells
             .iter()
@@ -199,8 +206,10 @@ mod tests {
             assert_eq!(c.scenario.seed, c.seed);
             assert!(!c.id.contains(char::is_whitespace));
         }
-        // Policy/SLO are replay knobs: one world per seed.
+        // Policy/SLO are replay knobs: one world per seed, and the SLO is
+        // read only after replay: one replay per policy and seed.
         assert_eq!(plan.distinct_worlds(), 2);
+        assert_eq!(plan.distinct_replays(), 4);
     }
 
     #[test]

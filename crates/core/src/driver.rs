@@ -125,7 +125,7 @@ use greener_workload::{
 
 use crate::probe::{
     AggregatesProbe, JobPoint, JobsProbe, LedgerProbe, Observe, PurchasePoint, QueueDepthProbe,
-    RunOutput, RunProbes,
+    RunAggregates, RunOutput, RunProbes,
 };
 use crate::profile::{ProfileCounter, ReplayProfile};
 use crate::scenario::{ForecastMode, Scenario};
@@ -190,6 +190,36 @@ pub struct JobStats {
     pub slo_violation_fraction: f64,
     /// Nominal GPU-hours of completed work (the activity `A` of Eq. 1).
     pub gpu_hours_completed: f64,
+}
+
+/// An aggregates-only replay before its report-time step: what
+/// [`SimDriver::replay_aggregates`] returns. Nothing here depends on the
+/// scenario's SLO threshold, so one replay serves every scenario that
+/// differs from it only in report-time fields; [`AggregatesReplay::finish`]
+/// applies the threshold.
+#[derive(Debug, Clone)]
+pub struct AggregatesReplay {
+    /// Aggregate run totals.
+    pub aggregates: RunAggregates,
+    /// Battery wear if a storage strategy ran.
+    pub battery_cycles: f64,
+    /// The job-statistics probe: one wait and one slowdown sample per
+    /// completed job, no records.
+    jobs: JobsProbe,
+    /// Jobs submitted within the horizon.
+    submitted: usize,
+    /// Jobs still queued or running at the end.
+    unfinished: usize,
+}
+
+impl AggregatesReplay {
+    /// The run's [`JobStats`] under the SLO wait threshold
+    /// `slo_wait_hours` ([`JobsProbe::stats`], which refuses a threshold
+    /// that is not a finite non-negative number).
+    pub fn finish(&self, slo_wait_hours: f64) -> JobStats {
+        self.jobs
+            .stats(self.submitted, self.unfinished, slo_wait_hours)
+    }
 }
 
 /// Everything a run produces.
@@ -804,6 +834,18 @@ impl SimDriver {
         Self::observed_on_core(scenario, world, observe, false)
     }
 
+    /// Replay a pre-built world on the default engine, observing only
+    /// aggregates, and stop before the report-time step: the returned
+    /// [`AggregatesReplay`] applies an SLO threshold in
+    /// [`AggregatesReplay::finish`]. `run_observed(.., Observe::aggregates())`
+    /// is this replay plus that step, so the two agree bit for bit. A
+    /// campaign replays [`Scenario::replay_inputs`] once and finishes it
+    /// under every cell's threshold.
+    pub fn replay_aggregates(scenario: &Scenario, world: &World) -> AggregatesReplay {
+        Self::check_world(scenario, world);
+        Self::aggregates_only::<RunsQueue<Event>>(scenario, world, false).0
+    }
+
     /// Check that `scenario` can be replayed and that `world` was
     /// generated for it. A few integer comparisons once per run, so release
     /// builds check too: a zero horizon would index an empty forecast, a
@@ -857,28 +899,19 @@ impl SimDriver {
         reference: bool,
     ) -> (RunOutput, ReplayProfile) {
         if observe == Observe::aggregates() {
-            // The fast path gets its own monomorphization: no `Option`
-            // probes, nothing retained per frame or per job.
-            let probes = (AggregatesProbe::new(), JobsProbe::stats_only());
-            let outcome = Self::replay::<Q, _>(scenario, world, probes, reference);
-            let (agg, jobs_probe) = outcome.probes;
-            let (jobs, _) = jobs_probe.finish(
-                outcome.submitted,
-                outcome.unfinished,
-                scenario.slo_wait_hours,
-            );
+            let (replay, counts) = Self::aggregates_only::<Q>(scenario, world, reference);
             return (
                 RunOutput {
                     scenario_name: scenario.name.clone(),
-                    aggregates: agg.into_aggregates(),
-                    jobs,
-                    battery_cycles: outcome.battery_cycles,
+                    aggregates: replay.aggregates,
+                    jobs: replay.finish(scenario.slo_wait_hours),
+                    battery_cycles: replay.battery_cycles,
                     telemetry: None,
                     ledger: None,
                     job_records: None,
                     queue_depth: None,
                 },
-                outcome.counts,
+                counts,
             );
         }
         let calendar = Calendar::new(scenario.start);
@@ -919,6 +952,27 @@ impl SimDriver {
             },
             outcome.counts,
         )
+    }
+
+    /// The aggregates-only replay, with its loop counters. The fast path
+    /// gets its own monomorphization: no `Option` probes, nothing retained
+    /// per frame, one wait and one slowdown sample per job.
+    fn aggregates_only<Q: EventScheduler<Event>>(
+        scenario: &Scenario,
+        world: &World,
+        reference: bool,
+    ) -> (AggregatesReplay, ReplayProfile) {
+        let probes = (AggregatesProbe::new(), JobsProbe::stats_only());
+        let outcome = Self::replay::<Q, _>(scenario, world, probes, reference);
+        let (aggregates, jobs) = outcome.probes;
+        let replay = AggregatesReplay {
+            aggregates: aggregates.into_aggregates(),
+            jobs,
+            submitted: outcome.submitted,
+            unfinished: outcome.unfinished,
+            battery_cycles: outcome.battery_cycles,
+        };
+        (replay, outcome.counts)
     }
 
     /// The event loop, generic over the scheduler core and the probe set.

@@ -168,29 +168,33 @@ impl JobsProbe {
         }
     }
 
-    /// Finalize into [`JobStats`] (plus the retained records, if any).
+    /// The [`JobStats`] of what this probe observed, leaving the probe as
+    /// it is, so one replay's probe can be summarized under several SLO
+    /// thresholds.
     ///
     /// `submitted` and `unfinished` come from the driver (they describe
     /// jobs that never finished, which this probe never observed), and
     /// `slo_wait_hours` is the scenario's violation threshold.
-    pub fn finish(
-        self,
-        submitted: usize,
-        unfinished: usize,
-        slo_wait_hours: f64,
-    ) -> (JobStats, Option<Vec<JobRecord>>) {
+    ///
+    /// # Panics
+    /// If `slo_wait_hours` is NaN, infinite or negative: every wait would
+    /// silently count as met (NaN, +∞) or as violated (below zero). Once
+    /// per run, so release builds check too.
+    pub fn stats(&self, submitted: usize, unfinished: usize, slo_wait_hours: f64) -> JobStats {
+        assert!(
+            slo_wait_hours.is_finite() && slo_wait_hours >= 0.0,
+            "scenario SLO wait threshold {slo_wait_hours} hours is not a finite \
+             non-negative number"
+        );
         if self.waits.is_empty() {
-            return (
-                JobStats {
-                    submitted,
-                    unfinished,
-                    ..JobStats::default()
-                },
-                self.records,
-            );
+            return JobStats {
+                submitted,
+                unfinished,
+                ..JobStats::default()
+            };
         }
         let violations = self.waits.iter().filter(|&&w| w > slo_wait_hours).count();
-        let stats = JobStats {
+        JobStats {
             submitted,
             completed: self.waits.len(),
             unfinished,
@@ -200,8 +204,21 @@ impl JobsProbe {
             slo_violations: violations,
             slo_violation_fraction: violations as f64 / self.waits.len() as f64,
             gpu_hours_completed: self.gpu_hours,
-        };
-        (stats, self.records)
+        }
+    }
+
+    /// Finalize into [`JobStats`] (see [`JobsProbe::stats`]) plus the
+    /// retained records, if any.
+    pub fn finish(
+        self,
+        submitted: usize,
+        unfinished: usize,
+        slo_wait_hours: f64,
+    ) -> (JobStats, Option<Vec<JobRecord>>) {
+        (
+            self.stats(submitted, unfinished, slo_wait_hours),
+            self.records,
+        )
     }
 }
 
@@ -603,5 +620,17 @@ mod tests {
         assert_eq!(stats.submitted, 5);
         assert_eq!(stats.completed, 0);
         assert_eq!(stats.unfinished, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "SLO wait threshold NaN hours")]
+    fn jobs_probe_refuses_a_nan_slo() {
+        JobsProbe::stats_only().stats(5, 5, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "SLO wait threshold -1 hours")]
+    fn jobs_probe_refuses_a_negative_slo() {
+        JobsProbe::stats_only().stats(5, 5, -1.0);
     }
 }

@@ -185,6 +185,29 @@ impl Scenario {
         greener_simkit::rng::fnv1a(self.world_inputs_key().as_bytes())
     }
 
+    /// The scenario a replay needs: a clone with the report-time fields
+    /// reset to fixed values. Those are `name` (a campaign cell's name is
+    /// its id) and `slo_wait_hours` (read only after replay, by
+    /// [`AggregatesReplay::finish`](crate::driver::AggregatesReplay::finish)).
+    /// Every other field is kept, so a field added later counts as a
+    /// replay input until it is reset here.
+    pub fn replay_inputs(&self) -> Scenario {
+        Scenario {
+            name: String::new(),
+            slo_wait_hours: 0.0,
+            ..self.clone()
+        }
+    }
+
+    /// Stable key over everything that feeds a replay: the `Debug` text of
+    /// [`Scenario::replay_inputs`], as [`Scenario::world_inputs_key`] is
+    /// the text of the world specs. Two scenarios with equal keys replay
+    /// the same decisions over the same world, so a campaign pass replays
+    /// each key once and finishes it under every matching cell's SLO.
+    pub fn replay_inputs_key(&self) -> String {
+        format!("{:?}", self.replay_inputs())
+    }
+
     /// Builder-style: replace the scheduling policy.
     #[must_use]
     pub fn with_policy(mut self, policy: PolicyKind) -> Scenario {
@@ -377,6 +400,52 @@ mod tests {
             );
         }
         assert_eq!(base.world_inputs_key(), replay_side.world_inputs_key());
+    }
+
+    #[test]
+    fn replay_key_ignores_only_report_time_fields() {
+        use crate::campaign::{AxisValue, Knob};
+        use greener_forecast::ForecasterKind;
+        let base = Scenario::quick(5, 9);
+        // Two distinct values per knob. The match is exhaustive, so a new
+        // knob needs a pair here before this test builds.
+        let pair = |knob: Knob| -> [AxisValue; 2] {
+            match knob {
+                Knob::Policy => [
+                    AxisValue::Policy(PolicyKind::Fcfs),
+                    AxisValue::Policy(PolicyKind::EasyBackfill),
+                ],
+                Knob::HorizonDays => [AxisValue::Count(3), AxisValue::Count(4)],
+                Knob::Nodes => [AxisValue::Count(8), AxisValue::Count(12)],
+                Knob::ArrivalRate | Knob::SurgeMult | Knob::QsMult | Knob::SloWaitHours => {
+                    [AxisValue::Real(0.5), AxisValue::Real(2.0)]
+                }
+                Knob::Forecast => [
+                    AxisValue::Forecast(ForecastMode::Naive),
+                    AxisValue::Forecast(ForecastMode::Model(ForecasterKind::SeasonalNaive)),
+                ],
+                Knob::Deadline => [
+                    AxisValue::Deadline(DeadlinePolicy::UniformSpread),
+                    AxisValue::Deadline(DeadlinePolicy::Rolling),
+                ],
+            }
+        };
+        for knob in Knob::ALL {
+            let [a, b] = pair(knob).map(|value| {
+                let mut s = base.clone();
+                knob.apply(&mut s, &base, &value);
+                s
+            });
+            let report_only = knob == Knob::SloWaitHours;
+            assert_eq!(
+                a.replay_inputs_key() == b.replay_inputs_key(),
+                report_only,
+                "knob `{}`",
+                knob.name()
+            );
+        }
+        let renamed = base.clone().named("another-cell");
+        assert_eq!(base.replay_inputs_key(), renamed.replay_inputs_key());
     }
 
     #[test]
