@@ -12,7 +12,6 @@
 
 use greener_simkit::calendar::{hour_of_day, CalDate, Calendar, DayTable};
 use greener_simkit::rng::RngHub;
-use greener_simkit::series::HourlySeries;
 use greener_simkit::time::SimTime;
 use rand::Rng;
 use rand_distr::{Distribution, Normal};
@@ -237,11 +236,6 @@ impl WeatherPath {
         self.temp_f.len()
     }
 
-    /// Temperature as an [`HourlySeries`].
-    pub fn temp_series(&self) -> HourlySeries {
-        HourlySeries::from_values(self.calendar, self.temp_f.clone())
-    }
-
     /// Solar capacity factor proxy for a given hour: the product of solar
     /// elevation (day-of-year and hour-of-day dependent) and clear-sky
     /// fraction. Dimensionless in \[0,1\]; the grid model scales by installed
@@ -351,7 +345,7 @@ pub fn poisson_knuth<R: Rng>(rng: &mut R, mean: f64) -> u32 {
 mod tests {
     use super::*;
     use greener_simkit::calendar::CalDate;
-    use greener_simkit::series::MonthlyAgg;
+    use greener_simkit::series::{HourlySeries, MonthlyAgg};
 
     fn cal2020() -> Calendar {
         Calendar::new(CalDate::new(2020, 1, 1))
@@ -450,7 +444,8 @@ mod tests {
     #[test]
     fn monthly_means_match_normals_shape() {
         let path = year_path(7);
-        let rows = path.temp_series().monthly(MonthlyAgg::Mean);
+        let rows =
+            HourlySeries::from_values(path.calendar, path.temp_f.clone()).monthly(MonthlyAgg::Mean);
         assert_eq!(rows.len(), 12);
         for (i, row) in rows.iter().enumerate() {
             let normal = BOSTON_TEMP_NORMALS_F[i];

@@ -14,6 +14,7 @@ use greener_workload::job::InferenceService;
 use greener_workload::DeadlinePolicy;
 
 use crate::accounting::VarianceAnalysis;
+use crate::campaign::{run_campaign, CampaignPlan, CellResult, InProcessBackend};
 use crate::driver::{SimDriver, World};
 use crate::probe::Observe;
 use crate::scenario::{ForecastMode, Scenario};
@@ -40,50 +41,51 @@ pub struct E6Row {
     pub mean_wait_hours: f64,
 }
 
+/// The carbon-aware policy of E6's shifting and E11's forecasts.
+const CARBON_AWARE: PolicyKind = PolicyKind::CarbonAware {
+    green_threshold: 0.065,
+};
+
 /// E6 (§II-A): baseline vs. carbon-aware utilization shifting vs. battery
 /// storage vs. both.
 pub fn e6_purchasing(base: &Scenario) -> Vec<E6Row> {
-    let carbon_aware = PolicyKind::CarbonAware {
-        green_threshold: 0.065,
-    };
-    let cells: Vec<(String, Scenario)> = vec![
-        ("baseline".into(), base.clone()),
-        (
-            "shift-utilization".into(),
-            base.clone().with_policy(carbon_aware),
-        ),
-        ("battery-storage".into(), base.clone().with_battery()),
-        (
-            "shift+storage".into(),
-            base.clone().with_policy(carbon_aware).with_battery(),
-        ),
+    let shifted = base.clone().with_policy(CARBON_AWARE);
+    let cells = [
+        ("baseline", base.clone()),
+        ("shift-utilization", shifted.clone()),
+        ("battery-storage", base.clone().with_battery()),
+        ("shift+storage", shifted.with_battery()),
     ];
-    // Outer level of the two-level threading model (see
-    // `greener_simkit::sweep`): cells fan out across threads. Paired
-    // design: every cell replays the base scenario's seed, so the per-cell
-    // hub goes unused and one shared world serves all cells (the cells
-    // differ only in policy/strategy, which never feed world generation).
-    // Every E6 column is a total or a weighted total, so each cell is an
-    // aggregates-only observation.
-    let world = World::build(base);
-    let runs = greener_simkit::sweep::run(&cells, |(label, s)| {
-        let out = SimDriver::run_observed(s, &world, Observe::aggregates());
-        (label.clone(), out)
-    });
-    let base_carbon = runs[0].1.aggregates.carbon_kg;
-    let base_cost = runs[0].1.aggregates.cost_usd;
-    runs.into_iter()
-        .map(|(strategy, out)| E6Row {
-            strategy,
-            energy_kwh: out.aggregates.energy_kwh,
-            carbon_kg: out.aggregates.carbon_kg,
-            cost_usd: out.aggregates.cost_usd,
-            green_share: out.aggregates.energy_weighted_green_share(),
-            carbon_saved_pct: (1.0 - out.aggregates.carbon_kg / base_carbon) * 100.0,
-            cost_saved_pct: (1.0 - out.aggregates.cost_usd / base_cost) * 100.0,
-            mean_wait_hours: out.jobs.mean_wait_hours,
+    let runs = run_cells("e6", cells);
+    let baseline = &runs[0].1.aggregates;
+    runs.iter()
+        .map(|(strategy, cell)| E6Row {
+            strategy: strategy.to_string(),
+            energy_kwh: cell.aggregates.energy_kwh,
+            carbon_kg: cell.aggregates.carbon_kg,
+            cost_usd: cell.aggregates.cost_usd,
+            green_share: cell.aggregates.energy_weighted_green_share(),
+            carbon_saved_pct: (1.0 - cell.aggregates.carbon_kg / baseline.carbon_kg) * 100.0,
+            cost_saved_pct: (1.0 - cell.aggregates.cost_usd / baseline.cost_usd) * 100.0,
+            mean_wait_hours: cell.jobs.mean_wait_hours,
         })
         .collect()
+}
+
+/// Run `(label, scenario)` cells as one in-process campaign named `name`,
+/// one shard per cell, and return each label with its cell's record.
+fn run_cells<'a>(
+    name: &str,
+    cells: impl IntoIterator<Item = (&'a str, Scenario)>,
+) -> Vec<(&'a str, CellResult)> {
+    let (labels, cells): (Vec<&str>, _) = cells
+        .into_iter()
+        .map(|(label, s)| (label, (label.to_string(), s)))
+        .unzip();
+    let plan = CampaignPlan::from_cells(name, cells).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let report = run_campaign(&plan, &InProcessBackend, plan.len())
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    labels.into_iter().zip(report.cells).collect()
 }
 
 /// E7: one power-cap row.
@@ -104,16 +106,17 @@ pub struct E7Row {
 }
 
 /// E7 (§II-C, ref \[15\]): sweep fleet-wide power caps; the energy-per-work
-/// curve has an interior optimum well below TDP.
+/// curve has an interior optimum well below TDP. Not a campaign: the
+/// stretch column averages per-job records, and campaign records carry
+/// aggregates only.
 pub fn e7_powercaps(base: &Scenario, caps: &[f64]) -> Vec<E7Row> {
     let gpu = base.cluster.gpu.clone();
-    let cells: Vec<f64> = caps.to_vec();
     // Paired sweep over caps: one shared world (caps only change the
     // policy, never world generation), hub unused. Each cell needs IT
     // energy (an aggregate) plus per-job records for the stretch column —
     // but never hourly frames, so telemetry stays off.
     let world = World::build(base);
-    greener_simkit::sweep::run(&cells, |&cap| {
+    greener_simkit::sweep::run(caps, |&cap| {
         let s = base
             .clone()
             .with_policy(PolicyKind::StaticCap { cap_w: cap })
@@ -179,6 +182,7 @@ pub fn e9_adverse_selection(seed: u64) -> E9Outcome {
 /// E10 (§II-B): the Dodd-Frank-style stress suite on the baseline world.
 pub fn e10_stress(base: &Scenario) -> Vec<StressReport> {
     run_suite(base, &greener_climate::StressScenario::standard_suite())
+        .expect("the standard suite's names are distinct cell labels")
 }
 
 /// E11 output: forecaster backtests plus end-to-end value of forecasts.
@@ -205,32 +209,24 @@ pub fn e11_forecast(base: &Scenario) -> E11Report {
         &hub,
     );
     let grid = greener_grid::mix::GridPath::generate(&base.grid, &weather, &hub);
-    let green: Vec<f64> = grid.green_share.clone();
-    let price: Vec<f64> = grid.lmp_usd_mwh.clone();
-    let green_share_backtests = backtest_all(&green, 24 * 14, 24, 48, 24);
-    let price_backtests = backtest_all(&price, 24 * 14, 24, 48, 24);
+    let green_share_backtests = backtest_all(&grid.green_share, 24 * 14, 24, 48, 24);
+    let price_backtests = backtest_all(&grid.lmp_usd_mwh, 24 * 14, 24, 48, 24);
 
     // Value of forecast: carbon-aware scheduling under three sources.
-    let policy = PolicyKind::CarbonAware {
-        green_threshold: 0.065,
-    };
     let modes = [
-        ("oracle".to_string(), ForecastMode::Oracle),
+        ("oracle", ForecastMode::Oracle),
         (
-            "holt-winters".to_string(),
+            "holt-winters",
             ForecastMode::Model(ForecasterKind::HoltWinters),
         ),
-        ("naive".to_string(), ForecastMode::Naive),
+        ("naive", ForecastMode::Naive),
     ];
-    // One shared world: forecast mode only changes what the policy *sees*,
-    // never the world itself. Only the carbon total is consumed, so the
-    // cells run aggregates-only.
-    let world = World::build(base);
-    let value_of_forecast = greener_simkit::sweep::run(&modes, |(label, mode)| {
-        let s = base.clone().with_policy(policy).with_forecast(*mode);
-        let out = SimDriver::run_observed(&s, &world, Observe::aggregates());
-        (label.clone(), out.aggregates.carbon_kg)
-    });
+    let carbon_aware = base.clone().with_policy(CARBON_AWARE);
+    let cells = modes.map(|(label, mode)| (label, carbon_aware.clone().with_forecast(mode)));
+    let value_of_forecast = run_cells("e11", cells)
+        .into_iter()
+        .map(|(label, cell)| (label.to_string(), cell.aggregates.carbon_kg))
+        .collect();
     E11Report {
         green_share_backtests,
         price_backtests,
@@ -262,9 +258,10 @@ pub struct E12Row {
 }
 
 /// E12 (§III): compare the paper's deadline-restructuring options (1)–(3).
+/// Not a campaign: the monthly columns read hourly telemetry, and
+/// campaign records carry aggregates only.
 pub fn e12_restructure(base: &Scenario) -> Vec<E12Row> {
-    let cells: Vec<DeadlinePolicy> = DeadlinePolicy::ALL.to_vec();
-    greener_simkit::sweep::run(&cells, |&dp| {
+    greener_simkit::sweep::run(&DeadlinePolicy::ALL, |&dp| {
         // Deadline policies reshape the workload trace, so each cell
         // builds its own world. Monthly seasonality columns need hourly
         // telemetry; ledger and job records stay off.
@@ -417,11 +414,11 @@ mod tests {
     }
 
     #[test]
-    fn e6_strategies_save_carbon() {
+    fn e6_battery_raises_green_share_without_changing_wait() {
         let rows = e6_purchasing(&small(61, 60));
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[0].strategy, "baseline");
-        // Both interventions improve the green share of purchases.
+        // Battery storage raises the green share of purchases.
         assert!(rows[2].green_share > rows[0].green_share);
         // Battery must not change job service at all (purchasing only).
         assert!((rows[2].mean_wait_hours - rows[0].mean_wait_hours).abs() < 1e-9);

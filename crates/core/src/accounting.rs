@@ -11,7 +11,7 @@
 //! footprint estimates spanning orders of magnitude — the paper's "5x the
 //! average lifetime emissions of a car \[down\] to 10⁻⁵ times that amount".
 
-use greener_simkit::units::{Dollars, Energy, KgCo2};
+use greener_simkit::units::{Energy, KgCo2};
 
 use crate::driver::RunResult;
 
@@ -146,13 +146,6 @@ impl FootprintAssumptions {
         let energy = Energy::from_kwh(device_hours * self.accelerator_power_w / 1_000.0 * self.pue);
         energy.carbon_at(self.grid_ci_kg_mwh) * self.search_multiplier
     }
-
-    /// Estimated cost at a given electricity price.
-    pub fn estimate_cost(&self, reference_gpu_hours: f64, usd_per_mwh: f64) -> Dollars {
-        let device_hours = reference_gpu_hours / self.relative_speed;
-        let energy = Energy::from_kwh(device_hours * self.accelerator_power_w / 1_000.0 * self.pue);
-        energy.cost_at(usd_per_mwh) * self.search_multiplier
-    }
 }
 
 /// Average lifetime emissions of a (US) car incl. fuel, kg CO₂ (Strubell
@@ -256,6 +249,5 @@ mod tests {
         let one = s.estimate_carbon(1_000.0).value();
         let ten = s.estimate_carbon(10_000.0).value();
         assert!((ten / one - 10.0).abs() < 1e-9);
-        assert!(s.estimate_cost(1_000.0, 30.0).value() > 0.0);
     }
 }

@@ -255,8 +255,6 @@ impl Knob {
                 scenario.cluster.nodes = u32::try_from(*n).expect("`nodes` range-checked")
             }
             (Knob::QsMult, AxisValue::Real(m)) => {
-                // Matches `Eq1Problem::evaluate`'s historical rounding so
-                // the migrated grid search stays bit-identical.
                 scenario.cluster.nodes = (base.cluster.nodes as f64 * m).round().max(1.0) as u32;
             }
             (Knob::SloWaitHours, AxisValue::Real(h)) => scenario.slo_wait_hours = *h,
@@ -406,11 +404,6 @@ impl CampaignManifest {
         assert!(!seeds.is_empty(), "a campaign needs at least one seed");
         self.seeds = seeds;
         self
-    }
-
-    /// Number of cells the manifest expands to.
-    pub fn cell_count(&self) -> usize {
-        self.axes.iter().map(|a| a.values.len()).product::<usize>() * self.seeds.len()
     }
 
     /// Parse a text manifest. See [`crate::campaign`] for the format.
@@ -640,14 +633,14 @@ axis horizon_days = 4, 5
             m.axes[1].values,
             vec![AxisValue::Count(4), AxisValue::Count(5)]
         );
-        assert_eq!(m.cell_count(), 4 * 2 * 3);
+        assert_eq!(m.expand().unwrap().len(), 4 * 2 * 3);
     }
 
     #[test]
     fn seeds_default_to_base_seed_and_lists_parse() {
         let m = CampaignManifest::parse("name = d\nbase = quick:3@7\n").unwrap();
         assert_eq!(m.seeds, vec![7]);
-        assert_eq!(m.cell_count(), 1);
+        assert_eq!(m.expand().unwrap().len(), 1);
         let m = CampaignManifest::parse("name = d\nbase = quick:3\nseeds = 5, 9, 2\n").unwrap();
         assert_eq!(m.seeds, vec![5, 9, 2]);
     }

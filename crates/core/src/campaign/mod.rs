@@ -17,7 +17,14 @@
 //!   text format or built programmatically.
 //! * **[`CampaignPlan`]** ([`plan`]) — the deterministic row-major
 //!   expansion (first axis outermost, seeds innermost, via
-//!   [`greener_simkit::sweep::gridn_indices`]) into cells with stable ids.
+//!   [`greener_simkit::sweep::gridn_indices`]) into cells with stable ids,
+//!   or an explicit cell list ([`CampaignPlan::from_cells`]: one
+//!   `(label, scenario)` per cell, id `<name>/<label>`). The E6, E10 and
+//!   E11 ablations run as explicit-cell plans, so their world sharing
+//!   comes from the scenario keys like any campaign's. An explicit-cell
+//!   plan has no manifest text for a worker process to re-expand, so it
+//!   runs in-process only: [`process::ProcessBackend`] refuses every
+//!   shard of a plan other than its manifest's on the fingerprint check.
 //! * **[`ShardBackend`] / [`run_campaign`]** ([`exec`]) — contiguous shard
 //!   partition, one pass of shards behind a serialization boundary
 //!   ([`ShardBackend::run_shards`], the one method a backend implements),

@@ -8,28 +8,27 @@
 //! drives `grid2`/`grid3`, so migrated call sites keep their historical
 //! iteration order bit-for-bit. Shard partitioning and artifact merging
 //! both index into this order, which is what makes the merged report
-//! independent of the shard count.
+//! independent of the shard count. [`CampaignPlan::from_cells`] builds a
+//! plan from an explicit cell list instead; both run one id check.
 
 use greener_simkit::sweep::gridn_indices;
 
 use crate::scenario::Scenario;
 
-use super::manifest::{CampaignManifest, ManifestError};
+use super::manifest::{err, AxisValue, CampaignManifest, ManifestError};
 
 /// One fully-resolved run of a campaign.
 #[derive(Debug, Clone)]
 pub struct CampaignCell {
     /// Position in plan order (also the merge position).
     pub index: usize,
-    /// Stable human-readable id:
-    /// `<campaign>/<knob>=<label>/…/seed=<s>` — unique within the plan,
-    /// whitespace-free, independent of shard count and thread count.
+    /// Stable human-readable id `<campaign>/<label>` (an expanded
+    /// manifest's label is `<knob>=<label>/…/seed=<s>`) — unique within
+    /// the plan, whitespace-free, independent of shard and thread count.
     pub id: String,
-    /// The root seed this cell runs under (already applied to
-    /// [`CampaignCell::scenario`]).
-    pub seed: u64,
-    /// The concrete scenario (base + this cell's axis values + seed); its
-    /// `name` is the cell id.
+    /// The concrete scenario (base + this cell's axis values + seed, or
+    /// the explicit cell's scenario); its `name` is the cell id and its
+    /// `seed` the root seed the cell runs under.
     pub scenario: Scenario,
 }
 
@@ -43,81 +42,110 @@ pub struct CampaignPlan {
 }
 
 impl CampaignManifest {
-    /// Expand the manifest into its ordered cell list.
-    ///
-    /// Deterministic: depends only on the manifest, never on thread count
-    /// or timing. Fails if the axis *names* are not unique and
-    /// whitespace-free (the text parser rejects duplicates, but
-    /// programmatic [`CampaignManifest::with_axis`] chains can repeat a
-    /// knob, and axis names are embedded verbatim in cell ids), or if two
-    /// cells would share an id — possible when an axis sweeps values whose
-    /// labels round to the same rendering (e.g. `cap:160.2, cap:160.4`
-    /// both label `static-cap-160W`) — because downstream lookup
-    /// (equivalence, migrated call sites) is by id.
+    /// Expand the manifest into its ordered cell list. Deterministic:
+    /// depends only on the manifest, never on thread count or timing.
+    /// Fails if two axes sweep one knob (programmatic
+    /// [`CampaignManifest::with_axis`] chains can), or if the ids fail the
+    /// plan id check [`CampaignPlan::from_cells`] also runs: an empty or
+    /// spaced name, or two cells sharing an id, as when value labels round
+    /// alike (`cap:160.2, cap:160.4` both label `static-cap-160W`).
     pub fn expand(&self) -> Result<CampaignPlan, ManifestError> {
         let mut seen_axes = std::collections::HashSet::with_capacity(self.axes.len());
-        for axis in &self.axes {
-            let name = axis.knob.name();
-            if name.is_empty() || name.contains(char::is_whitespace) {
-                return Err(ManifestError {
-                    line: 0,
-                    msg: format!(
-                        "axis name `{name}` must be non-empty and whitespace-free \
-                         (axis names are embedded in cell ids)"
-                    ),
-                });
-            }
-            if !seen_axes.insert(name) {
-                return Err(ManifestError {
-                    line: 0,
-                    msg: format!(
-                        "duplicate axis `{name}` (each knob may be swept by at most one axis)"
-                    ),
-                });
-            }
+        if let Some(axis) = self.axes.iter().find(|a| !seen_axes.insert(a.knob.name())) {
+            return err(0, format!("duplicate axis `{}`", axis.knob.name()));
         }
-        let mut dims: Vec<usize> = self.axes.iter().map(|a| a.values.len()).collect();
-        dims.push(self.seeds.len()); // seed axis, innermost
-        let mut cells = Vec::with_capacity(self.cell_count());
-        for (index, ix) in gridn_indices(&dims).into_iter().enumerate() {
-            let (&seed_ix, axis_ix) = ix.split_last().expect("dims has the seed axis");
-            let seed = self.seeds[seed_ix];
+        // Each axis value's id segment, and each seed's (innermost),
+        // rendered once rather than per cell.
+        let mut segments: Vec<Vec<String>> = self
+            .axes
+            .iter()
+            .map(|a| {
+                let segment = |v: &AxisValue| format!("/{}={}", a.knob.name(), v.label());
+                a.values.iter().map(segment).collect()
+            })
+            .collect();
+        segments.push(self.seeds.iter().map(|s| format!("/seed={s}")).collect());
+        let dims: Vec<usize> = segments.iter().map(Vec::len).collect();
+        let cells = gridn_indices(&dims).into_iter().map(|ix| {
+            let seed = self.seeds[*ix.last().expect("dims has the seed axis")];
             let mut scenario = self.base.clone().with_seed(seed);
-            let mut id = self.name.clone();
-            for (axis, &vi) in self.axes.iter().zip(axis_ix) {
-                let value = &axis.values[vi];
-                axis.knob.apply(&mut scenario, &self.base, value);
-                id.push('/');
-                id.push_str(axis.knob.name());
-                id.push('=');
-                id.push_str(&value.label());
+            for (axis, &vi) in self.axes.iter().zip(&ix) {
+                axis.knob.apply(&mut scenario, &self.base, &axis.values[vi]);
             }
-            id.push_str(&format!("/seed={seed}"));
-            scenario.name = id.clone();
-            cells.push(CampaignCell {
-                index,
-                id,
-                seed,
-                scenario,
-            });
-        }
-        let mut seen = std::collections::HashSet::with_capacity(cells.len());
-        for c in &cells {
-            if !seen.insert(c.id.as_str()) {
-                return Err(ManifestError {
-                    line: 0,
-                    msg: format!("duplicate cell id `{}` (axis value labels collide)", c.id),
-                });
-            }
-        }
-        Ok(CampaignPlan {
-            name: self.name.clone(),
-            cells,
-        })
+            let id = segments
+                .iter()
+                .zip(&ix)
+                .fold(self.name.clone(), |id, (s, &vi)| id + &s[vi]);
+            (id, scenario)
+        });
+        CampaignPlan::checked(self.name.clone(), cells)
     }
 }
 
+/// The plan id check every expansion runs: each `/`-separated segment of
+/// an id non-empty and whitespace-free (ids are merge keys and
+/// whitespace-separated artifact tokens), and no id repeated. ASCII
+/// whitespace and control bytes all sort at or below `b' '`.
+pub(crate) fn check_cell_ids<'a>(
+    ids: impl ExactSizeIterator<Item = &'a str>,
+) -> Result<(), ManifestError> {
+    let mut seen = std::collections::HashSet::with_capacity(ids.len());
+    for id in ids {
+        if id.split('/').any(str::is_empty) {
+            return err(0, format!("cell id `{id}` has an empty segment"));
+        } else if id.bytes().any(|b| b <= b' ')
+            || !id.is_ascii() && id.contains(char::is_whitespace)
+        {
+            return err(0, format!("cell id `{id}` contains whitespace"));
+        } else if !seen.insert(id) {
+            return err(0, format!("duplicate cell id `{id}`"));
+        }
+    }
+    Ok(())
+}
+
 impl CampaignPlan {
+    /// A plan of explicit cells, one per `(label, scenario)` in the given
+    /// order: cell `i`'s id is `<name>/<label>` and doubles as its scenario
+    /// name, and the scenario keeps its own seed. An empty label,
+    /// whitespace or a repeated label is a [`ManifestError`] naming the id.
+    /// Worlds, environments and replays are shared by their scenario keys,
+    /// as in any plan. Worker processes re-expand manifest text, so a
+    /// hand-made cell list runs in-process only: a
+    /// [`ProcessBackend`](super::ProcessBackend) refuses its shards on the
+    /// plan fingerprint check.
+    pub fn from_cells(
+        name: impl Into<String>,
+        cells: Vec<(String, Scenario)>,
+    ) -> Result<CampaignPlan, ManifestError> {
+        let name = name.into();
+        let cells = cells
+            .into_iter()
+            .map(|(label, s)| (format!("{name}/{label}"), s));
+        CampaignPlan::checked(name.clone(), cells)
+    }
+
+    /// The plan whose cells are `cells`' `(id, scenario)` pairs in order,
+    /// each scenario named by its id, once the ids pass `check_cell_ids`.
+    fn checked(
+        name: String,
+        cells: impl Iterator<Item = (String, Scenario)>,
+    ) -> Result<CampaignPlan, ManifestError> {
+        let cells: Vec<CampaignCell> = cells
+            .enumerate()
+            .map(|(index, (id, mut scenario))| {
+                scenario.name = id.clone();
+                CampaignCell {
+                    index,
+                    id,
+                    scenario,
+                }
+            })
+            .collect();
+        check_cell_ids(cells.iter().map(|c| c.id.as_str()))?;
+        Ok(CampaignPlan { name, cells })
+    }
+
     /// Number of cells.
     pub fn len(&self) -> usize {
         self.cells.len()
@@ -203,7 +231,7 @@ mod tests {
         for (i, c) in plan.cells.iter().enumerate() {
             assert_eq!(c.index, i);
             assert_eq!(c.scenario.name, c.id);
-            assert_eq!(c.scenario.seed, c.seed);
+            assert!(c.id.ends_with(&format!("/seed={}", c.scenario.seed)));
             assert!(!c.id.contains(char::is_whitespace));
         }
         // Policy/SLO are replay knobs: one world per seed, and the SLO is
@@ -250,6 +278,63 @@ mod tests {
         let e = m.expand().unwrap_err();
         assert_eq!(e.line, 0);
         assert!(e.msg.contains("duplicate axis `policy`"), "{e}");
+    }
+
+    #[test]
+    fn explicit_cells_keep_their_order_seed_and_label() {
+        let plan = CampaignPlan::from_cells(
+            "x",
+            vec![
+                ("b".into(), Scenario::quick(3, 5)),
+                (
+                    "a".into(),
+                    Scenario::quick(3, 9).with_policy(PolicyKind::Fcfs),
+                ),
+            ],
+        )
+        .unwrap();
+        assert_eq!(plan.name, "x");
+        let ids: Vec<&str> = plan.cells.iter().map(|c| c.id.as_str()).collect();
+        assert_eq!(ids, ["x/b", "x/a"]);
+        for (i, c) in plan.cells.iter().enumerate() {
+            assert_eq!(c.index, i);
+            assert_eq!(c.scenario.name, c.id);
+        }
+        assert_eq!(plan.cells[1].scenario.seed, 9);
+        assert_eq!(plan.cells[1].scenario.policy, PolicyKind::Fcfs);
+        assert_eq!(plan.distinct_worlds(), 2);
+    }
+
+    #[test]
+    fn programmatic_names_go_through_the_id_check() {
+        for name in ["", "two words"] {
+            let e = CampaignManifest::new(name, Scenario::quick(3, 1))
+                .expand()
+                .unwrap_err();
+            assert!(e.msg.contains("cell id"), "{e}");
+        }
+    }
+
+    #[test]
+    fn explicit_cells_reject_bad_labels_naming_the_id() {
+        let s = Scenario::quick(3, 1);
+        let reject = |labels: &[&str]| {
+            let cells = labels.iter().map(|l| (l.to_string(), s.clone())).collect();
+            CampaignPlan::from_cells("x", cells).unwrap_err()
+        };
+        let e = reject(&["ok", ""]);
+        assert_eq!(e.line, 0);
+        assert!(
+            e.msg.contains("`x/`") && e.msg.contains("empty segment"),
+            "{e}"
+        );
+        let e = reject(&["two words"]);
+        assert!(
+            e.msg.contains("`x/two words`") && e.msg.contains("whitespace"),
+            "{e}"
+        );
+        let e = reject(&["same", "other", "same"]);
+        assert!(e.msg.contains("duplicate cell id `x/same`"), "{e}");
     }
 
     #[test]

@@ -194,6 +194,7 @@ use crate::campaign::exec::{
 use crate::campaign::manifest::{
     err, for_each_entry, parse_axis_values, parse_base, parse_seeds, ManifestError,
 };
+use crate::campaign::plan::check_cell_ids;
 use crate::campaign::{CampaignError, CellRecord, Plan};
 use crate::driver::{JobStats, SimDriver, World};
 use crate::equivalence::Fingerprint;
@@ -1398,18 +1399,9 @@ impl FleetManifest {
 
     /// Expand into the ordered cell list — routing axis outer, seeds
     /// innermost, via the same [`gridn_indices`] odometer every campaign
-    /// expansion walks. Fails on whitespace in the plan name, a repeated
-    /// routing value (cells would collide on ids) or an invalid fleet.
+    /// expansion walks. Fails on an invalid fleet, or on ids that fail the
+    /// plan id check (an empty or spaced name, a repeated routing value).
     pub fn expand(&self) -> Result<FleetPlan, ManifestError> {
-        if self.name.is_empty() || self.name.contains(char::is_whitespace) {
-            return Err(ManifestError {
-                line: 0,
-                msg: format!(
-                    "plan name `{}` must be non-empty and whitespace-free",
-                    self.name
-                ),
-            });
-        }
         if let Err(e) = self.fleet.validate() {
             return Err(ManifestError { line: 0, msg: e });
         }
@@ -1428,15 +1420,7 @@ impl FleetManifest {
                 fleet,
             });
         }
-        let mut seen = std::collections::HashSet::with_capacity(cells.len());
-        for c in &cells {
-            if !seen.insert(c.id.as_str()) {
-                return Err(ManifestError {
-                    line: 0,
-                    msg: format!("duplicate cell id `{}` (repeated axis value)", c.id),
-                });
-            }
-        }
+        check_cell_ids(cells.iter().map(|c| c.id.as_str()))?;
         Ok(FleetPlan {
             name: self.name.clone(),
             cells,
@@ -1822,6 +1806,15 @@ mod tests {
             .with_routings(vec![RoutingPolicyKind::Static, RoutingPolicyKind::Static]);
         let err = manifest.expand().unwrap_err();
         assert!(err.msg.contains("duplicate cell id"), "{}", err.msg);
+    }
+
+    #[test]
+    fn expand_rejects_empty_or_spaced_plan_names() {
+        for name in ["", "two words"] {
+            let manifest = FleetManifest::new(name, FleetScenario::single(Scenario::quick(2, 7)));
+            let err = manifest.expand().unwrap_err();
+            assert!(err.msg.contains("cell id"), "{}", err.msg);
+        }
     }
 
     #[test]

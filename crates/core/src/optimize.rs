@@ -45,16 +45,6 @@ impl EnergyObjective {
             EnergyObjective::WaterL => agg.water_l,
         }
     }
-
-    /// Evaluate on a fully-instrumented run.
-    pub fn of_run(&self, run: &RunResult) -> f64 {
-        match self {
-            EnergyObjective::EnergyKwh => run.telemetry.total_energy_kwh(),
-            EnergyObjective::CarbonKg => run.telemetry.total_carbon_kg(),
-            EnergyObjective::CostUsd => run.telemetry.total_cost_usd(),
-            EnergyObjective::WaterL => run.telemetry.total_water_l(),
-        }
-    }
 }
 
 /// The activity measure `A(·)` of Eq. 1.
@@ -123,10 +113,7 @@ impl Eq1Problem {
     /// `q_s` changes the cluster size, which gang-caps the trace.)
     pub fn evaluate(&self, point: DecisionPoint) -> EvaluatedPoint {
         let mut scenario = self.base.clone().with_policy(point.policy);
-        let nodes = (self.base.cluster.nodes as f64 * point.qs_mult)
-            .round()
-            .max(1.0) as u32;
-        scenario.cluster.nodes = nodes;
+        Knob::QsMult.apply(&mut scenario, &self.base, &AxisValue::Real(point.qs_mult));
         let world = World::build(&scenario);
         let out = SimDriver::run_observed(&scenario, &world, Observe::aggregates());
         let energy = self.objective.of(&out.aggregates);
@@ -142,15 +129,10 @@ impl Eq1Problem {
     /// Evaluate a decision grid in parallel and return all cells plus the
     /// feasible argmin (None if no cell meets the α floor).
     ///
-    /// The grid expands through the campaign planner
-    /// ([`CampaignManifest`] with a `qs_mult` axis outer and a `policy`
-    /// axis inner — the same row-major order `grid2` produced) and runs
-    /// one cell per shard, preserving the historical per-cell parallelism
-    /// and bit-identical outputs (the campaign equivalence axis pins
-    /// sharded execution against straight runs; a unit test additionally
-    /// pins this entry point against [`Eq1Problem::evaluate`] bit-for-bit).
-    /// Axis values must be distinct — duplicated grid values would
-    /// collide on cell ids.
+    /// The grid is a campaign ([`CampaignManifest`], `qs_mult` axis outer,
+    /// `policy` inner, row-major) run one cell per shard; a unit test pins
+    /// it against [`Eq1Problem::evaluate`] bit for bit. Axis values must
+    /// be distinct: repeated values would collide on cell ids.
     pub fn grid_search(
         &self,
         qs_mults: &[f64],
@@ -424,6 +406,17 @@ mod tests {
         assert_eq!(dec.users_below(f64::INFINITY), all_users);
     }
 
+    /// `obj` on a fully-instrumented run's telemetry: the oracle
+    /// [`EnergyObjective::of`] must agree with bit for bit.
+    fn of_run(obj: EnergyObjective, run: &RunResult) -> f64 {
+        match obj {
+            EnergyObjective::EnergyKwh => run.telemetry.total_energy_kwh(),
+            EnergyObjective::CarbonKg => run.telemetry.total_carbon_kg(),
+            EnergyObjective::CostUsd => run.telemetry.total_cost_usd(),
+            EnergyObjective::WaterL => run.telemetry.total_water_l(),
+        }
+    }
+
     #[test]
     fn objectives_and_activities_evaluate() {
         let s = Scenario::quick(5, 35);
@@ -440,7 +433,7 @@ mod tests {
             // Aggregates and full instrumentation agree exactly.
             assert_eq!(
                 obj.of(&out.aggregates).to_bits(),
-                obj.of_run(&run).to_bits()
+                of_run(obj, &run).to_bits()
             );
         }
         assert!(ActivityMeasure::GpuHours.of(&out.jobs) > 0.0);

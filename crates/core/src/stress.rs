@@ -5,15 +5,14 @@
 //! resiliency … helping identify areas in need of remediation."
 //!
 //! [`run_suite`] applies each [`StressScenario`]'s shocks to a base
-//! [`Scenario`], re-runs the simulation (in parallel across scenarios) and
-//! scores resilience: the fraction of hours with saturated cooling plus the
-//! fraction of jobs violating the wait SLO, against the scenario's pass
-//! threshold.
+//! [`Scenario`] ([`apply_shocks`]), runs the shocked scenarios as one
+//! campaign of explicit cells and scores resilience: the fraction of hours
+//! with saturated cooling plus the fraction of jobs violating the wait
+//! SLO, against the scenario's pass threshold.
 
 use greener_climate::{StressKind, StressScenario};
 
-use crate::driver::{SimDriver, World};
-use crate::probe::Observe;
+use crate::campaign::{run_campaign, CampaignPlan, InProcessBackend, ManifestError};
 use crate::scenario::Scenario;
 
 /// One stress-test outcome row.
@@ -80,44 +79,51 @@ pub fn apply_shocks(base: &Scenario, stress: &StressScenario) -> Scenario {
     s
 }
 
-/// Run one stress scenario.
-///
-/// Stress scoring needs only totals (saturation and violation fractions,
-/// energy/carbon/cost, peak power, mean PUE), so the run is
-/// aggregates-only: no hourly frames, ledger rows or job records are
-/// retained anywhere in a suite sweep. (Shocks feed world generation, so
-/// each shocked scenario builds its own world.)
-pub fn run_one(base: &Scenario, stress: &StressScenario) -> StressReport {
-    let scenario = apply_shocks(base, stress);
-    let world = World::build(&scenario);
-    let out = SimDriver::run_observed(&scenario, &world, Observe::aggregates());
-    let cooling_saturation = out.aggregates.cooling_saturation_fraction();
-    let slo_violation = out.jobs.slo_violation_fraction;
-    let violation_score = cooling_saturation.max(slo_violation);
-    StressReport {
-        scenario: stress.name.clone(),
-        cooling_saturation,
-        slo_violation,
-        violation_score,
-        threshold: stress.max_violation_fraction,
-        pass: violation_score <= stress.max_violation_fraction,
-        energy_kwh: out.aggregates.energy_kwh,
-        carbon_kg: out.aggregates.carbon_kg,
-        cost_usd: out.aggregates.cost_usd,
-        peak_power_kw: out.aggregates.peak_power_kw,
-        mean_pue: out.aggregates.mean_pue(),
-    }
+/// The suite as a campaign plan named `stress`: one cell per stress
+/// scenario, labelled with its name, in suite order.
+fn suite_plan(base: &Scenario, suite: &[StressScenario]) -> Result<CampaignPlan, ManifestError> {
+    let cells = suite
+        .iter()
+        .map(|stress| (stress.name.clone(), apply_shocks(base, stress)))
+        .collect();
+    CampaignPlan::from_cells("stress", cells)
 }
 
-/// Run a whole suite in parallel, preserving suite order.
-///
-/// Goes through `sweep::run` — the outer level of the two-level threading
-/// model (see `greener_simkit::sweep`): scenarios fan out across threads
-/// while each run's world generation forks again internally. Every cell
-/// replays the base scenario's seed, so shocked worlds stay paired with
-/// the baseline world.
-pub fn run_suite(base: &Scenario, suite: &[StressScenario]) -> Vec<StressReport> {
-    greener_simkit::sweep::run(suite, |s| run_one(base, s))
+/// Run a whole suite, preserving suite order: one campaign of explicit
+/// cells, one in-process shard per scenario. Every cell replays the base
+/// scenario's seed, so shocked worlds stay paired with the baseline, and
+/// the pass caches build each distinct world and environment once.
+/// Scenario names are the cell labels, so an empty, spaced or repeated
+/// name is a [`ManifestError`].
+pub fn run_suite(
+    base: &Scenario,
+    suite: &[StressScenario],
+) -> Result<Vec<StressReport>, ManifestError> {
+    let plan = suite_plan(base, suite)?;
+    let report = run_campaign(&plan, &InProcessBackend, plan.len())
+        .unwrap_or_else(|e| panic!("in-process stress shards must merge: {e}"));
+    Ok(suite
+        .iter()
+        .zip(report.cells)
+        .map(|(stress, cell)| {
+            let cooling_saturation = cell.aggregates.cooling_saturation_fraction();
+            let slo_violation = cell.jobs.slo_violation_fraction;
+            let violation_score = cooling_saturation.max(slo_violation);
+            StressReport {
+                scenario: stress.name.clone(),
+                cooling_saturation,
+                slo_violation,
+                violation_score,
+                threshold: stress.max_violation_fraction,
+                pass: violation_score <= stress.max_violation_fraction,
+                energy_kwh: cell.aggregates.energy_kwh,
+                carbon_kg: cell.aggregates.carbon_kg,
+                cost_usd: cell.aggregates.cost_usd,
+                peak_power_kw: cell.aggregates.peak_power_kw,
+                mean_pue: cell.aggregates.mean_pue(),
+            }
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -131,23 +137,27 @@ mod tests {
         s
     }
 
+    /// The standard suite's baseline and the scenario named `name`, run
+    /// as a suite of two: `(baseline, stressed)`.
+    fn against_baseline(name: &str) -> (StressReport, StressReport) {
+        let suite = StressScenario::standard_suite();
+        let shock = suite.iter().find(|s| s.name == name).unwrap().clone();
+        let mut reports = run_suite(&base(), &[suite[0].clone(), shock]).unwrap();
+        let stressed = reports.pop().unwrap();
+        (reports.pop().unwrap(), stressed)
+    }
+
     #[test]
     fn baseline_passes() {
         let suite = StressScenario::standard_suite();
-        let report = run_one(&base(), &suite[0]);
+        let report = &run_suite(&base(), &suite[..1]).unwrap()[0];
         assert!(report.pass, "baseline must pass: {report:?}");
         assert!(report.cooling_saturation < 0.05);
     }
 
     #[test]
     fn warming_raises_energy_and_saturation() {
-        let suite = StressScenario::standard_suite();
-        let baseline = run_one(&base(), &suite[0]);
-        let severe = suite
-            .iter()
-            .find(|s| s.name == "severely-adverse-warming")
-            .unwrap();
-        let stressed = run_one(&base(), severe);
+        let (baseline, stressed) = against_baseline("severely-adverse-warming");
         assert!(
             stressed.energy_kwh > baseline.energy_kwh,
             "warming must cost energy: {} vs {}",
@@ -160,13 +170,7 @@ mod tests {
 
     #[test]
     fn price_shock_raises_cost_not_energy() {
-        let suite = StressScenario::standard_suite();
-        let baseline = run_one(&base(), &suite[0]);
-        let shock = suite
-            .iter()
-            .find(|s| s.name == "winter-price-shock")
-            .unwrap();
-        let stressed = run_one(&base(), shock);
+        let (baseline, stressed) = against_baseline("winter-price-shock");
         assert!(stressed.cost_usd > baseline.cost_usd * 2.0);
         // Energy is unchanged (same workload, same weather).
         assert!((stressed.energy_kwh / baseline.energy_kwh - 1.0).abs() < 0.01);
@@ -176,10 +180,7 @@ mod tests {
 
     #[test]
     fn demand_surge_raises_load() {
-        let suite = StressScenario::standard_suite();
-        let baseline = run_one(&base(), &suite[0]);
-        let surge = suite.iter().find(|s| s.name == "deadline-pileup").unwrap();
-        let stressed = run_one(&base(), surge);
+        let (baseline, stressed) = against_baseline("deadline-pileup");
         assert!(stressed.energy_kwh > baseline.energy_kwh);
     }
 
@@ -189,11 +190,50 @@ mod tests {
             .into_iter()
             .take(3)
             .collect();
-        let reports = run_suite(&base(), &suite);
+        let reports = run_suite(&base(), &suite).unwrap();
         assert_eq!(reports.len(), 3);
         for (r, s) in reports.iter().zip(&suite) {
             assert_eq!(r.scenario, s.name);
         }
+    }
+
+    #[test]
+    fn repeated_scenario_names_are_rejected() {
+        let baseline = StressScenario::standard_suite().swap_remove(0);
+        let e = run_suite(&base(), &[baseline.clone(), baseline]).unwrap_err();
+        assert!(e.msg.contains("duplicate cell id `stress/baseline`"), "{e}");
+    }
+
+    /// World sharing follows from the fields each shock edits. Cooling
+    /// degradation and water stress are replay inputs only, the demand
+    /// surge edits only the trace, and the weather and grid shocks each
+    /// make their own environment: 7 cells replay 6 worlds over 5
+    /// environments.
+    #[test]
+    fn stress_suite_plan_shares_worlds_by_key() {
+        let plan = suite_plan(&base(), &StressScenario::standard_suite()).unwrap();
+        assert_eq!(plan.len(), 7);
+        assert_eq!(plan.cells[5].id, "stress/drought");
+        assert_eq!(plan.distinct_worlds(), 6);
+        assert_eq!(plan.distinct_environments(), 5);
+        assert_eq!(plan.distinct_replays(), 7);
+    }
+
+    /// The suite's merged records equal each cell's straight run on a
+    /// fresh world, byte for byte, at every shard count.
+    #[test]
+    fn stress_suite_plan_holds_the_campaign_equivalence_axis() {
+        let plan = suite_plan(
+            &base().with_horizon_days(3),
+            &StressScenario::standard_suite(),
+        )
+        .unwrap();
+        crate::equivalence::assert_campaign_equivalent(
+            "stress suite",
+            &plan,
+            &InProcessBackend,
+            &[1, 3, 7],
+        );
     }
 
     #[test]

@@ -26,11 +26,6 @@ pub fn emission_factor(fuel: FuelSource) -> f64 {
         .expect("all fuels have factors")
 }
 
-/// True if the fuel counts as fossil for stress-scenario scaling.
-pub fn is_fossil(fuel: FuelSource) -> bool {
-    matches!(fuel, FuelSource::Gas | FuelSource::Other)
-}
-
 /// Generation-weighted carbon intensity, kg CO₂ per MWh.
 ///
 /// `fossil_mult` scales fossil factors (carbon-intensity stress shock);
@@ -40,7 +35,7 @@ pub fn grid_intensity_kg_mwh(generation_mw: &[(FuelSource, f64)], fossil_mult: f
     let mut weighted = 0.0;
     for &(fuel, mw) in generation_mw {
         let mut ef = emission_factor(fuel);
-        if is_fossil(fuel) {
+        if matches!(fuel, FuelSource::Gas | FuelSource::Other) {
             ef *= fossil_mult;
         }
         total += mw;

@@ -75,13 +75,8 @@ impl Battery {
         self.soc_kwh
     }
 
-    /// State of charge as a fraction of capacity.
-    pub fn soc_fraction(&self) -> f64 {
-        self.soc_kwh / self.config.capacity_kwh
-    }
-
     /// Remaining headroom, kWh.
-    pub fn headroom_kwh(&self) -> f64 {
+    fn headroom_kwh(&self) -> f64 {
         (self.config.capacity_kwh - self.soc_kwh).max(0.0)
     }
 
@@ -133,11 +128,6 @@ impl Battery {
         let keep = (1.0 - self.config.self_discharge_per_hour).powf(hours);
         self.soc_kwh *= keep;
     }
-
-    /// Realized round-trip efficiency so far (NaN before first discharge).
-    pub fn realized_efficiency(&self) -> f64 {
-        self.total_discharged.kwh() / self.total_charged.kwh()
-    }
 }
 
 #[cfg(test)]
@@ -162,7 +152,7 @@ mod tests {
             b.charge(500.0, 1.0);
         }
         assert!(b.soc_kwh() <= b.config().capacity_kwh + 1e-9);
-        assert!((b.soc_fraction() - 1.0).abs() < 1e-6);
+        assert!((b.soc_kwh() / b.config().capacity_kwh - 1.0).abs() < 1e-6);
     }
 
     #[test]
@@ -185,7 +175,7 @@ mod tests {
                 break;
             }
         }
-        let rte = b.realized_efficiency();
+        let rte = b.total_discharged.kwh() / b.total_charged.kwh();
         assert!((rte - 0.88).abs() < 1e-6, "realized RTE {rte}");
     }
 

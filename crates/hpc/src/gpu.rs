@@ -92,7 +92,7 @@ impl GpuModel {
 
     /// Energy-delay product per GPU-hour of work (J·s): the metric whose
     /// argmin ref \[15\] calls the *optimal power cap*.
-    pub fn edp_per_gpu_hour(&self, cap_w: f64) -> f64 {
+    fn edp_per_gpu_hour(&self, cap_w: f64) -> f64 {
         let speed = self.speed_at_cap(self.clamp_cap(cap_w));
         let delay = 3_600.0 / speed;
         self.energy_per_gpu_hour(cap_w) * delay

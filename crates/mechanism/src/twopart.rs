@@ -115,22 +115,19 @@ impl TwoPartMechanism {
         }
         let n = population.len() as f64;
         TwoPartOutcome {
+            participation: 1.0 - tier_counts[0] as f64 / n,
             tier_counts,
             mean_energy_index: energy_index / n,
             mean_time_factor: time_factor / n,
             mean_utility: utility / n,
-            participation: 1.0 - tier_counts_first(&self.tiers, population, gpu, self) / n,
         }
     }
 
     /// Individual rationality vs. a caps-only regime: every user weakly
     /// prefers their menu choice to being forced to the base cap with no
     /// compensation. Returns violating user count (0 = IR holds).
-    pub fn check_individual_rationality(
-        &self,
-        gpu: &GpuModel,
-        population: &UserPopulation,
-    ) -> usize {
+    #[cfg(test)]
+    fn check_individual_rationality(&self, gpu: &GpuModel, population: &UserPopulation) -> usize {
         let base = MenuTier {
             cap_w: self.base_cap_w,
             gpu_mult: 1.0,
@@ -149,11 +146,8 @@ impl TwoPartMechanism {
     /// cannot improve a user's outcome, because the menu is posted and the
     /// user picks directly (a menu mechanism is trivially IC — this checks
     /// the implementation: the chosen tier maximizes the user's utility).
-    pub fn check_incentive_compatibility(
-        &self,
-        gpu: &GpuModel,
-        population: &UserPopulation,
-    ) -> usize {
+    #[cfg(test)]
+    fn check_incentive_compatibility(&self, gpu: &GpuModel, population: &UserPopulation) -> usize {
         population
             .users()
             .iter()
@@ -166,20 +160,6 @@ impl TwoPartMechanism {
             })
             .count()
     }
-}
-
-fn tier_counts_first(
-    tiers: &[MenuTier],
-    population: &UserPopulation,
-    gpu: &GpuModel,
-    m: &TwoPartMechanism,
-) -> f64 {
-    let _ = tiers;
-    population
-        .users()
-        .iter()
-        .filter(|u| m.choice(gpu, u) == 0)
-        .count() as f64
 }
 
 /// Aggregate mechanism outcome.

@@ -322,17 +322,6 @@ impl Calendar {
         self.date_at(t).year_month()
     }
 
-    /// Simulation hour index of the first hour of the given date.
-    /// Returns `None` if the date precedes the calendar start.
-    pub fn hour_index_of(&self, date: CalDate) -> Option<u64> {
-        let days = self.start.days_until(date);
-        if days < 0 {
-            None
-        } else {
-            Some(days as u64 * 24)
-        }
-    }
-
     /// Fraction of the year elapsed at time `t` (0.0 = Jan 1, ~1.0 = Dec 31).
     pub fn year_fraction(&self, t: SimTime) -> f64 {
         self.day_at(t).year_fraction(self.hour_of_day(t))
@@ -504,12 +493,10 @@ mod tests {
     }
 
     #[test]
-    fn hour_of_day_and_index() {
+    fn hour_of_day_from_start() {
         let cal = Calendar::new(CalDate::new(2020, 6, 1));
         let t = SimTime::from_days(2) + Duration::from_hours(13);
         assert_eq!(cal.hour_of_day(t), 13);
-        assert_eq!(cal.hour_index_of(CalDate::new(2020, 6, 3)), Some(48));
-        assert_eq!(cal.hour_index_of(CalDate::new(2020, 5, 31)), None);
     }
 
     #[test]

@@ -143,13 +143,6 @@ pub struct LinearFit {
     pub n: usize,
 }
 
-impl LinearFit {
-    /// Predicted value at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
-}
-
 /// Fit a line by ordinary least squares. Returns `None` when under-determined
 /// (fewer than 2 points or zero x-variance).
 pub fn linear_fit(xs: &[f64], ys: &[f64]) -> Option<LinearFit> {
@@ -373,7 +366,6 @@ mod tests {
         assert!((f.slope - 3.0).abs() < 1e-9);
         assert!((f.intercept + 2.0).abs() < 1e-9);
         assert!((f.r2 - 1.0).abs() < 1e-12);
-        assert!((f.predict(20.0) - 58.0).abs() < 1e-9);
         assert!(linear_fit(&[1.0], &[1.0]).is_none());
         assert!(linear_fit(&[1.0, 1.0], &[1.0, 2.0]).is_none());
     }

@@ -47,22 +47,10 @@ impl SimTime {
         self.0
     }
 
-    /// Completed hours since scenario start (floor).
-    #[inline]
-    pub fn hour_index(self) -> u64 {
-        self.0 / HOUR
-    }
-
     /// Completed days since scenario start (floor).
     #[inline]
     pub fn day_index(self) -> u64 {
         self.0 / SECONDS_PER_DAY
-    }
-
-    /// Seconds elapsed within the current hour.
-    #[inline]
-    pub fn secs_into_hour(self) -> u64 {
-        self.0 % HOUR
     }
 
     /// Fractional hours since scenario start.
@@ -213,11 +201,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hour_and_day_indexing() {
+    fn day_indexing() {
         let t = SimTime::from_hours(25) + Duration::from_secs(10);
-        assert_eq!(t.hour_index(), 25);
         assert_eq!(t.day_index(), 1);
-        assert_eq!(t.secs_into_hour(), 10);
     }
 
     #[test]

@@ -165,12 +165,6 @@ impl Power {
     pub fn mw(self) -> f64 {
         self.0 / 1_000_000.0
     }
-
-    /// Energy accumulated by drawing this power for `seconds`.
-    #[inline]
-    pub fn over_seconds(self, seconds: f64) -> Energy {
-        Energy(self.0 * seconds)
-    }
 }
 
 impl Energy {
@@ -199,12 +193,6 @@ impl Energy {
     #[inline]
     pub fn mwh(self) -> f64 {
         self.kwh() / 1_000.0
-    }
-
-    /// Average power if this energy were drawn uniformly over `seconds`.
-    #[inline]
-    pub fn average_power(self, seconds: f64) -> Power {
-        Power(self.0 / seconds)
     }
 
     /// Carbon emitted at a given grid carbon intensity (kg CO₂ per MWh).
@@ -273,12 +261,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn power_energy_roundtrip() {
+    fn power_kw_roundtrip() {
         let p = Power::from_kw(250.0);
         assert!((p.kw() - 250.0).abs() < 1e-12);
-        let e = p.over_seconds(3600.0);
-        assert!((e.kwh() - 250.0).abs() < 1e-9);
-        assert!((e.average_power(3600.0).kw() - 250.0).abs() < 1e-9);
     }
 
     #[test]

@@ -172,14 +172,6 @@ impl ConferenceCalendar {
             .collect()
     }
 
-    /// Deadlines falling within `[from, to)`.
-    pub fn deadlines_between(&self, from: CalDate, to: CalDate) -> Vec<CalDate> {
-        self.all_deadlines()
-            .into_iter()
-            .filter(|&dl| from.days_until(dl) >= 0 && dl.days_until(to) > 0)
-            .collect()
-    }
-
     /// Monthly deadline counts over an inclusive month range (Fig. 5 bars).
     pub fn monthly_counts(&self, from: YearMonth, months: usize) -> Vec<(YearMonth, usize)> {
         let mut out = Vec::with_capacity(months);
@@ -284,19 +276,6 @@ mod tests {
         let counts = cal.monthly_counts(YearMonth::new(2021, 2), 5); // Feb–Jun 2021
         let window: usize = counts.iter().map(|(_, c)| c).sum();
         assert!(window >= 12, "Feb–Jun 2021 has only {window} deadlines");
-    }
-
-    #[test]
-    fn deadlines_between_is_half_open() {
-        let cal = ConferenceCalendar::table_i();
-        let from = CalDate::new(2020, 6, 1);
-        let to = CalDate::new(2020, 7, 1);
-        let in_june = cal.deadlines_between(from, to);
-        assert!(in_june
-            .iter()
-            .all(|d| d.month.number() == 6 && d.year == 2020));
-        // NeurIPS 2020 (Jun 5) is in there.
-        assert!(in_june.contains(&CalDate::new(2020, 6, 5)));
     }
 
     #[test]

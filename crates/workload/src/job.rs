@@ -180,11 +180,6 @@ impl SizeDistribution {
             (false, None)
         }
     }
-
-    /// Expected GPU count (for capacity planning in tests).
-    pub fn mean_gpus(&self) -> f64 {
-        self.gpu_menu.iter().map(|(g, p)| *g as f64 * p).sum()
-    }
 }
 
 /// Sample from a (value, probability) menu.
@@ -303,12 +298,6 @@ mod tests {
             assert!(by > submit);
             assert!(by <= submit + Duration::from_hours(96));
         }
-    }
-
-    #[test]
-    fn mean_gpus_sane() {
-        let m = SizeDistribution::default().mean_gpus();
-        assert!((3.0..6.0).contains(&m), "mean gpus {m:.2}");
     }
 
     #[test]

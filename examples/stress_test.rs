@@ -16,7 +16,7 @@ fn main() {
     base.horizon_hours = 31 * 24;
 
     let suite = StressScenario::standard_suite();
-    let reports = run_suite(&base, &suite);
+    let reports = run_suite(&base, &suite).expect("the standard suite's names are valid labels");
 
     println!("=== climate & operations stress suite (July 2020, 1/10-scale cluster) ===");
     println!(
