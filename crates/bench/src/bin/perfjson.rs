@@ -207,7 +207,7 @@ struct CampaignMeasurement {
     distinct_worlds: usize,
     distinct_environments: usize,
     distinct_replays: usize,
-    reuse_secs_per_cell: f64,
+    cached_secs_per_cell: f64,
     rebuild_secs_per_cell: f64,
     /// Merged report text byte-identical at shard counts 1 and 2.
     merged_identical_shards_1_2: bool,
@@ -216,15 +216,15 @@ struct CampaignMeasurement {
 /// Time the `campaign_small` manifest through the campaign executor.
 ///
 /// Both timed passes run **one shard, sequentially**, so the ratio
-/// isolates reuse: the reuse pass goes through `run_campaign`, which
+/// isolates the pass's caches: the cached pass goes through `run_campaign`, which
 /// builds `distinct_worlds` (= 1 here — every axis is replay-side), runs
 /// `distinct_replays` (= 4, one per policy: the SLO is read only after
 /// replay) over that world and finishes every cell from its policy's
 /// replay; the rebuild pass calls `Plan::reference_record` for every
 /// cell, a fresh world and a full replay each. The rebuild pass skips
 /// artifact compose and merge, which cost microseconds next to a world
-/// build. The ratio keeps its `world_reuse_speedup` key (CI greps it),
-/// but since the cached pass also reuses replays it measures both.
+/// build. `cache_speedup` measures the world cache and the replay cache
+/// together.
 ///
 /// Caveat, as for every lane in this binary: the container's timer noise
 /// is ±30% on short runs, so the recorded speedup is indicative, not a
@@ -235,15 +235,15 @@ fn time_campaign(min_runs: usize, budget_secs: f64) -> CampaignMeasurement {
     let plan = campaign_small(greener_bench::seeds::WORLD)
         .expand()
         .expect("campaign_small expands");
-    let reuse = InProcessBackend;
+    let backend = InProcessBackend;
     // Merge determinism across shard counts, on top of the equivalence
     // axis pinning it in-tree: the canonical report text must be
     // byte-identical however the plan is sharded.
-    let one = run_campaign(&plan, &reuse, 1).expect("merge").to_text();
-    let two = run_campaign(&plan, &reuse, 2).expect("merge").to_text();
+    let one = run_campaign(&plan, &backend, 1).expect("merge").to_text();
+    let two = run_campaign(&plan, &backend, 2).expect("merge").to_text();
     let merged_identical = one == two;
-    let (reuse_runs, reuse_secs) = time_loop(min_runs, budget_secs, || {
-        std::hint::black_box(run_campaign(&plan, &reuse, 1).expect("merge"));
+    let (cached_runs, cached_secs) = time_loop(min_runs, budget_secs, || {
+        std::hint::black_box(run_campaign(&plan, &backend, 1).expect("merge"));
     });
     let (_, rebuild_secs) = time_loop(min_runs, budget_secs, || {
         for i in 0..plan.len() {
@@ -252,22 +252,22 @@ fn time_campaign(min_runs: usize, budget_secs: f64) -> CampaignMeasurement {
     });
     eprintln!(
         "[perfjson] campaign_small: {} cells over {} world(s), {} environment(s) and {} \
-         replay(s), {:.3} s/campaign with reuse ({reuse_runs} passes) vs {:.3} s/campaign rebuilding ({:.2}x), \
+         replay(s), {:.3} s/campaign cached ({cached_runs} passes) vs {:.3} s/campaign rebuilding ({:.2}x), \
          merged identical at shards 1 vs 2: {merged_identical}",
         plan.len(),
         plan.distinct_worlds(),
         plan.distinct_environments(),
         plan.distinct_replays(),
-        reuse_secs,
+        cached_secs,
         rebuild_secs,
-        rebuild_secs / reuse_secs,
+        rebuild_secs / cached_secs,
     );
     CampaignMeasurement {
         cells: plan.len(),
         distinct_worlds: plan.distinct_worlds(),
         distinct_environments: plan.distinct_environments(),
         distinct_replays: plan.distinct_replays(),
-        reuse_secs_per_cell: reuse_secs / plan.len() as f64,
+        cached_secs_per_cell: cached_secs / plan.len() as f64,
         rebuild_secs_per_cell: rebuild_secs / plan.len() as f64,
         merged_identical_shards_1_2: merged_identical,
     }
@@ -625,15 +625,15 @@ fn main() {
     json.push_str("  ],\n");
     json.push_str(&format!(
         "  \"campaign\": {{\"name\": \"campaign_small\", \"cells\": {}, \"distinct_worlds\": {}, \
-         \"distinct_environments\": {}, \"distinct_replays\": {}, \"cells_per_sec_world_reuse\": {:.6}, \"cells_per_sec_rebuild\": {:.6}, \
-         \"world_reuse_speedup\": {:.3}, \"merged_identical_shards_1_2\": {}}},\n",
+         \"distinct_environments\": {}, \"distinct_replays\": {}, \"cells_per_sec_cached\": {:.6}, \"cells_per_sec_rebuild\": {:.6}, \
+         \"cache_speedup\": {:.3}, \"merged_identical_shards_1_2\": {}}},\n",
         campaign.cells,
         campaign.distinct_worlds,
         campaign.distinct_environments,
         campaign.distinct_replays,
-        1.0 / campaign.reuse_secs_per_cell,
+        1.0 / campaign.cached_secs_per_cell,
         1.0 / campaign.rebuild_secs_per_cell,
-        campaign.rebuild_secs_per_cell / campaign.reuse_secs_per_cell,
+        campaign.rebuild_secs_per_cell / campaign.cached_secs_per_cell,
         campaign.merged_identical_shards_1_2,
     ));
     json.push_str(&format!(

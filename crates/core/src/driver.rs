@@ -29,15 +29,18 @@
 //! the event loop is allocation-free in steady state and algorithmically
 //! incremental:
 //!
-//! * **Pluggable event-scheduler core** — the loop is generic over
-//!   [`EventScheduler`]; the default engine runs the sorted-runs queue
-//!   ([`RunsQueue`]), the reference engine ([`SimDriver::run_reference`])
-//!   the binary heap. A replay schedules every arrival (in submit order)
-//!   and then every hourly tick (ascending) before its first pop, so the
-//!   runs queue keeps them as two append-only runs and merges their heads;
-//!   only completions, at most one per busy GPU, go through its heap. Both
-//!   cores pop identical event sequences, so the choice never changes
-//!   results.
+//! * **Three-stream merge, no event queue** — the default engine draws
+//!   each event from one of three streams it already holds: a cursor over
+//!   the trace (arrivals, already in submit order), the hour cursor (the
+//!   next hourly tick) and the head of the completion profile (the
+//!   earliest finish). Events that share a timestamp go arrivals first,
+//!   then ticks, then completions. That is exactly the `(time, seq)` pop
+//!   order of the reference engine ([`SimDriver::run_reference`]), whose
+//!   [`EventQueue`] schedules every arrival and then every tick before its
+//!   first pop and each completion as its job starts: arrivals hold the
+//!   lowest sequence numbers, ticks the next, and completions, FIFO among
+//!   themselves like profile ties, all the rest. So the default engine
+//!   copies nothing into a queue up front and heaps no completion.
 //! * **Borrowed scheduler signals** — [`SchedSignals`] borrows the forecast
 //!   and completion slices from engine-owned buffers; building the
 //!   per-dispatch snapshot costs zero heap traffic (it used to `to_vec()`
@@ -52,9 +55,11 @@
 //!   reloading the very f64 values the reference engine's array-of-structs
 //!   slab stores, so the record stream is bit-identical.
 //! * **Incremental completion profile** — the `(finish, gpus)` list EASY
-//!   backfill reserves against is maintained sorted by binary-search
-//!   insert/remove on allocate/release, instead of being rebuilt and
-//!   re-sorted from the running set on every dispatch.
+//!   backfill reserves against is kept sorted by binary-search insert as
+//!   jobs start (ties after equals, so in start order), instead of being
+//!   rebuilt and re-sorted from the running set on every dispatch; each
+//!   entry's `JobId` sits in a parallel column. The head is always the
+//!   next completion on both engines, so retiring a job is a head bump.
 //! * **Fit-indexed waiting queue** — the queue is a
 //!   [`greener_sched::WaitQueue`]: EASY backfill only visits candidates
 //!   whose gang fits the free GPUs (instead of scanning thousands of
@@ -115,8 +120,7 @@ use greener_hpc::gpu::kind_utilization;
 use greener_hpc::{Cluster, HourObservation, TelemetryLog, TelemetryProbe};
 use greener_sched::{Decision, LoneDispatch, QueuedJob, SchedPolicy, SchedSignals, WaitQueue};
 use greener_simkit::calendar::{CalDate, Calendar};
-use greener_simkit::des::{EventQueue, EventScheduler};
-use greener_simkit::runs::RunsQueue;
+use greener_simkit::des::EventQueue;
 use greener_simkit::time::{SimTime, HOUR};
 use greener_simkit::units::{Energy, Fahrenheit};
 use greener_workload::{
@@ -246,14 +250,10 @@ enum Event {
     Tick,
 }
 
-struct Running {
-    finish: SimTime,
-    record: JobRecord,
-}
-
-/// Vacant-slot sentinel for the default engine's finish column (far past
-/// any reachable simulation time).
-const VACANT_FINISH: SimTime = SimTime(u64::MAX);
+/// Far past any reachable simulation time: the vacant-slot sentinel of
+/// the default engine's finish column, and the time of an exhausted
+/// stream in its merge.
+const NEVER: SimTime = SimTime(u64::MAX);
 
 /// What one replay hands back: the probe set (now holding everything that
 /// was observed) and the loop counters, plus the loop-side tallies probes
@@ -278,24 +278,30 @@ const FORECAST_PERIOD: usize = 24;
 /// Mutable event-loop state. Every buffer in here persists across events;
 /// after warm-up the loop performs no heap allocation beyond what the
 /// attached probes retain (see the module docs for the architecture).
-struct Engine<'s, Q: EventScheduler<Event>, O: RunProbes> {
+struct Engine<'s, O: RunProbes> {
     scenario: &'s Scenario,
     grid: &'s GridPath,
     weather: &'s WeatherPath,
     hours: usize,
     policy: Box<dyn SchedPolicy>,
     cluster: Cluster,
-    queue: Q,
+    /// The reference engine's event queue: every arrival and tick
+    /// scheduled before the first pop, each completion as its job starts.
+    /// `None` on the default engine, which merges its three streams in
+    /// place ([`Engine::next_event`]).
+    queue: Option<EventQueue<Event>>,
+    /// Default engine: trace index of the next arrival.
+    next_arrival: usize,
     /// Fit-indexed waiting queue shared with the policies.
     waiting: WaitQueue,
     /// Running jobs on the reference engine: the classic dense
-    /// array-of-structs slab indexed by `JobId` (ids are assigned densely
-    /// by the trace generator). Empty on the default engine.
-    running: Vec<Option<Running>>,
+    /// array-of-structs slab of records indexed by `JobId` (ids are
+    /// assigned densely by the trace generator). Empty on the default
+    /// engine.
+    running: Vec<Option<JobRecord>>,
     /// Default-engine hot column: finish time per trace index,
-    /// [`VACANT_FINISH`] when the job is not running. The completion path
-    /// touches only this column to detect staleness. Empty on the
-    /// reference engine.
+    /// [`NEVER`] when the job is not running. Empty on the reference
+    /// engine.
     finish_at: Vec<SimTime>,
     /// Default-engine cold columns: written once at start, read once at
     /// completion to reconstruct the [`JobRecord`] together with the trace
@@ -310,16 +316,17 @@ struct Engine<'s, Q: EventScheduler<Event>, O: RunProbes> {
     /// array-of-structs slab.
     apply_fast: bool,
     running_count: usize,
-    /// `(finish, gpus)` of running jobs, sorted soonest-first. Maintained
-    /// incrementally on allocate/release; the live region
+    /// `(finish, gpus)` of running jobs, sorted soonest-first, ties in
+    /// start order. Inserted into as jobs start; the live region
     /// `completions[completions_head..]` is borrowed by every
     /// `SchedSignals`.
     completions: Vec<(SimTime, u32)>,
-    /// Start of the live completion entries. A finishing job is (almost
-    /// always) the profile's earliest finish, so retiring it by advancing
-    /// this head replaces a front `remove` — and its full-tail memmove —
-    /// with a pointer bump; the dead prefix is compacted away once it
-    /// dominates the buffer.
+    /// The `JobId` of each `completions` entry, at the same index.
+    completion_ids: Vec<JobId>,
+    /// Start of the live completion entries. The next completion is always
+    /// the earliest finish, ties in start order, which is the head: it is
+    /// retired by advancing this index, and the dead prefix is compacted
+    /// away once it dominates the buffer.
     completions_head: usize,
     /// The caller's statically-composed probe set; receives every typed
     /// observation point the loop emits (and nothing else — probes are
@@ -336,7 +343,39 @@ struct Engine<'s, Q: EventScheduler<Event>, O: RunProbes> {
     hour_cursor: usize,
 }
 
-impl<Q: EventScheduler<Event>, O: RunProbes> Engine<'_, Q, O> {
+impl<O: RunProbes> Engine<'_, O> {
+    /// The default engine's next event: the earliest of the next arrival,
+    /// the next hourly tick and the profile head, ties in that order
+    /// (arrivals, ticks, completions), which is the reference queue's
+    /// `(time, seq)` order. `None` once all three streams are spent.
+    fn next_event(&mut self) -> Option<(SimTime, Event)> {
+        let arrival = self
+            .trace
+            .get(self.next_arrival)
+            .map_or(NEVER, |j| j.submit);
+        // Tick `h + 1` ends hour `h`, and the tick handler advances the
+        // hour cursor, so the cursor counts the ticks popped.
+        let tick = if self.hour_cursor < self.hours {
+            SimTime::from_hours(self.hour_cursor as u64 + 1)
+        } else {
+            NEVER
+        };
+        let head = self.completions_head;
+        let completion = self.completions.get(head).map_or(NEVER, |c| c.0);
+        if arrival <= tick && arrival <= completion {
+            if arrival == NEVER {
+                return None;
+            }
+            let idx = self.next_arrival as u32;
+            self.next_arrival += 1;
+            Some((arrival, Event::Arrival(idx)))
+        } else if tick <= completion {
+            Some((tick, Event::Tick))
+        } else {
+            Some((completion, Event::Completion(self.completion_ids[head])))
+        }
+    }
+
     /// Refresh `forecast_green` for the top of `hour_cursor`.
     fn refresh_forecast(&mut self) {
         forecast_at(
@@ -492,15 +531,18 @@ impl<Q: EventScheduler<Event>, O: RunProbes> Engine<'_, Q, O> {
         let duration = job.duration_at_speed(speed);
         let finish = now + duration;
         let energy = Energy(gpu_power * job.gpus as f64 * duration.secs_f64());
-        self.queue.schedule(finish, Event::Completion(job.id));
+        if let Some(queue) = &mut self.queue {
+            queue.schedule(finish, Event::Completion(job.id));
+        }
         // Keep the completion profile sorted: binary-search the insertion
-        // point (ties insert after equals, preserving soonest-first order).
+        // point (ties insert after equals, so they stay in start order).
         let head = self.completions_head;
         let pos = head + self.completions[head..].partition_point(|&(t, _)| t <= finish);
         self.completions.insert(pos, (finish, job.gpus));
+        self.completion_ids.insert(pos, job.id);
         let idx = job.id.0 as usize;
         if self.apply_fast {
-            debug_assert!(self.finish_at[idx] == VACANT_FINISH, "job started twice");
+            debug_assert!(self.finish_at[idx] == NEVER, "job started twice");
             self.finish_at[idx] = finish;
             self.cold_start[idx] = now;
             self.cold_cap_w[idx] = cap;
@@ -508,20 +550,17 @@ impl<Q: EventScheduler<Event>, O: RunProbes> Engine<'_, Q, O> {
             self.counts.bump(ProfileCounter::FastApplyEvents, 1);
         } else {
             debug_assert!(self.running[idx].is_none(), "job started twice");
-            self.running[idx] = Some(Running {
+            self.running[idx] = Some(JobRecord {
+                id: job.id,
+                user: job.user,
+                kind: job.kind,
+                gpus: job.gpus,
+                work_gpu_hours: job.work_gpu_hours,
+                submit: job.submit,
+                start: now,
                 finish,
-                record: JobRecord {
-                    id: job.id,
-                    user: job.user,
-                    kind: job.kind,
-                    gpus: job.gpus,
-                    work_gpu_hours: job.work_gpu_hours,
-                    submit: job.submit,
-                    start: now,
-                    finish,
-                    power_cap_w: cap,
-                    energy,
-                },
+                power_cap_w: cap,
+                energy,
             });
         }
         self.running_count += 1;
@@ -532,16 +571,14 @@ impl<Q: EventScheduler<Event>, O: RunProbes> Engine<'_, Q, O> {
         true
     }
 
-    /// Retire a completed job from the slab and the completion profile.
-    /// Returns false for stale completion events.
-    fn finish_job(&mut self, id: JobId) -> bool {
+    /// Retire a completed job, the profile head, from the slab and the
+    /// completion profile.
+    fn finish_job(&mut self, id: JobId) {
         let idx = id.0 as usize;
-        let (finish, gpus, record) = if self.apply_fast {
+        let record = if self.apply_fast {
             let finish = self.finish_at[idx];
-            if finish == VACANT_FINISH {
-                return false;
-            }
-            self.finish_at[idx] = VACANT_FINISH;
+            debug_assert!(finish != NEVER, "completion of a job that is not running");
+            self.finish_at[idx] = NEVER;
             // Reconstruct the record from the trace row plus the cold
             // columns: the exact f64 values the reference slab stores at
             // start, reloaded verbatim, so the record stream is
@@ -561,42 +598,31 @@ impl<Q: EventScheduler<Event>, O: RunProbes> Engine<'_, Q, O> {
                 energy: Energy(self.cold_energy_j[idx]),
             };
             self.counts.bump(ProfileCounter::FastApplyEvents, 1);
-            (finish, job.gpus, record)
+            record
         } else {
-            let Some(run) = self.running[idx].take() else {
-                return false;
-            };
-            let gpus = run.record.gpus;
-            (run.finish, gpus, run.record)
+            self.running[idx]
+                .take()
+                .expect("completion of a job that is not running")
         };
         self.running_count -= 1;
         self.cluster.release(id);
-        // Remove one matching `(finish, gpus)` entry; among equal finish
-        // times any match is equivalent (the profile is a multiset).
+        // Completions pop in `(finish, start order)`, the profile's own
+        // order, so the finishing job is the head.
         let head = self.completions_head;
-        let mut k = head + self.completions[head..].partition_point(|&(ct, _)| ct < finish);
-        while k < self.completions.len() && self.completions[k].0 == finish {
-            if self.completions[k].1 == gpus {
-                if k == head {
-                    // Common case: the finishing job holds the earliest
-                    // finish — retire it with a head bump, no memmove.
-                    self.completions_head = head + 1;
-                } else {
-                    self.completions.remove(k);
-                }
-                break;
-            }
-            k += 1;
-        }
+        debug_assert_eq!(
+            self.completion_ids[head], id,
+            "a completion retires the profile head"
+        );
+        self.completions_head = head + 1;
         // Compact the dead prefix once it outweighs the live entries, so
         // the buffer stays bounded by the concurrency level (amortized
         // O(1) per retirement).
         if self.completions_head >= 64 && self.completions_head * 2 >= self.completions.len() {
             self.completions.drain(..self.completions_head);
+            self.completion_ids.drain(..self.completions_head);
             self.completions_head = 0;
         }
         self.probes.observe(&JobPoint::Finished(record));
-        true
     }
 }
 
@@ -655,9 +681,24 @@ impl World {
         env: impl FnOnce() -> (WeatherPath, GridPath) + Send,
     ) -> World {
         let ((weather, grid), trace) = greener_simkit::par::join(env, || spec.build());
+        World::from_parts(spec.seed, spec.gpu_cap, weather, grid, trace)
+    }
+
+    /// Assemble a world from parts already in hand: the root seed and GPU
+    /// cap it was generated for, its environment and its trace (dense ids
+    /// in submit order, gang sizes at most `gpu_cap`). Replay checks the
+    /// seed, the horizon, the cap and the trace order against the
+    /// scenario; the rest is the caller's word.
+    pub fn from_parts(
+        seed: u64,
+        gpu_cap: u32,
+        weather: WeatherPath,
+        grid: GridPath,
+        trace: Vec<Job>,
+    ) -> World {
         World {
-            seed: spec.seed,
-            gpu_cap: spec.gpu_cap,
+            seed,
+            gpu_cap,
             weather,
             grid,
             trace,
@@ -806,7 +847,7 @@ impl SimDriver {
     /// decision-invisible, so every spec observes bit-identical numbers
     /// (the golden determinism test and a property test pin this).
     pub fn run_observed(scenario: &Scenario, world: &World, observe: Observe) -> RunOutput {
-        Self::observed_on_core(scenario, world, observe, false).0
+        Self::observed(scenario, world, observe, false).0
     }
 
     /// Replay a pre-built world on the **reference engine**: the
@@ -818,7 +859,7 @@ impl SimDriver {
     /// included, which [`crate::equivalence::assert_matches_reference`]
     /// checks. Slower, and meant for tests and benchmarks only.
     pub fn run_reference(scenario: &Scenario, world: &World, observe: Observe) -> RunOutput {
-        Self::observed_on_core(scenario, world, observe, true).0
+        Self::observed(scenario, world, observe, true).0
     }
 
     /// Replay a pre-built world like [`SimDriver::run_observed`], and also
@@ -831,7 +872,7 @@ impl SimDriver {
         world: &World,
         observe: Observe,
     ) -> (RunOutput, ReplayProfile) {
-        Self::observed_on_core(scenario, world, observe, false)
+        Self::observed(scenario, world, observe, false)
     }
 
     /// Replay a pre-built world on the default engine, observing only
@@ -843,14 +884,16 @@ impl SimDriver {
     /// under every cell's threshold.
     pub fn replay_aggregates(scenario: &Scenario, world: &World) -> AggregatesReplay {
         Self::check_world(scenario, world);
-        Self::aggregates_only::<RunsQueue<Event>>(scenario, world, false).0
+        Self::aggregates_only(scenario, world, false).0
     }
 
     /// Check that `scenario` can be replayed and that `world` was
-    /// generated for it. A few integer comparisons once per run, so release
-    /// builds check too: a zero horizon would index an empty forecast, a
-    /// zero-GPU cluster would run to the end completing nothing, and a
-    /// mismatched world would silently report numbers for the wrong one.
+    /// generated for it. A few integer comparisons and one pass over the
+    /// trace per run, so release builds check too: a zero horizon would
+    /// index an empty forecast, a zero-GPU cluster would run to the end
+    /// completing nothing, a mismatched world would silently report
+    /// numbers for the wrong one, and a trace out of submit order would
+    /// run the default engine's clock backwards.
     fn check_world(scenario: &Scenario, world: &World) {
         assert!(scenario.horizon_hours > 0, "scenario horizon is zero hours");
         assert!(
@@ -871,35 +914,26 @@ impl SimDriver {
             scenario.cluster.total_gpus(),
             "world trace was gang-capped for a different cluster size"
         );
+        // The default engine reads arrivals off the trace in place.
+        assert!(
+            world.trace.windows(2).all(|w| w[0].submit <= w[1].submit),
+            "world trace is not in submit order"
+        );
     }
 
-    /// The one place the engine is picked: every public replay entry point
-    /// comes through here. `reference` selects the reference engine's
-    /// binary-heap queue here, and its dispatch and apply paths in
-    /// `SimDriver::replay`.
-    fn observed_on_core(
+    /// Every public replay entry point but [`SimDriver::replay_aggregates`]
+    /// comes through here: check the world, then dispatch `observe` to a
+    /// statically-composed probe set. `reference` picks the reference
+    /// engine's queue, dispatch and apply paths in `SimDriver::replay`.
+    fn observed(
         scenario: &Scenario,
         world: &World,
         observe: Observe,
         reference: bool,
     ) -> (RunOutput, ReplayProfile) {
         Self::check_world(scenario, world);
-        if reference {
-            Self::observed::<EventQueue<Event>>(scenario, world, observe, true)
-        } else {
-            Self::observed::<RunsQueue<Event>>(scenario, world, observe, false)
-        }
-    }
-
-    /// Dispatch `observe` to a statically-composed probe set.
-    fn observed<Q: EventScheduler<Event>>(
-        scenario: &Scenario,
-        world: &World,
-        observe: Observe,
-        reference: bool,
-    ) -> (RunOutput, ReplayProfile) {
         if observe == Observe::aggregates() {
-            let (replay, counts) = Self::aggregates_only::<Q>(scenario, world, reference);
+            let (replay, counts) = Self::aggregates_only(scenario, world, reference);
             return (
                 RunOutput {
                     scenario_name: scenario.name.clone(),
@@ -932,7 +966,7 @@ impl SimDriver {
                 observe.queue_depth.then(QueueDepthProbe::new),
             ),
         );
-        let outcome = Self::replay::<Q, _>(scenario, world, probes, reference);
+        let outcome = Self::replay(scenario, world, probes, reference);
         let ((agg, jobs_probe), ((telemetry, ledger), queue_depth)) = outcome.probes;
         let (jobs, records) = jobs_probe.finish(
             outcome.submitted,
@@ -957,13 +991,13 @@ impl SimDriver {
     /// The aggregates-only replay, with its loop counters. The fast path
     /// gets its own monomorphization: no `Option` probes, nothing retained
     /// per frame, one wait and one slowdown sample per job.
-    fn aggregates_only<Q: EventScheduler<Event>>(
+    fn aggregates_only(
         scenario: &Scenario,
         world: &World,
         reference: bool,
     ) -> (AggregatesReplay, ReplayProfile) {
         let probes = (AggregatesProbe::new(), JobsProbe::stats_only());
-        let outcome = Self::replay::<Q, _>(scenario, world, probes, reference);
+        let outcome = Self::replay(scenario, world, probes, reference);
         let (aggregates, jobs) = outcome.probes;
         let replay = AggregatesReplay {
             aggregates: aggregates.into_aggregates(),
@@ -975,10 +1009,11 @@ impl SimDriver {
         (replay, outcome.counts)
     }
 
-    /// The event loop, generic over the scheduler core and the probe set.
-    /// `reference` turns off the lone-arrival fast path and keeps running
-    /// jobs in the array-of-structs slab.
-    fn replay<Q: EventScheduler<Event>, O: RunProbes>(
+    /// The event loop, generic over the probe set. `reference` replaces
+    /// the three-stream merge with the event queue, turns off the
+    /// lone-arrival fast path and keeps running jobs in the
+    /// array-of-structs slab.
+    fn replay<O: RunProbes>(
         scenario: &Scenario,
         world: &World,
         probes: O,
@@ -994,18 +1029,22 @@ impl SimDriver {
 
         let mut strategy = scenario.strategy.build();
 
-        // Event queue: all arrivals (in submit order), then all hourly ticks
-        // (ascending), up front: two sorted streams, which the default
-        // engine's runs queue stores as two runs. Completions are scheduled
-        // as jobs start; since a completion only exists after its arrival
-        // popped, the queue never holds more than this capacity.
-        let mut queue: Q = Q::with_capacity(trace.len() + hours + 8);
-        for (i, job) in trace.iter().enumerate() {
-            queue.schedule(job.submit, Event::Arrival(i as u32));
-        }
-        for h in 1..=hours {
-            queue.schedule(SimTime::from_hours(h as u64), Event::Tick);
-        }
+        // The reference engine's event queue: all arrivals (in submit
+        // order), then all hourly ticks (ascending), up front. Completions
+        // are scheduled as jobs start; since a completion only exists after
+        // its arrival popped, the queue never holds more than this
+        // capacity. The default engine reads the same three streams in
+        // place (`Engine::next_event`).
+        let queue = reference.then(|| {
+            let mut queue = EventQueue::with_capacity(trace.len() + hours + 8);
+            for (i, job) in trace.iter().enumerate() {
+                queue.schedule(job.submit, Event::Arrival(i as u32));
+            }
+            for h in 1..=hours {
+                queue.schedule(SimTime::from_hours(h as u64), Event::Tick);
+            }
+            queue
+        });
 
         let mut cluster = Cluster::new(scenario.cluster.clone());
         cluster.reserve_jobs(trace.len());
@@ -1020,7 +1059,7 @@ impl SimDriver {
         let mut cold_cap_w = Vec::new();
         let mut cold_energy_j = Vec::new();
         if apply_fast {
-            finish_at = vec![VACANT_FINISH; trace.len()];
+            finish_at = vec![NEVER; trace.len()];
             cold_start = vec![SimTime::ZERO; trace.len()];
             cold_cap_w = vec![0.0; trace.len()];
             cold_energy_j = vec![0.0; trace.len()];
@@ -1035,6 +1074,7 @@ impl SimDriver {
             policy: scenario.policy.build(),
             cluster,
             queue,
+            next_arrival: 0,
             waiting: WaitQueue::new(),
             running,
             finish_at,
@@ -1045,6 +1085,7 @@ impl SimDriver {
             apply_fast,
             running_count: 0,
             completions: Vec::with_capacity(max_concurrent),
+            completion_ids: Vec::with_capacity(max_concurrent),
             completions_head: 0,
             probes,
             decisions: Vec::with_capacity(64),
@@ -1063,7 +1104,15 @@ impl SimDriver {
         let mut last_t = SimTime::ZERO;
         let mut acc_it_j = 0.0f64;
 
-        while let Some((t, ev)) = engine.queue.pop() {
+        loop {
+            let next = match &mut engine.queue {
+                Some(queue) => queue.pop(),
+                None => engine.next_event(),
+            };
+            let Some((t, ev)) = next else {
+                break;
+            };
+            debug_assert!(t >= last_t, "event clock went backwards");
             engine.counts.bump(ProfileCounter::Events, 1);
             // Integrate IT power since the last event.
             let dt = (t - last_t).secs_f64();
@@ -1098,9 +1147,8 @@ impl SimDriver {
                 }
                 Event::Completion(id) => {
                     engine.counts.bump(ProfileCounter::Completions, 1);
-                    if engine.finish_job(id) {
-                        engine.dispatch(t);
-                    }
+                    engine.finish_job(id);
+                    engine.dispatch(t);
                 }
                 Event::Tick => {
                     engine.counts.bump(ProfileCounter::Ticks, 1);
@@ -1172,11 +1220,12 @@ impl SimDriver {
             engine.policy.backfill_visits(),
         );
 
-        // Debug stats: a correct driver never schedules into the past.
-        // Debug builds panic inside `schedule` at the offending call site;
+        // Debug stats: a correct driver never schedules into the past (only
+        // the reference engine schedules at all). Debug builds panic inside
+        // `schedule` at the offending call site;
         // release builds clamp-and-count instead, so the silent FIFO-order
         // hazard surfaces here rather than vanishing.
-        let clamped = engine.queue.clamped();
+        let clamped = engine.queue.as_ref().map_or(0, EventQueue::clamped);
         debug_assert_eq!(clamped, 0, "driver scheduled events in the past");
         if clamped > 0 {
             eprintln!(
@@ -1406,7 +1455,8 @@ mod tests {
     /// survived two structural rewrites (fit-indexed `WaitQueue` +
     /// calendar-queue core; incremental `it_power()` — see PR 2's notes on
     /// why the power sum is order-independent-exact) unchanged, and the
-    /// later swap of the calendar queue for the sorted-runs queue too. The table
+    /// later swaps of the calendar queue for sorted runs and of sorted runs
+    /// for the three-stream merge too. The table
     /// below was recaptured once, when trace synthesis moved to sharded
     /// indexed RNG streams (`trace.arrivals[s]`/`trace.attributes[s]` per
     /// 7-day block): that change replaces which stream samples which
@@ -1541,17 +1591,19 @@ mod tests {
     /// Event-time ties the generated traces are not sure to contain: a
     /// hand-built trace with three arrivals per half hour (so every other
     /// arrival instant is a tick instant) and whole- or half-hour runtimes
-    /// (so jobs finish exactly on the hour and exactly at other jobs'
-    /// arrival instants). The default engine's runs queue must pop every
-    /// such tie in the reference heap's `(time, seq)` order, which the
-    /// decision streams of every policy family pin.
+    /// (so jobs finish exactly on the hour, exactly at other jobs' arrival
+    /// instants, and together with jobs of other gang sizes). The default
+    /// engine's three-stream merge must take every such tie in the
+    /// reference heap's `(time, seq)` order, and retire each of two jobs
+    /// finishing together as the profile head, which the decision streams
+    /// of every policy family pin.
     #[test]
     fn arrivals_ticks_and_completions_tied_in_time_match_reference() {
         use greener_workload::QueueClass;
         let base = Scenario::quick(3, 29);
-        let mut world = World::build(&base);
+        let (weather, grid) = World::environment(&base);
         let gangs = [1u32, 2, 4, 1, 8, 2];
-        world.trace = (0..120u64)
+        let trace: Vec<Job> = (0..120u64)
             .map(|i| {
                 let gpus = if i % 29 == 0 {
                     32
@@ -1576,8 +1628,8 @@ mod tests {
                 }
             })
             .collect();
-        let arrivals: std::collections::HashSet<SimTime> =
-            world.trace.iter().map(|j| j.submit).collect();
+        let arrivals: std::collections::HashSet<SimTime> = trace.iter().map(|j| j.submit).collect();
+        let world = World::from_parts(base.seed, base.cluster.total_gpus(), weather, grid, trace);
 
         let fcfs = SimDriver::run_observed(
             &base.clone().with_policy(PolicyKind::Fcfs),
@@ -1595,6 +1647,12 @@ mod tests {
             "no job finished on a tick and an arrival instant"
         );
         assert!(tied(false), "no job finished on a mid-hour arrival instant");
+        assert!(
+            records.iter().any(|a| records
+                .iter()
+                .any(|b| a.finish == b.finish && a.gpus != b.gpus)),
+            "no two jobs of different gang sizes finished at one instant"
+        );
 
         let matrix = [
             PolicyKind::Fcfs,
@@ -1629,8 +1687,8 @@ mod tests {
         let green_queues = PolicyKind::GreenQueues { green_cap_w: 160.0 };
         let mut base = Scenario::quick(3, 31).with_policy(green_queues);
         base.forecast = ForecastMode::Oracle;
-        let mut world = World::build(&base);
-        for (h, g) in world.grid.green_share.iter_mut().enumerate() {
+        let (weather, mut grid) = World::environment(&base);
+        for (h, g) in grid.green_share.iter_mut().enumerate() {
             *g = if h < 6 { 0.03 } else { 0.10 };
         }
         let minute = |m: u64| SimTime(m * 60);
@@ -1645,7 +1703,7 @@ mod tests {
             start_deadline: deadline_min.map(minute),
             queue,
         };
-        world.trace = vec![
+        let trace = vec![
             // Held from 0:30; its slack ends at 2:30.
             job(0, 30, QueueClass::Green, Some(150)),
             // 1:15, fits: meets a held queue and takes the fast path.
@@ -1655,6 +1713,7 @@ mod tests {
             // 2:45: after job 0's deadline, before the 3:00 tick.
             job(3, 165, QueueClass::Standard, None),
         ];
+        let world = World::from_parts(base.seed, base.cluster.total_gpus(), weather, grid, trace);
 
         for policy in [
             green_queues,
@@ -1697,6 +1756,19 @@ mod tests {
         let mut s = Scenario::quick(3, 1);
         s.horizon_hours = 0;
         let world = World::build(&s);
+        SimDriver::run_observed(&s, &world, Observe::aggregates());
+    }
+
+    /// A trace out of submit order is refused before the engine is built,
+    /// in release too: the default engine reads arrivals off it in place.
+    #[test]
+    #[should_panic(expected = "world trace is not in submit order")]
+    fn trace_out_of_submit_order_is_refused() {
+        let s = Scenario::quick(3, 1);
+        let (weather, grid) = World::environment(&s);
+        let mut trace = World::build_trace(&s);
+        trace.swap(0, 1);
+        let world = World::from_parts(s.seed, s.cluster.total_gpus(), weather, grid, trace);
         SimDriver::run_observed(&s, &world, Observe::aggregates());
     }
 
@@ -1852,7 +1924,7 @@ mod tests {
 
         let s = Scenario::quick(10, 19).with_battery();
         let world = World::build(&s);
-        let outcome = SimDriver::replay::<RunsQueue<Event>, _>(&s, &world, Audit::default(), false);
+        let outcome = SimDriver::replay(&s, &world, Audit::default(), false);
         let audit = outcome.probes;
         let reference = SimDriver::run(&s);
         assert_eq!(audit.submitted, reference.jobs.submitted);
@@ -2038,7 +2110,7 @@ mod tests {
         assert_eq!(full_profile, profile);
         // The reference engine must take no fast path at all: otherwise
         // every reference-vs-default equivalence test would be vacuous.
-        let (_, ref_profile) = SimDriver::observed_on_core(&s, &world, Observe::aggregates(), true);
+        let (_, ref_profile) = SimDriver::observed(&s, &world, Observe::aggregates(), true);
         assert_eq!(ref_profile.counter(ProfileCounter::FastDispatches), 0);
         assert_eq!(ref_profile.counter(ProfileCounter::FastApplyEvents), 0);
         assert!(

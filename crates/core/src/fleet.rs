@@ -950,12 +950,14 @@ impl FleetDriver {
             .into_iter()
             .zip(&fleet.sites)
             .zip(&world.sites)
-            .map(|((trace, site), env)| World {
-                seed: site.scenario.seed,
-                gpu_cap: site.scenario.cluster.total_gpus(),
-                weather: env.weather.clone(),
-                grid: env.grid.clone(),
-                trace,
+            .map(|((trace, site), env)| {
+                World::from_parts(
+                    site.scenario.seed,
+                    site.scenario.cluster.total_gpus(),
+                    env.weather.clone(),
+                    env.grid.clone(),
+                    trace,
+                )
             })
             .collect();
         let sites = par::sharded_map(n, |i| {

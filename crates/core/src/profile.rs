@@ -31,7 +31,7 @@ pub enum ProfileCounter {
     Events,
     /// Arrival events.
     Arrivals,
-    /// Completion events (including stale ones).
+    /// Completion events.
     Completions,
     /// Hourly tick events.
     Ticks,

@@ -178,13 +178,6 @@ impl Scenario {
         format!("{:?}", (self.env_spec(), self.trace_spec()))
     }
 
-    /// 64-bit digest of [`Scenario::world_inputs_key`] for compact
-    /// display/grouping. Cache lookups compare the full key, never this
-    /// digest, so hash collisions cannot alias two different worlds.
-    pub fn world_fingerprint(&self) -> u64 {
-        greener_simkit::rng::fnv1a(self.world_inputs_key().as_bytes())
-    }
-
     /// The scenario a replay needs: a clone with the report-time fields
     /// reset to fixed values. Those are `name` (a campaign cell's name is
     /// its id) and `slo_wait_hours` (read only after replay, by
@@ -323,7 +316,6 @@ mod tests {
             .with_forecast(ForecastMode::Naive)
             .named("renamed");
         assert_eq!(base.world_inputs_key(), policy_only.world_inputs_key());
-        assert_eq!(base.world_fingerprint(), policy_only.world_fingerprint());
         // World-side inputs must perturb it.
         assert_ne!(
             base.world_inputs_key(),

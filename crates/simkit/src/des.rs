@@ -5,78 +5,17 @@
 //! of nondeterminism bugs from heap-based simulators. The clock is enforced
 //! monotone: scheduling in the past panics in debug builds and is clamped to
 //! "now" in release builds; either way the clamp is counted and exposed via
-//! [`EventScheduler::clamped`], so release-mode drivers can assert the count
-//! is zero instead of silently reordering events.
+//! [`EventQueue::clamped`], so release-mode drivers can assert the count is
+//! zero instead of silently reordering events.
 //!
-//! [`EventScheduler`] abstracts the queue so simulation drivers can be
-//! generic over the event-scheduler core. Two implementations exist:
-//!
-//! * [`EventQueue`] — the `BinaryHeap`-backed reference implementation
-//!   (O(log n) schedule/pop, golden for determinism tests);
-//! * [`crate::runs::RunsQueue`] — append-only sorted runs merged with a
-//!   small heap: the replay schedules its arrivals and its hourly ticks as
-//!   two pre-sorted streams, so only the out-of-order completions are
-//!   heaped.
-//!
-//! Both pop the exact same `(time, seq)` sequence for the same schedule
-//! calls (property tests in `runs` pin this), so swapping cores never
-//! changes simulation results.
+//! The replay driver's reference engine runs on this queue, and its pop
+//! order is the replay semantics: the default engine merges its three
+//! pre-sorted streams (arrivals, hourly ticks, completions) in exactly the
+//! `(time, seq)` order this queue pops them in.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// A pluggable discrete-event scheduler core.
-///
-/// The contract every implementation must honour, bit-for-bit:
-///
-/// * events pop in `(time, insertion seq)` order — same-timestamp events
-///   are FIFO;
-/// * the clock (`now`) advances to each popped event's timestamp and never
-///   moves backwards;
-/// * scheduling in the past panics in debug builds; release builds clamp
-///   the timestamp to `now` **and** increment [`EventScheduler::clamped`].
-///
-/// Because the pop order is fully determined by the schedule calls, two
-/// different implementations driven identically produce identical
-/// simulations — which is what lets the driver treat the core as a
-/// performance knob rather than a semantic one. The driver's default
-/// engine runs [`crate::runs::RunsQueue`], because its traffic is two
-/// pre-sorted streams (arrivals, hourly ticks) plus at most one pending
-/// completion per GPU; its reference engine runs [`EventQueue`].
-pub trait EventScheduler<E> {
-    /// An empty scheduler sized for roughly `events` total schedules. The
-    /// hint is advisory.
-    fn with_capacity(events: usize) -> Self
-    where
-        Self: Sized;
-
-    /// Current simulation time (the timestamp of the last popped event).
-    fn now(&self) -> SimTime;
-
-    /// Number of pending events.
-    fn len(&self) -> usize;
-
-    /// True if no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total number of events popped so far.
-    fn processed(&self) -> u64;
-
-    /// Number of `schedule` calls whose timestamp lay in the past and was
-    /// clamped to `now`. A correct driver never clamps; this counter exists
-    /// so release builds can detect the (debug-panicking) FIFO-order hazard
-    /// instead of silently absorbing it.
-    fn clamped(&self) -> u64;
-
-    /// Schedule `event` at absolute time `at`.
-    fn schedule(&mut self, at: SimTime, event: E);
-
-    /// Pop the next event, advancing the clock to its timestamp.
-    fn pop(&mut self) -> Option<(SimTime, E)>;
-}
 
 /// An event scheduled at a time, with a sequence number for FIFO tie-breaks.
 #[derive(Debug, Clone)]
@@ -133,12 +72,11 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue with the clock at zero.
     pub fn new() -> EventQueue<E> {
-        EventScheduler::with_capacity(0)
+        EventQueue::with_capacity(0)
     }
-}
 
-impl<E> EventScheduler<E> for EventQueue<E> {
-    fn with_capacity(events: usize) -> Self {
+    /// An empty queue sized for roughly `events` total schedules.
+    pub fn with_capacity(events: usize) -> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::with_capacity(events),
             now: SimTime::ZERO,
@@ -148,23 +86,36 @@ impl<E> EventScheduler<E> for EventQueue<E> {
         }
     }
 
-    fn now(&self) -> SimTime {
+    /// Current simulation time (the timestamp of the last popped event).
+    pub fn now(&self) -> SimTime {
         self.now
     }
 
-    fn len(&self) -> usize {
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    fn processed(&self) -> u64 {
+    /// True if no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Total number of events popped so far.
+    pub fn processed(&self) -> u64 {
         self.processed
     }
 
-    fn clamped(&self) -> u64 {
+    /// Number of `schedule` calls whose timestamp lay in the past and was
+    /// clamped to `now`. A correct driver never clamps; this counter exists
+    /// so release builds can detect the (debug-panicking) FIFO-order hazard
+    /// instead of silently absorbing it.
+    pub fn clamped(&self) -> u64 {
         self.clamped
     }
 
-    fn schedule(&mut self, at: SimTime, event: E) {
+    /// Schedule `event` at absolute time `at`.
+    pub fn schedule(&mut self, at: SimTime, event: E) {
         debug_assert!(
             at >= self.now,
             "scheduled event in the past: at={at}, now={}",
@@ -179,7 +130,8 @@ impl<E> EventScheduler<E> for EventQueue<E> {
         self.heap.push(ScheduledEvent { at, seq, event });
     }
 
-    fn pop(&mut self) -> Option<(SimTime, E)> {
+    /// Pop the next event, advancing the clock to its timestamp.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let ev = self.heap.pop()?;
         debug_assert!(ev.at >= self.now, "event queue clock went backwards");
         self.now = ev.at;

@@ -13,12 +13,9 @@
 //!   paper's 2020–21 months.
 //! * [`rng`] — named, splittable deterministic RNG streams; every stochastic
 //!   path in the workspace derives from a single root seed.
-//! * [`des`] — a minimal, stable-ordered discrete-event engine, plus the
-//!   [`des::EventScheduler`] trait that makes the event-scheduler core
-//!   pluggable.
-//! * [`runs`] — a sorted-runs [`EventScheduler`]: pre-sorted streams
-//!   (a replay's arrivals and hourly ticks) pop straight off append-only
-//!   runs, and only out-of-order events go through a heap.
+//! * [`des`] — a minimal, stable-ordered discrete-event queue: FIFO ties,
+//!   a monotone clock, and a count of clamped past schedules. The replay
+//!   driver's reference engine runs on it.
 //! * [`obs`] — generic, decision-invisible observation probes: event loops
 //!   emit typed observation points to statically-composed [`obs::Probe`]
 //!   sets, so callers pay only for what they watch.
@@ -41,7 +38,6 @@ pub mod obs;
 pub mod par;
 pub mod proc;
 pub mod rng;
-pub mod runs;
 pub mod series;
 pub mod stats;
 pub mod sweep;
@@ -49,10 +45,9 @@ pub mod time;
 pub mod units;
 
 pub use calendar::{CalDate, Month, YearMonth};
-pub use des::{EventQueue, EventScheduler, ScheduledEvent};
+pub use des::{EventQueue, ScheduledEvent};
 pub use obs::Probe;
 pub use rng::RngHub;
-pub use runs::RunsQueue;
 pub use series::{HourlySeries, MonthlyAgg, MonthlyRow};
 pub use time::{Duration, SimTime, HOUR, MINUTE, SECONDS_PER_DAY, SECONDS_PER_HOUR};
 pub use units::{Celsius, Dollars, Energy, Fahrenheit, KgCo2, Liters, Power};
