@@ -43,7 +43,7 @@
 //! list:
 //!
 //! * the world builders read only [`EnvSpec`](crate::driver::EnvSpec) and
-//!   [`TraceSpec`](crate::driver::TraceSpec), and
+//!   [`TraceSpec`], and
 //!   [`Scenario::world_inputs_key`] is their text;
 //! * a replay reads the whole scenario except its report-time fields (the
 //!   name and the SLO threshold, read only when the replay is finished),
@@ -66,9 +66,8 @@
 //!   replay is cached never touches a world;
 //! * an environment is built once per in-process pass, or once per
 //!   worker's shard, and shared by every world that needs it: a world
-//!   whose environment an earlier world built generates only its trace,
-//!   and the last such world takes the environment itself rather than a
-//!   copy.
+//!   whose environment an earlier world built generates only its trace
+//!   and holds the environment through an `Arc`, so no world copies one.
 //!
 //! On a policy-only campaign this turns O(cells) world builds into
 //! O(distinct seeds) per pass; an SLO axis adds no replays; on a
@@ -100,14 +99,16 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 
+use greener_simkit::par;
 use greener_simkit::rng::fnv1a;
 use greener_simkit::sweep;
 use greener_simkit::units::Energy;
 
 use greener_climate::WeatherPath;
 use greener_grid::mix::GridPath;
+use greener_workload::Job;
 
-use crate::driver::{AggregatesReplay, JobStats, SimDriver, World};
+use crate::driver::{AggregatesReplay, JobStats, SimDriver, TraceSpec, World, WorldRef};
 use crate::probe::RunAggregates;
 use crate::scenario::Scenario;
 
@@ -812,15 +813,15 @@ impl CellRecord for CellResult {
 /// nothing else; a use runs on the value after the lock is released. Each
 /// slot counts its unfinished uses and drops its value when the count
 /// reaches zero, so a pass holds only what its remaining cells still
-/// need. Used from one thread, it builds a key's value on its first use
-/// and hands the value itself to its last.
+/// need. Every use of a key sees the one value it built, and none copies
+/// it.
 ///
 /// A build that panics poisons its slot's lock, and every later use of
 /// that key panics too rather than waiting for a value that never comes.
 /// Both plan kinds keep their worlds in one. [`CampaignPlan`] chains
 /// three: replays, one use per cell; worlds, one use per replay slot; and
 /// environments, one use per world slot. A world is only used while a
-/// replay is being built, and an environment only taken while a world is
+/// replay is being built, and an environment only shared while a world is
 /// being built, so locks nest replay, then world, then environment, and
 /// never the other way round.
 pub(crate) struct LastUseCache<V> {
@@ -932,34 +933,67 @@ impl<V> LastUseCache<V> {
         out
     }
 
-    /// Use `i` by value: build the value if no use of its key has yet,
-    /// and hand out a clone, or the value itself at the key's last use.
-    /// The clone is made outside the lock.
-    pub(crate) fn take(&self, i: usize, build: impl FnOnce() -> V) -> V
-    where
-        V: Clone,
-    {
-        let value = {
-            let mut slot = self.get(i, build);
-            slot.pending -= 1;
-            if slot.pending == 0 {
-                slot.value.take()
-            } else {
-                slot.value.clone()
-            }
+    /// Use `i` as a share: build the value if no use of its key has yet,
+    /// and hand out the cached `Arc` itself, which the slot lets go of at
+    /// the key's last use. The value is never copied.
+    pub(crate) fn share(&self, i: usize, build: impl FnOnce() -> V) -> Arc<V> {
+        let mut slot = self.get(i, build);
+        slot.pending -= 1;
+        let value = if slot.pending == 0 {
+            slot.value.take()
+        } else {
+            slot.value.clone()
         };
-        let value = value.expect("built above");
-        Arc::try_unwrap(value).unwrap_or_else(|shared| V::clone(&shared))
+        value.expect("built above")
+    }
+}
+
+/// A world in a [`CampaignPlan`] pass: its own trace over an environment
+/// it shares with every other world of that environment's key.
+struct SharedWorld {
+    seed: u64,
+    gpu_cap: u32,
+    env: Arc<(WeatherPath, GridPath)>,
+    trace: Vec<Job>,
+}
+
+impl SharedWorld {
+    /// Build the trace `spec` describes, forked against `env`, which
+    /// supplies the environment, exactly as [`World::build`] forks the
+    /// two halves.
+    fn build(
+        spec: &TraceSpec,
+        env: impl FnOnce() -> Arc<(WeatherPath, GridPath)> + Send,
+    ) -> SharedWorld {
+        let (env, trace) = par::join(env, || spec.build());
+        SharedWorld {
+            seed: spec.seed,
+            gpu_cap: spec.gpu_cap,
+            env,
+            trace,
+        }
+    }
+
+    /// The view the engine replays.
+    fn view(&self) -> WorldRef<'_> {
+        WorldRef {
+            seed: self.seed,
+            gpu_cap: self.gpu_cap,
+            weather: &self.env.0,
+            grid: &self.env.1,
+            trace: &self.trace,
+        }
     }
 }
 
 /// The caches of one [`CampaignPlan`] pass, chained: replays are keyed per
 /// cell, worlds per replay slot (only a replay build touches a world) and
-/// environments per world slot (only a world build takes one). Locks nest
-/// in that order, and a cell whose replay is cached never pins a world.
+/// environments per world slot (only a world build shares one). Locks
+/// nest in that order, and a cell whose replay is cached never pins a
+/// world.
 struct PassCaches {
     replays: LastUseCache<AggregatesReplay>,
-    worlds: LastUseCache<World>,
+    worlds: LastUseCache<SharedWorld>,
     envs: LastUseCache<(WeatherPath, GridPath)>,
 }
 
@@ -1019,14 +1053,14 @@ impl CampaignPlan {
                     let (u, s) = (i - base, &self.cells[i].scenario);
                     let r = replays.slot(u);
                     let build_world = || {
-                        World::with_environment(&s.trace_spec(), || {
-                            envs.take(worlds.slot(r), || World::environment(s))
+                        SharedWorld::build(&s.trace_spec(), || {
+                            envs.share(worlds.slot(r), || World::environment(s))
                         })
                     };
                     let build_replay = || {
                         let inputs = s.replay_inputs();
                         worlds.with(r, build_world, |world| {
-                            SimDriver::replay_aggregates(&inputs, world)
+                            SimDriver::aggregates_of(&inputs, world.view())
                         })
                     };
                     replays.with(u, build_replay, |replay| self.record(i, replay))
@@ -1438,7 +1472,7 @@ mod tests {
     }
 
     #[test]
-    fn last_use_cache_hands_the_value_itself_to_its_last_use() {
+    fn last_use_cache_shares_one_allocation_with_every_use_of_a_key() {
         use std::cell::Cell;
         use std::rc::Rc;
         /// A value that counts its clones.
@@ -1453,23 +1487,36 @@ mod tests {
         let cache = LastUseCache::new(keys);
         let clones = Rc::new(Cell::new(0));
         let mut builds = 0;
-        let taken: Vec<Tally> = (0..keys.len())
+        let shared: Vec<Arc<Tally>> = (0..keys.len())
             .map(|i| {
-                cache.take(i, || {
+                cache.share(i, || {
                     builds += 1;
                     Tally(Rc::clone(&clones))
                 })
             })
             .collect();
-        assert_eq!(taken.len(), keys.len());
         assert_eq!(builds, 3);
-        // Every use but each key's last gets a clone; the last gets the
-        // cached value itself, so nothing stays behind.
-        assert_eq!(clones.get(), keys.len() - 3);
+        assert_eq!(clones.get(), 0, "no use copies the value");
+        for (i, a) in keys.iter().enumerate() {
+            for (j, b) in keys.iter().enumerate() {
+                assert_eq!(
+                    Arc::ptr_eq(&shared[i], &shared[j]),
+                    a == b,
+                    "uses {i} and {j}"
+                );
+            }
+        }
+        // The last use of each key took the slot's own handle, so the
+        // uses' handles are all that is left.
         assert!(cache
             .slots
             .iter()
             .all(|slot| slot.lock().unwrap().value.is_none()));
+        assert_eq!(
+            Arc::strong_count(&shared[0]),
+            2,
+            "held by uses 0 and 2 only"
+        );
     }
 
     #[test]

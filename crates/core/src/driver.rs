@@ -45,15 +45,15 @@
 //!   and completion slices from engine-owned buffers; building the
 //!   per-dispatch snapshot costs zero heap traffic (it used to `to_vec()`
 //!   the 24-hour forecast on every dispatch).
-//! * **Dense running-job slab, struct-of-arrays** — `JobId`s are assigned
+//! * **Dense running-job slab, cold columns only** — `JobId`s are assigned
 //!   densely by the trace generator, so running jobs live in id-indexed
 //!   arrays instead of a `HashMap` (no hashing, no rehash growth). On the
-//!   default engine the slab is additionally split struct-of-arrays: a hot
-//!   finish-time column the completion path reads first, and cold record
-//!   columns (start, cap, energy) read exactly once when the [`JobRecord`]
-//!   is reconstructed — from the trace row plus the cold columns,
-//!   reloading the very f64 values the reference engine's array-of-structs
-//!   slab stores, so the record stream is bit-identical.
+//!   default engine the slab keeps only cold record columns (start, cap,
+//!   energy), written once at start and read once when the [`JobRecord`]
+//!   is reconstructed; the finish time is the completion profile's head,
+//!   and the rest is the trace row. Those are the very f64 values the
+//!   reference engine's array-of-structs slab stores, so the record
+//!   stream is bit-identical.
 //! * **Incremental completion profile** — the `(finish, gpus)` list EASY
 //!   backfill reserves against is kept sorted by binary-search insert as
 //!   jobs start (ties after equals, so in start order), instead of being
@@ -250,9 +250,8 @@ enum Event {
     Tick,
 }
 
-/// Far past any reachable simulation time: the vacant-slot sentinel of
-/// the default engine's finish column, and the time of an exhausted
-/// stream in its merge.
+/// Far past any reachable simulation time: the time of an exhausted
+/// stream in the default engine's merge.
 const NEVER: SimTime = SimTime(u64::MAX);
 
 /// What one replay hands back: the probe set (now holding everything that
@@ -299,13 +298,10 @@ struct Engine<'s, O: RunProbes> {
     /// assigned densely by the trace generator). Empty on the default
     /// engine.
     running: Vec<Option<JobRecord>>,
-    /// Default-engine hot column: finish time per trace index,
-    /// [`NEVER`] when the job is not running. Empty on the reference
-    /// engine.
-    finish_at: Vec<SimTime>,
     /// Default-engine cold columns: written once at start, read once at
     /// completion to reconstruct the [`JobRecord`] together with the trace
-    /// row (same stored f64 values → bit-identical records).
+    /// row and the profile head's finish time (same stored f64 values →
+    /// bit-identical records). Empty on the reference engine.
     cold_start: Vec<SimTime>,
     cold_cap_w: Vec<f64>,
     cold_energy_j: Vec<f64>,
@@ -542,8 +538,6 @@ impl<O: RunProbes> Engine<'_, O> {
         self.completion_ids.insert(pos, job.id);
         let idx = job.id.0 as usize;
         if self.apply_fast {
-            debug_assert!(self.finish_at[idx] == NEVER, "job started twice");
-            self.finish_at[idx] = finish;
             self.cold_start[idx] = now;
             self.cold_cap_w[idx] = cap;
             self.cold_energy_j[idx] = energy.value();
@@ -575,14 +569,19 @@ impl<O: RunProbes> Engine<'_, O> {
     /// completion profile.
     fn finish_job(&mut self, id: JobId) {
         let idx = id.0 as usize;
+        // Completions pop in `(finish, start order)`, the profile's own
+        // order, so the finishing job is the head.
+        let head = self.completions_head;
+        debug_assert_eq!(
+            self.completion_ids[head], id,
+            "a completion retires the profile head"
+        );
         let record = if self.apply_fast {
-            let finish = self.finish_at[idx];
-            debug_assert!(finish != NEVER, "completion of a job that is not running");
-            self.finish_at[idx] = NEVER;
-            // Reconstruct the record from the trace row plus the cold
-            // columns: the exact f64 values the reference slab stores at
-            // start, reloaded verbatim, so the record stream is
-            // bit-identical across engines.
+            // Reconstruct the record from the trace row, the profile
+            // head's finish time and the cold columns: the exact values
+            // the reference slab stores at start, reloaded verbatim, so
+            // the record stream is bit-identical across engines.
+            let finish = self.completions[head].0;
             let job = &self.trace[idx];
             debug_assert_eq!(job.id, id, "trace ids are dense submit-order indices");
             let record = JobRecord {
@@ -606,13 +605,6 @@ impl<O: RunProbes> Engine<'_, O> {
         };
         self.running_count -= 1;
         self.cluster.release(id);
-        // Completions pop in `(finish, start order)`, the profile's own
-        // order, so the finishing job is the head.
-        let head = self.completions_head;
-        debug_assert_eq!(
-            self.completion_ids[head], id,
-            "a completion retires the profile head"
-        );
         self.completions_head = head + 1;
         // Compact the dead prefix once it outweighs the live entries, so
         // the buffer stays bounded by the concurrency level (amortized
@@ -669,18 +661,8 @@ impl World {
     /// campaign world cache (one environment per seed, shared by every
     /// trace variant of that seed).
     pub fn build(scenario: &Scenario) -> World {
-        let env = scenario.env_spec();
-        World::with_environment(&scenario.trace_spec(), || env.build())
-    }
-
-    /// Assemble a world from its trace spec and an environment that `env`
-    /// supplies — generated, or handed over by a cache — forked against
-    /// the trace build exactly as [`World::build`] forks the two halves.
-    pub(crate) fn with_environment(
-        spec: &TraceSpec,
-        env: impl FnOnce() -> (WeatherPath, GridPath) + Send,
-    ) -> World {
-        let ((weather, grid), trace) = greener_simkit::par::join(env, || spec.build());
+        let (env, spec) = (scenario.env_spec(), scenario.trace_spec());
+        let ((weather, grid), trace) = greener_simkit::par::join(|| env.build(), || spec.build());
         World::from_parts(spec.seed, spec.gpu_cap, weather, grid, trace)
     }
 
@@ -705,6 +687,17 @@ impl World {
         }
     }
 
+    /// Borrow this world as the view the engine replays.
+    pub(crate) fn view(&self) -> WorldRef<'_> {
+        WorldRef {
+            seed: self.seed,
+            gpu_cap: self.gpu_cap,
+            weather: &self.weather,
+            grid: &self.grid,
+            trace: &self.trace,
+        }
+    }
+
     /// Generate only the scenario's environment: [`EnvSpec::build`] of
     /// [`Scenario::env_spec`].
     pub fn environment(scenario: &Scenario) -> (WeatherPath, GridPath) {
@@ -716,6 +709,26 @@ impl World {
     pub fn build_trace(scenario: &Scenario) -> Vec<Job> {
         scenario.trace_spec().build()
     }
+}
+
+/// A borrowed world: what the engine replays. [`World::view`] lends one
+/// over an owned world; a fleet site lends one over its environment and
+/// its routed sub-trace, and the campaign world cache over a shared
+/// environment and its own trace, so neither copies an environment to
+/// replay it. Replay checks it against the scenario exactly as it checks
+/// a [`World`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WorldRef<'w> {
+    /// Root seed the world was generated from.
+    pub(crate) seed: u64,
+    /// Cluster size the trace's gang sizes were capped at.
+    pub(crate) gpu_cap: u32,
+    /// Hourly weather path.
+    pub(crate) weather: &'w WeatherPath,
+    /// Hourly grid path.
+    pub(crate) grid: &'w GridPath,
+    /// The job trace, dense ids in submit order.
+    pub(crate) trace: &'w [Job],
 }
 
 /// Everything the environment half of a world is a function of: the
@@ -847,7 +860,7 @@ impl SimDriver {
     /// decision-invisible, so every spec observes bit-identical numbers
     /// (the golden determinism test and a property test pin this).
     pub fn run_observed(scenario: &Scenario, world: &World, observe: Observe) -> RunOutput {
-        Self::observed(scenario, world, observe, false).0
+        Self::observed(scenario, world.view(), observe, false).0
     }
 
     /// Replay a pre-built world on the **reference engine**: the
@@ -859,7 +872,7 @@ impl SimDriver {
     /// included, which [`crate::equivalence::assert_matches_reference`]
     /// checks. Slower, and meant for tests and benchmarks only.
     pub fn run_reference(scenario: &Scenario, world: &World, observe: Observe) -> RunOutput {
-        Self::observed(scenario, world, observe, true).0
+        Self::observed(scenario, world.view(), observe, true).0
     }
 
     /// Replay a pre-built world like [`SimDriver::run_observed`], and also
@@ -872,7 +885,7 @@ impl SimDriver {
         world: &World,
         observe: Observe,
     ) -> (RunOutput, ReplayProfile) {
-        Self::observed(scenario, world, observe, false)
+        Self::observed(scenario, world.view(), observe, false)
     }
 
     /// Replay a pre-built world on the default engine, observing only
@@ -883,6 +896,11 @@ impl SimDriver {
     /// campaign replays [`Scenario::replay_inputs`] once and finishes it
     /// under every cell's threshold.
     pub fn replay_aggregates(scenario: &Scenario, world: &World) -> AggregatesReplay {
+        Self::aggregates_of(scenario, world.view())
+    }
+
+    /// [`SimDriver::replay_aggregates`] over a borrowed world.
+    pub(crate) fn aggregates_of(scenario: &Scenario, world: WorldRef<'_>) -> AggregatesReplay {
         Self::check_world(scenario, world);
         Self::aggregates_only(scenario, world, false).0
     }
@@ -894,7 +912,7 @@ impl SimDriver {
     /// completing nothing, a mismatched world would silently report
     /// numbers for the wrong one, and a trace out of submit order would
     /// run the default engine's clock backwards.
-    fn check_world(scenario: &Scenario, world: &World) {
+    fn check_world(scenario: &Scenario, world: WorldRef<'_>) {
         assert!(scenario.horizon_hours > 0, "scenario horizon is zero hours");
         assert!(
             scenario.cluster.total_gpus() > 0,
@@ -922,12 +940,13 @@ impl SimDriver {
     }
 
     /// Every public replay entry point but [`SimDriver::replay_aggregates`]
-    /// comes through here: check the world, then dispatch `observe` to a
-    /// statically-composed probe set. `reference` picks the reference
-    /// engine's queue, dispatch and apply paths in `SimDriver::replay`.
-    fn observed(
+    /// comes through here, and so does every fleet site: check the world,
+    /// then dispatch `observe` to a statically-composed probe set.
+    /// `reference` picks the reference engine's queue, dispatch and apply
+    /// paths in `SimDriver::replay`.
+    pub(crate) fn observed(
         scenario: &Scenario,
-        world: &World,
+        world: WorldRef<'_>,
         observe: Observe,
         reference: bool,
     ) -> (RunOutput, ReplayProfile) {
@@ -993,7 +1012,7 @@ impl SimDriver {
     /// per frame, one wait and one slowdown sample per job.
     fn aggregates_only(
         scenario: &Scenario,
-        world: &World,
+        world: WorldRef<'_>,
         reference: bool,
     ) -> (AggregatesReplay, ReplayProfile) {
         let probes = (AggregatesProbe::new(), JobsProbe::stats_only());
@@ -1015,12 +1034,12 @@ impl SimDriver {
     /// array-of-structs slab.
     fn replay<O: RunProbes>(
         scenario: &Scenario,
-        world: &World,
+        world: WorldRef<'_>,
         probes: O,
         reference: bool,
     ) -> ReplayOutcome<O> {
         let hours = scenario.horizon_hours;
-        let World {
+        let WorldRef {
             weather,
             grid,
             trace,
@@ -1054,12 +1073,10 @@ impl SimDriver {
         // Only the slab variant the engine uses is materialized.
         let apply_fast = !reference;
         let mut running = Vec::new();
-        let mut finish_at = Vec::new();
         let mut cold_start = Vec::new();
         let mut cold_cap_w = Vec::new();
         let mut cold_energy_j = Vec::new();
         if apply_fast {
-            finish_at = vec![NEVER; trace.len()];
             cold_start = vec![SimTime::ZERO; trace.len()];
             cold_cap_w = vec![0.0; trace.len()];
             cold_energy_j = vec![0.0; trace.len()];
@@ -1077,7 +1094,6 @@ impl SimDriver {
             next_arrival: 0,
             waiting: WaitQueue::new(),
             running,
-            finish_at,
             cold_start,
             cold_cap_w,
             cold_energy_j,
@@ -1924,7 +1940,7 @@ mod tests {
 
         let s = Scenario::quick(10, 19).with_battery();
         let world = World::build(&s);
-        let outcome = SimDriver::replay(&s, &world, Audit::default(), false);
+        let outcome = SimDriver::replay(&s, world.view(), Audit::default(), false);
         let audit = outcome.probes;
         let reference = SimDriver::run(&s);
         assert_eq!(audit.submitted, reference.jobs.submitted);
@@ -2110,7 +2126,7 @@ mod tests {
         assert_eq!(full_profile, profile);
         // The reference engine must take no fast path at all: otherwise
         // every reference-vs-default equivalence test would be vacuous.
-        let (_, ref_profile) = SimDriver::observed(&s, &world, Observe::aggregates(), true);
+        let (_, ref_profile) = SimDriver::observed(&s, world.view(), Observe::aggregates(), true);
         assert_eq!(ref_profile.counter(ProfileCounter::FastDispatches), 0);
         assert_eq!(ref_profile.counter(ProfileCounter::FastApplyEvents), 0);
         assert!(

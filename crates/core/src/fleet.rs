@@ -34,8 +34,10 @@
 //!    (submit order preserved, ids renumbered densely per site — the
 //!    engine's fast apply path indexes per-job state by id; the
 //!    [`RouteRecord`] stream keeps the global id ↔ site mapping), and each
-//!    site replays independently through [`SimDriver::run_observed`] over
-//!    its own world, fanned out via `par::sharded_map`. Sites share
+//!    site replays independently on the engine behind
+//!    [`SimDriver::run_observed`], over a view that borrows its
+//!    environment from the fleet world and its sub-trace (no copies),
+//!    fanned out via `par::sharded_map`. Sites share
 //!    nothing but the immutable trace, so cross-site event interleaving
 //!    cannot exist by construction.
 //!
@@ -196,7 +198,7 @@ use crate::campaign::manifest::{
 };
 use crate::campaign::plan::check_cell_ids;
 use crate::campaign::{CampaignError, CellRecord, Plan};
-use crate::driver::{JobStats, SimDriver, World};
+use crate::driver::{JobStats, SimDriver, World, WorldRef};
 use crate::equivalence::Fingerprint;
 use crate::probe::{Observe, RunAggregates, RunOutput};
 use crate::scenario::Scenario;
@@ -936,7 +938,12 @@ impl FleetDriver {
             .filter(|r| r.gpus < world.trace[r.index].gpus)
             .count();
         let n = fleet.sites.len();
-        let mut subtraces: Vec<Vec<Job>> = vec![Vec::new(); n];
+        // Count each site's routes first, so no sub-trace ever re-grows.
+        let mut counts = vec![0usize; n];
+        for r in &routes {
+            counts[r.site as usize] += 1;
+        }
+        let mut subtraces: Vec<Vec<Job>> = counts.into_iter().map(Vec::with_capacity).collect();
         for r in &routes {
             let sub = &mut subtraces[r.site as usize];
             let mut job = world.trace[r.index];
@@ -944,24 +951,18 @@ impl FleetDriver {
             job.gpus = r.gpus;
             sub.push(job);
         }
-        // Each site's world takes its sub-trace by move; the replays
-        // borrow the worlds.
-        let site_worlds: Vec<World> = subtraces
-            .into_iter()
-            .zip(&fleet.sites)
-            .zip(&world.sites)
-            .map(|((trace, site), env)| {
-                World::from_parts(
-                    site.scenario.seed,
-                    site.scenario.cluster.total_gpus(),
-                    env.weather.clone(),
-                    env.grid.clone(),
-                    trace,
-                )
-            })
-            .collect();
+        // Each site replays a view that borrows its environment from the
+        // fleet world and its sub-trace from here: nothing is copied.
         let sites = par::sharded_map(n, |i| {
-            SimDriver::run_observed(&fleet.sites[i].scenario, &site_worlds[i], observe)
+            let (scenario, env) = (&fleet.sites[i].scenario, &world.sites[i]);
+            let view = WorldRef {
+                seed: scenario.seed,
+                gpu_cap: scenario.cluster.total_gpus(),
+                weather: &env.weather,
+                grid: &env.grid,
+                trace: &subtraces[i],
+            };
+            SimDriver::observed(scenario, view, observe, false).0
         });
         let totals = rollup_aggregates(&sites);
         let jobs = rollup_jobs(&sites);
@@ -1680,6 +1681,57 @@ mod tests {
         let out = FleetDriver::run_observed(&fleet, &world, Observe::aggregates());
         for (i, site) in out.sites.iter().enumerate() {
             assert_eq!(site.jobs.submitted, per_site[i]);
+        }
+    }
+
+    #[test]
+    fn multi_site_fleet_replays_on_borrowed_environments_match_owned_worlds() {
+        let base = quick_fleet(7, 11, 3);
+        let world = FleetWorld::build(&base);
+        let observe = Observe::aggregates()
+            .with_telemetry()
+            .with_ledger()
+            .with_job_records()
+            .with_queue_depth();
+        // Round-robin renumbers every site's sub-trace; greedy-carbon sends
+        // this trace to one site and leaves the other two empty.
+        for routing in [
+            RoutingPolicyKind::RoundRobin,
+            RoutingPolicyKind::GreedyCarbon,
+        ] {
+            let fleet = base.clone().with_routing(routing);
+            let out = FleetDriver::run_observed(&fleet, &world, observe);
+            assert_eq!(out.sites.len(), 3);
+            for (i, (site, env)) in fleet.sites.iter().zip(&world.sites).enumerate() {
+                // An owned world per site, its sub-trace rebuilt from the
+                // route records alone.
+                let subtrace: Vec<Job> = out
+                    .routes
+                    .iter()
+                    .filter(|r| r.site as usize == i)
+                    .enumerate()
+                    .map(|(k, r)| Job {
+                        id: JobId(k as u64),
+                        gpus: r.gpus,
+                        ..world.trace[r.index]
+                    })
+                    .collect();
+                let owned = World::from_parts(
+                    site.scenario.seed,
+                    site.scenario.cluster.total_gpus(),
+                    env.weather.clone(),
+                    env.grid.clone(),
+                    subtrace,
+                );
+                let straight = SimDriver::run_observed(&site.scenario, &owned, observe);
+                // `Debug` prints every f64 in its shortest round-trip form,
+                // so equal text is equal bits.
+                assert_eq!(
+                    format!("{:?}", out.sites[i]),
+                    format!("{straight:?}"),
+                    "{routing:?} site {i}"
+                );
+            }
         }
     }
 
