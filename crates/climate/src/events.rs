@@ -48,11 +48,6 @@ impl ExtremeEvent {
         self.peak_anomaly_f * tri
     }
 
-    /// Whether this event overlaps the inclusive hour range `[lo, hi)`.
-    pub fn overlaps(&self, lo: u64, hi: u64) -> bool {
-        self.start_hour < hi && self.start_hour + self.duration_hours > lo
-    }
-
     /// Sample the episode set for a horizon: heat waves land in Jun–Aug,
     /// cold snaps in Dec–Feb, with Poisson counts per year.
     pub fn sample_episodes<R: Rng>(
@@ -211,20 +206,6 @@ mod tests {
         assert!(events
             .windows(2)
             .all(|w| w[0].start_hour <= w[1].start_hour));
-    }
-
-    #[test]
-    fn overlap_detection() {
-        let e = ExtremeEvent {
-            kind: EpisodeKind::HeatWave,
-            start_hour: 10,
-            duration_hours: 5,
-            peak_anomaly_f: 1.0,
-        };
-        assert!(e.overlaps(12, 20));
-        assert!(e.overlaps(0, 11));
-        assert!(!e.overlaps(15, 20));
-        assert!(!e.overlaps(0, 10));
     }
 
     #[test]

@@ -102,13 +102,6 @@ impl Default for WeatherConfig {
 }
 
 impl WeatherConfig {
-    /// Apply a uniform warming trend in °C (used by +2 °C / +4 °C stress
-    /// scenarios).
-    pub fn with_warming_c(mut self, c: f64) -> Self {
-        self.warming_offset_c = c;
-        self
-    }
-
     /// Seasonal normal temperature at a given hour (smooth interpolation of
     /// mid-month anchors) plus the diurnal cycle, before noise.
     pub fn deterministic_temp_f(&self, calendar: &Calendar, hour: u64) -> f64 {
@@ -416,7 +409,10 @@ mod tests {
     /// per-hour `solar_factor`.
     #[test]
     fn day_resolved_generation_equals_per_hour_reference() {
-        let config = WeatherConfig::default().with_warming_c(1.5);
+        let config = WeatherConfig {
+            warming_offset_c: 1.5,
+            ..WeatherConfig::default()
+        };
         for start in [CalDate::new(2020, 2, 28), CalDate::new(2020, 12, 31)] {
             let cal = Calendar::new(start);
             let hours = 40 * 24 + 5;
@@ -478,7 +474,10 @@ mod tests {
     fn warming_offset_shifts_everything() {
         let base = year_path(5);
         let warm = WeatherPath::generate(
-            &WeatherConfig::default().with_warming_c(2.0),
+            &WeatherConfig {
+                warming_offset_c: 2.0,
+                ..WeatherConfig::default()
+            },
             cal2020(),
             366 * 24,
             &RngHub::new(5),

@@ -15,7 +15,7 @@ use greener_workload::DeadlinePolicy;
 
 use crate::accounting::VarianceAnalysis;
 use crate::campaign::{run_campaign, CampaignPlan, CellResult, InProcessBackend};
-use crate::driver::{SimDriver, World};
+use crate::driver::{EnvSpec, SimDriver, World};
 use crate::probe::Observe;
 use crate::scenario::{ForecastMode, Scenario};
 use crate::stress::{run_suite, StressReport};
@@ -200,15 +200,11 @@ pub struct E11Report {
 /// forecast quality matters to carbon-aware scheduling.
 pub fn e11_forecast(base: &Scenario) -> E11Report {
     // Backtests on the environment the scheduler would observe.
-    let hub = greener_simkit::rng::RngHub::new(base.seed);
-    let calendar = greener_simkit::calendar::Calendar::new(base.start);
-    let weather = greener_climate::WeatherPath::generate(
-        &base.weather,
-        calendar,
-        base.horizon_hours.min(120 * 24),
-        &hub,
-    );
-    let grid = greener_grid::mix::GridPath::generate(&base.grid, &weather, &hub);
+    let (_, grid) = EnvSpec {
+        horizon_hours: base.horizon_hours.min(120 * 24),
+        ..base.env_spec()
+    }
+    .build();
     let green_share_backtests = backtest_all(&grid.green_share, 24 * 14, 24, 48, 24);
     let price_backtests = backtest_all(&grid.lmp_usd_mwh, 24 * 14, 24, 48, 24);
 

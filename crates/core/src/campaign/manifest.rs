@@ -88,9 +88,9 @@ impl AxisValue {
 /// report-only, incorrectly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Knob {
-    /// Scheduling policy (`policy`): `fcfs | sjf | easy | easy_depth:<k> |
-    /// cap:<watts> | temp | carbon:<green-share in (0, 1]> |
-    /// green_queues:<watts> | carbon_temp`.
+    /// Scheduling policy (`policy`): `fcfs | sjf | easy | cap:<watts> |
+    /// temp | carbon:<green-share in (0, 1]> | green_queues:<watts> |
+    /// carbon_temp`. `easy` is exhaustive EASY backfill.
     Policy,
     /// Horizon in whole days (`horizon_days`): unsigned integer.
     HorizonDays,
@@ -291,9 +291,8 @@ fn policy_range_issue(policy: &PolicyKind) -> Option<String> {
     }
 }
 
-/// `fcfs | sjf | easy | easy_depth:<k> | cap:<w> | temp | carbon:<g> |
-/// green_queues:<w> | carbon_temp`, where `<g>` is a green-share threshold
-/// in (0, 1].
+/// `fcfs | sjf | easy | cap:<w> | temp | carbon:<g> | green_queues:<w> |
+/// carbon_temp`, where `<g>` is a green-share threshold in (0, 1].
 fn parse_policy(raw: &str, line: usize) -> Result<PolicyKind, ManifestError> {
     let (head, arg) = match raw.split_once(':') {
         Some((h, a)) => (h, Some(a)),
@@ -312,10 +311,6 @@ fn parse_policy(raw: &str, line: usize) -> Result<PolicyKind, ManifestError> {
         "fcfs" => PolicyKind::Fcfs,
         "sjf" => PolicyKind::Sjf,
         "easy" => PolicyKind::EasyBackfill,
-        "easy_depth" => match arg.and_then(|a| a.parse::<u32>().ok()) {
-            Some(depth) => PolicyKind::EasyBackfillLimited { depth },
-            None => return err(line, "policy `easy_depth` needs an integer depth"),
-        },
         "cap" => PolicyKind::StaticCap {
             cap_w: need_real(arg)?,
         },
@@ -666,6 +661,11 @@ axis horizon_days = 4, 5
                 "unknown policy",
             ),
             (
+                "name = d\nbase = quick:3\naxis policy = easy_depth:4\n",
+                3,
+                "unknown policy",
+            ),
+            (
                 "name = d\nbase = quick:3\nseeds = 9..9\n",
                 3,
                 "empty seed range",
@@ -731,7 +731,7 @@ axis horizon_days = 4, 5
     fn every_knob_parses_and_applies() {
         let base = Scenario::quick(4, 3);
         let cases: &[(Knob, &str)] = &[
-            (Knob::Policy, "easy_depth:8"),
+            (Knob::Policy, "easy"),
             (Knob::Policy, "green_queues:150"),
             (Knob::Policy, "temp"),
             (Knob::Policy, "carbon_temp"),

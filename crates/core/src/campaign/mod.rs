@@ -137,9 +137,9 @@
 //! axis <knob> = v1, v2, …          # 0+ axes, outermost first
 //! ```
 //!
-//! Knobs and value syntax: `policy` (`fcfs | sjf | easy | easy_depth:<k> |
-//! cap:<watts> | temp | carbon:<green-share> | green_queues:<watts> |
-//! carbon_temp`), `horizon_days` / `nodes` (positive integers),
+//! Knobs and value syntax: `policy` (`fcfs | sjf | easy | cap:<watts> |
+//! temp | carbon:<green-share> | green_queues:<watts> | carbon_temp`, where
+//! `easy` is exhaustive EASY backfill), `horizon_days` / `nodes` (positive integers),
 //! `arrival_rate` / `surge_mult` / `qs_mult` / `slo_wait_hours` (positive
 //! reals), `forecast` (`oracle | naive | model`), `deadline`
 //! (`status_quo | uniform_spread | winter_spring | rolling`).

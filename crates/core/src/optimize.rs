@@ -253,15 +253,6 @@ impl Eq2Decomposition {
         Ok(())
     }
 
-    /// Users violating a per-user activity floor `α_i` (same floor for all
-    /// here; mechanisms may differentiate).
-    pub fn users_below(&self, alpha_i: f64) -> usize {
-        self.shares
-            .iter()
-            .filter(|s| s.user.is_some() && s.activity_gpu_hours < alpha_i)
-            .count()
-    }
-
     /// The overhead bucket's share of total energy — what hardware-side
     /// mechanisms (`c`) can attack without touching any user.
     pub fn overhead_fraction(&self) -> f64 {
@@ -395,15 +386,6 @@ mod tests {
             .map(|s| s.energy_kwh)
             .collect();
         assert!(user_shares.windows(2).all(|w| w[0] >= w[1]));
-    }
-
-    #[test]
-    fn users_below_floor_counts() {
-        let run = SimDriver::run(&Scenario::quick(7, 34));
-        let dec = Eq2Decomposition::from_run(&run);
-        assert_eq!(dec.users_below(0.0), 0);
-        let all_users = dec.shares.iter().filter(|s| s.user.is_some()).count();
-        assert_eq!(dec.users_below(f64::INFINITY), all_users);
     }
 
     /// `obj` on a fully-instrumented run's telemetry: the oracle

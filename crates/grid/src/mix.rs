@@ -12,7 +12,6 @@ use greener_climate::weather::interp_monthly_daily;
 use greener_climate::WeatherPath;
 use greener_simkit::calendar::{hour_of_day, Calendar, DayTable};
 use greener_simkit::rng::RngHub;
-use greener_simkit::series::HourlySeries;
 use greener_simkit::time::SimTime;
 use rand::Rng;
 
@@ -46,11 +45,6 @@ impl FuelSource {
         FuelSource::Solar,
         FuelSource::Other,
     ];
-
-    /// True for the paper's "sustainable fuel" definition (solar + wind).
-    pub fn is_green(self) -> bool {
-        matches!(self, FuelSource::Wind | FuelSource::Solar)
-    }
 }
 
 /// Grid model configuration.
@@ -380,19 +374,6 @@ impl GridPath {
         let slice = &series[from..end];
         slice.iter().sum::<f64>() / slice.len() as f64
     }
-
-    /// Green share as a percentage series (Fig. 2/3 y₂-axis).
-    pub fn green_share_pct_series(&self) -> HourlySeries {
-        HourlySeries::from_values(
-            self.calendar,
-            self.green_share.iter().map(|g| g * 100.0).collect(),
-        )
-    }
-
-    /// LMP as an [`HourlySeries`] (Fig. 3 y₁-axis).
-    pub fn lmp_series(&self) -> HourlySeries {
-        HourlySeries::from_values(self.calendar, self.lmp_usd_mwh.clone())
-    }
 }
 
 #[cfg(test)]
@@ -400,6 +381,7 @@ mod tests {
     use super::*;
     use greener_climate::WeatherConfig;
     use greener_simkit::calendar::CalDate;
+    use greener_simkit::series::HourlySeries;
     use greener_simkit::series::MonthlyAgg;
 
     fn year_grid(seed: u64) -> GridPath {
@@ -434,7 +416,8 @@ mod tests {
     #[test]
     fn green_share_spring_exceeds_summer() {
         let g = year_grid(2);
-        let rows = g.green_share_pct_series().monthly(MonthlyAgg::Mean);
+        let pct = g.green_share.iter().map(|x| x * 100.0).collect();
+        let rows = HourlySeries::from_values(*g.calendar(), pct).monthly(MonthlyAgg::Mean);
         let spring: f64 = (2..5).map(|i| rows[i].value).sum::<f64>() / 3.0; // Mar-May
         let summer: f64 = (5..8).map(|i| rows[i].value).sum::<f64>() / 3.0; // Jun-Aug
         assert!(
@@ -459,7 +442,8 @@ mod tests {
     #[test]
     fn price_spring_is_cheapest_season() {
         let g = year_grid(4);
-        let rows = g.lmp_series().monthly(MonthlyAgg::Mean);
+        let rows = HourlySeries::from_values(*g.calendar(), g.lmp_usd_mwh.clone())
+            .monthly(MonthlyAgg::Mean);
         let spring = (rows[2].value + rows[3].value + rows[4].value) / 3.0;
         let winter = (rows[0].value + rows[1].value + rows[11].value) / 3.0;
         let summer = (rows[5].value + rows[6].value + rows[7].value) / 3.0;
@@ -473,18 +457,15 @@ mod tests {
     #[test]
     fn price_anticorrelates_with_green_share_monthly() {
         let g = year_grid(5);
-        let lmp: Vec<f64> = g
-            .lmp_series()
-            .monthly(MonthlyAgg::Mean)
-            .iter()
-            .map(|r| r.value)
-            .collect();
-        let green: Vec<f64> = g
-            .green_share_pct_series()
-            .monthly(MonthlyAgg::Mean)
-            .iter()
-            .map(|r| r.value)
-            .collect();
+        let monthly = |values: &[f64]| -> Vec<f64> {
+            HourlySeries::from_values(*g.calendar(), values.to_vec())
+                .monthly(MonthlyAgg::Mean)
+                .iter()
+                .map(|r| r.value)
+                .collect()
+        };
+        let lmp = monthly(&g.lmp_usd_mwh);
+        let green = monthly(&g.green_share);
         let r = greener_simkit::stats::pearson(&lmp, &green);
         assert!(r < -0.3, "expected inverse price↔green, r = {r:.2}");
     }
@@ -557,14 +538,5 @@ mod tests {
                 assert_eq!(bits(path.lmp_usd_mwh[h]), bits(lmp), "{start} hour {h}");
             }
         }
-    }
-
-    #[test]
-    fn fuel_source_green_flags() {
-        assert!(FuelSource::Wind.is_green());
-        assert!(FuelSource::Solar.is_green());
-        assert!(!FuelSource::Gas.is_green());
-        assert!(!FuelSource::Nuclear.is_green());
-        assert_eq!(FuelSource::ALL.len(), 6);
     }
 }

@@ -74,7 +74,7 @@ impl Allocation {
 /// One slab slot: the allocation plus its cached power contribution.
 ///
 /// `power_w` is this gang's term of the incremental `alloc_power_w` sum,
-/// computed once at allocate/recap time. `power_at` is a pure function of
+/// computed once at allocate time. `power_at` is a pure function of
 /// `(cap, utilization)`, so reusing the cached value at release subtracts
 /// the exact bits a recomputation would — it just skips the curve
 /// interpolation on the hot path.
@@ -103,7 +103,7 @@ pub enum AllocError {
 ///
 /// IT power is maintained *incrementally*: [`Cluster::it_power`] is O(1),
 /// assembled from an allocated-gang power sum and an active-node count that
-/// are updated on every allocate/release/recap instead of re-summed over
+/// are updated on every allocate/release instead of re-summed over
 /// all allocations per query (the simulation driver queries power on every
 /// event, so the re-sum was a per-event O(running jobs) cost).
 ///
@@ -372,24 +372,6 @@ impl Cluster {
         true
     }
 
-    /// Change the power cap of a running job (DVFS-style adjustment).
-    pub fn recap(&mut self, job: JobId, power_cap_w: f64) -> bool {
-        let cap = self.spec.gpu.clamp_cap(power_cap_w);
-        let Some(mut slot) = self
-            .allocations
-            .get_mut(job.0 as usize)
-            .and_then(Option::take)
-        else {
-            return false;
-        };
-        self.alloc_power_w -= slot.power_w;
-        slot.alloc.power_cap_w = cap;
-        slot.power_w = self.gang_power_w(&slot.alloc);
-        self.alloc_power_w += slot.power_w;
-        self.allocations[job.0 as usize] = Some(slot);
-        true
-    }
-
     /// Number of nodes hosting at least one allocated GPU (maintained
     /// incrementally; O(1)).
     pub fn active_nodes(&self) -> u32 {
@@ -400,7 +382,7 @@ impl Cluster {
     /// idle GPUs at idle draw, node overheads, fixed infrastructure.
     ///
     /// O(1): the allocated-gang sum and active-node count are maintained on
-    /// allocate/release/recap (see the type-level docs for the float
+    /// allocate/release (see the type-level docs for the float
     /// summation-order caveat).
     pub fn it_power(&self) -> Power {
         let gpu = &self.spec.gpu;
@@ -603,15 +585,6 @@ mod tests {
         a.allocate(JobId(1), 128, 250.0, 1.0).unwrap();
         b.allocate(JobId(1), 128, 150.0, 1.0).unwrap();
         assert!(b.it_power().value() < a.it_power().value() - 128.0 * 50.0);
-    }
-
-    #[test]
-    fn recap_applies_and_clamps() {
-        let mut c = small();
-        c.allocate(JobId(1), 2, 250.0, 1.0).unwrap();
-        assert!(c.recap(JobId(1), 60.0));
-        assert_eq!(c.allocation(JobId(1)).unwrap().power_cap_w, 100.0); // clamped
-        assert!(!c.recap(JobId(99), 150.0));
     }
 
     #[test]

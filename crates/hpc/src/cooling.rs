@@ -104,13 +104,6 @@ impl CoolingModel {
     pub fn water_use(&self, it_energy: Energy, outdoor: Fahrenheit) -> Liters {
         self.at(outdoor).water_use(it_energy)
     }
-
-    /// True when the plant is beyond its design point — the stress harness
-    /// counts these as cooling-risk hours. Degradation lowers the
-    /// effective design temperature.
-    pub fn is_saturated(&self, outdoor: Fahrenheit) -> bool {
-        self.at(outdoor).saturated
-    }
 }
 
 /// One outdoor-temperature operating point of a [`CoolingModel`],
@@ -245,15 +238,15 @@ mod tests {
     #[test]
     fn saturation_flag() {
         let m = CoolingModel::default();
-        assert!(!m.is_saturated(Fahrenheit(40.0)));
-        assert!(!m.is_saturated(Fahrenheit(85.0)));
-        assert!(m.is_saturated(Fahrenheit(120.0)));
+        assert!(!m.at(Fahrenheit(40.0)).saturated);
+        assert!(!m.at(Fahrenheit(85.0)).saturated);
+        assert!(m.at(Fahrenheit(120.0)).saturated);
         // Degradation lowers the effective design point.
         let degraded = CoolingModel {
             degradation_mult: 0.8,
             ..CoolingModel::default()
         };
-        assert!(degraded.is_saturated(Fahrenheit(85.0)));
+        assert!(degraded.at(Fahrenheit(85.0)).saturated);
     }
 
     #[test]
@@ -277,7 +270,6 @@ mod tests {
                 p.water_use(e).value().to_bits(),
                 m.water_use(e, temp).value().to_bits()
             );
-            assert_eq!(p.saturated, m.is_saturated(temp));
         }
     }
 

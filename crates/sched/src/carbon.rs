@@ -271,29 +271,6 @@ impl SchedPolicy for GreenQueuePolicy {
     }
 }
 
-/// Expected start time of a deferred job under a green-share forecast: the
-/// first forecast hour at/above the threshold, or the slack deadline.
-/// Exposed for tests and the E11 value-of-forecast experiment.
-pub fn expected_green_start(
-    now: SimTime,
-    start_deadline: Option<SimTime>,
-    forecast_green: &[f64],
-    threshold: f64,
-) -> SimTime {
-    for (h, &g) in forecast_green.iter().enumerate() {
-        let t = SimTime(now.secs() + (h as u64 + 1) * 3_600);
-        if let Some(by) = start_deadline {
-            if t >= by {
-                return by;
-            }
-        }
-        if g >= threshold {
-            return t;
-        }
-    }
-    start_deadline.unwrap_or(SimTime(now.secs() + forecast_green.len() as u64 * 3_600))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,15 +450,5 @@ mod tests {
                 prop_assert_eq!(started, kept);
             }
         }
-    }
-
-    #[test]
-    fn expected_green_start_finds_first_green_hour() {
-        let forecast = vec![0.04, 0.05, 0.09, 0.10];
-        let t = expected_green_start(SimTime::ZERO, None, &forecast, 0.08);
-        assert_eq!(t, SimTime::from_hours(3));
-        // Deadline binds first.
-        let t2 = expected_green_start(SimTime::ZERO, Some(SimTime::from_hours(2)), &forecast, 0.08);
-        assert_eq!(t2, SimTime::from_hours(2));
     }
 }

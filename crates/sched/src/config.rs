@@ -18,17 +18,6 @@ pub enum PolicyKind {
     /// EASY backfill at nominal power (exhaustive candidate search — the
     /// classic semantics every paired comparison in the experiments uses).
     EasyBackfill,
-    /// EASY backfill with a bounded candidate search: at most `depth`
-    /// fit-feasible jobs are examined per dispatch, the way production
-    /// schedulers cap backfill work. Decisions are always a prefix of
-    /// [`PolicyKind::EasyBackfill`]'s (see
-    /// [`crate::policy::BackfillLimit`] for the semantics contract), so
-    /// results are *not* directly comparable with exhaustive-backfill
-    /// cells — treat the depth as part of the policy identity.
-    EasyBackfillLimited {
-        /// Max fit-feasible candidates examined per dispatch.
-        depth: u32,
-    },
     /// FCFS with a static fleet-wide power cap.
     StaticCap {
         /// Cap in watts.
@@ -70,7 +59,6 @@ impl PolicyKind {
             PolicyKind::Fcfs => "fcfs".into(),
             PolicyKind::Sjf => "sjf".into(),
             PolicyKind::EasyBackfill => "easy-backfill".into(),
-            PolicyKind::EasyBackfillLimited { depth } => format!("easy-backfill-d{depth}"),
             PolicyKind::StaticCap { cap_w } => format!("static-cap-{cap_w:.0}W"),
             PolicyKind::TempAware => "temp-aware".into(),
             PolicyKind::CarbonAware { green_threshold } => {
@@ -89,9 +77,6 @@ impl PolicyKind {
             PolicyKind::Fcfs => Box::new(FcfsPolicy::default()),
             PolicyKind::Sjf => Box::new(SjfPolicy::default()),
             PolicyKind::EasyBackfill => Box::new(EasyBackfillPolicy::default()),
-            PolicyKind::EasyBackfillLimited { depth } => {
-                Box::new(EasyBackfillPolicy::with_depth(depth))
-            }
             PolicyKind::StaticCap { cap_w } => Box::new(PowerCapPolicy::new(
                 Box::new(EasyBackfillPolicy::default()),
                 cap_w,
@@ -128,7 +113,6 @@ mod tests {
             PolicyKind::Fcfs,
             PolicyKind::Sjf,
             PolicyKind::EasyBackfill,
-            PolicyKind::EasyBackfillLimited { depth: 16 },
             PolicyKind::StaticCap { cap_w: 150.0 },
             PolicyKind::TempAware,
             PolicyKind::CarbonAware {
@@ -251,14 +235,12 @@ mod tests {
         assert_eq!(gate.lone_dispatch(&q, &c, &dirty), LoneDispatch::Hold);
     }
 
-    /// Every kind, including the depth-limited variants.
-    fn all_kinds() -> [PolicyKind; 10] {
+    /// Every kind.
+    fn all_kinds() -> [PolicyKind; 8] {
         [
             PolicyKind::Fcfs,
             PolicyKind::Sjf,
             PolicyKind::EasyBackfill,
-            PolicyKind::EasyBackfillLimited { depth: 0 },
-            PolicyKind::EasyBackfillLimited { depth: 3 },
             PolicyKind::StaticCap { cap_w: 150.0 },
             PolicyKind::TempAware,
             PolicyKind::CarbonAware {
@@ -456,7 +438,7 @@ mod tests {
             /// under a random forecast.
             #[test]
             fn held_queue_contract_holds_for_random_queues(
-                kind_idx in 0usize..10,
+                kind_idx in 0usize..all_kinds().len(),
                 jobs in prop::collection::vec((1u32..9, 0u8..5, 0u64..40, 1u64..20), 1..12),
                 arrival in (1u32..17, 0u8..5, 0u64..40, 1u64..20),
                 dirty in 0u8..4,

@@ -8,8 +8,7 @@
 //! the energy-aware wrappers implement what §II proposes:
 //!
 //! * [`policy`] — the [`SchedPolicy`] trait, dispatch signals, and the
-//!   baseline policies (including fit-indexed EASY backfill with the
-//!   [`policy::BackfillLimit`] knob).
+//!   baseline policies (including fit-indexed, exhaustive EASY backfill).
 //! * [`waitq`] — the fit-indexed [`WaitQueue`] policies dispatch against,
 //!   plus the [`waitq::DepthStats`] queue-depth observation hook.
 //! * [`energy`] — static power capping and temperature-aware capping
@@ -28,7 +27,7 @@ pub use carbon::{CarbonAwarePolicy, GreenQueuePolicy};
 pub use config::PolicyKind;
 pub use energy::{PowerCapPolicy, TempAwarePolicy};
 pub use policy::{
-    BackfillLimit, Decision, EasyBackfillPolicy, FcfsPolicy, LoneDispatch, QueuedJob, SchedPolicy,
-    SchedSignals, SjfPolicy,
+    Decision, EasyBackfillPolicy, FcfsPolicy, LoneDispatch, QueuedJob, SchedPolicy, SchedSignals,
+    SjfPolicy,
 };
 pub use waitq::{DepthStats, WaitQueue};

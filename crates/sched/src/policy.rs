@@ -16,8 +16,7 @@
 //!
 //! EASY backfill additionally exploits the queue's gang-size index
 //! ([`WaitQueue::backfill_candidates`]) so a dispatch against a deep saturated queue
-//! only visits candidates that actually fit the free GPUs — see
-//! [`BackfillLimit`] for the (documented, opt-in) depth-limited variant.
+//! only visits candidates that actually fit the free GPUs.
 
 use greener_hpc::Cluster;
 use greener_simkit::time::SimTime;
@@ -296,35 +295,6 @@ impl SchedPolicy for SjfPolicy {
     }
 }
 
-/// How far EASY backfill searches the waiting queue for fill-in jobs.
-///
-/// This is a *policy-semantics* knob, not just a performance one, so the
-/// default is conservative:
-///
-/// * [`BackfillLimit::Exhaustive`] (default) — consider every fit-feasible
-///   candidate behind the blocked head, exactly like the classic
-///   full-queue scan. Paired policy comparisons (same seed, different
-///   policy) keep their published semantics, and the driver's golden
-///   determinism test pins the decisions bit-for-bit.
-/// * [`BackfillLimit::Depth(k)`] — examine at most `k` *viable* candidates
-///   per dispatch (jobs the fit index cannot prove rejected — see
-///   [`WaitQueue::backfill_candidates`]), the way production schedulers
-///   bound backfill work. Because candidates are examined in the same
-///   order with the same accounting, the depth-limited decision set is
-///   always a **prefix** of the exhaustive one (a property test pins
-///   this): it can only *miss* backfill opportunities, never invent new
-///   ones, so SLO/wait metrics degrade gracefully rather than diverging.
-///
-/// [`BackfillLimit::Depth(k)`]: BackfillLimit::Depth
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackfillLimit {
-    /// Consider every candidate (classic EASY semantics; the default).
-    #[default]
-    Exhaustive,
-    /// Examine at most this many fit-feasible candidates per dispatch.
-    Depth(u32),
-}
-
 /// EASY backfill: FCFS with a reservation for the head job; later jobs may
 /// jump the queue only if they fit now *and* finish before the head job's
 /// reservation (so the head is never delayed).
@@ -332,26 +302,19 @@ pub enum BackfillLimit {
 /// The candidate search runs over the queue's gang-size fit index
 /// ([`WaitQueue::backfill_candidates`]): instead of scanning thousands of queued jobs
 /// that cannot fit the free GPUs, it merges only the size classes that do —
-/// visiting exactly the candidates the classic scan would have evaluated,
-/// in the same order, so exhaustive-mode decisions are unchanged.
-///
+/// yielding exactly the accepts the classic full-queue scan would make, in
+/// the same order. Every candidate behind the blocked head is considered
+/// (no depth budget): this is the classic semantics that paired policy
+/// comparisons rely on, and the driver's golden determinism test pins the
+/// decisions bit-for-bit.
 #[derive(Debug, Default, Clone)]
 pub struct EasyBackfillPolicy {
-    /// Candidate budget per dispatch (see [`BackfillLimit`]).
-    pub limit: BackfillLimit,
     /// Backfill candidates examined over this policy's lifetime (for the
     /// driver's profiling mode; see [`SchedPolicy::backfill_visits`]).
     visits: u64,
 }
 
 impl EasyBackfillPolicy {
-    /// Depth-limited variant (see [`BackfillLimit::Depth`]).
-    pub fn with_depth(depth: u32) -> EasyBackfillPolicy {
-        EasyBackfillPolicy {
-            limit: BackfillLimit::Depth(depth),
-            ..EasyBackfillPolicy::default()
-        }
-    }
     /// Earliest time `gpus` become available given current free GPUs and
     /// the running-completion profile (sorted soonest-first).
     fn reservation_time(
@@ -424,38 +387,15 @@ impl SchedPolicy for EasyBackfillPolicy {
             }
             f
         };
-        let budget = match self.limit {
-            BackfillLimit::Exhaustive => u32::MAX,
-            BackfillLimit::Depth(k) => k,
-        };
-        // The candidate iterator prunes provable rejects class-wise: a
-        // candidate is accepted iff it finishes inside the shadow window
-        // (duration ≤ d_max) or its gang fits the spare budget, so classes
-        // failing both wholesale never even get visited. The authoritative
-        // per-candidate test stays below — the iterator may only *over*-
-        // yield (boundary duration class), never hide an accept.
+        // The candidate iterator prunes provable rejects: a candidate is
+        // accepted iff it finishes inside the shadow window (duration ≤
+        // d_max) or its gang fits the spare budget, so classes failing both
+        // are dropped wholesale and boundary-class rejects member-wise.
+        // The authoritative per-candidate test stays below.
         let d_max = shadow.0.saturating_sub(signals.now.0);
         let spare_budget = spare_at_shadow.saturating_sub(head_needs);
-        // Exhaustive scans use the exact fit iterator (yields are accepts;
-        // boundary rejects are filtered member-wise inside the index). A
-        // depth budget counts *visited* candidates, so the depth-limited
-        // path keeps the visiting iterator — filtering rejects out would
-        // change which candidates the budget covers, i.e. the decisions.
-        let mut candidates = match self.limit {
-            BackfillLimit::Exhaustive => {
-                queue.backfill_candidates(head_pos, free, d_max, spare_budget)
-            }
-            BackfillLimit::Depth(_) => {
-                queue.backfill_candidates_visiting(head_pos, free, d_max, spare_budget)
-            }
-        };
-        let mut examined = 0u32;
-        while examined < budget {
-            let spare_budget = spare_at_shadow.saturating_sub(head_needs);
-            let Some(q) = candidates.next(free, spare_budget) else {
-                break;
-            };
-            examined += 1;
+        let mut candidates = queue.backfill_candidates(head_pos, free, d_max, spare_budget);
+        while let Some(q) = candidates.next(free, spare_at_shadow.saturating_sub(head_needs)) {
             self.visits += 1;
             let finish = signals.now + q.job.nominal_duration();
             let ok = finish <= shadow || spare_at_shadow.saturating_sub(q.job.gpus) >= head_needs;
@@ -473,7 +413,7 @@ impl SchedPolicy for EasyBackfillPolicy {
     }
 
     // A lone fitting arrival is the whole FCFS prefix: it starts, nothing
-    // is blocked, and no backfill scan happens — for any `BackfillLimit`.
+    // is blocked, and no backfill scan happens.
     fn lone_dispatch(
         &mut self,
         _q: &QueuedJob,
@@ -719,25 +659,6 @@ mod tests {
         assert_eq!(out.len(), 2);
     }
 
-    #[test]
-    fn depth_zero_backfills_nothing_beyond_fcfs_prefix() {
-        let mut cluster = cluster(); // 16 GPUs
-        cluster.allocate(JobId(100), 12, 250.0, 1.0).unwrap();
-        let completions = [(SimTime::from_hours(10), 12u32)];
-        let signals = SchedSignals {
-            now: SimTime::ZERO,
-            running_completions: &completions,
-            ..SchedSignals::default()
-        };
-        let queue = wq([qjob(1, 16, 1.0), qjob(2, 2, 2.0), qjob(3, 2, 2.0)]);
-        let mut exhaustive = EasyBackfillPolicy::default();
-        let mut limited = EasyBackfillPolicy::with_depth(0);
-        let de = exhaustive.dispatch_collect(&queue, &cluster, &signals);
-        let dl = limited.dispatch_collect(&queue, &cluster, &signals);
-        assert_eq!(de.len(), 2, "exhaustive backfills both short jobs");
-        assert!(dl.is_empty(), "depth 0 = pure FCFS with a blocked head");
-    }
-
     /// Satellite audit: `backfill_visits` is a read-only view of the
     /// *base* scan's counter. Querying a wrapper,
     /// its base, or either twice must all report the same number — no
@@ -771,23 +692,6 @@ mod tests {
             expected,
             "querying twice must not double-count"
         );
-    }
-
-    #[test]
-    fn depth_one_takes_first_candidate_only() {
-        let mut cluster = cluster();
-        cluster.allocate(JobId(100), 12, 250.0, 1.0).unwrap();
-        let completions = [(SimTime::from_hours(10), 12u32)];
-        let signals = SchedSignals {
-            now: SimTime::ZERO,
-            running_completions: &completions,
-            ..SchedSignals::default()
-        };
-        let queue = wq([qjob(1, 16, 1.0), qjob(2, 2, 2.0), qjob(3, 2, 2.0)]);
-        let mut limited = EasyBackfillPolicy::with_depth(1);
-        let d = limited.dispatch_collect(&queue, &cluster, &signals);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].job_id, JobId(2), "first candidate in arrival order");
     }
 
     mod props {
@@ -901,60 +805,6 @@ mod tests {
                     .dispatch_collect(&queue, &cl, &signals);
                 let reference = reference_easy_backfill(&queue, &cl, &signals);
                 prop_assert_eq!(indexed, reference);
-            }
-
-            /// Satellite guarantee: depth-limited backfill never dispatches
-            /// a job exhaustive backfill wouldn't — its decision list is a
-            /// *prefix* of the exhaustive one (FCFS prefix included), for
-            /// arbitrary queues, busy-GPU counts and completion profiles.
-            #[test]
-            fn depth_limited_is_prefix_of_exhaustive(
-                jobs in prop::collection::vec((1u32..17, 1u32..30), 1..40),
-                busy in 0u32..17,
-                release_hours in prop::collection::vec(1u64..40, 0..4),
-                depth in 0u32..8,
-            ) {
-                let mut cl = cluster(); // 16 GPUs
-                let busy = busy.min(16);
-                if busy > 0 {
-                    cl.allocate(JobId(1_000), busy, 250.0, 1.0).unwrap();
-                }
-                // Sorted completion profile releasing the busy GPUs in
-                // chunks (last chunk gets the remainder).
-                let mut completions: Vec<(SimTime, u32)> = Vec::new();
-                if busy > 0 && !release_hours.is_empty() {
-                    let mut hours = release_hours.clone();
-                    hours.sort_unstable();
-                    let per = (busy / hours.len() as u32).max(1);
-                    let mut left = busy;
-                    for (i, h) in hours.iter().enumerate() {
-                        let g = if i + 1 == hours.len() { left } else { per.min(left) };
-                        if g == 0 { break; }
-                        completions.push((SimTime::from_hours(*h), g));
-                        left -= g;
-                    }
-                } else if busy > 0 {
-                    completions.push((SimTime::from_hours(50), busy));
-                }
-                let signals = SchedSignals {
-                    now: SimTime::ZERO,
-                    running_completions: &completions,
-                    ..SchedSignals::default()
-                };
-                let queue: WaitQueue = jobs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(g, h))| qjob(i as u64, g, h as f64))
-                    .collect();
-                let de = EasyBackfillPolicy::default()
-                    .dispatch_collect(&queue, &cl, &signals);
-                let dl = EasyBackfillPolicy::with_depth(depth)
-                    .dispatch_collect(&queue, &cl, &signals);
-                prop_assert!(dl.len() <= de.len());
-                // Depth-limited must be a prefix of exhaustive.
-                prop_assert_eq!(&de[..dl.len()], &dl[..]);
-                validate_decisions(&de, &queue, &cl).unwrap();
-                validate_decisions(&dl, &queue, &cl).unwrap();
             }
 
             /// Dispatch sequences against an *evolving* queue/cluster

@@ -22,21 +22,15 @@
 //!   decision-invisible;
 //! * the single *boundary* class straddling the shadow window is examined
 //!   item-by-item (its members need the exact duration test): the class
-//!   lists store each entry's exact duration, so in the default **exact**
-//!   mode ([`WaitQueue::backfill_candidates`]) the iterator applies that
-//!   test itself and skips the provable rejects without yielding them —
-//!   every candidate yielded is an accept. Visit-budgeted scans
-//!   (`BackfillLimit::Depth`) use the **visiting** mode
-//!   ([`WaitQueue::backfill_candidates_visiting`]), which still yields
-//!   boundary rejects because the depth budget is defined over *visited*
-//!   candidates; filtering them would change which candidates the budget
-//!   covers, i.e. the decisions.
+//!   lists store each entry's exact duration, so the iterator applies
+//!   that test itself and skips the provable rejects without yielding
+//!   them — every candidate yielded is an accept.
 //!
 //! Rejected candidates never mutate scheduler state, so pruning provable
 //! rejects class-wise yields exactly the accepts of the classic full scan,
 //! in exactly the same order — the driver's golden determinism test pins
 //! this bit-for-bit, while visits collapse from *O(queue depth)* to
-//! *O(accepts)* per exhaustive dispatch (~13 M → ~60 K class-pruned, then
+//! *O(accepts)* per dispatch (~13 M → ~60 K class-pruned, then
 //! to the accepts alone once the boundary class was filtered member-wise
 //! on the saturated 90-day benchmark).
 //!
@@ -265,13 +259,11 @@ impl WaitQueue {
     /// `free` and `spare` are re-passed (non-increasing) on every
     /// [`FitIter::next`] call so classes drop as the budgets shrink —
     /// mirroring exactly which jobs a full arrival-order scan with the same
-    /// shrinking budgets could accept. This **exact** mode additionally
-    /// applies the per-member duration test inside the boundary duration
-    /// class, so *every* candidate yielded satisfies one of the two accept
-    /// conditions under the budgets passed to that `next` call (the caller
-    /// keeps the authoritative test; it just stops seeing the provable
-    /// rejects). Visit-budgeted callers must use
-    /// [`WaitQueue::backfill_candidates_visiting`] instead.
+    /// shrinking budgets could accept. The iterator additionally applies
+    /// the per-member duration test inside the boundary duration class, so
+    /// *every* candidate yielded satisfies one of the two accept conditions
+    /// under the budgets passed to that `next` call (the caller keeps the
+    /// authoritative test; it just stops seeing the provable rejects).
     ///
     /// Pass `d_max = u64::MAX` for a pure size-fit iteration (every
     /// duration class qualifies unconditionally).
@@ -282,26 +274,6 @@ impl WaitQueue {
         d_max: u64,
         spare: u32,
     ) -> FitIter<'_> {
-        self.fit_iter(after, free, d_max, spare, true)
-    }
-
-    /// Like [`WaitQueue::backfill_candidates`], but the boundary duration
-    /// class is yielded member-by-member *including* its provable rejects,
-    /// exactly like the classic arrival-order scan visits them. Depth-
-    /// budgeted backfill (`BackfillLimit::Depth`) needs this mode: its
-    /// budget counts visited candidates, so filtering rejects out would
-    /// change which candidates the budget covers — i.e. the decisions.
-    pub fn backfill_candidates_visiting(
-        &self,
-        after: u32,
-        free: u32,
-        d_max: u64,
-        spare: u32,
-    ) -> FitIter<'_> {
-        self.fit_iter(after, free, d_max, spare, false)
-    }
-
-    fn fit_iter(&self, after: u32, free: u32, d_max: u64, spare: u32, exact: bool) -> FitIter<'_> {
         let max_size = (self.classes.len() as u32).div_ceil(NB).saturating_sub(1);
         let mut heap = BinaryHeap::with_capacity(32);
         for size in 1..=max_size.min(free) {
@@ -329,7 +301,6 @@ impl WaitQueue {
             q: self,
             d_max,
             heap,
-            exact,
         }
     }
 }
@@ -354,9 +325,6 @@ pub struct FitIter<'a> {
     /// Min-heap of `(next position, class, cursor index)` — one entry per
     /// active class, keyed by that class's earliest unvisited position.
     heap: BinaryHeap<Reverse<(u32, u32, u32)>>,
-    /// Exact mode: apply the per-member duration test in the boundary
-    /// class and skip provable rejects instead of yielding them.
-    exact: bool,
 }
 
 impl<'a> FitIter<'a> {
@@ -366,8 +334,7 @@ impl<'a> FitIter<'a> {
     /// `free` and `spare` must be ≤ every value passed previously (backfill
     /// only consumes GPUs); classes they disqualify are discarded
     /// permanently, exactly like a full scan with shrinking budgets would
-    /// skip their members. In exact mode, skipped boundary-class rejects
-    /// are likewise discarded permanently — sound for the same reason: the
+    /// skip their members. Skipped boundary-class rejects are likewise discarded permanently — sound for the same reason: the
     /// duration test is fixed at creation and the spare budget only
     /// shrinks, so a provable reject can never become an accept later.
     pub fn next(&mut self, free: u32, spare: u32) -> Option<&'a QueuedJob> {
@@ -385,7 +352,7 @@ impl<'a> FitIter<'a> {
             let list = &self.q.classes[class as usize];
             let mut cur = cur as usize;
             debug_assert_eq!(list[cur].0, pos);
-            if self.exact && size > spare && list[cur].1 > self.d_max {
+            if size > spare && list[cur].1 > self.d_max {
                 // Boundary-class provable reject (outlives the shadow
                 // window, gang exceeds the spare budget): walk past the
                 // contiguous run of rejects and re-queue the first member
@@ -610,11 +577,10 @@ mod tests {
     }
 
     #[test]
-    fn boundary_class_exact_vs_visiting() {
+    fn boundary_class_filters_provable_rejects() {
         // d_max falls inside a bucket: job 1 (1.2 h) fits the window, job 2
-        // (1.8 h) outlives it with no spare budget — a provable reject.
-        // Exact mode filters it member-wise; visiting mode yields it like the classic scan, for depth-budgeted
-        // callers. Position 0 is the blocked head.
+        // (1.8 h) outlives it with no spare budget — a provable reject,
+        // filtered member-wise. Position 0 is the blocked head.
         let q: WaitQueue = [qjob(9, 16, 1.0), qjob(1, 2, 1.2), qjob(2, 2, 1.8)]
             .into_iter()
             .collect();
@@ -624,14 +590,8 @@ mod tests {
         while let Some(j) = it.next(8, 0) {
             seen.push(j.job.id.0);
         }
-        assert_eq!(seen, vec![1], "exact mode filters the boundary reject");
-        let mut it = q.backfill_candidates_visiting(0, 8, d_max, 0);
-        let mut seen = Vec::new();
-        while let Some(j) = it.next(8, 0) {
-            seen.push(j.job.id.0);
-        }
-        assert_eq!(seen, vec![1, 2], "visiting mode yields the whole bucket");
-        // With spare budget for the gang, exact mode yields job 2 too (the
+        assert_eq!(seen, vec![1], "the boundary reject is filtered");
+        // With spare budget for the gang, job 2 is yielded too (the
         // spare-GPU accept condition holds).
         let mut it = q.backfill_candidates(0, 8, d_max, 2);
         let mut seen = Vec::new();
@@ -722,11 +682,9 @@ mod tests {
             }
 
             /// Duration pruning is sound: with arbitrary (fixed) budgets,
-            /// exact mode yields *exactly* the jobs a full arrival-order
+            /// the iterator yields *exactly* the jobs a full arrival-order
             /// scan would accept (the member-wise boundary filter removes
-            /// every provable reject and nothing else), while visiting
-            /// mode yields a superset — the same accepts plus boundary
-            /// rejects — in arrival order.
+            /// every provable reject and nothing else), in arrival order.
             #[test]
             fn pruning_never_hides_an_accept(
                 jobs in prop::collection::vec((1u32..9, 1u64..200_000), 1..50),
@@ -754,26 +712,8 @@ mod tests {
                 while let Some(j) = it.next(free, spare) {
                     yielded.push(j.job.id.0);
                 }
-                // Exact mode == reference accepts, in order.
+                // Yielded == reference accepts, in order.
                 prop_assert_eq!(&yielded, &accepts);
-                let mut it = q.backfill_candidates_visiting(0, free, d_max, spare);
-                let mut visited = Vec::new();
-                while let Some(j) = it.next(free, spare) {
-                    visited.push(j.job.id.0);
-                }
-                // Every reference accept is visited, in order.
-                let mut vi = visited.iter();
-                for a in &accepts {
-                    prop_assert!(
-                        vi.any(|v| v == a),
-                        "accept {} missing from visited {:?}", a, visited
-                    );
-                }
-                // Everything visited at least fits the free GPUs.
-                for v in &visited {
-                    let j = q.get(JobId(*v)).unwrap();
-                    prop_assert!(j.job.gpus <= free);
-                }
             }
         }
     }

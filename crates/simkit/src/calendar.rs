@@ -263,11 +263,6 @@ impl YearMonth {
             }
         }
     }
-
-    /// Months elapsed from `self` to `other` (may be negative).
-    pub fn months_until(self, other: YearMonth) -> i32 {
-        (other.year - self.year) * 12 + other.month.number() as i32 - self.month.number() as i32
-    }
 }
 
 impl fmt::Display for YearMonth {
@@ -500,12 +495,8 @@ mod tests {
     }
 
     #[test]
-    fn months_until() {
-        let a = YearMonth::new(2020, 11);
-        let b = YearMonth::new(2021, 2);
-        assert_eq!(a.months_until(b), 3);
-        assert_eq!(b.months_until(a), -3);
-        assert_eq!(a.next(), YearMonth::new(2020, 12));
+    fn year_month_next_wraps_years() {
+        assert_eq!(YearMonth::new(2020, 11).next(), YearMonth::new(2020, 12));
         assert_eq!(YearMonth::new(2020, 12).next(), YearMonth::new(2021, 1));
     }
 

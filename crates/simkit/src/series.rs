@@ -91,14 +91,6 @@ impl HourlySeries {
         self.values[hour]
     }
 
-    /// Value at an hour index, clamped to the series bounds.
-    ///
-    /// Useful for forecast features that peek slightly past the horizon.
-    pub fn at_clamped(&self, hour: isize) -> f64 {
-        let idx = hour.clamp(0, self.values.len() as isize - 1) as usize;
-        self.values[idx]
-    }
-
     /// Mean over the whole series (NaN when empty).
     pub fn mean(&self) -> f64 {
         crate::stats::mean(&self.values)
@@ -213,15 +205,13 @@ mod tests {
     }
 
     #[test]
-    fn push_and_clamped_access() {
+    fn push_and_indexed_access() {
         let mut s = HourlySeries::new(cal());
         assert!(s.is_empty());
         s.push(1.0);
         s.push(2.0);
         assert_eq!(s.len(), 2);
         assert_eq!(s.at(1), 2.0);
-        assert_eq!(s.at_clamped(-5), 1.0);
-        assert_eq!(s.at_clamped(99), 2.0);
         assert!((s.mean() - 1.5).abs() < 1e-12);
     }
 }

@@ -246,37 +246,6 @@ pub fn segmented_doubling_fit(xs: &[f64], ys: &[f64], break_x: f64) -> Option<Se
     })
 }
 
-/// Min-max normalize to [0, 1] (constant series maps to all zeros).
-pub fn normalize(xs: &[f64]) -> Vec<f64> {
-    if xs.is_empty() {
-        return vec![];
-    }
-    let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-    let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    if hi == lo {
-        return vec![0.0; xs.len()];
-    }
-    xs.iter().map(|x| (x - lo) / (hi - lo)).collect()
-}
-
-/// Fraction of adjacent pairs that move in the same direction in both
-/// series — a simple concordance score for "one-to-one" claims.
-pub fn directional_concordance(xs: &[f64], ys: &[f64]) -> f64 {
-    let n = xs.len().min(ys.len());
-    if n < 2 {
-        return f64::NAN;
-    }
-    let mut agree = 0usize;
-    for i in 1..n {
-        let dx = xs[i] - xs[i - 1];
-        let dy = ys[i] - ys[i - 1];
-        if dx * dy > 0.0 || (dx == 0.0 && dy == 0.0) {
-            agree += 1;
-        }
-    }
-    agree as f64 / (n - 1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,25 +368,6 @@ mod tests {
         let fit = segmented_doubling_fit(&xs, &ys, 10.0).unwrap();
         assert!((fit.doubling_before - 2.0).abs() < 1e-6);
         assert!((fit.doubling_after - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn normalize_bounds() {
-        let n = normalize(&[5.0, 10.0, 7.5]);
-        assert_eq!(n[0], 0.0);
-        assert_eq!(n[1], 1.0);
-        assert!((n[2] - 0.5).abs() < 1e-12);
-        assert_eq!(normalize(&[3.0, 3.0]), vec![0.0, 0.0]);
-        assert!(normalize(&[]).is_empty());
-    }
-
-    #[test]
-    fn concordance_detects_comovement() {
-        let xs = [1.0, 2.0, 3.0, 2.0, 1.0];
-        let same = [10.0, 20.0, 30.0, 20.0, 10.0];
-        let anti = [30.0, 20.0, 10.0, 20.0, 30.0];
-        assert_eq!(directional_concordance(&xs, &same), 1.0);
-        assert_eq!(directional_concordance(&xs, &anti), 0.0);
     }
 
     mod props {

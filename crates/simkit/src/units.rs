@@ -177,12 +177,6 @@ impl Energy {
         Energy(kwh * Self::J_PER_KWH)
     }
 
-    /// Construct from megawatt-hours.
-    #[inline]
-    pub fn from_mwh(mwh: f64) -> Energy {
-        Energy(mwh * 1_000.0 * Self::J_PER_KWH)
-    }
-
     /// Energy expressed in kilowatt-hours.
     #[inline]
     pub fn kwh(self) -> f64 {
@@ -268,14 +262,14 @@ mod tests {
 
     #[test]
     fn energy_kwh_mwh() {
-        let e = Energy::from_mwh(1.5);
+        let e = Energy::from_kwh(1500.0);
         assert!((e.kwh() - 1500.0).abs() < 1e-9);
-        assert!((Energy::from_kwh(1500.0).mwh() - 1.5).abs() < 1e-12);
+        assert!((e.mwh() - 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn carbon_and_cost() {
-        let e = Energy::from_mwh(2.0);
+        let e = Energy::from_kwh(2_000.0);
         let c = e.carbon_at(300.0);
         assert!((c.value() - 600.0).abs() < 1e-9);
         let usd = e.cost_at(25.0);

@@ -112,14 +112,6 @@ impl DemandModel {
         &self.config
     }
 
-    /// The deadline multiplier `1 + Σ ramps − Σ lulls` at an hour.
-    pub fn deadline_multiplier(&self, hour: f64) -> f64 {
-        if self.config.rolling {
-            return 1.0;
-        }
-        self.raw_deadline_multiplier(hour, &mut DeadlineCursor::default())
-    }
-
     /// The deadline factor of the rate at `hour`: the mean multiplier
     /// under rolling submissions, otherwise the deadline multiplier.
     fn deadline_factor(&self, hour: f64, cursor: &mut DeadlineCursor) -> f64 {
@@ -342,9 +334,10 @@ mod tests {
         let m = model();
         // NeurIPS 2020 deadline: Jun 5 2020 = day 156.
         let dl_hour = 156.0 * 24.0;
-        let before_far = m.deadline_multiplier(dl_hour - 69.0 * 24.0);
-        let before_near = m.deadline_multiplier(dl_hour - 2.0 * 24.0);
-        let after = m.deadline_multiplier(dl_hour + 24.0);
+        let at = |hour: f64| m.deadline_factor(hour, &mut DeadlineCursor::default());
+        let before_far = at(dl_hour - 69.0 * 24.0);
+        let before_near = at(dl_hour - 2.0 * 24.0);
+        let after = at(dl_hour + 24.0);
         assert!(
             before_near > before_far,
             "near {before_near:.3} vs far {before_far:.3}"

@@ -94,16 +94,6 @@ impl Job {
         );
         self.nominal_duration().scale(1.0 / speed_fraction)
     }
-
-    /// Latest start this job tolerates (unbounded for non-deferrable jobs
-    /// means "start ASAP" — the scheduler treats them as urgent work).
-    pub fn start_by(&self) -> Option<SimTime> {
-        if self.deferrable {
-            self.start_deadline
-        } else {
-            Some(self.submit)
-        }
-    }
 }
 
 /// Distributions from which job attributes are sampled.
@@ -253,15 +243,6 @@ mod tests {
     #[should_panic(expected = "speed fraction")]
     fn zero_speed_rejected() {
         job(1, 1.0).duration_at_speed(0.0);
-    }
-
-    #[test]
-    fn start_by_semantics() {
-        let mut j = job(1, 1.0);
-        assert_eq!(j.start_by(), Some(SimTime::ZERO));
-        j.deferrable = true;
-        j.start_deadline = Some(SimTime::from_hours(48));
-        assert_eq!(j.start_by(), Some(SimTime::from_hours(48)));
     }
 
     #[test]
