@@ -353,25 +353,46 @@ fn time_fleet(min_runs: usize, budget_secs: f64) -> FleetMeasurement {
     }
 }
 
-/// The worker body shared by `campaign-worker` and
-/// `fleet-campaign-worker` — the process spawned per shard by
-/// [`ProcessBackend`]. Re-expands the manifest through `expand` (the
-/// only plan-kind-specific step), runs its shard in-process, and
-/// publishes artifact then marker (both atomically). Honors
-/// `GREENER_FAULT` + `GREENER_WORKER_ATTEMPT` for deterministic fault
-/// injection: `crash`/`hang` fire *before* the manifest is read
+/// Print `msg` under the subcommand's name and exit 2.
+fn die(mode: &str, msg: String) -> ! {
+    eprintln!("{mode}: {msg}");
+    std::process::exit(2);
+}
+
+/// `perfjson campaign-worker` — the process spawned per shard by
+/// [`ProcessBackend`]: one shard of the campaign or fleet manifest that
+/// `--manifest` names, its kind read off the file's extension.
+fn run_worker(args: &cli::WorkerArgs) {
+    match cli::manifest_kind(&args.manifest).unwrap_or_else(|e| die("campaign-worker", e)) {
+        cli::ManifestKind::Campaign => run_worker_impl(args, |text| {
+            CampaignManifest::parse(text)
+                .map_err(|e| e.to_string())?
+                .expand()
+                .map_err(|e| e.to_string())
+        }),
+        cli::ManifestKind::Fleet => run_worker_impl(args, |text| {
+            FleetManifest::parse(text)
+                .map_err(|e| e.to_string())?
+                .expand()
+                .map_err(|e| e.to_string())
+        }),
+    }
+}
+
+/// The worker body for either plan kind. Re-expands the manifest through
+/// `expand` (the only plan-kind-specific step), runs its shard
+/// in-process, and publishes artifact then marker (both atomically).
+/// Honors `GREENER_FAULT` + `GREENER_WORKER_ATTEMPT` for deterministic
+/// fault injection: `crash`/`hang` fire *before* the manifest is read
 /// (simulating a worker that dies before any useful work),
 /// `corrupt`/`truncate` damage the artifact text just before publication
 /// — with the marker still written, so only validation can catch them.
 fn run_worker_impl<P: Plan>(
-    mode: &str,
     args: &cli::WorkerArgs,
     expand: impl FnOnce(&str) -> Result<P, String>,
 ) {
-    let die = |msg: String| -> ! {
-        eprintln!("{mode}: {msg}");
-        std::process::exit(2);
-    };
+    const MODE: &str = "campaign-worker";
+    let die = |msg: String| -> ! { die(MODE, msg) };
     // Unset means a direct invocation outside a supervisor: attempt 0,
     // so a hand-run worker behaves like a first attempt. Anything set
     // but unparsable dies instead of defaulting — a mangled ordinal
@@ -390,7 +411,7 @@ fn run_worker_impl<P: Plan>(
     match fault {
         Some(FaultMode::Crash) => {
             eprintln!(
-                "{mode}: injected crash (shard {}, attempt {attempt})",
+                "{MODE}: injected crash (shard {}, attempt {attempt})",
                 args.shard
             );
             std::process::exit(3);
@@ -409,10 +430,10 @@ fn run_worker_impl<P: Plan>(
     let spec = partition(plan.len(), args.of)[args.shard];
     let artifact = InProcessBackend.run_shard(&plan, &spec);
     let mut text = artifact.text;
-    if let Some(mode_) = fault {
-        mode_.mangle(&mut text);
+    if let Some(injected) = fault {
+        injected.mangle(&mut text);
         eprintln!(
-            "{mode}: injected {mode_:?} (shard {}, attempt {attempt})",
+            "{MODE}: injected {injected:?} (shard {}, attempt {attempt})",
             args.shard
         );
     }
@@ -426,36 +447,26 @@ fn run_worker_impl<P: Plan>(
         .unwrap_or_else(|e| die(format!("publish marker: {e}")));
 }
 
-/// `perfjson campaign-worker`: one **campaign** shard.
-fn run_worker(args: &cli::WorkerArgs) {
-    run_worker_impl("campaign-worker", args, |text| {
-        CampaignManifest::parse(text)
-            .map_err(|e| e.to_string())?
-            .expand()
-            .map_err(|e| e.to_string())
-    });
+/// `perfjson campaign`: supervise the campaign or fleet manifest that
+/// `--manifest` names, its kind read off the file's extension.
+fn run_campaign_cmd(args: &cli::CampaignArgs) {
+    match cli::manifest_kind(&args.manifest).unwrap_or_else(|e| die("campaign", e)) {
+        cli::ManifestKind::Campaign => run_campaign_impl(args, |text, worker, dir, config| {
+            ProcessBackend::new(text, worker, dir, config)
+        }),
+        cli::ManifestKind::Fleet => run_campaign_impl(args, |text, worker, dir, config| {
+            ProcessBackend::new_fleet(text, worker, dir, config)
+        }),
+    }
 }
 
-/// `perfjson fleet-campaign-worker`: one **fleet** shard. Identical
-/// contract; the manifest is a [`FleetManifest`].
-fn run_fleet_worker(args: &cli::WorkerArgs) {
-    run_worker_impl("fleet-campaign-worker", args, |text| {
-        FleetManifest::parse(text)
-            .map_err(|e| e.to_string())?
-            .expand()
-            .map_err(|e| e.to_string())
-    });
-}
-
-/// The supervised driver body shared by `campaign` and `fleet-campaign`.
-/// Spawns this same binary in `worker_mode` per shard, prints the
-/// byte-stable merged report followed by the diagnostic run report, and
-/// with `--check` compares the merged text against a clean in-process
-/// run (exit 1 on divergence). A `GREENER_FAULT` spec in the driver's
+/// The supervised driver body for either plan kind. Spawns this same
+/// binary in `campaign-worker` mode per shard, prints the byte-stable
+/// merged report followed by the diagnostic run report, and with
+/// `--check` compares the merged text against a clean in-process run
+/// (exit 1 on divergence). A `GREENER_FAULT` spec in the driver's
 /// environment is forwarded to workers through the supervisor config.
 fn run_campaign_impl<P: Plan>(
-    mode: &str,
-    worker_mode: &str,
     args: &cli::CampaignArgs,
     build: impl FnOnce(
         &str,
@@ -464,25 +475,26 @@ fn run_campaign_impl<P: Plan>(
         SupervisorConfig,
     ) -> Result<ProcessBackend<P>, CampaignError>,
 ) {
-    let die = |msg: String| -> ! {
-        eprintln!("{mode}: {msg}");
-        std::process::exit(2);
-    };
+    let die = |msg: String| -> ! { die("campaign", msg) };
     let manifest_text = std::fs::read_to_string(&args.manifest)
         .unwrap_or_else(|e| die(format!("read manifest `{}`: {e}", args.manifest)));
     let program = std::env::current_exe().unwrap_or_else(|e| die(format!("current_exe: {e}")));
     let worker = WorkerCommand {
         program,
-        args: vec![worker_mode.into()],
+        args: vec!["campaign-worker".into()],
+    };
+    // Unset means fault-free; a spec that is not UTF-8 cannot be
+    // forwarded as it stands, and dropping it would run fault-free.
+    let fault = match std::env::var("GREENER_FAULT") {
+        Ok(spec) => Some(spec).filter(|s| !s.is_empty()),
+        Err(std::env::VarError::NotPresent) => None,
+        Err(e) => die(format!("bad GREENER_FAULT: {e}")),
     };
     let config = SupervisorConfig {
         timeout: Duration::from_millis(args.timeout_ms),
         max_attempts: args.max_attempts.max(1),
         resume: args.resume,
-        fault: std::env::var("GREENER_FAULT")
-            .ok()
-            .filter(|s| !s.is_empty()),
-        ..SupervisorConfig::default()
+        fault,
     };
     let backend =
         build(&manifest_text, worker, &args.dir, config).unwrap_or_else(|e| die(e.to_string()));
@@ -503,43 +515,18 @@ fn run_campaign_impl<P: Plan>(
     }
 }
 
-/// `perfjson campaign`: supervise a **campaign** manifest.
-fn run_campaign_cmd(args: &cli::CampaignArgs) {
-    run_campaign_impl(
-        "campaign",
-        "campaign-worker",
-        args,
-        |text, worker, dir, config| ProcessBackend::new(text, worker, dir, config),
-    );
-}
-
-/// `perfjson fleet-campaign`: supervise a **fleet** manifest through the
-/// identical supervision stack (timeouts, retries, resume, validation).
-fn run_fleet_campaign_cmd(args: &cli::CampaignArgs) {
-    run_campaign_impl(
-        "fleet-campaign",
-        "fleet-campaign-worker",
-        args,
-        |text, worker, dir, config| ProcessBackend::new_fleet(text, worker, dir, config),
-    );
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let parsed = match cli::parse_command(&args) {
         Ok(Some(cli::Command::Perf(parsed))) => parsed,
         Ok(Some(cli::Command::Worker(w))) => return run_worker(&w),
         Ok(Some(cli::Command::Campaign(c))) => return run_campaign_cmd(&c),
-        Ok(Some(cli::Command::FleetWorker(w))) => return run_fleet_worker(&w),
-        Ok(Some(cli::Command::FleetCampaign(c))) => return run_fleet_campaign_cmd(&c),
         Ok(None) => {
             print!(
                 "{}",
                 match args.first().map(String::as_str) {
                     Some("campaign-worker") => cli::WORKER_USAGE,
                     Some("campaign") => cli::CAMPAIGN_USAGE,
-                    Some("fleet-campaign-worker") => cli::FLEET_WORKER_USAGE,
-                    Some("fleet-campaign") => cli::FLEET_CAMPAIGN_USAGE,
                     _ => cli::USAGE,
                 }
             );

@@ -71,26 +71,49 @@ pub mod cli {
     }
 
     /// A parsed `perfjson` invocation: the classic measurement mode, the
-    /// worker modes spawned by
-    /// `greener_core::campaign::process::ProcessBackend` (campaign and
-    /// fleet plans), or the supervised drivers for either plan kind.
+    /// worker mode spawned by
+    /// `greener_core::campaign::process::ProcessBackend`, or the
+    /// supervised driver. Both subcommands take campaign and fleet
+    /// manifests alike ([`manifest_kind`]).
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum Command {
         /// Measurement lanes (the default, no subcommand).
         Perf(PerfArgs),
-        /// `perfjson campaign-worker …`: run one campaign shard and
-        /// publish its artifact + marker into the artifact directory.
+        /// `perfjson campaign-worker …`: run one shard and publish its
+        /// artifact + marker into the artifact directory.
         Worker(WorkerArgs),
-        /// `perfjson campaign …`: supervise a whole campaign
+        /// `perfjson campaign …`: supervise a whole sweep
         /// process-per-shard.
         Campaign(CampaignArgs),
-        /// `perfjson fleet-campaign-worker …`: run one **fleet** shard
-        /// (the manifest is a fleet manifest) and publish its artifact +
-        /// marker.
-        FleetWorker(WorkerArgs),
-        /// `perfjson fleet-campaign …`: supervise a whole fleet sweep
-        /// process-per-shard — same supervision stack, fleet plan.
-        FleetCampaign(CampaignArgs),
+    }
+
+    /// The plan kind a manifest file holds.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ManifestKind {
+        /// A `greener_core::campaign::CampaignManifest`.
+        Campaign,
+        /// A `greener_core::fleet::FleetManifest`.
+        Fleet,
+    }
+
+    /// The kind of the manifest at `path`, read off its extension:
+    /// `.campaign` is a campaign manifest and `.fleet` a fleet manifest.
+    /// These are the extensions of the manifest file a supervisor
+    /// publishes for its workers (`Plan::MANIFEST_FILE`), so a worker and
+    /// its supervisor always agree on the kind. Any other extension is an
+    /// error naming both.
+    pub fn manifest_kind(path: &str) -> Result<ManifestKind, String> {
+        match std::path::Path::new(path)
+            .extension()
+            .and_then(|e| e.to_str())
+        {
+            Some("campaign") => Ok(ManifestKind::Campaign),
+            Some("fleet") => Ok(ManifestKind::Fleet),
+            _ => Err(format!(
+                "manifest `{path}` must end in `.campaign` (a campaign manifest) \
+                 or `.fleet` (a fleet manifest)"
+            )),
+        }
     }
 
     /// `perfjson campaign-worker` arguments (all required; the supervisor
@@ -132,9 +155,10 @@ pub mod cli {
     pub const WORKER_USAGE: &str = "usage: perfjson campaign-worker --manifest <file> \
         --shard <i> --of <k> --dir <dir>\n\
         \n\
-        Runs one campaign shard in-process and publishes its artifact and\n\
-        completion marker into <dir>. Honors GREENER_FAULT (see\n\
-        greener_core::campaign::process::FaultPlan) and\n\
+        Runs one shard in-process and publishes its artifact and completion\n\
+        marker into <dir>. The manifest is a campaign manifest if its name\n\
+        ends in .campaign and a fleet manifest if it ends in .fleet. Honors\n\
+        GREENER_FAULT (see greener_core::campaign::process::FaultPlan) and\n\
         GREENER_WORKER_ATTEMPT for deterministic fault injection.\n";
 
     /// Usage text for the `campaign` subcommand.
@@ -142,31 +166,13 @@ pub mod cli {
         --shards <k> --dir <dir>\n\
         \x20        [--timeout-ms <ms>] [--max-attempts <n>] [--check] [--no-resume]\n\
         \n\
-        \x20 --manifest      campaign manifest file\n\
+        \x20 --manifest      campaign (*.campaign) or fleet (*.fleet) manifest file\n\
         \x20 --shards        shard count (one worker process per shard)\n\
         \x20 --dir           artifact directory (manifest copy, shard artifacts, markers)\n\
         \x20 --timeout-ms    per-shard wall-clock budget (default 120000)\n\
         \x20 --max-attempts  attempts per shard before giving up (default 3)\n\
         \x20 --check         also run in-process and compare the merged reports\n\
         \x20 --no-resume     re-run every shard even if a valid artifact exists\n";
-
-    /// Usage text for the `fleet-campaign-worker` subcommand.
-    pub const FLEET_WORKER_USAGE: &str = "usage: perfjson fleet-campaign-worker \
-        --manifest <file> --shard <i> --of <k> --dir <dir>\n\
-        \n\
-        Runs one fleet-plan shard in-process and publishes its artifact and\n\
-        completion marker into <dir>. The manifest is a fleet manifest\n\
-        (greener_core::fleet::FleetManifest). Honors GREENER_FAULT and\n\
-        GREENER_WORKER_ATTEMPT exactly like campaign-worker.\n";
-
-    /// Usage text for the `fleet-campaign` subcommand.
-    pub const FLEET_CAMPAIGN_USAGE: &str = "usage: perfjson fleet-campaign --manifest <file> \
-        --shards <k> --dir <dir>\n\
-        \x20        [--timeout-ms <ms>] [--max-attempts <n>] [--check] [--no-resume]\n\
-        \n\
-        Supervises a fleet sweep process-per-shard (workers run in\n\
-        fleet-campaign-worker mode). Flags are identical to `campaign`;\n\
-        --manifest names a fleet manifest.\n";
 
     /// Take the value following flag `flag` from the iterator.
     fn take_value<'a, S: AsRef<str>>(
@@ -180,11 +186,8 @@ pub mod cli {
         }
     }
 
-    fn parse_worker<S: AsRef<str>>(
-        args: &[S],
-        mode: &str,
-        usage: &str,
-    ) -> Result<Option<WorkerArgs>, String> {
+    fn parse_worker<S: AsRef<str>>(args: &[S]) -> Result<Option<WorkerArgs>, String> {
+        let usage = WORKER_USAGE;
         let (mut manifest, mut shard, mut of, mut dir) = (None, None, None, None);
         let mut it = args.iter();
         while let Some(arg) = it.next() {
@@ -219,16 +222,13 @@ pub mod cli {
                 dir,
             })),
             _ => Err(format!(
-                "{mode} needs --manifest, --shard, --of and --dir\n{usage}"
+                "campaign-worker needs --manifest, --shard, --of and --dir\n{usage}"
             )),
         }
     }
 
-    fn parse_campaign<S: AsRef<str>>(
-        args: &[S],
-        mode: &str,
-        usage: &str,
-    ) -> Result<Option<CampaignArgs>, String> {
+    fn parse_campaign<S: AsRef<str>>(args: &[S]) -> Result<Option<CampaignArgs>, String> {
+        let usage = CAMPAIGN_USAGE;
         let (mut manifest, mut shards, mut dir) = (None, None, None);
         let (mut timeout_ms, mut max_attempts) = (120_000u64, 3u32);
         let (mut check, mut resume) = (false, true);
@@ -278,37 +278,20 @@ pub mod cli {
                 resume,
             })),
             _ => Err(format!(
-                "{mode} needs --manifest, --shards and --dir\n{usage}"
+                "campaign needs --manifest, --shards and --dir\n{usage}"
             )),
         }
     }
 
     /// Parse a full `perfjson` argument list, dispatching on an optional
-    /// leading subcommand (`campaign-worker`, `campaign`,
-    /// `fleet-campaign-worker`, `fleet-campaign`); anything else goes
-    /// through the classic strict flag parser. `Ok(None)` means help was
+    /// leading subcommand (`campaign-worker`, `campaign`); anything else
+    /// goes through the classic strict flag parser. `Ok(None)` means help was
     /// requested (the appropriate usage text was chosen by the caller's
     /// subcommand).
     pub fn parse_command<S: AsRef<str>>(args: &[S]) -> Result<Option<Command>, String> {
         match args.first().map(AsRef::as_ref) {
-            Some("campaign-worker") => {
-                Ok(parse_worker(&args[1..], "campaign-worker", WORKER_USAGE)?.map(Command::Worker))
-            }
-            Some("campaign") => {
-                Ok(parse_campaign(&args[1..], "campaign", CAMPAIGN_USAGE)?.map(Command::Campaign))
-            }
-            Some("fleet-campaign-worker") => {
-                Ok(
-                    parse_worker(&args[1..], "fleet-campaign-worker", FLEET_WORKER_USAGE)?
-                        .map(Command::FleetWorker),
-                )
-            }
-            Some("fleet-campaign") => {
-                Ok(
-                    parse_campaign(&args[1..], "fleet-campaign", FLEET_CAMPAIGN_USAGE)?
-                        .map(Command::FleetCampaign),
-                )
-            }
+            Some("campaign-worker") => Ok(parse_worker(&args[1..])?.map(Command::Worker)),
+            Some("campaign") => Ok(parse_campaign(&args[1..])?.map(Command::Campaign)),
             _ => Ok(parse(args)?.map(Command::Perf)),
         }
     }
@@ -475,66 +458,36 @@ pub mod cli {
         }
 
         #[test]
-        fn fleet_subcommands_parse_like_their_campaign_twins() {
-            // fleet-campaign-worker shares WorkerArgs with campaign-worker.
-            let cmd = parse_command(&[
-                "fleet-campaign-worker",
-                "--manifest",
-                "m.fleet",
-                "--shard",
-                "1",
-                "--of",
-                "3",
-                "--dir",
-                "art",
-            ])
-            .unwrap()
-            .unwrap();
-            assert_eq!(
-                cmd,
-                Command::FleetWorker(WorkerArgs {
-                    manifest: "m.fleet".into(),
-                    shard: 1,
-                    of: 3,
-                    dir: "art".into(),
-                })
-            );
-            // fleet-campaign shares CampaignArgs (defaults included).
-            match parse_command(&[
-                "fleet-campaign",
-                "--manifest",
-                "m.fleet",
-                "--shards",
-                "4",
-                "--dir",
-                "art",
-                "--no-resume",
-            ])
-            .unwrap()
-            .unwrap()
-            {
-                Command::FleetCampaign(a) => {
-                    assert_eq!((a.shards, a.timeout_ms, a.max_attempts), (4, 120_000, 3));
-                    assert!(!a.resume && !a.check);
-                }
-                other => panic!("expected FleetCampaign, got {other:?}"),
+        fn fleet_subcommands_are_refused() {
+            // `campaign` and `campaign-worker` take fleet manifests too.
+            // (The worker's old name is split to keep it out of the tree.)
+            for old in ["fleet-campaign", concat!("fleet-campaign", "-worker")] {
+                let e = parse_command(&[old, "--manifest", "m.fleet"]).unwrap_err();
+                assert!(e.contains(&format!("unknown flag `{old}`")), "{e}");
+                assert!(e.contains("usage: perfjson"), "{e}");
             }
-            // Errors carry the fleet usage text, not the campaign one.
-            let e = parse_command(&["fleet-campaign-worker", "--shard", "0"]).unwrap_err();
-            assert!(e.contains("fleet-campaign-worker needs --manifest"), "{e}");
-            assert!(e.contains("perfjson fleet-campaign-worker"), "{e}");
-            let e = parse_command(&["fleet-campaign", "--manifest", "m"]).unwrap_err();
-            assert!(
-                e.contains("fleet-campaign needs --manifest, --shards"),
-                "{e}"
-            );
-            assert!(e.contains("perfjson fleet-campaign "), "{e}");
-            // Help short-circuits.
-            assert_eq!(parse_command(&["fleet-campaign", "--help"]).unwrap(), None);
+        }
+
+        #[test]
+        fn manifest_kind_is_read_off_the_extension() {
+            use greener_core::campaign::{CampaignPlan, Plan};
+            use greener_core::fleet::FleetPlan;
+            // The names a supervisor publishes map to their own kinds.
             assert_eq!(
-                parse_command(&["fleet-campaign-worker", "-h"]).unwrap(),
-                None
+                manifest_kind(CampaignPlan::MANIFEST_FILE),
+                Ok(ManifestKind::Campaign)
             );
+            assert_eq!(
+                manifest_kind(FleetPlan::MANIFEST_FILE),
+                Ok(ManifestKind::Fleet)
+            );
+            assert_eq!(manifest_kind("art/m.campaign"), Ok(ManifestKind::Campaign));
+            assert_eq!(manifest_kind("/tmp/x/m.fleet"), Ok(ManifestKind::Fleet));
+            for bad in ["m", "m.txt", "m.Fleet", "campaign", "m.fleet.bak", ".fleet"] {
+                let e = manifest_kind(bad).unwrap_err();
+                assert!(e.contains(&format!("`{bad}`")), "{e}");
+                assert!(e.contains(".campaign") && e.contains(".fleet"), "{e}");
+            }
         }
 
         #[test]

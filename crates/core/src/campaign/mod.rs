@@ -95,8 +95,11 @@
 //!   `manifest.campaign`, built by [`process::ProcessBackend::new`]),
 //! * **[`crate::fleet::FleetPlan`]** (`fleet-cell` records, manifest
 //!   published as `manifest.fleet`, built by
-//!   [`process::ProcessBackend::new_fleet`]; workers run in `perfjson
-//!   fleet-campaign-worker` mode).
+//!   [`process::ProcessBackend::new_fleet`]).
+//!
+//! Workers tell the kinds apart by the published manifest's extension,
+//! so `perfjson campaign-worker` runs shards of both, and `perfjson
+//! campaign` supervises a `.campaign` or a `.fleet` manifest.
 //!
 //! A fleet sweep therefore inherits the whole fault-tolerance story —
 //! timeouts, seeded-backoff retries, fault injection, artifact

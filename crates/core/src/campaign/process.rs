@@ -2,8 +2,9 @@
 //!
 //! [`ProcessBackend`] runs each shard of a campaign in a **separate
 //! worker process** (by default the `perfjson campaign-worker` mode in
-//! the bench crate), supervising every attempt: per-shard wall-clock
-//! timeouts kill hung workers, failed shards are retried with capped
+//! the bench crate, which runs campaign and fleet shards alike),
+//! supervising every attempt: per-shard wall-clock timeouts kill hung
+//! workers, failed shards are retried with capped
 //! exponential backoff (deterministic, seeded jitter — the real clock is
 //! only an *enforcement* input, never a decision input), and every
 //! artifact is validated before acceptance ([`ShardArtifact::validate`]:
@@ -185,12 +186,14 @@ impl FaultPlan {
     }
 
     /// Read the plan from `GREENER_FAULT` (unset or empty → fault-free).
-    /// A malformed spec is an error — workers must refuse to guess,
-    /// otherwise a typo in a test silently tests nothing.
+    /// A malformed spec, or a value that is not UTF-8, is an error —
+    /// workers must refuse to guess, otherwise a typo in a test silently
+    /// tests nothing.
     pub fn from_env() -> Result<FaultPlan, String> {
         match std::env::var("GREENER_FAULT") {
             Ok(spec) => FaultPlan::parse(&spec),
-            Err(_) => Ok(FaultPlan::default()),
+            Err(std::env::VarError::NotPresent) => Ok(FaultPlan::default()),
+            Err(e) => Err(format!("bad GREENER_FAULT: {e}")),
         }
     }
 
@@ -221,8 +224,30 @@ pub struct WorkerCommand {
 /// same delay).
 const JITTER_SEED: u64 = 0x6772_6565_6e65_7221;
 
-/// Supervision policy: timeouts, retry budget, deterministic backoff,
-/// resume, and fault forwarding. The only wall-clock reads are the
+/// Backoff before retry r (1-based) is `BACKOFF_BASE · 2^(r−1)` plus
+/// jitter below `BACKOFF_BASE`, the exponential part capped at
+/// [`BACKOFF_CAP`].
+const BACKOFF_BASE: Duration = Duration::from_millis(50);
+/// Upper bound on the exponential component of the backoff.
+const BACKOFF_CAP: Duration = Duration::from_secs(2);
+
+/// The deterministic backoff before retry `attempt` (1-based: the delay
+/// taken *before* that attempt; attempt 0 never waits).
+fn backoff_delay(shard: usize, attempt: u32) -> Duration {
+    if attempt == 0 {
+        return Duration::ZERO;
+    }
+    let exp = BACKOFF_BASE
+        .saturating_mul(1u32 << (attempt - 1).min(16))
+        .min(BACKOFF_CAP);
+    let base_ms = BACKOFF_BASE.as_millis() as u64;
+    let jitter_ms = splitmix64(JITTER_SEED ^ ((shard as u64) << 32) ^ u64::from(attempt)) % base_ms;
+    exp + Duration::from_millis(jitter_ms)
+}
+
+/// Supervision policy: timeouts, retry budget, resume, and fault
+/// forwarding; retries wait a deterministic, capped exponential backoff
+/// (50 ms base, 2 s cap). The only wall-clock reads are the
 /// timeout enforcement and the backoff sleeps themselves — *which* shards
 /// retry, and with what delays, is a pure function of configuration.
 #[derive(Debug, Clone)]
@@ -232,11 +257,6 @@ pub struct SupervisorConfig {
     pub timeout: Duration,
     /// Maximum attempts per shard (≥ 1).
     pub max_attempts: u32,
-    /// Backoff before retry r (1-based) is `base · 2^(r−1)` plus jitter,
-    /// capped at [`SupervisorConfig::backoff_cap`].
-    pub backoff_base: Duration,
-    /// Upper bound on the exponential component of the backoff.
-    pub backoff_cap: Duration,
     /// Skip shards whose valid artifact + marker already exist.
     pub resume: bool,
     /// Fault spec to forward to workers via `GREENER_FAULT`. `None`
@@ -251,29 +271,9 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             timeout: Duration::from_secs(120),
             max_attempts: 3,
-            backoff_base: Duration::from_millis(50),
-            backoff_cap: Duration::from_secs(2),
             resume: true,
             fault: None,
         }
-    }
-}
-
-impl SupervisorConfig {
-    /// The deterministic backoff before retry `attempt` (1-based: the
-    /// delay taken *before* that attempt; attempt 0 never waits).
-    pub fn backoff_delay(&self, shard: usize, attempt: u32) -> Duration {
-        if attempt == 0 {
-            return Duration::ZERO;
-        }
-        let exp = self
-            .backoff_base
-            .saturating_mul(1u32 << (attempt - 1).min(16))
-            .min(self.backoff_cap);
-        let base_ms = self.backoff_base.as_millis().max(1) as u64;
-        let jitter_ms =
-            splitmix64(JITTER_SEED ^ ((shard as u64) << 32) ^ u64::from(attempt)) % base_ms;
-        exp + Duration::from_millis(jitter_ms)
     }
 }
 
@@ -423,12 +423,13 @@ pub fn marker_file_name(shard: usize, of: usize) -> String {
 /// the directory layout and invariants.
 ///
 /// Generic over the plan kind: [`ProcessBackend::new`] supervises
-/// campaign manifests (workers in `campaign-worker` mode),
-/// [`ProcessBackend::new_fleet`] supervises fleet manifests (workers in
-/// `fleet-campaign-worker` mode). Every supervision mechanism — resume,
-/// retry, backoff, validation, fault forwarding — is shared; the plan
-/// kind only decides how the manifest text expands and which file name
-/// ([`Plan::MANIFEST_FILE`]) it is published under.
+/// campaign manifests and [`ProcessBackend::new_fleet`] fleet manifests.
+/// Every supervision mechanism — resume, retry, backoff, validation,
+/// fault forwarding — is shared; the plan kind only decides how the
+/// manifest text expands and which file name ([`Plan::MANIFEST_FILE`]) it
+/// is published under. That name's extension tells a worker which kind to
+/// re-expand, so one worker command (`perfjson campaign-worker`) serves
+/// both.
 #[derive(Debug)]
 pub struct ProcessBackend<P: Plan = CampaignPlan> {
     plan: P,
@@ -462,8 +463,8 @@ impl ProcessBackend<CampaignPlan> {
 impl ProcessBackend<FleetPlan> {
     /// Build a backend for a **fleet** manifest: parse + expand it
     /// through [`FleetManifest`], create the artifact directory, and
-    /// publish `<dir>/manifest.fleet` atomically. Workers must run in
-    /// `fleet-campaign-worker` mode (they re-expand the fleet manifest).
+    /// publish `<dir>/manifest.fleet` atomically (workers re-expand it as
+    /// a fleet manifest).
     pub fn new_fleet(
         manifest_text: &str,
         worker: WorkerCommand,
@@ -661,7 +662,7 @@ impl<P: Plan> ProcessBackend<P> {
         }
         let mut last_err = None;
         for attempt in 0..self.config.max_attempts.max(1) {
-            std::thread::sleep(self.config.backoff_delay(spec.shard, attempt));
+            std::thread::sleep(backoff_delay(spec.shard, attempt));
             stats.attempts += 1;
             match self.run_attempt(plan, spec, attempt) {
                 Ok(artifact) => return Ok(artifact),
@@ -763,8 +764,6 @@ mod tests {
     fn quick_config() -> SupervisorConfig {
         SupervisorConfig {
             timeout: Duration::from_secs(30),
-            backoff_base: Duration::from_millis(5),
-            backoff_cap: Duration::from_millis(40),
             ..SupervisorConfig::default()
         }
     }
@@ -948,20 +947,19 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_and_capped() {
-        let config = SupervisorConfig::default();
         for shard in 0..4 {
-            assert_eq!(config.backoff_delay(shard, 0), Duration::ZERO);
+            assert_eq!(backoff_delay(shard, 0), Duration::ZERO);
             for attempt in 1..8 {
-                let a = config.backoff_delay(shard, attempt);
-                let b = config.backoff_delay(shard, attempt);
+                let a = backoff_delay(shard, attempt);
+                let b = backoff_delay(shard, attempt);
                 assert_eq!(a, b, "same inputs, same delay");
-                assert!(a <= config.backoff_cap + config.backoff_base);
+                assert!(a <= BACKOFF_CAP + BACKOFF_BASE);
             }
         }
         // Different shards jitter differently (with overwhelming odds).
         assert_ne!(
-            config.backoff_delay(0, 1),
-            config.backoff_delay(1, 1),
+            backoff_delay(0, 1),
+            backoff_delay(1, 1),
             "jitter should split shards"
         );
     }

@@ -1276,11 +1276,8 @@ fn build_signals<'a>(
     SchedSignals {
         now,
         green_share: grid.green_share[h],
-        ci_kg_mwh: grid.ci_kg_mwh[h],
-        lmp_usd_mwh: grid.lmp_usd_mwh[h],
         temp_f: weather.temp_f[h],
         forecast_green,
-        forecast_ci: &[],
         running_completions: completions,
     }
 }

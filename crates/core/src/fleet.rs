@@ -8,9 +8,9 @@
 //! intensity, price, weather and cooling. A [`FleetScenario`] holds an
 //! ordered set of [`Site`]s (each with its own cluster spec, cooling
 //! model, weather and regional grid), **one shared arrival trace** drawn
-//! from the fleet's base scenario, and a [`RoutePolicy`] that assigns each
-//! arriving job to a site before the site's local scheduling policy takes
-//! over.
+//! from the fleet's base scenario, and a [`RoutingPolicyKind`] that assigns
+//! each arriving job to a site before the site's local scheduling policy
+//! takes over.
 //!
 //! # Route-then-replay
 //!
@@ -18,13 +18,13 @@
 //!
 //! 1. **Routing** ([`FleetDriver::route`]): a single sequential pass over
 //!    the shared trace in submit order. For every arrival the router
-//!    builds per-site [`SiteSignals`] — the site's forecast-window mean
-//!    carbon intensity and price (read off the pre-built [`GridPath`]s
-//!    via [`GridPath::window_mean_ci`] once per arrival hour, since they
-//!    depend on nothing else) plus a router-side
-//!    *queue-pressure estimate* (routed-but-undrained GPU-hours per site,
-//!    drained at full-machine rate between arrivals) — and asks the
-//!    [`RoutePolicy`] to pick a feasible site. Routing is hierarchical
+//!    reads per-site signals — the site's forecast-window mean carbon
+//!    intensity and price (read off the pre-built [`GridPath`]s via
+//!    [`GridPath::window_mean_ci`] once per arrival hour, since they
+//!    depend on nothing else) plus a router-side *queue-pressure
+//!    estimate* (routed-but-undrained GPU-hours per site, drained at
+//!    full-machine rate between arrivals) — and lets the fleet's
+//!    [`RoutingPolicyKind`] pick a feasible site. Routing is hierarchical
 //!    scheduling with router-level state: the router never looks inside a
 //!    site's event loop, so its pressure signal is an estimate, not the
 //!    site queue's ground truth. That is deliberate — it keeps stage 1 a
@@ -61,7 +61,7 @@
 //!   GPU-hours over machine size) has no finite value. Defense in depth:
 //!   the router's pressure helper saturates at `f64::INFINITY` rather
 //!   than emitting NaN, and zero-cap sites are excluded from every
-//!   feasible set a [`RoutePolicy`] is offered, so a NaN can never reach
+//!   feasible set a routing policy picks from, so a NaN can never reach
 //!   a policy score or the byte-stable route log.
 //! * **Oversized gangs are clamped, and the clamp is counted.** When no
 //!   site fits a gang whole, the router offers every powered site and
@@ -131,11 +131,12 @@
 //! in-process, or the supervised
 //! [`crate::campaign::process::ProcessBackend`] (built with
 //! [`new_fleet`](crate::campaign::process::ProcessBackend::new_fleet);
-//! `perfjson fleet-campaign` is the CLI driver) with per-shard timeouts,
-//! seeded-backoff retries, `GREENER_FAULT` injection and artifact-based
-//! resume. Each cell serializes as one [`FleetCellResult`] `fleet-cell`
-//! line inside the standard versioned, checksummed, plan-fingerprinted
-//! v1 [`crate::campaign::ShardArtifact`]; the cell's full
+//! `perfjson campaign` on a `.fleet` manifest is the CLI driver) with
+//! per-shard timeouts, seeded-backoff retries, `GREENER_FAULT` injection
+//! and artifact-based resume. Each cell serializes as one
+//! [`FleetCellResult`] `fleet-cell` line inside the standard versioned,
+//! checksummed, plan-fingerprinted v1 [`crate::campaign::ShardArtifact`];
+//! the cell's full
 //! [`FleetRunOutput::to_text`] report is pinned bit-for-bit by an FNV-1a
 //! digest carried on the line. The digest is streamed over the exact
 //! `to_text` bytes as [`FleetRunOutput::write_report`] writes them
@@ -462,122 +463,48 @@ impl FleetWorld {
     }
 }
 
-/// What the router shows a [`RoutePolicy`] about one site at one arrival.
+/// What the router reads about one site at one arrival.
 #[derive(Debug, Clone, Copy)]
-pub struct SiteSignals {
-    /// Site index (position in [`FleetScenario::sites`]).
-    pub site: usize,
+struct SiteSignals {
     /// The site's machine size, GPUs.
-    pub gpu_cap: u32,
+    gpu_cap: u32,
     /// Router-side queue-pressure estimate: routed-but-undrained work in
     /// machine-hours (backlog GPU-hours / machine size). An estimate by
     /// design — see the module docs.
-    pub queue_pressure_hours: f64,
+    queue_pressure_hours: f64,
     /// Mean forecast carbon intensity over the next
     /// [`ROUTE_FORECAST_HOURS`], kg/MWh.
-    pub forecast_ci_kg_mwh: f64,
+    forecast_ci_kg_mwh: f64,
     /// Mean forecast energy price over the next
     /// [`ROUTE_FORECAST_HOURS`], $/MWh.
-    pub forecast_price_usd_mwh: f64,
+    forecast_price_usd_mwh: f64,
 }
 
-/// A site-assignment policy: the routing tier's counterpart of
-/// `SchedPolicy`.
-///
-/// `route` is called once per arriving job, in submit order, with one
-/// [`SiteSignals`] per site and the feasible site indices (ascending;
-/// never empty). It must return a member of `feasible`. Implementations
-/// may keep state (round-robin cursors, learned estimates) but must stay
-/// deterministic: the decision may depend only on the arguments and prior
-/// calls, never on time, threads or ambient randomness — that is what
-/// makes routing records byte-comparable across runs.
-pub trait RoutePolicy {
-    /// Pick a site for `job` from `feasible`.
-    fn route(&mut self, job: &Job, signals: &[SiteSignals], feasible: &[usize]) -> usize;
-}
+/// [`RoutingPolicyKind::CostBased`]'s weight on normalized forecast
+/// carbon intensity.
+const COST_CARBON_WEIGHT: f64 = 1.0;
+/// [`RoutingPolicyKind::CostBased`]'s weight on normalized forecast price.
+const COST_PRICE_WEIGHT: f64 = 0.5;
+/// [`RoutingPolicyKind::CostBased`]'s weight on normalized queue pressure.
+const COST_PRESSURE_WEIGHT: f64 = 1.0;
 
-/// Static reference routing: everything to the first feasible site (site
-/// 0 whenever it fits the gang). The routing analogue of FCFS — the
-/// baseline every arbitrage policy is compared against, and the policy
-/// under which a 1-site fleet reproduces the single-site run bit-for-bit.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StaticRoute;
-
-impl RoutePolicy for StaticRoute {
-    fn route(&mut self, _job: &Job, _signals: &[SiteSignals], feasible: &[usize]) -> usize {
-        feasible[0]
-    }
-}
-
-/// Round-robin over the feasible sites: arrival `k` (counting routed
-/// jobs) goes to `feasible[k mod |feasible|]`. A capacity-spreading
-/// reference with no carbon awareness.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoundRobinRoute {
-    routed: u64,
-}
-
-impl RoutePolicy for RoundRobinRoute {
-    fn route(&mut self, _job: &Job, _signals: &[SiteSignals], feasible: &[usize]) -> usize {
-        let pick = feasible[(self.routed % feasible.len() as u64) as usize];
-        self.routed += 1;
-        pick
-    }
-}
-
-/// Greedy geo-temporal carbon arbitrage: send the job to the feasible
-/// site with the lowest forecast-window mean carbon intensity (ties break
-/// toward the lower site index). Ignores price and queue pressure — the
-/// upper bound on how much carbon pure placement can chase.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GreedyCarbonRoute;
-
-impl RoutePolicy for GreedyCarbonRoute {
-    fn route(&mut self, _job: &Job, signals: &[SiteSignals], feasible: &[usize]) -> usize {
-        argmin_by(feasible, |i| signals[i].forecast_ci_kg_mwh)
-    }
-}
-
-/// Cost-based assignment: score every feasible site on a weighted sum of
-/// its carbon, price and queue-pressure signals — each normalized by the
-/// feasible maximum, so the weights compare like-for-like — and pick the
-/// minimum (ties toward the lower index).
-#[derive(Debug, Clone, Copy)]
-pub struct CostBasedRoute {
-    /// Weight on normalized forecast carbon intensity.
-    pub carbon_weight: f64,
-    /// Weight on normalized forecast price.
-    pub price_weight: f64,
-    /// Weight on normalized queue pressure.
-    pub pressure_weight: f64,
-}
-
-impl Default for CostBasedRoute {
-    fn default() -> CostBasedRoute {
-        CostBasedRoute {
-            carbon_weight: 1.0,
-            price_weight: 0.5,
-            pressure_weight: 1.0,
-        }
-    }
-}
-
-impl RoutePolicy for CostBasedRoute {
-    fn route(&mut self, _job: &Job, signals: &[SiteSignals], feasible: &[usize]) -> usize {
-        let max_of = |f: fn(&SiteSignals) -> f64| {
-            feasible.iter().map(|&i| f(&signals[i])).fold(0.0, f64::max)
-        };
-        let ci_max = max_of(|s| s.forecast_ci_kg_mwh);
-        let price_max = max_of(|s| s.forecast_price_usd_mwh);
-        let pressure_max = max_of(|s| s.queue_pressure_hours);
-        let rel = |x: f64, max: f64| if max > 0.0 { x / max } else { 0.0 };
-        argmin_by(feasible, |i| {
-            let s = &signals[i];
-            self.carbon_weight * rel(s.forecast_ci_kg_mwh, ci_max)
-                + self.price_weight * rel(s.forecast_price_usd_mwh, price_max)
-                + self.pressure_weight * rel(s.queue_pressure_hours, pressure_max)
-        })
-    }
+/// [`RoutingPolicyKind::CostBased`]'s pick: score every feasible site on
+/// a weighted sum of its carbon, price and queue-pressure signals — each
+/// normalized by the feasible maximum, so the weights compare
+/// like-for-like — and take the minimum (ties toward the lower index).
+fn cost_based(signals: &[SiteSignals], feasible: &[usize]) -> usize {
+    let max_of =
+        |f: fn(&SiteSignals) -> f64| feasible.iter().map(|&i| f(&signals[i])).fold(0.0, f64::max);
+    let ci_max = max_of(|s| s.forecast_ci_kg_mwh);
+    let price_max = max_of(|s| s.forecast_price_usd_mwh);
+    let pressure_max = max_of(|s| s.queue_pressure_hours);
+    let rel = |x: f64, max: f64| if max > 0.0 { x / max } else { 0.0 };
+    argmin_by(feasible, |i| {
+        let s = &signals[i];
+        COST_CARBON_WEIGHT * rel(s.forecast_ci_kg_mwh, ci_max)
+            + COST_PRICE_WEIGHT * rel(s.forecast_price_usd_mwh, price_max)
+            + COST_PRESSURE_WEIGHT * rel(s.queue_pressure_hours, pressure_max)
+    })
 }
 
 /// Router-side queue-pressure estimate for one site: backlog GPU-hours
@@ -610,19 +537,30 @@ fn argmin_by(feasible: &[usize], score: impl Fn(usize) -> f64) -> usize {
     best
 }
 
-/// The routing-policy families, behind one [`RoutePolicy`] trait (the
-/// routing analogue of `PolicyKind`).
+/// The routing-policy families (the routing analogue of `PolicyKind`).
+/// [`FleetDriver::route`] applies them, once per arriving job in submit
+/// order, to the feasible sites; every pick depends only on the fleet, its
+/// world and the jobs routed before, so route records are byte-comparable
+/// across runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingPolicyKind {
-    /// Everything to the first feasible site ([`StaticRoute`]) — the
-    /// reference.
+    /// Everything to the first feasible site (site 0 whenever it fits the
+    /// gang). The routing analogue of FCFS: the reference every arbitrage
+    /// policy is compared against, and the policy under which a 1-site
+    /// fleet reproduces the single-site run bit-for-bit.
     Static,
-    /// Cycle over feasible sites ([`RoundRobinRoute`]).
+    /// Round-robin over the feasible sites: the `k`-th routed job goes to
+    /// `feasible[k mod |feasible|]`. A capacity-spreading reference with
+    /// no carbon awareness.
     RoundRobin,
-    /// Lowest forecast-window carbon intensity ([`GreedyCarbonRoute`]).
+    /// Greedy geo-temporal carbon arbitrage: the feasible site with the
+    /// lowest forecast-window mean carbon intensity (ties toward the lower
+    /// site index). Ignores price and queue pressure — the upper bound on
+    /// how much carbon pure placement can chase.
     GreedyCarbon,
-    /// Weighted carbon + price + queue-pressure score
-    /// ([`CostBasedRoute`] with default weights).
+    /// The minimum of a weighted carbon + price + queue-pressure score,
+    /// each signal normalized by its feasible maximum (weights 1, 0.5
+    /// and 1).
     CostBased,
 }
 
@@ -650,16 +588,6 @@ impl RoutingPolicyKind {
         RoutingPolicyKind::COMPARISON_SET
             .into_iter()
             .find(|k| k.label() == label)
-    }
-
-    /// Instantiate the policy.
-    pub fn build(&self) -> Box<dyn RoutePolicy> {
-        match self {
-            RoutingPolicyKind::Static => Box::new(StaticRoute),
-            RoutingPolicyKind::RoundRobin => Box::new(RoundRobinRoute::default()),
-            RoutingPolicyKind::GreedyCarbon => Box::new(GreedyCarbonRoute),
-            RoutingPolicyKind::CostBased => Box::new(CostBasedRoute::default()),
-        }
     }
 }
 
@@ -851,7 +779,6 @@ impl FleetDriver {
             .map(|s| s.scenario.cluster.total_gpus())
             .collect();
         let horizon = fleet.base.horizon_hours;
-        let mut policy = fleet.routing.build();
         // Router-side backlog estimate, GPU-hours per site; drained at
         // full-machine rate between consecutive arrivals.
         let mut backlog = vec![0.0f64; n];
@@ -860,9 +787,7 @@ impl FleetDriver {
         // recomputed when the hour changes; queue pressure moves per job.
         let mut signals: Vec<SiteSignals> = caps
             .iter()
-            .enumerate()
-            .map(|(site, &gpu_cap)| SiteSignals {
-                site,
+            .map(|&gpu_cap| SiteSignals {
                 gpu_cap,
                 queue_pressure_hours: 0.0,
                 forecast_ci_kg_mwh: f64::NAN,
@@ -897,7 +822,16 @@ impl FleetDriver {
                 // (infinite) estimate never reaches a policy's score.
                 feasible.extend((0..n).filter(|&i| caps[i] > 0));
             }
-            let site = policy.route(job, &signals, &feasible);
+            let site = match fleet.routing {
+                RoutingPolicyKind::Static => feasible[0],
+                // Every job is routed once, in order: `index` counts the
+                // jobs routed before this one.
+                RoutingPolicyKind::RoundRobin => feasible[index % feasible.len()],
+                RoutingPolicyKind::GreedyCarbon => {
+                    argmin_by(&feasible, |i| signals[i].forecast_ci_kg_mwh)
+                }
+                RoutingPolicyKind::CostBased => cost_based(&signals, &feasible),
+            };
             assert!(
                 feasible.contains(&site),
                 "routing policy `{}` picked infeasible site {site}",
@@ -1065,9 +999,8 @@ pub struct FleetCell {
     /// Stable id: `<plan>/routing=<label>/seed=<s>` — unique,
     /// whitespace-free.
     pub id: String,
-    /// The seed this cell runs under (already applied to the fleet).
-    pub seed: u64,
-    /// The concrete fleet (base + sites reseeded, routing applied).
+    /// The concrete fleet (base + sites reseeded, routing applied; the
+    /// cell's seed is `fleet.base.seed`).
     pub fleet: FleetScenario,
 }
 
@@ -1416,12 +1349,7 @@ impl FleetManifest {
             let id = format!("{}/routing={}/seed={seed}", self.name, routing.label());
             let mut fleet = self.fleet.clone().with_routing(routing).with_seed(seed);
             fleet.name = id.clone();
-            cells.push(FleetCell {
-                index,
-                id,
-                seed,
-                fleet,
-            });
+            cells.push(FleetCell { index, id, fleet });
         }
         check_cell_ids(cells.iter().map(|c| c.id.as_str()))?;
         Ok(FleetPlan {
@@ -1611,6 +1539,11 @@ mod tests {
         0x7368_4e83_171f_aa9b,
     ];
 
+    /// Report digest of `quick_fleet(7, 11, 4)` under cost-based routing.
+    /// On the 3-site fleet the price term never changes a pick; on this
+    /// one, each of the three cost-based weights set to 0 moves the digest.
+    const GOLDEN_COST_BASED_4_SITES: u64 = 0x6c42_60ca_6db6_11a8;
+
     #[test]
     fn golden_fleet_report_digests() {
         let fleet = quick_fleet(7, 11, 3);
@@ -1643,6 +1576,14 @@ mod tests {
                 routing.label()
             );
         }
+        let fleet = quick_fleet(7, 11, 4).with_routing(RoutingPolicyKind::CostBased);
+        let out =
+            FleetDriver::run_observed(&fleet, &FleetWorld::build(&fleet), Observe::aggregates());
+        let digest = out.report_digest();
+        assert_eq!(
+            digest, GOLDEN_COST_BASED_4_SITES,
+            "4-site cost-based: digest {digest:#018x}"
+        );
     }
 
     #[test]

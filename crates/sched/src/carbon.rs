@@ -105,10 +105,6 @@ impl CarbonAwarePolicy {
 }
 
 impl SchedPolicy for CarbonAwarePolicy {
-    fn name(&self) -> &'static str {
-        "carbon-aware"
-    }
-
     fn dispatch(
         &mut self,
         queue: &WaitQueue,
@@ -204,10 +200,6 @@ impl GreenQueuePolicy {
 }
 
 impl SchedPolicy for GreenQueuePolicy {
-    fn name(&self) -> &'static str {
-        "green-queues"
-    }
-
     fn dispatch(
         &mut self,
         queue: &WaitQueue,

@@ -31,10 +31,6 @@ impl PowerCapPolicy {
 }
 
 impl SchedPolicy for PowerCapPolicy {
-    fn name(&self) -> &'static str {
-        "power-cap"
-    }
-
     fn dispatch(
         &mut self,
         queue: &WaitQueue,
@@ -107,10 +103,6 @@ impl TempAwarePolicy {
 }
 
 impl SchedPolicy for TempAwarePolicy {
-    fn name(&self) -> &'static str {
-        "temp-aware-cap"
-    }
-
     fn dispatch(
         &mut self,
         queue: &WaitQueue,

@@ -15,7 +15,9 @@
 //!   (tighten caps when cooling is expensive).
 //! * [`carbon`] — carbon-aware temporal shifting (defer deferrable jobs to
 //!   forecast-greener hours, ref \[16\]) and green-queue segmentation.
-//! * [`config`] — serializable policy descriptors for experiments.
+//! * [`config`] — [`PolicyKind`], the plain-data descriptor that names
+//!   ([`PolicyKind::label`]) and builds every policy; policies themselves
+//!   carry no name.
 
 pub mod carbon;
 pub mod config;

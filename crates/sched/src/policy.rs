@@ -36,7 +36,9 @@ pub struct QueuedJob {
     pub enqueued: SimTime,
 }
 
-/// Environment snapshot at dispatch time.
+/// Environment snapshot at dispatch time: exactly what the built-in
+/// policies read. The grid's carbon intensity and price are not in it,
+/// because the carbon gate decides on the green share.
 ///
 /// All slice fields are *borrowed* from driver-owned buffers that persist
 /// across events; building a `SchedSignals` performs no heap allocation.
@@ -46,16 +48,10 @@ pub struct SchedSignals<'a> {
     pub now: SimTime,
     /// Grid green (solar+wind) share in \[0,1\].
     pub green_share: f64,
-    /// Grid carbon intensity, kg/MWh.
-    pub ci_kg_mwh: f64,
-    /// Locational marginal price, $/MWh.
-    pub lmp_usd_mwh: f64,
     /// Outdoor temperature, °F.
     pub temp_f: f64,
     /// Forecast green share for the next hours (index 0 = next hour).
     pub forecast_green: &'a [f64],
-    /// Forecast carbon intensity for the next hours.
-    pub forecast_ci: &'a [f64],
     /// `(completion time, gpus released)` of running jobs, **sorted
     /// soonest-first** — the driver maintains this incrementally on
     /// allocate/release, so policies may rely on the ordering without
@@ -98,9 +94,6 @@ pub enum LoneDispatch {
 
 /// A scheduling policy.
 pub trait SchedPolicy: Send {
-    /// Policy name for reports.
-    fn name(&self) -> &'static str;
-
     /// Choose jobs to start now, appending to `out` (which the caller has
     /// cleared). Decisions must reference queued jobs and must collectively
     /// fit in `cluster.free_gpus()` (the driver asserts).
@@ -196,10 +189,6 @@ pub struct FcfsPolicy {
 }
 
 impl SchedPolicy for FcfsPolicy {
-    fn name(&self) -> &'static str {
-        "fcfs"
-    }
-
     fn dispatch(
         &mut self,
         queue: &WaitQueue,
@@ -243,10 +232,6 @@ pub struct SjfPolicy {
 }
 
 impl SchedPolicy for SjfPolicy {
-    fn name(&self) -> &'static str {
-        "sjf"
-    }
-
     fn dispatch(
         &mut self,
         queue: &WaitQueue,
@@ -339,10 +324,6 @@ impl EasyBackfillPolicy {
 }
 
 impl SchedPolicy for EasyBackfillPolicy {
-    fn name(&self) -> &'static str {
-        "easy-backfill"
-    }
-
     fn dispatch(
         &mut self,
         queue: &WaitQueue,

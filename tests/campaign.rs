@@ -138,8 +138,6 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn process_config() -> SupervisorConfig {
     SupervisorConfig {
         timeout: Duration::from_secs(60),
-        backoff_base: Duration::from_millis(10),
-        backoff_cap: Duration::from_millis(100),
         ..SupervisorConfig::default()
     }
 }
@@ -216,5 +214,57 @@ fn resume_skips_shards_with_existing_artifacts() {
         second.to_text(),
         "resume must not change a byte"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `GREENER_FAULT` that is not UTF-8 cannot be read as a fault plan, so
+/// the worker and the supervised driver both refuse it (exit 2) instead
+/// of running fault-free, and nothing is published.
+#[cfg(unix)]
+#[test]
+fn non_utf8_fault_spec_is_refused() {
+    use std::ffi::OsStr;
+    use std::os::unix::ffi::OsStrExt;
+
+    let dir = temp_dir("non-utf8-fault");
+    std::fs::create_dir_all(&dir).unwrap();
+    let manifest = dir.join("m.campaign");
+    std::fs::write(&manifest, SMOKE_MANIFEST).unwrap();
+    let art = dir.join("art");
+    let runs: [&[&OsStr]; 2] = [
+        &[
+            "campaign-worker".as_ref(),
+            "--manifest".as_ref(),
+            manifest.as_os_str(),
+            "--shard".as_ref(),
+            "0".as_ref(),
+            "--of".as_ref(),
+            "1".as_ref(),
+            "--dir".as_ref(),
+            art.as_os_str(),
+        ],
+        &[
+            "campaign".as_ref(),
+            "--manifest".as_ref(),
+            manifest.as_os_str(),
+            "--shards".as_ref(),
+            "1".as_ref(),
+            "--dir".as_ref(),
+            art.as_os_str(),
+        ],
+    ];
+    for args in runs {
+        let out = std::process::Command::new(perfjson_bin())
+            .args(args)
+            .env("GREENER_FAULT", OsStr::from_bytes(b"crash:0\xff"))
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("GREENER_FAULT"), "{args:?}: {stderr}");
+        for file in ["shard-0-of-1.art", "shard-0-of-1.ok"] {
+            assert!(!art.join(file).exists(), "{args:?} published {file}");
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

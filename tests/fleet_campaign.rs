@@ -110,12 +110,12 @@ fn fleet_campaign_axis_holds_from_downstream() {
     }
 }
 
-/// Workers run in `fleet-campaign-worker` mode — the only fleet-specific
-/// knob in the whole supervised pipeline.
+/// Workers run in `campaign-worker` mode, like campaign workers: they
+/// read the plan kind off the published manifest's `.fleet` extension.
 fn worker_command() -> WorkerCommand {
     WorkerCommand {
         program: perfjson_bin(),
-        args: vec!["fleet-campaign-worker".into()],
+        args: vec!["campaign-worker".into()],
     }
 }
 
@@ -128,8 +128,6 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn process_config() -> SupervisorConfig {
     SupervisorConfig {
         timeout: Duration::from_secs(60),
-        backoff_base: Duration::from_millis(10),
-        backoff_cap: Duration::from_millis(100),
         ..SupervisorConfig::default()
     }
 }
