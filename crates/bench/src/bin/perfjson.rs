@@ -484,9 +484,14 @@ fn run_campaign_impl<P: Plan>(
         args: vec!["campaign-worker".into()],
     };
     // Unset means fault-free; a spec that is not UTF-8 cannot be
-    // forwarded as it stands, and dropping it would run fault-free.
+    // forwarded as it stands, and dropping it would run fault-free. A
+    // malformed one is refused here, before any spawn: every worker
+    // would refuse it, each after a shard's whole attempt budget.
     let fault = match std::env::var("GREENER_FAULT") {
-        Ok(spec) => Some(spec).filter(|s| !s.is_empty()),
+        Ok(spec) => {
+            FaultPlan::parse(&spec).unwrap_or_else(|e| die(format!("bad GREENER_FAULT: {e}")));
+            Some(spec).filter(|s| !s.is_empty())
+        }
         Err(std::env::VarError::NotPresent) => None,
         Err(e) => die(format!("bad GREENER_FAULT: {e}")),
     };
@@ -496,16 +501,15 @@ fn run_campaign_impl<P: Plan>(
         resume: args.resume,
         fault,
     };
-    let backend =
-        build(&manifest_text, worker, &args.dir, config).unwrap_or_else(|e| die(e.to_string()));
+    let backend = build(&manifest_text, worker, &args.dir, config).unwrap_or_else(|e| die(e.msg));
     let (report, run) = backend
         .run_supervised(args.shards)
-        .unwrap_or_else(|e| die(e.to_string()));
+        .unwrap_or_else(|e| die(e.msg));
     print!("{}", report.to_text());
     print!("{}", run.to_text());
     if args.check {
         let reference = run_campaign(backend.plan(), &InProcessBackend, 1)
-            .unwrap_or_else(|e| die(e.to_string()))
+            .unwrap_or_else(|e| die(e.msg))
             .to_text();
         let identical = reference == report.to_text();
         println!("process_report_identical_in_process {identical}");

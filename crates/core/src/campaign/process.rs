@@ -191,7 +191,7 @@ impl FaultPlan {
     /// tests nothing.
     pub fn from_env() -> Result<FaultPlan, String> {
         match std::env::var("GREENER_FAULT") {
-            Ok(spec) => FaultPlan::parse(&spec),
+            Ok(spec) => FaultPlan::parse(&spec).map_err(|e| format!("bad GREENER_FAULT: {e}")),
             Err(std::env::VarError::NotPresent) => Ok(FaultPlan::default()),
             Err(e) => Err(format!("bad GREENER_FAULT: {e}")),
         }

@@ -332,9 +332,11 @@ struct Engine<'s, O: RunProbes> {
     probes: O,
     /// Reused decision out-buffer for `SchedPolicy::dispatch`.
     decisions: Vec<Decision>,
-    /// Current 24 h green-share forecast (reused; refreshed hourly).
+    /// Current 24 h green-share forecast (reused; refreshed hourly, and
+    /// empty unless the policy reads it).
     forecast_green: Vec<f64>,
-    /// Persistent forecaster for `ForecastMode::Model` (built once).
+    /// Persistent forecaster for `ForecastMode::Model` (built once, for a
+    /// policy that reads the forecast).
     forecast_model: Option<Box<dyn Forecaster + Send>>,
     /// Loop counters, always kept (see [`crate::profile`]).
     counts: ReplayProfile,
@@ -374,8 +376,15 @@ impl<O: RunProbes> Engine<'_, O> {
         }
     }
 
-    /// Refresh `forecast_green` for the top of `hour_cursor`.
+    /// Refresh `forecast_green` for the top of `hour_cursor`. Only a
+    /// policy that reads the forecast ([`PolicyKind::reads_forecast`])
+    /// gets one: for every other policy it stays empty, on both engines.
+    ///
+    /// [`PolicyKind::reads_forecast`]: greener_sched::PolicyKind::reads_forecast
     fn refresh_forecast(&mut self) {
+        if !self.scenario.policy.reads_forecast() {
+            return;
+        }
         forecast_at(
             self.scenario,
             self.grid,
@@ -1106,7 +1115,9 @@ impl SimDriver {
             decisions: Vec::with_capacity(64),
             forecast_green: Vec::with_capacity(FORECAST_HORIZON),
             forecast_model: match scenario.forecast {
-                ForecastMode::Model(kind) => Some(kind.build(FORECAST_PERIOD)),
+                ForecastMode::Model(kind) if scenario.policy.reads_forecast() => {
+                    Some(kind.build(FORECAST_PERIOD))
+                }
                 _ => None,
             },
             counts: ReplayProfile::default(),

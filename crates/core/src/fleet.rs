@@ -140,8 +140,9 @@
 //! [`FleetRunOutput::to_text`] report is pinned bit-for-bit by an FNV-1a
 //! digest carried on the line. The digest is streamed over the exact
 //! `to_text` bytes as [`FleetRunOutput::write_report`] writes them
-//! ([`FleetRunOutput::report_digest`]), so no cell materializes its report
-//! text. A supervised fleet sweep's artifact
+//! ([`FleetRunOutput::report_digest`]), route lines as the one byte
+//! encoder writes them, so no cell materializes its report text. A
+//! supervised fleet sweep's artifact
 //! directory is the campaign layout with the fleet manifest name:
 //!
 //! ```text
@@ -619,31 +620,98 @@ pub struct RouteRecord {
 }
 
 impl RouteRecord {
+    /// Longest line [`RouteRecord::encode`] writes, plus one spare byte
+    /// for a caller's newline: the tag, then, each after a space, three
+    /// 64-bit decimals (up to 20 digits), two 32-bit ones (up to 10) and
+    /// three 16-digit hex words.
+    const LINE_CAP: usize = "route".len() + 3 * 21 + 2 * 11 + 3 * 17 + 1;
+
     /// Render as one whitespace-separated line: integers in decimal,
     /// floats as bit-exact hex (the campaign artifact idiom), so two
     /// routing runs compare byte-for-byte.
     pub fn to_line(&self) -> String {
-        let mut line = String::new();
-        self.write_line(&mut line)
-            .expect("writing to a String cannot fail");
-        line
+        let mut buf = [0; RouteRecord::LINE_CAP];
+        let len = self.encode(&mut buf);
+        ascii(&buf[..len]).to_owned()
     }
 
-    /// Write the [`RouteRecord::to_line`] form (no trailing newline).
-    fn write_line<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
-        write!(
-            out,
-            "route {} {} {} {} {} {:016x} {:016x} {:016x}",
-            self.index,
+    /// Encode the [`RouteRecord::to_line`] form into `buf` (no trailing
+    /// newline) and return its length; `buf[len]` is free for one. The
+    /// one route-line writer: the report text and its digest both take
+    /// these bytes.
+    fn encode(&self, buf: &mut [u8; RouteRecord::LINE_CAP]) -> usize {
+        buf[..5].copy_from_slice(b"route");
+        let mut at = 5;
+        for v in [
+            self.index as u64,
             self.job.0,
-            self.site,
+            self.site.into(),
             self.submit.0,
-            self.gpus,
-            self.work_gpu_hours.to_bits(),
-            self.queue_pressure_hours.to_bits(),
-            self.forecast_ci_kg_mwh.to_bits(),
-        )
+            self.gpus.into(),
+        ] {
+            buf[at] = b' ';
+            at = put_decimal(buf, at + 1, v);
+        }
+        for f in [
+            self.work_gpu_hours,
+            self.queue_pressure_hours,
+            self.forecast_ci_kg_mwh,
+        ] {
+            buf[at] = b' ';
+            at = put_hex16(buf, at + 1, f.to_bits());
+        }
+        at
     }
+}
+
+/// `PAIRS[i]`: the two ASCII digits of `i` in base `radix`, for every
+/// `i < radix²`, so an encoder writes two digits per lookup.
+const fn digit_pairs<const N: usize>(radix: usize) -> [[u8; 2]; N] {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut pairs = [[0; 2]; N];
+    let mut i = 0;
+    while i < N {
+        pairs[i] = [DIGITS[i / radix], DIGITS[i % radix]];
+        i += 1;
+    }
+    pairs
+}
+
+/// Write `v` in decimal at `buf[at..]`; returns the end position.
+fn put_decimal(buf: &mut [u8], at: usize, mut v: u64) -> usize {
+    const PAIRS: [[u8; 2]; 100] = digit_pairs(10);
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    while v >= 100 {
+        start -= 2;
+        digits[start..start + 2].copy_from_slice(&PAIRS[(v % 100) as usize]);
+        v /= 100;
+    }
+    if v >= 10 {
+        start -= 2;
+        digits[start..start + 2].copy_from_slice(&PAIRS[v as usize]);
+    } else {
+        start -= 1;
+        digits[start] = b'0' + v as u8;
+    }
+    let end = at + digits.len() - start;
+    buf[at..end].copy_from_slice(&digits[start..]);
+    end
+}
+
+/// Write `v` as 16 lower-case hex digits at `buf[at..]`; returns the end
+/// position.
+fn put_hex16(buf: &mut [u8], at: usize, v: u64) -> usize {
+    const PAIRS: [[u8; 2]; 256] = digit_pairs(16);
+    for (out, byte) in buf[at..at + 16].chunks_exact_mut(2).zip(v.to_be_bytes()) {
+        out.copy_from_slice(&PAIRS[byte as usize]);
+    }
+    at + 16
+}
+
+/// The encoder's bytes as text: they are ASCII by construction.
+fn ascii(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("route lines are ASCII")
 }
 
 /// Everything a fleet run produces: per-site [`RunOutput`]s, the routing
@@ -684,8 +752,19 @@ impl FleetRunOutput {
     /// hex. Deterministic at any thread count (perf tooling compares the
     /// bytes across `RAYON_NUM_THREADS` values).
     /// [`FleetRunOutput::to_text`] collects it into a `String` and
-    /// [`FleetRunOutput::report_digest`] hashes it as it is written.
+    /// [`FleetRunOutput::report_digest`] hashes the same bytes.
     pub fn write_report<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        self.emit(out, |out, line| out.write_str(ascii(line)))
+    }
+
+    /// The report, with every route line (newline included) handed to
+    /// `route_line` as [`RouteRecord::encode`] bytes and the few other
+    /// lines formatted into `out`.
+    fn emit<W: fmt::Write>(
+        &self,
+        out: &mut W,
+        mut route_line: impl FnMut(&mut W, &[u8]) -> fmt::Result,
+    ) -> fmt::Result {
         writeln!(
             out,
             "fleet {} routing={} sites={} routed={}",
@@ -708,9 +787,11 @@ impl FleetRunOutput {
                 site.aggregates.cost_usd.to_bits(),
             )?;
         }
+        let mut buf = [0; RouteRecord::LINE_CAP];
         for r in &self.routes {
-            r.write_line(out)?;
-            out.write_char('\n')?;
+            let len = r.encode(&mut buf);
+            buf[len] = b'\n';
+            route_line(out, &buf[..=len])?;
         }
         writeln!(
             out,
@@ -733,12 +814,15 @@ impl FleetRunOutput {
     }
 
     /// FNV-1a digest of the exact [`FleetRunOutput::to_text`] bytes,
-    /// streamed through [`Fnv1a`] as the report is written: nothing is
-    /// materialized.
+    /// streamed through [`Fnv1a`] as the report is written: route lines
+    /// go in as encoded bytes, and nothing is materialized.
     pub fn report_digest(&self) -> u64 {
         let mut hasher = Fnv1a::new();
-        self.write_report(&mut hasher)
-            .expect("writing to a hasher cannot fail");
+        self.emit(&mut hasher, |hasher, line| {
+            hasher.write_bytes(line);
+            Ok(())
+        })
+        .expect("writing to a hasher cannot fail");
         hasher.finish()
     }
 }
@@ -1604,6 +1688,40 @@ mod tests {
         );
     }
 
+    /// The `write!` route-line writer [`RouteRecord::encode`] replaced,
+    /// kept as the encoder's oracle.
+    fn route_line_oracle(r: &RouteRecord) -> String {
+        format!(
+            "route {} {} {} {} {} {:016x} {:016x} {:016x}",
+            r.index,
+            r.job.0,
+            r.site,
+            r.submit.0,
+            r.gpus,
+            r.work_gpu_hours.to_bits(),
+            r.queue_pressure_hours.to_bits(),
+            r.forecast_ci_kg_mwh.to_bits(),
+        )
+    }
+
+    /// Every integer at its maximum makes the longest line, which fills
+    /// the encoder's buffer up to the newline's byte.
+    #[test]
+    fn longest_route_line_fits_the_encoder_buffer() {
+        let r = RouteRecord {
+            index: usize::MAX,
+            job: JobId(u64::MAX),
+            site: u32::MAX,
+            submit: SimTime(u64::MAX),
+            gpus: u32::MAX,
+            work_gpu_hours: f64::NAN,
+            queue_pressure_hours: f64::MIN,
+            forecast_ci_kg_mwh: f64::MAX,
+        };
+        assert_eq!(r.to_line(), route_line_oracle(&r));
+        assert_eq!(r.to_line().len(), RouteRecord::LINE_CAP - 1);
+    }
+
     #[test]
     fn sub_traces_renumber_densely_and_routes_keep_global_ids() {
         let fleet = quick_fleet(7, 11, 3).with_routing(RoutingPolicyKind::RoundRobin);
@@ -1953,6 +2071,73 @@ mod tests {
             InProcessBackend, ShardArtifact, ShardBackend,
         };
         use proptest::prelude::*;
+
+        /// Float edges: both NaN signs, both infinities, negative zero and
+        /// the subnormal extremes.
+        const FLOAT_EDGES: [f64; 8] = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            -f64::from_bits(1),
+        ];
+
+        /// `0` or `max` for picks 0 and 1, else `raw` folded below `max`.
+        fn edge_int(pick: u8, raw: u64, max: u64) -> u64 {
+            match pick {
+                0 => 0,
+                1 => max,
+                _ => raw % max,
+            }
+        }
+
+        /// A [`FLOAT_EDGES`] value for pick 0, else arbitrary bits.
+        fn edge_float(pick: u8, raw: u64) -> f64 {
+            match pick {
+                0 => FLOAT_EDGES[raw as usize % FLOAT_EDGES.len()],
+                _ => f64::from_bits(raw),
+            }
+        }
+
+        proptest! {
+            /// For arbitrary records, integers at 0 and their maxima and
+            /// floats at their edges included, the byte encoder writes
+            /// exactly the `write!` oracle's line, and the report holds it
+            /// followed by a newline.
+            #[test]
+            fn route_line_encoder_matches_write_oracle(
+                picks in prop::collection::vec(0u8..3, 8),
+                raw in prop::collection::vec(0u64..u64::MAX, 8),
+            ) {
+                let r = RouteRecord {
+                    index: edge_int(picks[0], raw[0], usize::MAX as u64) as usize,
+                    job: JobId(edge_int(picks[1], raw[1], u64::MAX)),
+                    site: edge_int(picks[2], raw[2], u32::MAX.into()) as u32,
+                    submit: SimTime(edge_int(picks[3], raw[3], u64::MAX)),
+                    gpus: edge_int(picks[4], raw[4], u32::MAX.into()) as u32,
+                    work_gpu_hours: edge_float(picks[5], raw[5]),
+                    queue_pressure_hours: edge_float(picks[6], raw[6]),
+                    forecast_ci_kg_mwh: edge_float(picks[7], raw[7]),
+                };
+                let oracle = route_line_oracle(&r);
+                prop_assert_eq!(r.to_line(), oracle.clone());
+                let out = FleetRunOutput {
+                    fleet_name: "f".into(),
+                    routing: RoutingPolicyKind::Static,
+                    sites: Vec::new(),
+                    routes: vec![r],
+                    truncated_jobs: 0,
+                    totals: rollup_aggregates(&[]),
+                    jobs: JobStats::default(),
+                };
+                let text = out.to_text();
+                prop_assert!(text.contains(&format!("\n{oracle}\n")), "{text}");
+                prop_assert_eq!(out.report_digest(), fnv1a(text.as_bytes()));
+            }
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(

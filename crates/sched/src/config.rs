@@ -71,6 +71,23 @@ impl PolicyKind {
         }
     }
 
+    /// Whether the built policy reads [`SchedSignals::forecast_green`]:
+    /// true only for the carbon gate's kinds. The driver refreshes the
+    /// forecast only for these, so every other kind sees it empty.
+    ///
+    /// [`SchedSignals::forecast_green`]: crate::policy::SchedSignals::forecast_green
+    pub fn reads_forecast(&self) -> bool {
+        match self {
+            PolicyKind::CarbonAware { .. } | PolicyKind::CarbonAndTempAware => true,
+            PolicyKind::Fcfs
+            | PolicyKind::Sjf
+            | PolicyKind::EasyBackfill
+            | PolicyKind::StaticCap { .. }
+            | PolicyKind::TempAware
+            | PolicyKind::GreenQueues { .. } => false,
+        }
+    }
+
     /// Instantiate the live policy.
     pub fn build(&self) -> Box<dyn SchedPolicy> {
         match *self {
@@ -223,9 +240,10 @@ mod tests {
         assert_eq!(gate.lone_dispatch(&q, &c, &dirty), LoneDispatch::Hold);
     }
 
-    /// Every kind.
+    /// Every kind, in declaration order. The `match` stops compiling when
+    /// a variant is added, until it gets an ordinal and a place here.
     fn all_kinds() -> [PolicyKind; 8] {
-        [
+        let kinds = [
             PolicyKind::Fcfs,
             PolicyKind::Sjf,
             PolicyKind::EasyBackfill,
@@ -236,7 +254,54 @@ mod tests {
             },
             PolicyKind::GreenQueues { green_cap_w: 160.0 },
             PolicyKind::CarbonAndTempAware,
-        ]
+        ];
+        for (i, k) in kinds.iter().enumerate() {
+            let ordinal = match k {
+                PolicyKind::Fcfs => 0,
+                PolicyKind::Sjf => 1,
+                PolicyKind::EasyBackfill => 2,
+                PolicyKind::StaticCap { .. } => 3,
+                PolicyKind::TempAware => 4,
+                PolicyKind::CarbonAware { .. } => 5,
+                PolicyKind::GreenQueues { .. } => 6,
+                PolicyKind::CarbonAndTempAware => 7,
+            };
+            assert_eq!(ordinal, i, "{} is out of place", k.label());
+        }
+        kinds
+    }
+
+    /// `reads_forecast` is true exactly for the kinds whose decisions
+    /// depend on the forecast: a deferrable job in a dirty hour is held
+    /// under a green forecast and started under an empty one by those
+    /// kinds, and decided alike by every other kind. The driver leaves
+    /// the forecast empty for the latter, so a wrong `false` would
+    /// silently change their decisions.
+    #[test]
+    fn reads_forecast_matches_forecast_sensitive_dispatch() {
+        use crate::policy::testutil::deferrable;
+
+        let c = cluster();
+        let queue = wq([deferrable(qjob(1, 2, 1.0), 48)]);
+        let green = [0.10; 24];
+        let decide = |k: PolicyKind, forecast: &[f64]| {
+            let signals = SchedSignals {
+                green_share: 0.03,
+                forecast_green: forecast,
+                ..Default::default()
+            };
+            k.build().dispatch_collect(&queue, &c, &signals)
+        };
+        for k in all_kinds() {
+            let with_forecast = decide(k, &green);
+            let without = decide(k, &[]);
+            assert_eq!(
+                with_forecast != without,
+                k.reads_forecast(),
+                "{}: green forecast {with_forecast:?}, empty forecast {without:?}",
+                k.label()
+            );
+        }
     }
 
     /// Ask a fresh `kind` whether it holds `queue`; if it does, check the

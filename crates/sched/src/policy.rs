@@ -51,6 +51,9 @@ pub struct SchedSignals<'a> {
     /// Outdoor temperature, °F.
     pub temp_f: f64,
     /// Forecast green share for the next hours (index 0 = next hour).
+    /// The driver fills it only for policies that read it
+    /// ([`PolicyKind::reads_forecast`](crate::PolicyKind::reads_forecast));
+    /// every other policy sees it empty.
     pub forecast_green: &'a [f64],
     /// `(completion time, gpus released)` of running jobs, **sorted
     /// soonest-first** — the driver maintains this incrementally on

@@ -217,9 +217,10 @@ fn resume_skips_shards_with_existing_artifacts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A `GREENER_FAULT` that is not UTF-8 cannot be read as a fault plan, so
-/// the worker and the supervised driver both refuse it (exit 2) instead
-/// of running fault-free, and nothing is published.
+/// A `GREENER_FAULT` that is not UTF-8 cannot be read as a fault plan,
+/// and a malformed UTF-8 one names no plan, so the worker and the
+/// supervised driver both refuse either (exit 2, the error prefixed once)
+/// instead of running fault-free or spawning workers that refuse it.
 #[cfg(unix)]
 #[test]
 fn non_utf8_fault_spec_is_refused() {
@@ -253,18 +254,21 @@ fn non_utf8_fault_spec_is_refused() {
             art.as_os_str(),
         ],
     ];
-    for args in runs {
+    let specs: [&[u8]; 2] = [b"crash:0\xff", b"crash:0x"];
+    for (args, spec) in runs.iter().flat_map(|a| specs.map(|s| (a, s))) {
         let out = std::process::Command::new(perfjson_bin())
-            .args(args)
-            .env("GREENER_FAULT", OsStr::from_bytes(b"crash:0\xff"))
+            .args(*args)
+            .env("GREENER_FAULT", OsStr::from_bytes(spec))
             .output()
             .unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains("GREENER_FAULT"), "{args:?}: {stderr}");
-        for file in ["shard-0-of-1.art", "shard-0-of-1.ok"] {
-            assert!(!art.join(file).exists(), "{args:?} published {file}");
-        }
+        let what = format!("{args:?} with {}", spec.escape_ascii());
+        assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
+        assert!(stderr.contains("GREENER_FAULT"), "{what}: {stderr}");
+        assert!(!stderr.contains("campaign: campaign:"), "{what}: {stderr}");
+        // No artifact directory means no backend was built, so no worker
+        // was spawned, and no artifact or marker was published.
+        assert!(!art.exists(), "{what} created {}", art.display());
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
